@@ -122,6 +122,33 @@ void BM_BitUnpack(benchmark::State& state) {
 }
 BENCHMARK(BM_BitUnpack);
 
+// Block decode per width: the unit every packed consumer (scans, masked
+// scans, aggregation inputs and group keys, join keys) runs, one
+// unrolled kernel per width. Items are decoded values; bytes are the
+// packed image streamed.
+void BM_BitUnpackBlock64(benchmark::State& state) {
+  const auto bits = static_cast<unsigned>(state.range(0));
+  const std::uint64_t mask = ~std::uint64_t{0} >> (64 - bits);
+  Pcg32 rng(6);
+  std::vector<std::uint64_t> values(1 << 18);
+  for (auto& v : values) v = rng.next64() & mask;
+  const auto packed = storage::bitpack(values, bits);
+  alignas(64) std::uint64_t out[64];
+  std::uint64_t* sink = out;
+  for (auto _ : state) {
+    for (std::size_t block = 0; block < values.size(); block += 64)
+      storage::bitunpack_block64(packed, bits, block, out);
+    benchmark::DoNotOptimize(sink);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * values.size());
+  state.SetBytesProcessed(state.iterations() * packed.size() *
+                          sizeof(std::uint64_t));
+}
+BENCHMARK(BM_BitUnpackBlock64)
+    ->Arg(1)->Arg(3)->Arg(7)->Arg(12)->Arg(15)->Arg(17)->Arg(31)->Arg(33)
+    ->Arg(64);
+
 // -- codecs ----------------------------------------------------------------------
 
 void BM_CodecEncode(benchmark::State& state) {

@@ -93,4 +93,47 @@ DenseJoinTable build_dense_join_table(const JoinKeys& keys,
   return table;
 }
 
+JoinFilter::JoinFilter(const JoinKeys& keys, const BitVector& selection,
+                       std::int64_t min_key, std::int64_t domain)
+    : min_(min_key),
+      bits_(static_cast<std::size_t>(std::max<std::int64_t>(0, domain))) {
+  EIDB_EXPECTS(selection.size() == keys.size());
+  EIDB_EXPECTS(domain >= 1);
+  selection.for_each_set([&](std::size_t i) {
+    const std::uint64_t off = static_cast<std::uint64_t>(keys.at(i)) -
+                              static_cast<std::uint64_t>(min_);
+    EIDB_EXPECTS(off < bits_.size());
+    bits_.set(static_cast<std::size_t>(off));
+  });
+}
+
+std::uint64_t JoinFilter::apply(const JoinKeys& probe_keys,
+                                BitVector& selection, std::size_t word_begin,
+                                std::size_t word_end) const {
+  EIDB_EXPECTS(selection.size() == probe_keys.size());
+  std::uint64_t* words = selection.words();
+  const std::size_t end = std::min(word_end, selection.word_count());
+  const std::size_t rows = probe_keys.size();
+  std::uint64_t kept = 0;
+  alignas(64) std::int64_t keys[64];
+  for (std::size_t w = word_begin; w < end; ++w) {
+    const std::uint64_t live = words[w];
+    if (live == 0) continue;
+    const std::size_t base = w * 64;
+    std::uint64_t keep = 0;
+    if (base + 64 <= rows) {
+      probe_keys.block64(base, keys);
+      for (std::size_t j = 0; j < 64; ++j)
+        keep |= static_cast<std::uint64_t>(contains(keys[j])) << j;
+    } else {
+      for (std::size_t j = 0; base + j < rows; ++j)
+        keep |= static_cast<std::uint64_t>(contains(probe_keys.at(base + j)))
+                << j;
+    }
+    words[w] = live & keep;
+    kept += static_cast<std::uint64_t>(__builtin_popcountll(words[w]));
+  }
+  return kept;
+}
+
 }  // namespace eidb::exec

@@ -106,6 +106,32 @@ class JoinKeys {
     }
     return 0;
   }
+  /// Keys of the 64 rows [base, base + 64) into out[0..63] — the block
+  /// accessor of 64-row-per-word passes. Packed views decode the block
+  /// with one storage::bitunpack_block64 call instead of 64 random
+  /// accesses. Preconditions: base % 64 == 0, base + 64 <= size().
+  void block64(std::size_t base, std::int64_t out[64]) const {
+    EIDB_EXPECTS(base % 64 == 0 && base + 64 <= size());
+    switch (kind_) {
+      case Kind::kInt32:
+        for (std::size_t j = 0; j < 64; ++j) out[j] = i32_[base + j];
+        return;
+      case Kind::kInt64:
+        for (std::size_t j = 0; j < 64; ++j) out[j] = i64_[base + j];
+        return;
+      case Kind::kPacked: {
+        alignas(64) std::uint64_t buf[64];
+        storage::bitunpack_block64(packed_.words, packed_.bits, base, buf);
+        for (std::size_t j = 0; j < 64; ++j)
+          out[j] = packed_.reference + static_cast<std::int64_t>(buf[j]);
+        return;
+      }
+      case Kind::kRemapped:
+        for (std::size_t j = 0; j < 64; ++j)
+          out[j] = remap_[static_cast<std::size_t>(i32_[base + j])];
+        return;
+    }
+  }
   [[nodiscard]] std::size_t size() const {
     switch (kind_) {
       case Kind::kInt32:
@@ -203,6 +229,43 @@ class DenseJoinTable {
                                                     const BitVector& selection,
                                                     std::int64_t min_key,
                                                     std::int64_t domain);
+
+/// Semi-join filter over a dense build-key domain: one bit per key value
+/// in [min_key, min_key + domain), set when some selected build row
+/// carries that key. Testing the probe side's foreign keys against it
+/// clears, 64 rows per selection word, every row the join step would
+/// drop — before any probe runs — so the chain only probes rows that
+/// survive every filtered dimension (the star-join semi-join reduction).
+/// The bitmap is domain/8 bytes: cache-resident where the dense arm's
+/// 4-byte chain heads are not.
+class JoinFilter {
+ public:
+  /// Preconditions: selection.size() == keys.size(); every selected key
+  /// in [min_key, min_key + domain); domain >= 1.
+  JoinFilter(const JoinKeys& keys, const BitVector& selection,
+             std::int64_t min_key, std::int64_t domain);
+
+  /// True when some selected build row carries `key`; out-of-domain keys
+  /// are never contained.
+  [[nodiscard]] bool contains(std::int64_t key) const {
+    const std::uint64_t off =
+        static_cast<std::uint64_t>(key) - static_cast<std::uint64_t>(min_);
+    return off < bits_.size() && bits_.test(static_cast<std::size_t>(off));
+  }
+
+  /// Clears, within selection words [word_begin, word_end), every row
+  /// whose probe key the filter lacks; dead words are skipped without
+  /// reading a key. Full words read their keys through
+  /// JoinKeys::block64. Returns the rows kept (set bits on exit).
+  /// Thread-safe for concurrent calls over disjoint word ranges.
+  /// Precondition: selection.size() == probe_keys.size().
+  std::uint64_t apply(const JoinKeys& probe_keys, BitVector& selection,
+                      std::size_t word_begin, std::size_t word_end) const;
+
+ private:
+  std::int64_t min_;
+  BitVector bits_;
+};
 
 /// Probes selection words [word_begin, word_end) against `table` (a
 /// JoinHashTable or DenseJoinTable), streaming matches into `sink`

@@ -44,6 +44,15 @@ struct ScanSharingChoice {
   double shared_j = 0;       ///< Modeled energy of the fused pass.
 };
 
+/// Verdict of the semi-join filter arm for one join step: test the fact
+/// foreign keys against a bitmap of the step's surviving build keys
+/// before the chain runs, or leave the step to its probes.
+struct JoinFilterChoice {
+  bool filter = false;
+  hw::Work pass;    ///< Bitmap build plus the fact-key test pass.
+  hw::Work probes;  ///< Chain probes of the rows the pass would remove.
+};
+
 /// Cycles-per-tuple parameters for each kernel family.
 struct KernelCosts {
   // Branching selection: base work plus misprediction penalty weighted by
@@ -165,6 +174,19 @@ class CostModel {
                                       std::uint64_t distinct_hint = 0,
                                       std::uint64_t key_domain = 0,
                                       unsigned key_width_bytes = 8) const;
+
+  /// Semi-join filter arm for one dense join step probed from the fact
+  /// table. The pass sets one bitmap bit per selected build row and tests
+  /// `tested_rows` fact keys against the bitmap, 64 per selection word: a
+  /// block unpack plus compare per key when the key is bit-packed
+  /// (`packed_key_bits` > 0), a scalar bitmap test otherwise. It removes
+  /// the (1 - `selectivity`) share of `chain_probes` — the probes into
+  /// this step and every chain step before it — each priced as a join
+  /// probe. Fires when the pass costs fewer cycles than those probes.
+  [[nodiscard]] JoinFilterChoice pick_join_filter(
+      double build_rows, double tested_rows, double chain_probes,
+      double selectivity, unsigned packed_key_bits,
+      double plain_key_bytes) const;
 
   /// Work of building a build-code -> probe-code dictionary remap over
   /// `entries` build-dictionary entries (one linear merge; the output

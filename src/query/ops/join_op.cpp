@@ -6,9 +6,11 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/join.hpp"
@@ -48,6 +50,9 @@ struct StepExec {
   /// String/double keys: probe-side dictionary size — remapped keys live
   /// in [-1, code_domain), which sizes the dense arm's address space.
   std::int64_t code_domain = 0;
+  /// Key views resolved (and their columns charged) — by the step's
+  /// semi-join filter pass when it has one, else by the join operator.
+  bool keys_ready = false;
   std::optional<exec::JoinHashTable> hash;
   std::optional<exec::DenseJoinTable> dense;
 
@@ -372,12 +377,12 @@ QueryResult run_join_pairs(OpContext& ctx, const PhysicalPlan& phys,
 }  // namespace
 
 QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
-                     const Table& table, const BitVector& selection) {
+                     const Table& table, const BitVector& probe_selection) {
   const LogicalPlan& plan = phys.logical;
   const ExecOptions& options = ctx.options;
   ExecStats& stats = ctx.stats;
   if (options.join_path == JoinPath::kPairMaterialize)
-    return run_join_pairs(ctx, phys, table, selection);
+    return run_join_pairs(ctx, phys, table, probe_selection);
 
   // ---- Build-side scans: one filtered selection per step, each its own
   // attributed operator. ----
@@ -451,21 +456,6 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
   if (plan.order_by.has_value() && !plan.is_aggregate())
     require_plain(plan.order_by->column);
 
-  // ---- One operator scope covers the whole join pipeline — key-view
-  // resolution, build-table construction, and the probe — so its charges
-  // land in one attributed operator. Projections without ORDER BY
-  // materialize inside the probe sink, hence the merged name. ----
-  std::string op_name;
-  for (std::size_t s = 0; s < n_steps; ++s) {
-    if (s > 0) op_name += " ";
-    op_name += std::string(opt::join_arm_name(phys.joins[s].arm)) + "(" +
-               steps[s].build_table->name() + ")";
-  }
-  const bool stream_materialize =
-      !plan.is_aggregate() && !plan.order_by.has_value();
-  OperatorScope join_scope(
-      stats, stream_materialize ? op_name + "+materialize" : op_name);
-
   // ---- Join keys, consumed without widening: int64/int32 spans read in
   // place, bit-packed images decoded per probed row. ----
   const auto keys_of = [&](const Table& t, const Column& c) {
@@ -487,7 +477,9 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
     else
       ctx.charge_column_bytes(t, c, 4.0 * static_cast<double>(c.size()));
   };
-  for (StepExec& st : steps) {
+  const auto resolve_keys = [&](StepExec& st) {
+    if (st.keys_ready) return;
+    st.keys_ready = true;
     const Table& src_tbl =
         st.source_side == 0 ? table : *steps[st.source_side - 1].build_table;
     const Column& src_col = src_tbl.column(st.phys->source_key);
@@ -524,9 +516,80 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
     }
     stats.work.cpu_cycles +=
         kDictRemapCyclesPerEntry * static_cast<double>(st.build_remap.size());
-  }
+  };
+  // Direct-address key range {min, domain} of a dense step. Remapped
+  // (string/double) keys live in the probe's code domain
+  // [-1, code_domain), not the build column's value range: -1 holds the
+  // never-matching slot for values absent from the probe side.
+  const auto dense_range = [](const StepExec& st) {
+    if (st.phys->key_type != JoinKeyType::kInt)
+      return std::pair<std::int64_t, std::int64_t>{-1, st.code_domain + 1};
+    const storage::ColumnStats& ks =
+        st.build_table->column(st.spec->right_key).stats();
+    return std::pair<std::int64_t, std::int64_t>{
+        ks.rows == 0 ? 0 : ks.min, std::max<std::int64_t>(1, ks.domain())};
+  };
 
-  const std::uint64_t probe_rows = selection.count();
+  // ---- Semi-join filters, in the compiled order (most selective first):
+  // each filtered step tests the FROM table's keys against a bitmap of its
+  // surviving build keys, 64 rows per selection word, before any probe
+  // runs — every sink below then probes only the rows all filtered
+  // dimensions keep. Each pass is its own attributed operator and
+  // resolves its step's key views, so the key columns are charged there,
+  // once, in the representation the probe reads again later. ----
+  BitVector filtered;
+  std::uint64_t live_rows = probe_selection.count();
+  bool any_filter = false;
+  for (const std::size_t s : phys.filter_order) {
+    StepExec& st = steps[s];
+    if (!st.phys->join_filter.filter) continue;
+    OperatorScope scope(stats, "join-filter(" + st.spec->table + ")");
+    resolve_keys(st);
+    const auto [min_key, domain] = dense_range(st);
+    const exec::JoinFilter filter(st.build_keys, st.build_sel, min_key,
+                                  domain);
+    if (!any_filter) filtered = probe_selection;
+    any_filter = true;
+    stats.work.cpu_cycles += kJoinFilterCyclesPerTuple *
+                             static_cast<double>(st.build_rows + live_rows);
+    if (options.pool == nullptr ||
+        live_rows < options.parallel_join_min_rows) {
+      live_rows = filter.apply(st.source_keys, filtered, 0,
+                               filtered.word_count());
+      continue;
+    }
+    // Morsel-parallel over 64-aligned word ranges: workers write
+    // disjoint selection words; kept counts land in chunk slots.
+    const MorselChunks chunking(filtered.size(), ctx.worker_width());
+    const std::size_t grain_words = chunking.grain / 64;
+    std::vector<std::uint64_t> kept(chunking.count, 0);
+    options.pool->parallel_for(
+        filtered.word_count(), grain_words,
+        [&](std::size_t wb, std::size_t we) {
+          kept[wb / grain_words] =
+              filter.apply(st.source_keys, filtered, wb, we);
+        });
+    live_rows = std::accumulate(kept.begin(), kept.end(), std::uint64_t{0});
+  }
+  const BitVector& selection = any_filter ? filtered : probe_selection;
+
+  // ---- One operator scope covers the rest of the join pipeline — key-view
+  // resolution, build-table construction, and the probe — so its charges
+  // land in one attributed operator. Projections without ORDER BY
+  // materialize inside the probe sink, hence the merged name. ----
+  std::string op_name;
+  for (std::size_t s = 0; s < n_steps; ++s) {
+    if (s > 0) op_name += " ";
+    op_name += std::string(opt::join_arm_name(phys.joins[s].arm)) + "(" +
+               steps[s].build_table->name() + ")";
+  }
+  const bool stream_materialize =
+      !plan.is_aggregate() && !plan.order_by.has_value();
+  OperatorScope join_scope(
+      stats, stream_materialize ? op_name + "+materialize" : op_name);
+  for (StepExec& st : steps) resolve_keys(st);
+
+  const std::uint64_t probe_rows = live_rows;
 
   // ---- Physical join tables, per the compiled arm. ----
   static const opt::CostModel default_model = opt::CostModel::defaults();
@@ -539,19 +602,10 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
     stats.work.cpu_cycles +=
         kJoinBuildCyclesPerTuple * static_cast<double>(st.build_rows);
     if (s == 0 && radix_first) continue;  // the radix arm partitions instead
-    const storage::ColumnStats& ks =
-        st.build_table->column(st.spec->right_key).stats();
     if (st.phys->arm == opt::JoinArm::kDenseJoin) {
-      // Remapped (string/double) keys live in the probe's code domain
-      // [-1, code_domain), not the build column's value range: -1 holds
-      // the never-matching slot for values absent from the probe side.
-      if (st.phys->key_type != JoinKeyType::kInt)
-        st.dense.emplace(exec::build_dense_join_table(
-            st.build_keys, st.build_sel, -1, st.code_domain + 1));
-      else
-        st.dense.emplace(exec::build_dense_join_table(
-            st.build_keys, st.build_sel, ks.rows == 0 ? 0 : ks.min,
-            std::max<std::int64_t>(1, ks.domain())));
+      const auto [min_key, domain] = dense_range(st);
+      st.dense.emplace(exec::build_dense_join_table(
+          st.build_keys, st.build_sel, min_key, domain));
     } else {
       st.hash.emplace(exec::build_join_table(st.build_keys, st.build_sel));
     }

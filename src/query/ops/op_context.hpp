@@ -33,6 +33,9 @@ constexpr double kRadixPartitionCyclesPerTuple = 2.5;
 constexpr double kMaterializeCyclesPerValue = 20.0;
 constexpr double kSortCyclesPerComparison = 4.0;
 constexpr double kDictRemapCyclesPerEntry = 3.0;
+/// Semi-join filter pass: per build key set in the bitmap and per probe
+/// key tested against it.
+constexpr double kJoinFilterCyclesPerTuple = 2.0;
 
 /// Per-query execution context threaded through every operator.
 struct OpContext {

@@ -255,7 +255,93 @@ void plan_distribution(const storage::Catalog& catalog, PhysicalPlan& phys,
   phys.dist = std::move(dist);
 }
 
+/// Estimated fraction of probe rows whose key some selected build row
+/// carries (what a semi-join filter on the step keeps). Integer keys: the
+/// share of distinct build keys the build predicates keep, times the
+/// share of the probe key range the build key range covers. Code keys:
+/// the share of build rows kept, times the share of the probe dictionary
+/// the build dictionary also holds — counted with the same linear merge
+/// the execution's remap runs.
+double estimate_filter_selectivity(const Column& source, const Column& build,
+                                   JoinKeyType type, double est_build) {
+  if (source.empty() || build.empty()) return 0;
+  if (type == JoinKeyType::kInt) {
+    const storage::ColumnStats& bs = build.stats();
+    const double kept = std::min(
+        1.0, est_build / std::max(1.0, static_cast<double>(bs.distinct)));
+    return kept * source.stats().range_selectivity(bs.min, bs.max);
+  }
+  const bool str = type == JoinKeyType::kString;
+  const std::vector<std::int32_t> remap =
+      str ? build.dictionary().remap_to(source.dictionary())
+          : build.double_dictionary().remap_to(source.double_dictionary());
+  const auto held = static_cast<double>(
+      std::count_if(remap.begin(), remap.end(),
+                    [](std::int32_t code) { return code >= 0; }));
+  const double source_codes =
+      str ? static_cast<double>(source.dictionary().size())
+          : static_cast<double>(source.double_dictionary().size());
+  if (source_codes == 0) return 0;
+  return std::min(1.0, est_build / static_cast<double>(build.size())) *
+         std::min(1.0, held / source_codes);
+}
+
+/// The semi-join filter arm over the compiled chain. Candidates are the
+/// dense steps probed from the FROM table (their key domain bounds the
+/// bitmap); they are priced most selective first, each against the
+/// chain as the filters already chosen leave it, and the order is kept
+/// as the pass order.
+void plan_join_filters(const storage::Catalog& catalog, PhysicalPlan& phys,
+                       const ExecOptions& options, const opt::CostModel& cm) {
+  if (options.join_path == JoinPath::kPairMaterialize) return;
+  const Table& probe = catalog.get(phys.logical.table);
+  for (std::size_t s = 0; s < phys.joins.size(); ++s) {
+    PhysicalJoinStep& step = phys.joins[s];
+    if (step.arm != opt::JoinArm::kDenseJoin || step.source_side != 0)
+      continue;
+    const JoinSpec& spec = phys.logical.joins[step.logical_index];
+    step.filter_selectivity = estimate_filter_selectivity(
+        probe.column(step.source_key),
+        catalog.get(spec.table).column(spec.right_key), step.key_type,
+        step.est_build_rows);
+    phys.filter_order.push_back(s);
+  }
+  std::stable_sort(phys.filter_order.begin(), phys.filter_order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return phys.joins[a].filter_selectivity <
+                            phys.joins[b].filter_selectivity;
+                   });
+  double tested = std::max(0.0, phys.est_probe_rows);
+  for (const std::size_t s : phys.filter_order) {
+    PhysicalJoinStep& step = phys.joins[s];
+    const std::vector<double> rows_in = phys.chain_probe_rows();
+    double chain_probes = 0;
+    for (std::size_t t = 0; t <= s; ++t) chain_probes += rows_in[t];
+    const Column& key = probe.column(step.source_key);
+    const unsigned packed_bits =
+        ops::use_packed(key, options) ? key.encoded()->bits : 0;
+    step.join_filter = cm.pick_join_filter(
+        std::max(0.0, step.est_build_rows), tested, chain_probes,
+        step.filter_selectivity, packed_bits,
+        key.type() == TypeId::kInt64 ? 8.0 : 4.0);
+    if (step.join_filter.filter) tested *= step.filter_selectivity;
+  }
+}
+
 }  // namespace
+
+std::vector<double> PhysicalPlan::chain_probe_rows() const {
+  std::vector<double> rows(joins.size());
+  double in = std::max(0.0, est_probe_rows);
+  for (std::size_t t = 0; t < joins.size(); ++t) {
+    double kept = in;
+    for (std::size_t f = t; f < joins.size(); ++f)
+      if (joins[f].join_filter.filter) kept *= joins[f].filter_selectivity;
+    rows[t] = kept;
+    in = std::max(0.0, joins[t].est_rows_out);
+  }
+  return rows;
+}
 
 std::string dist_mode_name(DistMode m) {
   switch (m) {
@@ -488,6 +574,7 @@ PhysicalPlan compile_plan(const storage::Catalog& catalog,
       step.arm = opt::JoinArm::kHashJoin;
     phys.joins.push_back(std::move(step));
   }
+  plan_join_filters(catalog, phys, options, cm);
   plan_distribution(catalog, phys, options, cm);
   apply_plan_governor(catalog, phys, options);
   return phys;
@@ -548,6 +635,15 @@ std::string PhysicalPlan::explain() const {
   os << "  scan+filter(" << logical.table << ", preds="
      << logical.predicates.size() << ", est_rows=" << fmt_rows(est_probe_rows)
      << ")\n";
+  for (const std::size_t s : filter_order) {
+    const PhysicalJoinStep& step = joins[s];
+    os << "join-filter: " << logical.joins[step.logical_index].table << " ON "
+       << step.source_key << ", est_sel=" << step.filter_selectivity
+       << ", pass_cycles=" << fmt_rows(step.join_filter.pass.cpu_cycles)
+       << ", saved_probe_cycles="
+       << fmt_rows(step.join_filter.probes.cpu_cycles) << ", "
+       << (step.join_filter.filter ? "filter" : "declined") << "\n";
+  }
   if (dist.active()) {
     os << "shards: " << dist.shard_count << " x " << logical.table
        << " (hash key " << dist.partition_key << ", mode "

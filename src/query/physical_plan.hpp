@@ -47,6 +47,14 @@ struct PhysicalJoinStep {
   /// Build-dictionary entries the cross-dictionary remap translates
   /// (string/double keys only; 0 for integer keys).
   std::size_t remap_entries = 0;
+  /// Estimated fraction of probe rows whose key some selected build row
+  /// carries — what a semi-join filter on this step would keep.
+  double filter_selectivity = 1;
+  /// Semi-join filter arm (opt::CostModel::pick_join_filter), priced for
+  /// dense steps probed from the FROM table (see PhysicalPlan::
+  /// filter_order); `join_filter.filter` = the step's bitmap pass runs
+  /// before the chain.
+  opt::JoinFilterChoice join_filter;
 };
 
 /// How ORDER BY (if any) is executed.
@@ -128,6 +136,10 @@ struct PhysicalPlan {
   /// (aggregate output); false = row-id sort over a table column.
   bool sort_on_result = false;
   double est_probe_rows = 0;  ///< Predicted selected FROM-table rows.
+  /// Join steps priced for a semi-join filter (indices into `joins`),
+  /// most selective first: the order the filtered passes run in, each
+  /// testing only the rows the passes before it kept.
+  std::vector<std::size_t> filter_order;
   /// Join-order decision provenance: "dp" / "greedy" (multi-way), "" when
   /// fewer than two joins left nothing to order.
   std::string join_order_algorithm;
@@ -149,6 +161,11 @@ struct PhysicalPlan {
   SharedScanInfo shared;
 
   [[nodiscard]] std::size_t side_count() const { return joins.size() + 1; }
+
+  /// Predicted probe rows into each join step (aligned with `joins`):
+  /// the cardinality chain, with every filtered step's selectivity
+  /// applied to the steps at or before it in the chain.
+  [[nodiscard]] std::vector<double> chain_probe_rows() const;
 
   /// Multi-line operator tree, sink first (the EXPLAIN format; see
   /// docs/executor_pipeline.md).

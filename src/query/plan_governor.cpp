@@ -33,7 +33,8 @@ OperatorKind classify_operator(std::string_view name) {
   if (starts_with(name, "hash-join") || starts_with(name, "radix-join") ||
       starts_with(name, "dense-join") || starts_with(name, "join"))
     return OperatorKind::kJoin;
-  if (starts_with(name, "aggregate")) return OperatorKind::kAggregate;
+  if (starts_with(name, "aggregate") || starts_with(name, "group-aggregate"))
+    return OperatorKind::kAggregate;
   if (starts_with(name, "top-k") || starts_with(name, "sort"))
     return OperatorKind::kSort;
   if (starts_with(name, "materialize")) return OperatorKind::kMaterialize;
@@ -126,18 +127,21 @@ hw::Work estimate_plan_work(const storage::Catalog& catalog,
                                options);
 
   // Joins: the compiled cardinality chain — probe rows into step i are the
-  // previous step's predicted matches.
+  // previous step's predicted matches, shortened by the semi-join filters
+  // — plus each filtered step's bitmap pass.
   hw::Work join;
-  double chain_rows = std::max(0.0, phys.est_probe_rows);
-  for (const PhysicalJoinStep& step : phys.joins) {
+  const std::vector<double> probe_rows = phys.chain_probe_rows();
+  double rows_out = std::max(0.0, phys.est_probe_rows);
+  for (std::size_t t = 0; t < phys.joins.size(); ++t) {
+    const PhysicalJoinStep& step = phys.joins[t];
     join += cm.join_work(step.arm,
                          static_cast<std::uint64_t>(
                              std::max(0.0, step.est_build_rows)),
-                         static_cast<std::uint64_t>(chain_rows),
+                         static_cast<std::uint64_t>(probe_rows[t]),
                          /*bytes_per_tuple=*/8.0);
-    chain_rows = std::max(0.0, step.est_rows_out);
+    if (step.join_filter.filter) join += step.join_filter.pass;
+    rows_out = std::max(0.0, step.est_rows_out);
   }
-  const double rows_out = chain_rows;
   const auto rows_u64 = static_cast<std::uint64_t>(rows_out);
 
   // Sink: aggregation (grouped or plain) or projection materialization.

@@ -60,8 +60,8 @@ enum class OperatorKind : std::uint8_t {
 inline constexpr std::size_t kOperatorKindCount = 6;
 
 /// Maps an attributed operator name (ExecStats::operators entries, e.g.
-/// "scan+filter(lineorder)", "hash-join(dates)+materialize", "top-k(x)")
-/// to its kind.
+/// "scan+filter(lineorder)", "hash-join(dates)+materialize",
+/// "join-filter(customer)", "group-aggregate", "top-k(x)") to its kind.
 [[nodiscard]] OperatorKind classify_operator(std::string_view name);
 [[nodiscard]] std::string_view operator_kind_name(OperatorKind kind);
 

@@ -1,6 +1,8 @@
 #include "storage/bitpack.hpp"
 
+#include <array>
 #include <bit>
+#include <utility>
 
 #include "util/assert.hpp"
 
@@ -58,40 +60,62 @@ void bitunpack(std::span<const std::uint64_t> packed, unsigned bits,
   }
 }
 
-void bitunpack_block64(std::span<const std::uint64_t> packed, unsigned bits,
-                       std::size_t block_start, std::uint64_t out[64]) {
-  EIDB_EXPECTS((block_start & 63) == 0);
-  if (bits == 0) {
-    for (int i = 0; i < 64; ++i) out[i] = 0;
-    return;
-  }
-  const std::uint64_t mask =
-      bits == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << bits) - 1;
-  // A 64-value block at width b occupies exactly b words and starts word-
-  // aligned, which keeps this loop branch-light and auto-vectorizable.
-  std::size_t bitpos = block_start * bits;
-  for (int i = 0; i < 64; ++i) {
-    const std::size_t word = bitpos >> 6;
-    const unsigned off = bitpos & 63;
-    std::uint64_t v = packed[word] >> off;
-    if (off + bits > 64) v |= packed[word + 1] << (64 - off);
-    out[i] = v & mask;
-    bitpos += bits;
+namespace {
+
+/// Value I of a 64-value block packed at width B: word index and bit
+/// offset are compile-time constants, so each value is one or two shifts,
+/// an OR and a mask — no loop-carried bit position.
+template <unsigned B, std::size_t I>
+inline std::uint64_t packed_value(const std::uint64_t* in) {
+  constexpr std::size_t bit = I * B;
+  constexpr std::size_t word = bit / 64;
+  constexpr unsigned off = bit % 64;
+  constexpr std::uint64_t mask = ~std::uint64_t{0} >> (64 - B);
+  if constexpr (off + B <= 64) {
+    return (in[word] >> off) & mask;
+  } else {
+    return ((in[word] >> off) | (in[word + 1] << (64 - off))) & mask;
   }
 }
 
-std::uint64_t bitpacked_at(std::span<const std::uint64_t> packed,
-                           unsigned bits, std::size_t index) {
+/// One fully unrolled 64-value kernel per width; `in` points at the
+/// block's first word (a block at width B spans exactly B words).
+template <unsigned B, std::size_t... I>
+void unpack_block64(const std::uint64_t* in, std::uint64_t* out,
+                    std::index_sequence<I...>) {
+  if constexpr (B == 0) {
+    ((out[I] = 0), ...);
+  } else {
+    ((out[I] = packed_value<B, I>(in)), ...);
+  }
+}
+
+using BlockKernel = void (*)(const std::uint64_t*, std::uint64_t*);
+
+template <unsigned B>
+void unpack_block64(const std::uint64_t* in, std::uint64_t* out) {
+  unpack_block64<B>(in, out, std::make_index_sequence<64>{});
+}
+
+template <std::size_t... B>
+constexpr std::array<BlockKernel, sizeof...(B)> block_kernels(
+    std::index_sequence<B...>) {
+  return {&unpack_block64<static_cast<unsigned>(B)>...};
+}
+
+/// Dispatch table indexed by width 0..64.
+constexpr std::array<BlockKernel, 65> kBlockKernels =
+    block_kernels(std::make_index_sequence<65>{});
+
+}  // namespace
+
+void bitunpack_block64(std::span<const std::uint64_t> packed, unsigned bits,
+                       std::size_t block_start, std::uint64_t out[64]) {
+  EIDB_EXPECTS((block_start & 63) == 0);
   EIDB_EXPECTS(bits <= 64);
-  if (bits == 0) return 0;
-  const std::uint64_t mask =
-      bits == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << bits) - 1;
-  const std::size_t bitpos = index * bits;
-  const std::size_t word = bitpos >> 6;
-  const unsigned off = bitpos & 63;
-  std::uint64_t v = packed[word] >> off;
-  if (off + bits > 64) v |= packed[word + 1] << (64 - off);
-  return v & mask;
+  const std::size_t first_word = block_start / 64 * bits;
+  EIDB_EXPECTS(first_word + bits <= packed.size());
+  kBlockKernels[bits](packed.data() + first_word, out);
 }
 
 }  // namespace eidb::storage

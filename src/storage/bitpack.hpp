@@ -12,6 +12,8 @@
 #include <span>
 #include <vector>
 
+#include "util/assert.hpp"
+
 namespace eidb::storage {
 
 /// Number of 64-bit words needed to hold `count` values of `bits` width.
@@ -31,13 +33,27 @@ void bitunpack(std::span<const std::uint64_t> packed, unsigned bits,
                std::size_t count, std::span<std::uint64_t> out);
 
 /// Unpacks the 64-value block starting at value index `block_start`
-/// (a multiple of 64) into `out[0..63]`. Fast path used by packed scans.
+/// (a multiple of 64, the whole block inside `packed`) into `out[0..63]`.
+/// The fast path of every packed consumer (scans, masked scans,
+/// aggregation inputs and group keys, join keys): one fully unrolled
+/// kernel per width 0..64, picked once per block.
 void bitunpack_block64(std::span<const std::uint64_t> packed, unsigned bits,
                        std::size_t block_start, std::uint64_t out[64]);
 
-/// Random access to a single packed value.
-[[nodiscard]] std::uint64_t bitpacked_at(std::span<const std::uint64_t> packed,
-                                         unsigned bits, std::size_t index);
+/// Random access to a single packed value (inline: it sits in per-row
+/// probe and gather loops).
+[[nodiscard]] inline std::uint64_t bitpacked_at(
+    std::span<const std::uint64_t> packed, unsigned bits, std::size_t index) {
+  EIDB_EXPECTS(bits <= 64);
+  if (bits == 0) return 0;
+  const std::uint64_t mask = ~std::uint64_t{0} >> (64 - bits);
+  const std::size_t bitpos = index * bits;
+  const std::size_t word = bitpos >> 6;
+  const unsigned off = bitpos & 63;
+  std::uint64_t v = packed[word] >> off;
+  if (off + bits > 64) v |= packed[word + 1] << (64 - off);
+  return v & mask;
+}
 
 /// Minimum width able to represent every value in [0, width] (0 when the
 /// domain is a single value). The encoding-choice counterpart of min_bits

@@ -276,5 +276,68 @@ TEST(JoinBlocks, WordRangesPartitionTheProbe) {
   }
 }
 
+TEST(JoinFilter, KeepsExactlyTheRowsWithASelectedBuildMatch) {
+  // Every key view kind over a probe side that is not a multiple of 64
+  // rows long, with dead, partial and full selection words: apply() must
+  // clear exactly the rows whose key no selected build row carries
+  // (out-of-domain keys included) and leave every other bit alone.
+  Pcg32 rng(77);
+  constexpr std::size_t kProbe = 64 * 9 + 23;
+  std::vector<std::int64_t> build(120);
+  for (auto& k : build)
+    k = static_cast<std::int64_t>(rng.next_bounded(80)) - 20;  // [-20, 60)
+  BitVector bsel(build.size());
+  for (std::size_t i = 0; i < build.size(); ++i)
+    if (rng.next_double() < 0.5) bsel.set(i);
+  std::vector<std::int64_t> probe64(kProbe);
+  for (auto& k : probe64)
+    k = static_cast<std::int64_t>(rng.next_bounded(120)) - 40;  // [-40, 80)
+  const std::vector<std::int32_t> probe32(probe64.begin(), probe64.end());
+  std::vector<std::uint64_t> shifted;
+  std::vector<std::int32_t> codes, remap(120);
+  for (const std::int64_t k : probe64) {
+    shifted.push_back(static_cast<std::uint64_t>(k + 40));
+    codes.push_back(static_cast<std::int32_t>(k + 40));
+  }
+  for (std::int32_t c = 0; c < 120; ++c)
+    remap[static_cast<std::size_t>(c)] = c - 40;
+  const auto packed = storage::bitpack(shifted, 7);
+
+  BitVector psel(kProbe);
+  for (std::size_t i = 0; i < kProbe; ++i)
+    if (i / 64 != 2 && rng.next_double() < 0.7) psel.set(i);  // word 2 dead
+  BitVector want = psel;
+  psel.for_each_set([&](std::size_t i) {
+    bool hit = false;
+    bsel.for_each_set([&](std::size_t b) { hit |= build[b] == probe64[i]; });
+    if (!hit) want.reset(i);
+  });
+
+  const JoinFilter filter(JoinKeys::from(std::span<const std::int64_t>(build)),
+                          bsel, /*min_key=*/-20, /*domain=*/80);
+  const JoinKeys views[] = {
+      JoinKeys::from(std::span<const std::int32_t>(probe32)),
+      JoinKeys::from(std::span<const std::int64_t>(probe64)),
+      JoinKeys::from(storage::PackedView{packed, 7, -40, kProbe}),
+      JoinKeys::remapped(codes, remap)};
+  for (std::size_t v = 0; v < std::size(views); ++v) {
+    BitVector got = psel;
+    EXPECT_EQ(filter.apply(views[v], got, 0, got.word_count()), want.count())
+        << "view " << v;
+    for (std::size_t w = 0; w < got.word_count(); ++w)
+      EXPECT_EQ(got.words()[w], want.words()[w]) << "view " << v << " w" << w;
+    // Disjoint word ranges (the morsel-parallel split) compose to one pass.
+    BitVector split = psel;
+    const std::uint64_t kept =
+        filter.apply(views[v], split, 0, 4) +
+        filter.apply(views[v], split, 4, split.word_count());
+    EXPECT_EQ(kept, want.count()) << "view " << v;
+    for (std::size_t w = 0; w < split.word_count(); ++w)
+      EXPECT_EQ(split.words()[w], want.words()[w]) << "view " << v;
+  }
+  EXPECT_FALSE(filter.contains(-21));
+  EXPECT_FALSE(filter.contains(60));
+}
+
 }  // namespace
 }  // namespace eidb::exec

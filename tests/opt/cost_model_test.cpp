@@ -187,6 +187,31 @@ TEST(CostModel, RadixBitsScaleWithBuildAndStayClamped) {
   EXPECT_LE((budget * 2) >> small_bits, budget);
 }
 
+TEST(CostModel, PickJoinFilterWeighsPassAgainstSavedProbes) {
+  const CostModel m;
+  const KernelCosts& c = m.costs();
+  // A selective dimension in front of a long chain: the pass (one packed
+  // block test per fact row) costs far less than the probes it removes.
+  const JoinFilterChoice selective =
+      m.pick_join_filter(7'500, 4e6, 7.2e6, 0.25, /*packed_key_bits=*/15, 8);
+  EXPECT_TRUE(selective.filter);
+  EXPECT_DOUBLE_EQ(selective.pass.cpu_cycles,
+                   c.scalar_bitmap * 7'500 + c.packed_scan_unaligned * 4e6);
+  EXPECT_DOUBLE_EQ(selective.pass.dram_bytes, 15.0 / 8.0 * 4e6);
+  EXPECT_DOUBLE_EQ(selective.probes.cpu_cycles,
+                   c.join_probe_per_tuple * 0.75 * 7.2e6);
+  // A filter that keeps every row saves nothing and never fires.
+  const JoinFilterChoice useless = m.pick_join_filter(100, 4e6, 4e6, 1.0, 0, 8);
+  EXPECT_FALSE(useless.filter);
+  EXPECT_DOUBLE_EQ(useless.probes.cpu_cycles, 0.0);
+  // Plain keys price the test as a scalar bitmap pass over the key width.
+  const JoinFilterChoice plain = m.pick_join_filter(0, 1000, 1000, 0.5, 0, 4);
+  EXPECT_DOUBLE_EQ(plain.pass.cpu_cycles, c.scalar_bitmap * 1000);
+  EXPECT_DOUBLE_EQ(plain.pass.dram_bytes, 4.0 * 1000);
+  // A nearly non-selective filter on a short chain loses to its probes.
+  EXPECT_FALSE(m.pick_join_filter(5, 4e5, 4e5, 0.9, 3, 4).filter);
+}
+
 TEST(CostModel, RadixJoinWorkAddsPartitionPass) {
   const CostModel m;
   const hw::Work hash = m.join_work(JoinArm::kHashJoin, 1 << 20, 1 << 22, 8.0);

@@ -37,7 +37,10 @@ TEST(PlanGovernor, ClassifyOperatorNames) {
             OperatorKind::kJoin);
   EXPECT_EQ(classify_operator("dense-join(dim)+materialize"),
             OperatorKind::kJoin);
+  EXPECT_EQ(classify_operator("join-filter(customer)"), OperatorKind::kJoin);
   EXPECT_EQ(classify_operator("aggregate(join)"), OperatorKind::kAggregate);
+  // Grouped base-table aggregation feeds the aggregate EWMA too.
+  EXPECT_EQ(classify_operator("group-aggregate"), OperatorKind::kAggregate);
   EXPECT_EQ(classify_operator("top-k(revenue)"), OperatorKind::kSort);
   EXPECT_EQ(classify_operator("sort(neg64)"), OperatorKind::kSort);
   EXPECT_EQ(classify_operator("materialize(join)"),

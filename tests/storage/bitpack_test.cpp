@@ -67,8 +67,11 @@ TEST(BitPack, Block64MatchesFullUnpack) {
   }
 }
 
-// Property sweep: round-trip for every width 1..64 on random data masked to
-// the width, with a non-multiple-of-64 count to cover the tail path.
+// Property sweep: round-trip for every width 0..64 on random data masked to
+// the width, with a non-multiple-of-64 count to cover the tail path. Each
+// width has its own unrolled block kernel, so every width checks
+// bitunpack_block64 against the generic bitunpack on every full block,
+// and bitpacked_at at every index.
 class BitPackWidthSweep : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(BitPackWidthSweep, RoundTrip) {
@@ -76,7 +79,7 @@ TEST_P(BitPackWidthSweep, RoundTrip) {
   Pcg32 rng(1000 + bits);
   constexpr std::size_t kN = 64 * 3 + 17;
   const std::uint64_t mask =
-      bits == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << bits) - 1;
+      bits == 0 ? 0 : ~std::uint64_t{0} >> (64 - bits);
   std::vector<std::uint64_t> values(kN);
   for (auto& v : values) v = rng.next64() & mask;
   // Ensure the extremes appear.
@@ -89,13 +92,21 @@ TEST_P(BitPackWidthSweep, RoundTrip) {
   bitunpack(packed, bits, kN, out);
   EXPECT_EQ(out, values);
 
+  // Every full 64-value block decodes like the generic unpack.
+  for (std::size_t block = 0; block + 64 <= kN; block += 64) {
+    std::uint64_t got[64];
+    bitunpack_block64(packed, bits, block, got);
+    for (std::size_t j = 0; j < 64; ++j)
+      ASSERT_EQ(got[j], out[block + j]) << "block " << block << " value " << j;
+  }
+
   // Random access agrees everywhere.
-  for (std::size_t i = 0; i < kN; i += 7)
-    EXPECT_EQ(bitpacked_at(packed, bits, i), values[i]);
+  for (std::size_t i = 0; i < kN; ++i)
+    ASSERT_EQ(bitpacked_at(packed, bits, i), values[i]) << i;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWidths, BitPackWidthSweep,
-                         ::testing::Range(1u, 65u));
+                         ::testing::Range(0u, 65u));
 
 // -- Degenerate-width regressions (all-equal / empty columns) ----------------
 // Width 0 — the packed image holds no words at all — and width 1 are the
