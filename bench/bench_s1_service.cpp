@@ -4,15 +4,16 @@
 // "under a given energy constraint ... on a case-by-case basis" — measured
 // on LIVE execution: one Poisson arrival schedule replayed against a
 // QueryService under each of the three policies, next to the discrete-event
-// StreamScheduler simulation of the *same* schedule. Both tiers share one
-// sched::PolicyEngine, so differences are queueing/measurement noise, not
-// policy drift.
+// StreamScheduler simulation of the *same* schedule. Both tiers decide
+// through one kernel — the kEnergyCap check (sched::policy_in_force), then
+// sched::Governor::decide — so differences are queueing/measurement noise,
+// not policy drift.
 //
 // Reported per policy: mean/p95 latency, throughput, average power and
-// joules per query (idle floor + policy-modeled busy energy — the same
-// accounting the simulator uses). For the energy-cap policy the harness
-// additionally tracks the rolling average power and reports whether it
-// stayed under the cap.
+// joules per query (idle floor + billed busy energy at each query's
+// granted P-state — the same accounting the simulator uses). For the
+// energy-cap policy the harness additionally tracks the rolling average
+// power and reports whether it stayed under the cap.
 //
 //   $ ./bench_s1_service [queries_per_policy]   (default 240)
 #include <algorithm>
@@ -118,7 +119,7 @@ PolicyOutcome run_live(core::Database& db,
   out.p95_latency_s = p95.percentile(95);
   out.throughput_qps = static_cast<double>(latency.count()) / makespan;
   // Simulator-compatible accounting: static floor over the makespan plus
-  // policy-modeled busy energy.
+  // the billed busy energy.
   const double total_j =
       db.machine().idle_power_w() * makespan + policy_busy_j;
   out.avg_power_w = total_j / makespan;
@@ -297,8 +298,9 @@ int main(int argc, char** argv) {
                "to the efficient P-state, trading latency for fewer joules; "
                "the energy-cap run tracks f_max until the rolling average "
                "hits the cap, then degrades toward the throughput point. "
-               "Live and sim rows share one PolicyEngine, so their per-"
-               "policy ordering matches even where absolute figures differ "
+               "Live and sim rows decide through one governor kernel, so "
+               "their per-policy ordering matches even where absolute "
+               "figures differ "
                "(the simulator models an 8-core machine; the live tier runs "
                "on this host).\n";
 

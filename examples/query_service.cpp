@@ -119,12 +119,12 @@ int main() {
     futures.push_back(
         batcher.submit(batch_session, query::QueryRequest::from_sql(kSql)));
   double paced_freq = 0;
-  for (auto& f : futures) paced_freq = f.get().chosen_freq_ghz;
+  for (auto& f : futures) paced_freq = f.get().governor_freq_ghz;
   const server::ServiceStats bs = batcher.stats();
   std::cout << "  16 queries served in " << bs.batches
             << " wake-up(s); P-state " << paced_freq << " GHz (f_max "
             << db.machine().dvfs.fastest().freq_ghz
-            << " GHz); modeled busy energy " << bs.busy_j << " J\n";
+            << " GHz); billed energy " << bs.busy_j << " J\n";
   batcher.stop();
 
   std::cout << "\nmeter: " << energy::to_string(db.meter_source()) << "\n";

@@ -7,7 +7,6 @@
 #include "query/shared_scan.hpp"
 #include "query/sql.hpp"
 #include "util/assert.hpp"
-#include "util/clock.hpp"
 
 namespace eidb::core {
 
@@ -16,9 +15,7 @@ Database::Database(DatabaseOptions options)
       cost_model_(options.calibrate_cost_model ? opt::CostModel::calibrate()
                                                : opt::CostModel::defaults()),
       governor_(machine_, options.governor),
-      optimizer_(machine_),
-      pool_(options.worker_threads),
-      governor_enabled_(options.enable_governor) {
+      pool_(options.worker_threads) {
   if (options.prefer_rapl) {
     auto rapl = std::make_unique<energy::RaplMeter>();
     if (rapl->available()) rapl_ = std::move(rapl);
@@ -46,156 +43,27 @@ void Database::register_tiers(const std::string& table) {
   }
 }
 
-std::vector<opt::PlanCandidate> Database::candidates(
-    const query::LogicalPlan& plan) const {
-  const storage::Table& table = catalog_.get(plan.table);
-  const auto rows = static_cast<std::uint64_t>(table.row_count());
-  // Bytes per tuple across predicate columns (plain widths). Only kAuto
-  // scans consume the packed images (executor rule), so the auto-resolved
-  // candidate is priced per column through the storage arm — packed
-  // kernel cycles AND packed bytes together — while explicit-variant
-  // candidates stream the plain arrays.
-  double plain_bytes_per_tuple = 0;
-  for (const query::Predicate& p : plan.predicates)
-    plain_bytes_per_tuple +=
-        static_cast<double>(storage::physical_size(table.column(p.column).type()));
-  // No-predicate default: downstream operators still read ~one column.
-  if (plan.predicates.empty()) plain_bytes_per_tuple = 8;
-
-  // Conjunctive selectivity from the cached per-column statistics
-  // (uniform-value assumption, independence across predicates); a
-  // mid-range default when the plan has no predicates.
-  double estimated_sel = 1.0;
-  bool any_pred = false;
-  for (const query::Predicate& p : plan.predicates) {
-    const storage::Column& col = table.column(p.column);
-    if (col.type() == storage::TypeId::kDouble) {
-      estimated_sel *= opt::CostModel::estimate_selectivity(
-          col.stats(), p.lo.as_double(), p.hi.as_double());
-    } else if (col.type() == storage::TypeId::kString) {
-      continue;  // string bounds bind to codes at execution; skip here
-    } else {
-      estimated_sel *= opt::CostModel::estimate_selectivity(
-          col.stats(), p.lo.as_int(), p.hi.as_int());
-    }
-    any_pred = true;
-  }
-  const double kDefaultSel = any_pred ? estimated_sel : 0.1;
-
-  std::vector<opt::PlanCandidate> out;
-  const exec::ScanVariant best_variant =
-      cost_model_.pick_scan_variant(kDefaultSel);
-  // Auto candidate: per predicate column, the representation the executor
-  // will actually scan — the packed storage arm (its cycles and bytes)
-  // for encoded columns, the picked plain kernel otherwise.
-  const auto auto_scan_work = [&](std::uint64_t scan_rows) {
-    hw::Work work;
-    for (const query::Predicate& p : plan.predicates) {
-      const storage::Column& col = table.column(p.column);
-      const double plain_bytes =
-          static_cast<double>(storage::physical_size(col.type()));
-      if (col.encoded() != nullptr &&
-          col.scan_byte_size() <= col.byte_size()) {
-        work += cost_model_.storage_scan_work(opt::StorageArm::kPackedScan,
-                                              scan_rows,
-                                              col.encoded()->bits,
-                                              plain_bytes);
-      } else {
-        work += cost_model_.scan_work(best_variant, scan_rows, kDefaultSel,
-                                      plain_bytes);
-      }
-    }
-    if (plan.predicates.empty())
-      work = cost_model_.scan_work(best_variant, scan_rows, kDefaultSel,
-                                   plain_bytes_per_tuple);
-    return work;
-  };
-  out.push_back(
-      {"scan-" + exec::variant_name(best_variant), auto_scan_work(rows)});
-  out.push_back({"scan-predicated",
-                 cost_model_.scan_work(exec::ScanVariant::kPredicated, rows,
-                                       kDefaultSel, plain_bytes_per_tuple)});
-  // Zone-map pruned plan: assume pruning to ~2x the selectivity worth of
-  // blocks (clustered data prunes far better; this is conservative).
-  // Zone maps compose with the packed images, so the auto pricing applies
-  // at the pruned row count.
-  const double pruned_fraction = std::min(1.0, 2 * kDefaultSel);
-  out.push_back(
-      {"scan-zonemap-pruned",
-       auto_scan_work(static_cast<std::uint64_t>(rows * pruned_fraction))});
-  if (plan.is_aggregate()) {
-    const auto selected = static_cast<std::uint64_t>(rows * kDefaultSel);
-    for (opt::PlanCandidate& c : out) {
-      if (plan.has_group_by() &&
-          table.schema().has_column(plan.group_by.front())) {
-        // Dense vs hash grouping predicted from the cached key statistics
-        // (same policy the exec kernels apply at runtime).
-        c.work += cost_model_.group_work(
-            selected, table.column(plan.group_by.front()).stats(), 8.0);
-      } else if (plan.has_group_by()) {
-        // Build-side (qualified) group key: no FROM-table statistics;
-        // assume the hash strategy.
-        c.work += cost_model_.group_work(selected, /*dense=*/false, 8.0);
-      } else {
-        c.work += cost_model_.agg_work(selected, 8.0);
-      }
-    }
-  }
-  return out;
-}
-
 void Database::apply_engine_defaults(query::ExecOptions& exec) {
+  if (exec.tiers == nullptr && tiers_.hot_bytes() + tiers_.cold_bytes() > 0)
+    exec.tiers = &tiers_;
   if (exec.pool == nullptr) exec.pool = &pool_;
   if (exec.cost_model == nullptr) exec.cost_model = &cost_model_;
-  if (governor_enabled_ && exec.governor == nullptr)
-    exec.governor = &governor_;
+  if (exec.governor == nullptr) exec.governor = &governor_;
   if (exec.calibration == nullptr) exec.calibration = &calibration_;
 }
 
 RunResult Database::run(const query::LogicalPlan& plan,
                         const RunOptions& options) {
-  RunResult out;
-
-  // Energy-budget planning (Fig. 2): choose the configuration first.
-  if (options.energy_budget_j.has_value()) {
-    const auto cands = candidates(plan);
-    auto point = optimizer_.best_under_budget(cands, *options.energy_budget_j);
-    if (!point) {
-      out.budget_infeasible = true;
-      out.chosen_point = optimizer_.min_energy_point(cands);
-    } else {
-      out.chosen_point = *point;
-    }
-  }
-
-  // Execute on the host, metering around the run.
-  query::Executor executor(catalog_);
-  query::ExecOptions exec_options = options.exec;
-  if (exec_options.tiers == nullptr && tiers_.hot_bytes() + tiers_.cold_bytes() > 0)
-    exec_options.tiers = &tiers_;
-  apply_engine_defaults(exec_options);
-  if (options.deadline_s > 0 && exec_options.deadline_s == 0)
-    exec_options.deadline_s = options.deadline_s;
-
-  // Compile up front: the plan carries the governor's cores × P-state
-  // decision, which caps operator fan-out and sets the attribution state.
-  const query::PhysicalPlan phys =
-      query::compile_plan(catalog_, plan, exec_options);
-  out.governor = phys.governor;
-
-  energy::EnergyWindow window(*active_meter_);
-  Stopwatch sw;
-  out.result = executor.execute(phys, out.stats, exec_options);
-  const double elapsed = sw.elapsed_seconds();
-  out.report.energy = window.consumed();
-  settle_run(out, plan, options, elapsed);
-  return out;
+  std::vector<RunResult> outs = run_batch({{plan, options}});
+  if (!outs.front().error.empty()) throw Error(outs.front().error);
+  return std::move(outs.front());
 }
 
 void Database::settle_run(RunResult& out, const query::LogicalPlan& plan,
-                          const RunOptions& options, double elapsed) {
-  // Feed the model meter (no-op for RAPL) so modeled joules reflect the
-  // actual busy interval and DRAM traffic.
+                          const RunOptions& options) {
+  // The host ran every kernel at full speed: feed the model meter (no-op
+  // for RAPL) the f_max busy interval and DRAM traffic.
+  const double elapsed = out.stats.elapsed_s;
   model_->report_busy(elapsed, machine_.dvfs.fastest(), 1, out.stats.work);
 
   out.report.elapsed_s =
@@ -203,25 +71,28 @@ void Database::settle_run(RunResult& out, const query::LogicalPlan& plan,
   out.report.energy.package_j += out.stats.cold_tier_energy_j;
   out.report.source = active_meter_->source();
 
-  // Per-query attribution: incremental busy power over this query's own
-  // busy interval plus its DRAM traffic and cold-tier penalty, charged at
-  // the governor's chosen P-state (f_max when the governor is off or
-  // raced to idle). The meter window in report.energy cannot be used here
-  // — it is a whole-machine counter, so under concurrency it would bill
-  // every query for its neighbors' work and the shared idle floor.
-  const hw::DvfsState& attr_state =
+  // Per-query attribution at the governor's granted P-state, over the
+  // busy time the query takes there: host busy seconds stretched by
+  // f_max / f_granted — exactly what the serving tier sleeps to pace it.
+  // Plus its DRAM traffic and cold-tier penalty. The meter window in
+  // report.energy cannot be used here — it is a whole-machine counter, so
+  // under concurrency it would bill every query for its neighbors' work
+  // and the shared idle floor.
+  const hw::DvfsState& state =
       out.governor.enabled ? out.governor.state : machine_.dvfs.fastest();
+  const double busy_s = elapsed * sched::slowdown(machine_, state);
   // Wire joules (sharded queries) are modeled link + codec energy — they
   // ride the attribution total but live outside the machine's busy-energy
   // quantum, and the ledger books them under the dedicated wire scope.
   out.attributed_j =
-      machine_.incremental_busy_energy_j(out.stats.work, attr_state, elapsed) +
+      machine_.incremental_busy_energy_j(out.stats.work, state, busy_s) +
       out.stats.cold_tier_energy_j + out.stats.wire_energy_j;
 
   // Close the governor's loop: measured per-operator seconds against the
-  // model's prediction, folded into the per-kind EWMA the next compile
-  // consults.
-  calibration_.observe_operators(out.stats.operators, machine_, attr_state);
+  // model's prediction at the speed they ran (f_max on the host), folded
+  // into the per-kind EWMA the next compile consults.
+  calibration_.observe_operators(out.stats.operators, machine_,
+                                 machine_.dvfs.fastest());
 
   ledger_.add(options.ledger_scope,
               {plan.table + ":" + (plan.is_aggregate() ? "agg" : "select"),
@@ -240,35 +111,20 @@ std::vector<RunResult> Database::run_batch(const std::vector<BatchItem>& items) 
   std::vector<RunResult> outs(items.size());
   if (items.empty()) return outs;
 
-  // Phase 1: per-member planning — budget optimizer, engine defaults,
-  // compile. A member that fails here carries its error and is excluded
-  // from execution (its sharing key is empty → singleton group, skipped).
+  // Phase 1: per-member planning — engine defaults, then compile, which
+  // runs the plan governor under the member's constraint. A member that
+  // fails here carries its error and is excluded from execution (its
+  // sharing key is empty → singleton group, skipped).
   std::vector<query::ExecOptions> exec_options(items.size());
   std::vector<query::PhysicalPlan> plans(items.size());
   std::vector<query::SharedBatchMember> batch(items.size());
   for (std::size_t i = 0; i < items.size(); ++i) {
-    const BatchItem& item = items[i];
     query::ExecOptions& exec = exec_options[i];
-    exec = item.options.exec;
-    if (exec.tiers == nullptr && tiers_.hot_bytes() + tiers_.cold_bytes() > 0)
-      exec.tiers = &tiers_;
+    exec = items[i].options.exec;
     apply_engine_defaults(exec);
-    if (item.options.deadline_s > 0 && exec.deadline_s == 0)
-      exec.deadline_s = item.options.deadline_s;
     batch[i] = {nullptr, &exec_options[i]};
     try {
-      if (item.options.energy_budget_j.has_value()) {
-        const auto cands = candidates(item.plan);
-        const auto point =
-            optimizer_.best_under_budget(cands, *item.options.energy_budget_j);
-        if (!point) {
-          outs[i].budget_infeasible = true;
-          outs[i].chosen_point = optimizer_.min_energy_point(cands);
-        } else {
-          outs[i].chosen_point = *point;
-        }
-      }
-      plans[i] = query::compile_plan(catalog_, item.plan, exec);
+      plans[i] = query::compile_plan(catalog_, items[i].plan, exec);
       outs[i].governor = plans[i].governor;
       batch[i].phys = &plans[i];
     } catch (const std::exception& e) {
@@ -333,8 +189,7 @@ std::vector<RunResult> Database::run_batch(const std::vector<BatchItem>& items) 
   for (std::size_t i = 0; i < items.size(); ++i) {
     if (!outs[i].error.empty()) continue;
     outs[i].report.energy = consumed;
-    settle_run(outs[i], items[i].plan, items[i].options,
-               outs[i].stats.elapsed_s);
+    settle_run(outs[i], items[i].plan, items[i].options);
   }
   return outs;
 }
@@ -349,27 +204,7 @@ std::string Database::explain(const query::LogicalPlan& plan,
   os << "plan: " << plan.to_string() << "\n";
   query::ExecOptions exec_options = options.exec;
   apply_engine_defaults(exec_options);
-  if (options.deadline_s > 0 && exec_options.deadline_s == 0)
-    exec_options.deadline_s = options.deadline_s;
   os << query::compile_plan(catalog_, plan, exec_options).explain();
-  const auto cands = candidates(plan);
-  os << "candidates:\n";
-  for (const auto& c : cands)
-    os << "  " << c.name << "  cycles=" << c.work.cpu_cycles
-       << " dram_bytes=" << c.work.dram_bytes << "\n";
-  if (options.energy_budget_j.has_value()) {
-    const auto point =
-        optimizer_.best_under_budget(cands, *options.energy_budget_j);
-    if (point) {
-      os << "chosen under " << *options.energy_budget_j << " J: "
-         << point->plan_name << " @ " << point->state.freq_ghz << " GHz x"
-         << point->cores << " cores, predicted " << point->time_s << " s / "
-         << point->energy_j << " J\n";
-    } else {
-      os << "budget " << *options.energy_budget_j
-         << " J infeasible; minimum-energy configuration required\n";
-    }
-  }
   os << "meter: " << energy::to_string(meter_source()) << "\n";
   return os.str();
 }

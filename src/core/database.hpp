@@ -23,7 +23,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,7 +31,6 @@
 #include "energy/model_meter.hpp"
 #include "hw/machine.hpp"
 #include "opt/cost_model.hpp"
-#include "opt/energy_optimizer.hpp"
 #include "query/executor.hpp"
 #include "query/plan.hpp"
 #include "query/plan_governor.hpp"
@@ -55,31 +53,21 @@ struct DatabaseOptions {
   /// Width of the engine worker pool shared by every query's
   /// morsel-parallel operators (0 = hardware concurrency).
   std::size_t worker_threads = 0;
-  /// Run the plan governor at compile time: per query, estimate the work
-  /// and pick cores × P-state; attribution then charges the chosen state.
-  /// The default policy (race-to-idle, deep sleep allowed) resolves to
-  /// f_max and all cores, so attribution matches the legacy behavior.
-  bool enable_governor = true;
   /// Plan-governor policy knobs (deep-sleep availability — the E7 lever).
+  /// The governor runs for every query: it picks cores × P-state at
+  /// compile time and the settlement bills at that state. The default
+  /// (race-to-idle, deep sleep allowed) resolves to f_max on all cores.
   sched::GovernorOptions governor{};
 };
 
-/// Per-query execution knobs.
+/// Per-query execution knobs. The governor's per-query constraint —
+/// deadline, energy budget, stream policy — is exec.constraint.
 struct RunOptions {
   query::ExecOptions exec;
-  /// Optional per-query energy budget in joules: the optimizer picks the
-  /// fastest (plan, P-state, cores) configuration predicted to fit
-  /// ("elasticity in the small", Fig. 2). Affects the *reported plan* and
-  /// simulated cost; host execution itself always runs the chosen kernels.
-  std::optional<double> energy_budget_j;
   /// Ledger scope this run's joules are attributed to (empty = global).
   /// The serving tier sets it to the session's tenant id so per-tenant
   /// energy budgets can be debited from measured totals.
   std::string ledger_scope;
-  /// Latency deadline handed to the plan governor (0 = none): the
-  /// governor then picks the better of race-to-idle and pace for this
-  /// query's estimated work.
-  double deadline_s = 0;
 };
 
 /// Everything a query run produces.
@@ -87,22 +75,18 @@ struct RunResult {
   query::QueryResult result;
   query::ExecStats stats;
   energy::EnergyReport report;
-  /// This query's own energy share: incremental busy joules over its
-  /// measured busy interval plus its DRAM traffic and cold-tier penalties.
-  /// Unlike `report` — whose meter window spans the whole machine and so
-  /// includes the idle floor and any concurrently running queries — this
-  /// figure is attributable to *this* query alone; it is what the ledger
-  /// records per scope and what the serving tier debits tenant budgets
-  /// with.
+  /// This query's own energy share: incremental busy joules at the
+  /// governor's granted P-state over its modeled busy time there (host
+  /// busy seconds x sched::slowdown — the stretch the serving tier sleeps),
+  /// plus its DRAM traffic, cold-tier and wire penalties. Unlike `report`
+  /// — whose meter window spans the whole machine and so includes the idle
+  /// floor and any concurrently running queries — this figure is
+  /// attributable to *this* query alone; it is what the ledger records per
+  /// scope and what the serving tier debits tenant budgets with.
   double attributed_j = 0;
-  /// The configuration chosen by the energy optimizer (set when a budget
-  /// was given or simulation was involved).
-  std::optional<opt::PlanPoint> chosen_point;
-  /// True when the requested energy budget was infeasible and the engine
-  /// fell back to the minimum-energy configuration.
-  bool budget_infeasible = false;
-  /// The plan governor's cores × P-state decision for this query
-  /// (enabled == false when the governor was off).
+  /// The plan governor's cores × P-state decision for this query: the
+  /// state it is paced and billed at (enabled == false only for plans
+  /// compiled without a governor).
   query::GovernorChoice governor;
   /// run_batch only: non-empty when this member failed (compile or
   /// execution error text); `result`/`stats` are then default-constructed
@@ -136,10 +120,12 @@ class Database {
   [[nodiscard]] storage::TierManager& tiers() { return tiers_; }
 
   // -- Query ------------------------------------------------------------------
-  /// Executes `plan`. Safe to call from multiple threads concurrently: the
-  /// catalog is a shared-lock registry, the meters and ledger serialize
-  /// internally, and each call uses its own executor. (Concurrent `run`
-  /// with `drop` of a table in use remains a caller error.)
+  /// Executes `plan`: a one-member run_batch that throws eidb::Error
+  /// with the member's error text instead of returning it. Safe to call
+  /// from multiple threads concurrently: the catalog is a shared-lock
+  /// registry, the meters and ledger serialize internally, and each call
+  /// uses its own executor. (Concurrent `run` with `drop` of a table in
+  /// use remains a caller error.)
   [[nodiscard]] RunResult run(const query::LogicalPlan& plan,
                               const RunOptions& options = {});
 
@@ -159,7 +145,8 @@ class Database {
   [[nodiscard]] std::vector<RunResult> run_batch(
       const std::vector<BatchItem>& items);
 
-  /// EXPLAIN: the plan, the predicted work, and the chosen configuration.
+  /// EXPLAIN: the plan, the compiled physical plan with the governor's
+  /// decision (its `governor:` line names the arm), and the meter.
   [[nodiscard]] std::string explain(const query::LogicalPlan& plan,
                                     const RunOptions& options = {});
 
@@ -183,33 +170,29 @@ class Database {
   }
 
  private:
-  /// Builds candidate plans for the optimizer from a logical plan.
-  [[nodiscard]] std::vector<opt::PlanCandidate> candidates(
-      const query::LogicalPlan& plan) const;
-  /// Fills the engine-owned defaults of per-run ExecOptions: worker pool,
-  /// cost model, plan governor, and calibration (caller-set values win).
+  /// Fills the engine-owned defaults of per-run ExecOptions: tier
+  /// manager, worker pool, cost model, plan governor, and calibration
+  /// (caller-set values win).
   void apply_engine_defaults(query::ExecOptions& exec);
-  /// The metering tail shared by run() and run_batch(): model-meter
-  /// feedback, per-query attribution at the governor's state, calibration
-  /// EWMA update and ledger entries. Expects out.report.energy to hold
-  /// the meter-window reading and out.governor/out.stats to be final;
-  /// `elapsed` is this query's own busy seconds.
+  /// The metering tail of every run: model-meter feedback, per-query
+  /// attribution at the governor's state, calibration EWMA update and
+  /// ledger entries. Expects out.report.energy to hold the meter-window
+  /// reading and out.governor/out.stats to be final; out.stats.elapsed_s
+  /// is this query's own host busy seconds.
   void settle_run(RunResult& out, const query::LogicalPlan& plan,
-                  const RunOptions& options, double elapsed);
+                  const RunOptions& options);
 
   hw::MachineSpec machine_;
   storage::Catalog catalog_;
   storage::TierManager tiers_;
   opt::CostModel cost_model_;
   sched::Governor governor_;
-  opt::EnergyOptimizer optimizer_;
   std::unique_ptr<energy::EnergyMeter> rapl_;
   std::unique_ptr<energy::ModelMeter> model_;
   energy::EnergyMeter* active_meter_ = nullptr;
   energy::EnergyLedger ledger_;
   sched::ThreadPool pool_;
   query::OperatorCalibration calibration_;
-  bool governor_enabled_ = true;
   /// Monotonic id for shared-scan groups (RunResult::shared_group).
   std::atomic<std::uint64_t> shared_group_seq_{0};
 };

@@ -80,9 +80,9 @@ struct MachineSpec {
   /// Incremental (above-idle) energy of one core busy at `s` for `busy_s`
   /// seconds performing `work`: the busy-power delta over core idle plus
   /// DRAM dynamic energy. The per-query attribution quantum shared by the
-  /// stream policies (sched::PolicyEngine), per-tenant billing
-  /// (core::Database ledger scopes), and the bench harnesses — one
-  /// definition so they cannot drift apart.
+  /// governor's prediction and budget arm (sched::Governor), per-tenant
+  /// billing (core::Database ledger scopes), the E8 simulator, and the
+  /// bench harnesses — one definition so they cannot drift apart.
   [[nodiscard]] double incremental_busy_energy_j(const Work& work,
                                                  const DvfsState& s,
                                                  double busy_s) const;

@@ -8,6 +8,11 @@
 //   * enumerates the points,
 //   * extracts the Pareto frontier (no point is faster AND cheaper),
 //   * answers "fastest plan under an energy budget" — the Fig. 2 curve.
+//
+// It prices hand-described candidates for the F2 bench and the
+// energy_budget_server example. A query's own budget is decided by the
+// plan governor (sched::Governor::best_under_budget) over the compiled
+// work estimate.
 #pragma once
 
 #include <optional>
@@ -16,7 +21,6 @@
 
 #include "hw/machine.hpp"
 #include "opt/cost_model.hpp"
-#include "sched/governor.hpp"
 
 namespace eidb::opt {
 
@@ -51,9 +55,7 @@ class EnergyOptimizer {
  public:
   explicit EnergyOptimizer(hw::MachineSpec machine,
                            Accounting accounting = Accounting::kFullPackage)
-      : machine_(std::move(machine)),
-        governor_(machine_),
-        accounting_(accounting) {}
+      : machine_(std::move(machine)), accounting_(accounting) {}
 
   [[nodiscard]] const hw::MachineSpec& machine() const { return machine_; }
   [[nodiscard]] Accounting accounting() const { return accounting_; }
@@ -79,7 +81,6 @@ class EnergyOptimizer {
 
  private:
   hw::MachineSpec machine_;
-  sched::Governor governor_;
   Accounting accounting_;
 };
 

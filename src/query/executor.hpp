@@ -26,9 +26,9 @@
 #include <vector>
 
 #include "exec/scan_kernels.hpp"
-#include "opt/compression_advisor.hpp"
 #include "query/plan.hpp"
 #include "query/result.hpp"
+#include "sched/governor.hpp"
 #include "sched/thread_pool.hpp"
 #include "storage/table.hpp"
 #include "storage/tier.hpp"
@@ -41,10 +41,6 @@ class Cluster;
 namespace eidb::opt {
 class CostModel;
 }  // namespace eidb::opt
-
-namespace eidb::sched {
-class Governor;
-}  // namespace eidb::sched
 
 namespace eidb::query {
 
@@ -121,15 +117,14 @@ struct ExecOptions {
   /// projection sinks go morsel-parallel on `pool`.
   std::size_t parallel_project_min_rows = 1u << 16;
   /// Plan governor: when set, compile_plan estimates the query's work via
-  /// the cost model and picks cores × hw::DvfsState for it (race-to-idle
-  /// vs pace per the governor's GovernorOptions), recording the decision
-  /// in PhysicalPlan::governor / EXPLAIN. Energy attribution then uses
-  /// the chosen state's power model (see query/plan_governor.hpp).
+  /// the cost model and sched::Governor::decide picks its P-state at the
+  /// core grant, recording the decision in PhysicalPlan::governor /
+  /// EXPLAIN. The serving tier paces at that state and core::Database
+  /// bills at it (see query/plan_governor.hpp).
   const sched::Governor* governor = nullptr;
-  /// Latency deadline handed to the plan governor; 0 = no deadline (the
-  /// governor races to idle when deep sleep is allowed, otherwise paces
-  /// at the incremental-efficient state).
-  double deadline_s = 0;
+  /// What the plan governor decides under: deadline, energy budget and
+  /// the stream policy in force (see sched::QueryConstraint).
+  sched::QueryConstraint constraint;
   /// Measured-vs-predicted cycle calibration (EWMA per operator kind)
   /// consulted by the plan governor's work estimate; core::Database feeds
   /// it from measured ExecStats after every query. nullptr = model as-is.
@@ -145,9 +140,6 @@ struct ExecOptions {
   /// the coordinator. nullptr with shard_count > 0 uses a transient
   /// fully connected 10GbE cluster for the query.
   net::Cluster* cluster = nullptr;
-  /// Objective of the per-link exchange codec decision
-  /// (opt::CompressionAdvisor) for shard result payloads.
-  opt::Objective wire_objective = opt::Objective::kEnergy;
   /// Serving-tier clamp on the plan governor's core grant (0 = uncapped):
   /// under concurrency each in-flight query is granted at most this many
   /// cores so a batch of queries cannot collectively oversubscribe the

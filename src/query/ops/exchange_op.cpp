@@ -20,8 +20,10 @@ net::WireTable exchange_to_coordinator(OpContext& ctx, net::Cluster& cluster,
   const hw::DvfsState& state = machine.dvfs.fastest();
   const hw::LinkSpec& link = cluster.link(from, 0);
   const opt::CompressionAdvisor advisor(machine);
+  // The engine's objective is energy: the codec minimizing link + codec
+  // joules wins.
   const opt::ExchangeEstimate advice = advisor.advise(
-      encoded, encoded.size(), link, state, ctx.options.wire_objective);
+      encoded, encoded.size(), link, state, opt::Objective::kEnergy);
 
   net::ExchangeResult xr;
   const std::vector<std::int64_t> received =

@@ -3,8 +3,8 @@
 //
 //   * result exchange — a real net::WireTable (partial-aggregate rows or
 //     gathered row ids) is encoded, run through the per-link codec the
-//     opt::CompressionAdvisor picks under ExecOptions::wire_objective,
-//     and accounted at its *actual* compressed wire bytes;
+//     opt::CompressionAdvisor picks for energy, and accounted at its
+//     *actual* compressed wire bytes;
 //   * join (dimension) exchange — dimensions are shared in-process (only
 //     the wire is simulated — DESIGN.md §5), so the planner's modeled
 //     DistJoinExchange::est_bytes are charged deterministically, plain.

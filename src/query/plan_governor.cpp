@@ -209,36 +209,18 @@ void apply_plan_governor(const storage::Catalog& catalog, PhysicalPlan& phys,
           : std::max(1, std::min(requested,
                                  static_cast<int>(options.core_cap)));
 
-  sched::GovernorDecision decision;
-  if (options.deadline_s > 0) {
-    decision = gov.best_under_deadline(work, options.deadline_s, cores);
-  } else if (gov.options().allow_deep_sleep) {
-    // No deadline, deep sleep available: finish fast, sleep deep.
-    decision = gov.race_to_idle(work, /*deadline_s=*/0, cores);
-  } else {
-    // Consolidated server (package must stay powered): pace at the
-    // incremental-efficient P-state — the E7 crossover in plan form.
-    const hw::DvfsState target = gov.incremental_efficient_state(work);
-    decision.policy = "pace";
-    for (const sched::GovernorDecision& d : gov.frontier(work, cores)) {
-      if (d.state.freq_ghz == target.freq_ghz) {
-        decision = d;
-        decision.policy = "pace";
-        break;
-      }
-    }
-    if (decision.state.freq_ghz == 0) {  // frontier empty: degenerate table
-      decision = gov.race_to_idle(work, 0, cores);
-    }
-  }
-
+  const sched::GovernorDecision decision =
+      gov.decide(work, cores, options.constraint);
   phys.governor.enabled = true;
   phys.governor.state = decision.state;
-  phys.governor.cores = std::max(1, std::min(decision.cores, cores));
+  phys.governor.cores = cores;
   phys.governor.requested_cores = requested;
   phys.governor.policy = decision.policy;
   phys.governor.est_busy_s = decision.busy_s;
-  phys.governor.est_energy_j = decision.energy_j;
+  // The bill settle_run will charge if the estimate holds: incremental
+  // busy joules at the granted state over the predicted busy time.
+  phys.governor.est_energy_j =
+      machine.incremental_busy_energy_j(work, decision.state, decision.busy_s);
   phys.governor.est_work = work;
 }
 

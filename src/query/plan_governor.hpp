@@ -2,20 +2,22 @@
 // and sched::Governor ("elasticity in the small", paper §IV Fig. 2).
 //
 // At compile_plan time the whole query's abstract work is estimated from
-// the cost model and the plan's cardinality chain, and the governor picks
-// the execution configuration — core count × hw::DvfsState × idle
-// strategy — for the query as a unit:
+// the cost model and the plan's cardinality chain, and
+// sched::Governor::decide picks the P-state for the query as a unit at its
+// core grant, under ExecOptions::constraint:
 //
-//   * a deadline (ExecOptions::deadline_s) arbitrates race-to-idle vs
-//     pace exactly as sched::Governor::best_under_deadline does;
-//   * no deadline + deep sleep available: race-to-idle at f_max, all
-//     granted cores (finish fast, sleep deep);
-//   * no deadline + no deep sleep (consolidated server): pace at the
-//     incremental-efficient P-state — the E7 crossover.
+//   * an energy budget: the highest-frequency P-state whose predicted
+//     joules fit ("budget"), else the minimum-energy state
+//     ("budget-infeasible");
+//   * a deadline: race-to-idle vs pace over the deadline window, exactly
+//     as sched::Governor::best_under_deadline;
+//   * the kThroughput stream policy, or no deep sleep (consolidated
+//     server): pace at the incremental-efficient P-state;
+//   * otherwise race-to-idle at f_max.
 //
 // The choice is recorded in PhysicalPlan::governor and EXPLAIN, the core
-// grant caps operator fan-out (OpContext::worker_width), and energy
-// attribution charges the ledger at the chosen state's power model.
+// grant caps operator fan-out (OpContext::worker_width), the serving tier
+// paces at the granted state, and core::Database bills it there.
 //
 // The estimate is closed-loop: OperatorCalibration keeps an EWMA of
 // measured-vs-predicted execution time per operator kind (fed by
@@ -74,9 +76,13 @@ struct GovernorChoice {
   /// the machine's cores): what this query asked for before the serving
   /// tier's free-worker clamp. Equal to `cores` when no cap applied.
   int requested_cores = 1;
-  std::string policy;        ///< "race-to-idle" | "pace".
+  /// The arm that decided: "race-to-idle" | "pace" | "budget" |
+  /// "budget-infeasible" (the budget fit no state; minimum-energy state).
+  std::string policy;
   double est_busy_s = 0;     ///< Predicted busy time at the chosen config.
-  double est_energy_j = 0;   ///< Predicted energy at the chosen config.
+  /// Predicted bill: hw::MachineSpec::incremental_busy_energy_j of
+  /// est_work at `state` over est_busy_s — the quantum settle_run charges.
+  double est_energy_j = 0;
   hw::Work est_work;         ///< Calibrated whole-plan work estimate.
 };
 

@@ -35,7 +35,7 @@ std::string QueryResponse::to_string() const {
   os << query::to_string(status);
   if (status == ResponseStatus::kOk) {
     os << " rows=" << result.row_count() << " latency_ms=" << latency_s * 1e3
-       << " energy_J=" << report.total_j() << " freq_GHz=" << chosen_freq_ghz;
+       << " energy_J=" << report.total_j() << " freq_GHz=" << governor_freq_ghz;
   } else if (!error.empty()) {
     os << " (" << error << ")";
   }

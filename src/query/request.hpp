@@ -24,7 +24,10 @@ struct QueryRequest {
   std::string sql;
   /// Pre-built plan; takes precedence over `sql`.
   std::optional<LogicalPlan> plan;
-  /// Optional per-query energy budget (joules) forwarded to the optimizer.
+  /// Optional per-query energy budget (joules) for the plan governor's
+  /// budget arm: the query runs — is paced and billed — at the
+  /// highest-frequency P-state whose predicted joules fit
+  /// (sched::QueryConstraint).
   std::optional<double> energy_budget_j;
   /// Optional latency deadline (seconds) forwarded to the plan governor:
   /// it then picks the better of race-to-idle and pace for this query.
@@ -59,10 +62,8 @@ struct QueryResponse {
   double queue_s = 0;    ///< Admission to dispatch (coalescing included).
   double exec_s = 0;     ///< Dispatch to completion (pacing included).
   double latency_s = 0;  ///< Admission to completion, the client-visible figure.
-  /// P-state the policy engine chose for this query.
-  double chosen_freq_ghz = 0;
-  /// Policy-modeled incremental joules at the chosen P-state — the figure
-  /// the stream policies (rolling power, cap adherence) reason about.
+  /// Joules this query added to the rolling power the kEnergyCap policy
+  /// reads: the same settlement as `billed_j`.
   double policy_energy_j = 0;
   /// Joules debited from the tenant's energy budget for this query: its
   /// *attributed* energy (own busy interval + DRAM + cold-tier penalties,
@@ -72,16 +73,17 @@ struct QueryResponse {
   /// whole machine.
   double billed_j = 0;
 
-  // -- Plan-governor decision (empty policy = governor off) -------------------
-  /// "race-to-idle" | "pace" — how the engine's plan governor chose to run
-  /// this query.
+  // -- Plan-governor decision (empty policy = the query did not run) ---------
+  /// The arm that decided how this query ran: "race-to-idle" | "pace" |
+  /// "budget" | "budget-infeasible" (see sched::Governor::decide).
   std::string governor_policy;
   int governor_cores = 0;          ///< Core grant for the morsel fan-out.
   /// Cores the governor would have granted absent the serving tier's
   /// free-worker clamp (requested vs granted: equal when the service had
   /// spare workers, larger under concurrency).
   int governor_requested_cores = 0;
-  double governor_freq_ghz = 0;    ///< Chosen P-state.
+  /// The granted P-state: the one this query was paced and billed at.
+  double governor_freq_ghz = 0;
   /// The governor's compile-time energy prediction for this query;
   /// reconcile against `billed_j` (the measured settlement) to judge the
   /// estimate.

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "sched/governor.hpp"
 #include "util/assert.hpp"
 #include "util/table_printer.hpp"
 
@@ -27,6 +28,12 @@ std::size_t QueryResult::column_index(const std::string& name) const {
   for (std::size_t i = 0; i < column_names_.size(); ++i)
     if (column_names_[i] == name) return i;
   throw Error("no such result column: " + name);
+}
+
+double OperatorStats::attributed_j(const hw::MachineSpec& machine,
+                                   const hw::DvfsState& s) const {
+  return machine.incremental_busy_energy_j(
+      work, s, seconds * sched::slowdown(machine, s));
 }
 
 std::string format_operator_stats(const ExecStats& stats,

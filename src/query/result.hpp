@@ -54,11 +54,10 @@ struct OperatorStats {
   hw::Work work;
 
   /// This operator's attributed joules on `machine` at DVFS state `s`
-  /// (same incremental-busy model core::Database applies per query).
+  /// (same incremental-busy model core::Database applies per query: its
+  /// host seconds stretched to `s` by sched::slowdown).
   [[nodiscard]] double attributed_j(const hw::MachineSpec& machine,
-                                    const hw::DvfsState& s) const {
-    return machine.incremental_busy_energy_j(work, s, seconds);
-  }
+                                    const hw::DvfsState& s) const;
 };
 
 /// Abstract execution statistics gathered by the executor; the energy layer

@@ -7,6 +7,28 @@
 
 namespace eidb::sched {
 
+std::string policy_name(Policy p) {
+  switch (p) {
+    case Policy::kLatency:
+      return "latency";
+    case Policy::kThroughput:
+      return "throughput";
+    case Policy::kEnergyCap:
+      return "energy-cap";
+  }
+  return "invalid";
+}
+
+Policy policy_in_force(Policy policy, double rolling_power_w, double cap_w) {
+  if (policy != Policy::kEnergyCap) return policy;
+  return rolling_power_w > cap_w ? Policy::kThroughput : Policy::kLatency;
+}
+
+double slowdown(const hw::MachineSpec& machine, const hw::DvfsState& s) {
+  if (s.freq_ghz <= 0) return 1.0;
+  return std::max(1.0, machine.dvfs.fastest().freq_ghz / s.freq_ghz);
+}
+
 GovernorDecision Governor::run_to_completion(const hw::Work& work,
                                              const hw::DvfsState& s,
                                              int cores) const {
@@ -67,20 +89,46 @@ GovernorDecision Governor::best_under_deadline(const hw::Work& work,
   return paced.energy_j < race.energy_j ? paced : race;
 }
 
-std::optional<GovernorDecision> Governor::fastest_within_budget(
-    const hw::Work& work, double budget_j) const {
-  std::optional<GovernorDecision> best;
-  for (int cores = 1; cores <= machine_.cores; ++cores) {
-    for (const hw::DvfsState& s : machine_.dvfs.states()) {
-      GovernorDecision d = run_to_completion(work, s, cores);
-      d.policy = "energy-cap";
-      if (d.energy_j > budget_j) continue;
-      if (!best || d.busy_s < best->busy_s ||
-          (d.busy_s == best->busy_s && d.energy_j < best->energy_j))
-        best = d;
+GovernorDecision Governor::decide(const hw::Work& work, int cores,
+                                  const QueryConstraint& constraint) const {
+  if (constraint.energy_budget_j.has_value())
+    return best_under_budget(work, *constraint.energy_budget_j, cores);
+  if (constraint.deadline_s > 0)
+    return best_under_deadline(work, constraint.deadline_s, cores);
+  if (constraint.policy == Policy::kThroughput || !options_.allow_deep_sleep) {
+    // Pace at the incremental-efficient P-state: the throughput policy,
+    // and the E7 crossover on a package that cannot sleep.
+    GovernorDecision d =
+        run_to_completion(work, incremental_efficient_state(work), cores);
+    d.policy = "pace";
+    return d;
+  }
+  // No deadline, deep sleep available: finish fast, sleep deep.
+  return race_to_idle(work, /*deadline_s=*/0, cores);
+}
+
+GovernorDecision Governor::best_under_budget(const hw::Work& work,
+                                             double budget_j,
+                                             int cores) const {
+  // Fastest first: the serving tier paces a query by f_max / f, so a
+  // higher clock is always the shorter run, even for bandwidth-bound work.
+  GovernorDecision floor;
+  double floor_j = std::numeric_limits<double>::infinity();
+  const std::vector<hw::DvfsState>& states = machine_.dvfs.states();
+  for (auto s = states.rbegin(); s != states.rend(); ++s) {
+    GovernorDecision d = run_to_completion(work, *s, cores);
+    const double j = machine_.incremental_busy_energy_j(work, *s, d.busy_s);
+    if (j <= budget_j) {
+      d.policy = "budget";
+      return d;
+    }
+    if (j < floor_j) {
+      floor = d;
+      floor_j = j;
     }
   }
-  return best;
+  floor.policy = "budget-infeasible";
+  return floor;
 }
 
 GovernorDecision Governor::most_efficient(const hw::Work& work,

@@ -12,8 +12,15 @@
 //
 // Which one wins depends on the ratio of idle to active power — exactly the
 // "case-by-case" flexibility the paper demands.
+//
+// Governor::decide is the one place a query's P-state is chosen: the plan
+// governor (query/plan_governor.hpp) calls it for every compiled query the
+// serving tier runs, and the E8 simulator (sched::StreamScheduler) calls it
+// for every simulated one. The serving tier then paces at the granted
+// state and bills at it (core::Database settles over the same slowdown()).
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -22,6 +29,49 @@
 
 namespace eidb::sched {
 
+/// The paper's stream policies (§IV: response time vs. throughput under an
+/// energy constraint):
+///
+///  * kLatency     — no stream constraint: the governor's own arm applies
+///                   (race-to-idle at f_max; pace at the incremental-
+///                   efficient state when deep sleep is unavailable).
+///  * kThroughput  — pace at the incremental-efficient P-state (lowest
+///                   above-idle joules for the query's work).
+///  * kEnergyCap   — kLatency while the rolling average power stays under
+///                   the cap, else kThroughput (graceful degradation
+///                   instead of admission rejection); see policy_in_force.
+enum class Policy : std::uint8_t { kLatency, kThroughput, kEnergyCap };
+
+[[nodiscard]] std::string policy_name(Policy p);
+
+/// The kEnergyCap check shared by the live service and the simulator:
+/// kEnergyCap resolves to kThroughput while `rolling_power_w` is above
+/// `cap_w` and to kLatency otherwise; other policies pass through.
+[[nodiscard]] Policy policy_in_force(Policy policy, double rolling_power_w,
+                                     double cap_w);
+
+/// Wall-clock stretch of P-state `s` relative to f_max for compute-bound
+/// work (>= 1). The host cannot be clocked down from user space, so the
+/// serving tier sleeps a query's host busy time times (slowdown - 1), and
+/// the settlement bills the same stretched busy time at `s`.
+[[nodiscard]] double slowdown(const hw::MachineSpec& machine,
+                              const hw::DvfsState& s);
+
+/// Per-query constraint the governor decides under. Precedence: a budget
+/// wins over a deadline, a deadline over the stream policy.
+struct QueryConstraint {
+  /// Latency deadline in seconds (0 = none): the better of race-to-idle
+  /// and pace over the whole deadline window.
+  double deadline_s = 0;
+  /// Energy budget in joules: the highest-frequency P-state at the core
+  /// grant whose predicted joules fit (Fig. 2); the minimum-energy state
+  /// when none does.
+  std::optional<double> energy_budget_j;
+  /// Stream policy in force (kEnergyCap already resolved by
+  /// policy_in_force; unresolved it behaves as under its cap).
+  Policy policy = Policy::kLatency;
+};
+
 /// A fully resolved execution configuration with its predicted cost.
 struct GovernorDecision {
   hw::DvfsState state;
@@ -29,7 +79,8 @@ struct GovernorDecision {
   double busy_s = 0;      ///< Time actually computing.
   double idle_s = 0;      ///< Slack spent idle/asleep (deadline given).
   double energy_j = 0;    ///< Predicted total over busy + slack window.
-  std::string policy;     ///< "race-to-idle" | "pace" | "energy-cap" ...
+  /// "race-to-idle" | "pace" | "budget" | "budget-infeasible" | ...
+  std::string policy;
 };
 
 /// Policy knobs.
@@ -65,11 +116,21 @@ class Governor {
                                                      double deadline_s,
                                                      int cores = 1) const;
 
-  /// Fastest configuration whose energy stays within `budget_j`
-  /// (experiment F2: the response-time-vs-energy-budget curve). Sweeps
-  /// P-states × core counts; returns nullopt when no configuration fits.
-  [[nodiscard]] std::optional<GovernorDecision> fastest_within_budget(
-      const hw::Work& work, double budget_j) const;
+  /// The per-query decision: the configuration `work` runs at on `cores`
+  /// under `constraint` (see QueryConstraint for the arms and their
+  /// precedence).
+  [[nodiscard]] GovernorDecision decide(const hw::Work& work, int cores,
+                                        const QueryConstraint& constraint)
+      const;
+
+  /// Best under an energy budget (Fig. 2): the highest-frequency P-state
+  /// on `cores` whose predicted incremental joules
+  /// (hw::MachineSpec::incremental_busy_energy_j over its busy time) fit
+  /// `budget_j`, policy "budget". When none fits, the minimum-energy
+  /// state, policy "budget-infeasible".
+  [[nodiscard]] GovernorDecision best_under_budget(const hw::Work& work,
+                                                   double budget_j,
+                                                   int cores = 1) const;
 
   /// Minimal-energy configuration with no deadline (throughput mode).
   [[nodiscard]] GovernorDecision most_efficient(const hw::Work& work,

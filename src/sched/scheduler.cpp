@@ -13,7 +13,16 @@ namespace eidb::sched {
 StreamScheduler::StreamScheduler(hw::MachineSpec machine, Policy policy,
                                  double power_cap_w)
     : machine_(std::move(machine)),
-      engine_(machine_, policy, power_cap_w) {}
+      governor_(machine_),
+      policy_(policy),
+      power_cap_w_(power_cap_w) {}
+
+GovernorDecision StreamScheduler::decide(const hw::Work& work,
+                                         double rolling_power_w) const {
+  QueryConstraint constraint;
+  constraint.policy = policy_in_force(policy_, rolling_power_w, power_cap_w_);
+  return governor_.decide(work, /*cores=*/1, constraint);
+}
 
 ScheduleResult StreamScheduler::run(const std::vector<QueryArrival>& stream) {
   ScheduleResult res;
@@ -44,11 +53,12 @@ ScheduleResult StreamScheduler::run(const std::vector<QueryArrival>& stream) {
     const double elapsed = std::max(start, 1e-9);
     const double avg_power =
         (energy_so_far + machine_.idle_power_w() * elapsed) / elapsed;
-    const hw::DvfsState& s = engine_.choose_state(avg_power);
+    const GovernorDecision d = decide(q.work, avg_power);
 
-    const double exec = machine_.exec_time_s(q.work, s);
+    const double exec = d.busy_s;
     const double done = start + exec;
-    const double busy_j = engine_.busy_energy_j(q.work, s, exec);
+    const double busy_j =
+        machine_.incremental_busy_energy_j(q.work, d.state, exec);
     busy_energy_j += busy_j;
     energy_so_far += busy_j;
     busy_core_seconds += exec;

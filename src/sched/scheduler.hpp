@@ -8,12 +8,11 @@
 // under a given energy constraint on a case-by-case basis."
 //
 // Discrete-event simulation of a k-core server executing a stream of
-// queries (experiment E8). Policies:
-//  * kLatency     — every query runs immediately-as-possible at f_max.
-//  * kThroughput  — queries run at the most energy-efficient P-state.
-//  * kEnergyCap   — run at f_max while the rolling average power stays
-//                   under the cap, else drop to the efficient state
-//                   (graceful degradation instead of admission rejection).
+// queries (experiment E8) under the stream policies of sched/governor.hpp.
+// Every simulated query is decided exactly as a live one: the kEnergyCap
+// check (policy_in_force) on the rolling average power, then
+// Governor::decide on the query's work — the kernel the serving tier runs
+// through the plan governor.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +20,7 @@
 #include <vector>
 
 #include "hw/machine.hpp"
-#include "sched/policy_engine.hpp"
+#include "sched/governor.hpp"
 
 namespace eidb::sched {
 
@@ -52,12 +51,16 @@ class StreamScheduler {
   /// occupies one core; queries queue FIFO when all cores are busy.
   [[nodiscard]] ScheduleResult run(const std::vector<QueryArrival>& stream);
 
-  /// The shared decision kernel this simulator runs against.
-  [[nodiscard]] const PolicyEngine& engine() const { return engine_; }
+  /// The decision for one query of `work` dispatched at rolling average
+  /// power `rolling_power_w`: one core, the policy in force.
+  [[nodiscard]] GovernorDecision decide(const hw::Work& work,
+                                        double rolling_power_w) const;
 
  private:
   hw::MachineSpec machine_;
-  PolicyEngine engine_;
+  Governor governor_;
+  Policy policy_;
+  double power_cap_w_;
 };
 
 /// Poisson arrivals of identical queries (workload generator for E8).

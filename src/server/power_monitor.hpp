@@ -1,11 +1,12 @@
 // server::PowerMonitor — rolling-average power over discrete energy events.
 //
 // The energy-cap policy needs "the rolling average power of the stream so
-// far" (PolicyEngine::choose_state). Queries deliver energy in lumps at
-// completion, so the monitor keeps a sliding window of (timestamp, joules)
-// events; average power is the static floor (package idle) plus windowed
-// busy joules over the window length. Timestamps are caller-supplied
-// seconds on the service clock — deterministic under test.
+// far" (sched::policy_in_force). Queries deliver energy in lumps at
+// completion — each its settled bill — so the monitor keeps a sliding
+// window of (timestamp, joules) events; average power is the static floor
+// (package idle) plus windowed busy joules over the window length.
+// Timestamps are caller-supplied seconds on the service clock —
+// deterministic under test.
 #pragma once
 
 #include <deque>

@@ -23,10 +23,23 @@ void atomic_max(std::atomic<double>& target, double value) {
 
 }  // namespace
 
+double pacing_sleep_s(const hw::MachineSpec& machine,
+                      const std::vector<core::RunResult>& runs) {
+  double busy_s = 0;
+  double slowdown = 1.0;
+  for (const core::RunResult& run : runs) {
+    if (!run.error.empty()) continue;
+    busy_s += run.stats.elapsed_s;
+    if (run.governor.enabled)
+      slowdown =
+          std::max(slowdown, sched::slowdown(machine, run.governor.state));
+  }
+  return busy_s * (slowdown - 1.0);
+}
+
 QueryService::QueryService(core::Database& db, ServiceOptions options)
     : db_(db),
       options_(options),
-      engine_(db.machine(), options.policy, options.power_cap_w),
       admission_(options.admit_unknown_tenants),
       coalescer_(queue_, {options.coalesce_window_s, options.max_batch}),
       monitor_(options.power_window_s, db.machine().idle_power_w()),
@@ -104,7 +117,7 @@ void QueryService::dispatcher_loop() {
 
     if (!options_.shared_scans || items.size() < 2) {
       for (const auto& item : items)
-        pool_.submit([this, item] { execute_one(item); });
+        pool_.submit([this, item] { execute_group({item}); });
       continue;
     }
 
@@ -121,7 +134,7 @@ void QueryService::dispatcher_loop() {
         try {
           item->request.plan = query::parse_sql(item->request.sql);
         } catch (...) {
-          // Leave unparsed: the solo path's run_sql reports the error.
+          // Leave unparsed: execute_group reports the parse error.
         }
       }
       std::string key;
@@ -141,188 +154,103 @@ void QueryService::dispatcher_loop() {
           [this, members = std::move(members)] { execute_group(members); });
     }
     for (const auto& item : solo)
-      pool_.submit([this, item] { execute_one(item); });
+      pool_.submit([this, item] { execute_group({item}); });
   }
-}
-
-void QueryService::execute_one(const std::shared_ptr<PendingQuery>& item) {
-  // Count this query in-flight and clamp its governor core grant to an
-  // equal share of the engine pool: with k units executing concurrently,
-  // each may fan out over at most width/k workers (requested vs granted
-  // is surfaced in the response).
-  const std::size_t inflight = inflight_.fetch_add(1) + 1;
-
-  query::QueryResponse resp;
-  resp.tag = item->request.tag;
-
-  const double dispatch_s = now_s();
-  resp.queue_s = dispatch_s - item->admit_s;
-
-  // Policy decision off the rolling average power — the same call the
-  // discrete-event simulator makes per query.
-  const double power_before = monitor_.avg_power_w(dispatch_s);
-  atomic_max(peak_power_w_, power_before);
-  const hw::DvfsState& state = engine_.choose_state(power_before);
-  resp.chosen_freq_ghz = state.freq_ghz;
-
-  core::RunOptions run_options;
-  run_options.ledger_scope = item->session->scope();
-  run_options.energy_budget_j = item->request.energy_budget_j;
-  run_options.deadline_s = item->request.deadline_s;
-  run_options.exec.core_cap =
-      std::max<std::size_t>(1, db_.pool().thread_count() / inflight);
-
-  try {
-    core::RunResult run =
-        item->request.plan.has_value()
-            ? db_.run(*item->request.plan, run_options)
-            : db_.run_sql(item->request.sql, run_options);
-
-    resp.result = std::move(run.result);
-    resp.report = run.report;
-    if (run.governor.enabled) {
-      // The plan governor's decision, surfaced so the client can reconcile
-      // the prediction against the measured settlement (billed_j below).
-      resp.governor_policy = run.governor.policy;
-      resp.governor_cores = run.governor.cores;
-      resp.governor_requested_cores = run.governor.requested_cores;
-      resp.governor_freq_ghz = run.governor.state.freq_ghz;
-      resp.predicted_j = run.governor.est_energy_j;
-    }
-
-    // Realize the chosen P-state by pacing: the kernels already ran at
-    // host speed in `busy_s`; stretch wall time to what f_chosen would
-    // have taken and account busy energy at that state.
-    const double busy_s = run.report.elapsed_s;
-    const double slowdown = engine_.slowdown(state);
-    const double stretched_s = busy_s * slowdown;
-    if (options_.pace_execution && slowdown > 1.0) {
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(busy_s * (slowdown - 1.0)));
-    }
-    resp.policy_energy_j =
-        engine_.busy_energy_j(run.stats.work, state, stretched_s);
-
-    const double end_s = now_s();
-    resp.exec_s = end_s - dispatch_s;
-    resp.latency_s = end_s - item->admit_s;
-
-    monitor_.add(end_s, resp.policy_energy_j);
-    atomic_max(peak_power_w_, monitor_.avg_power_w(end_s));
-
-    // Settlement: debit the tenant with this query's *attributed* joules —
-    // the same figure the database ledger recorded under this session's
-    // scope. (Not the meter-window total: that is a whole-machine counter
-    // and would bill concurrent tenants for each other's work.)
-    resp.billed_j = run.attributed_j;
-    admission_.debit(item->session->tenant(), resp.billed_j, end_s);
-    item->session->record_complete(resp.billed_j);
-    completed_.fetch_add(1);
-    resp.status = query::ResponseStatus::kOk;
-  } catch (const std::exception& e) {
-    const double end_s = now_s();
-    resp.exec_s = end_s - dispatch_s;
-    resp.latency_s = end_s - item->admit_s;
-    resp.status = query::ResponseStatus::kError;
-    resp.error = e.what();
-    errors_.fetch_add(1);
-    item->session->record_error();
-  }
-
-  inflight_.fetch_sub(1);
-  item->promise.set_value(std::move(resp));
 }
 
 void QueryService::execute_group(
     const std::vector<std::shared_ptr<PendingQuery>>& items) {
-  // One in-flight unit: the group's fused pass and its members' operator
-  // pipelines share one core-grant slot, so its clamp is the same equal
-  // share a solo query would get.
+  // One in-flight unit: a fused group's pass and its members' operator
+  // pipelines share one core-grant slot. With k units executing
+  // concurrently, each may fan out over at most width/k workers
+  // (requested vs granted is surfaced in the response).
   const std::size_t inflight = inflight_.fetch_add(1) + 1;
+  const std::size_t core_cap =
+      std::max<std::size_t>(1, db_.pool().thread_count() / inflight);
 
   const double dispatch_s = now_s();
   const double power_before = monitor_.avg_power_w(dispatch_s);
   atomic_max(peak_power_w_, power_before);
-  // One policy decision for the whole group — the members execute as one
-  // unit, so they run (and pace) at one P-state.
-  const hw::DvfsState& state = engine_.choose_state(power_before);
+  // The kEnergyCap check, once per unit; the plan governor decides each
+  // member's P-state under the policy in force.
+  const sched::Policy policy = sched::policy_in_force(
+      options_.policy, power_before, options_.power_cap_w);
 
+  // One result per member; members whose SQL fails to parse never reach
+  // the engine.
+  std::vector<core::RunResult> runs(items.size());
   std::vector<core::BatchItem> batch;
-  batch.reserve(items.size());
-  const std::size_t core_cap =
-      std::max<std::size_t>(1, db_.pool().thread_count() / inflight);
-  for (const auto& item : items) {
+  std::vector<std::size_t> member;  // batch index -> items index
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const query::QueryRequest& request = items[i]->request;
     core::BatchItem bi;
-    bi.plan = *item->request.plan;  // dispatcher parsed before grouping
-    bi.options.ledger_scope = item->session->scope();
-    bi.options.energy_budget_j = item->request.energy_budget_j;
-    bi.options.deadline_s = item->request.deadline_s;
+    try {
+      bi.plan = request.plan.has_value() ? *request.plan
+                                         : query::parse_sql(request.sql);
+    } catch (const std::exception& e) {
+      runs[i].error = e.what();
+      continue;
+    }
+    bi.options.ledger_scope = items[i]->session->scope();
     bi.options.exec.core_cap = core_cap;
+    bi.options.exec.constraint = {request.deadline_s, request.energy_budget_j,
+                                  policy};
     batch.push_back(std::move(bi));
+    member.push_back(i);
   }
-
-  std::string group_error;
-  std::vector<core::RunResult> runs;
-  Stopwatch sw;
   try {
-    runs = db_.run_batch(batch);
+    std::vector<core::RunResult> done = db_.run_batch(batch);
+    for (std::size_t k = 0; k < done.size(); ++k)
+      runs[member[k]] = std::move(done[k]);
   } catch (const std::exception& e) {
-    group_error = e.what();  // per-member errors come back in runs instead
+    for (const std::size_t i : member) runs[i].error = e.what();
   }
-  const double group_busy_s = sw.elapsed_seconds();
 
-  // Pace ONCE on the group's wall time: the fused pass ran at host speed
-  // for everyone, so the stretch to realize the chosen P-state is shared,
-  // not paid per member.
-  const double slowdown = engine_.slowdown(state);
-  if (options_.pace_execution && slowdown > 1.0 && group_error.empty()) {
-    std::this_thread::sleep_for(
-        std::chrono::duration<double>(group_busy_s * (slowdown - 1.0)));
-  }
+  // Pace ONCE: the unit ran at host speed for everyone, so the stretch to
+  // realize the granted P-states is shared, not paid per member.
+  const double sleep_s = pacing_sleep_s(db_.machine(), runs);
+  if (options_.pace_execution && sleep_s > 0)
+    std::this_thread::sleep_for(std::chrono::duration<double>(sleep_s));
   const double end_s = now_s();
 
   for (std::size_t i = 0; i < items.size(); ++i) {
     const std::shared_ptr<PendingQuery>& item = items[i];
+    core::RunResult& run = runs[i];
     query::QueryResponse resp;
     resp.tag = item->request.tag;
     resp.queue_s = dispatch_s - item->admit_s;
-    resp.chosen_freq_ghz = state.freq_ghz;
     resp.exec_s = end_s - dispatch_s;
     resp.latency_s = end_s - item->admit_s;
-
-    const bool failed =
-        !group_error.empty() || i >= runs.size() || !runs[i].error.empty();
-    if (failed) {
+    if (!run.error.empty()) {
       resp.status = query::ResponseStatus::kError;
-      resp.error = !group_error.empty() ? group_error : runs[i].error;
+      resp.error = run.error;
       errors_.fetch_add(1);
       item->session->record_error();
       item->promise.set_value(std::move(resp));
       continue;
     }
 
-    core::RunResult& run = runs[i];
     resp.result = std::move(run.result);
     resp.report = run.report;
-    if (run.governor.enabled) {
-      resp.governor_policy = run.governor.policy;
-      resp.governor_cores = run.governor.cores;
-      resp.governor_requested_cores = run.governor.requested_cores;
-      resp.governor_freq_ghz = run.governor.state.freq_ghz;
-      resp.predicted_j = run.governor.est_energy_j;
-    }
+    // The plan governor's decision — the state this query was paced and
+    // billed at — so the client can reconcile the prediction against the
+    // settlement.
+    resp.governor_policy = run.governor.policy;
+    resp.governor_cores = run.governor.cores;
+    resp.governor_requested_cores = run.governor.requested_cores;
+    resp.governor_freq_ghz = run.governor.state.freq_ghz;
+    resp.predicted_j = run.governor.est_energy_j;
     resp.shared_group = run.shared_group;
     resp.shared_members = run.shared_members;
 
-    // Per-member policy energy at the member's own (stretched) busy
-    // share — stats.elapsed_s already carries its slice of the fused
-    // pass, so the rolling power sees the group's true footprint once.
-    resp.policy_energy_j =
-        engine_.busy_energy_j(run.stats.work, state,
-                              run.stats.elapsed_s * slowdown);
-    monitor_.add(end_s, resp.policy_energy_j);
-
+    // Settlement: debit the tenant with this query's *attributed* joules —
+    // the same figure the database ledger recorded under this session's
+    // scope (not the meter-window total: that is a whole-machine counter
+    // and would bill concurrent tenants for each other's work). The
+    // rolling power monitor is fed the same figure.
     resp.billed_j = run.attributed_j;
+    resp.policy_energy_j = resp.billed_j;
+    monitor_.add(end_s, resp.billed_j);
     admission_.debit(item->session->tenant(), resp.billed_j, end_s);
     item->session->record_complete(resp.billed_j);
     completed_.fetch_add(1);

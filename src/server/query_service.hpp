@@ -1,28 +1,33 @@
 // server::QueryService — the energy-aware concurrent serving tier.
 //
-// Turns the single-shot library (core::Database::run) into a servable
-// engine. The pipeline per request:
+// Turns the single-shot library (core::Database) into a servable engine.
+// The pipeline per request:
 //
 //   submit ──> AdmissionController (per-tenant joule budgets)
 //          ──> RequestQueue (admitted FIFO)
 //          ──> BatchCoalescer (race-to-idle wake-up windows)
 //          ──> dispatcher thread ──> sched::ThreadPool workers
-//                 └─ PolicyEngine picks the P-state from the rolling
-//                    average power (PowerMonitor), execution runs on
-//                    core::Database, measured joules settle the tenant's
-//                    budget and feed the monitor.
+//                 └─ the kEnergyCap check (sched::policy_in_force) reads
+//                    the rolling average power (PowerMonitor); each query
+//                    runs through core::Database::run_batch, whose plan
+//                    governor picks cores × P-state under the policy in
+//                    force and the request's deadline / energy budget;
+//                    the settled bill debits the tenant and feeds the
+//                    monitor.
 //
-// The three paper policies apply to LIVE execution here — the same
-// PolicyEngine the discrete-event StreamScheduler simulates with:
-//   kLatency     dispatch immediately, run at f_max;
-//   kThroughput  coalesce into windows, run at the efficient P-state;
-//   kEnergyCap   f_max until the rolling average power hits the cap, then
-//                degrade to the efficient state.
+// The three paper policies (sched/governor.hpp) apply to LIVE execution
+// here and to the discrete-event StreamScheduler alike — both decide
+// through sched::Governor::decide:
+//   kLatency     dispatch immediately, race to idle at f_max;
+//   kThroughput  coalesce into windows, pace at the efficient P-state;
+//   kEnergyCap   kLatency until the rolling average power passes the cap,
+//                then kThroughput.
 // Sub-f_max P-states cannot be programmed into the host from user space,
-// so the service *paces*: it stretches a query's wall time by
-// f_max/f_chosen after executing the kernels (opt-out via
-// ServiceOptions::pace_execution) and accounts busy energy at the chosen
-// state via the machine model.
+// so the service *paces*: after a dispatched unit (a solo query or a fused
+// shared-scan group) executes, it sleeps the host busy time times
+// (sched::slowdown − 1) of the slowest granted state (opt-out via
+// ServiceOptions::pace_execution), and each query is billed at its granted
+// state over that same stretched busy time.
 #pragma once
 
 #include <atomic>
@@ -35,7 +40,7 @@
 
 #include "core/database.hpp"
 #include "query/request.hpp"
-#include "sched/policy_engine.hpp"
+#include "sched/governor.hpp"
 #include "sched/thread_pool.hpp"
 #include "server/admission.hpp"
 #include "server/batch_coalescer.hpp"
@@ -81,11 +86,18 @@ struct ServiceStats {
   std::uint64_t completed = 0;
   std::uint64_t errors = 0;
   std::uint64_t batches = 0;  ///< Wake-ups: dispatched coalescing windows.
-  double busy_j = 0;          ///< Policy-modeled busy joules served so far.
+  double busy_j = 0;          ///< Billed joules served so far.
   double avg_power_w = 0;     ///< Rolling average power right now.
   double peak_power_w = 0;    ///< Highest rolling average observed.
   std::size_t queue_depth = 0;
 };
+
+/// Wall seconds a dispatched unit sleeps to realize its members' granted
+/// P-states: one stretch, by the largest sched::slowdown among the
+/// successful members, over their summed host busy seconds. Failed
+/// members (non-empty error) count for nothing.
+[[nodiscard]] double pacing_sleep_s(const hw::MachineSpec& machine,
+                                    const std::vector<core::RunResult>& runs);
 
 class QueryService {
  public:
@@ -116,9 +128,6 @@ class QueryService {
   void stop();
 
   [[nodiscard]] ServiceStats stats() const;
-  [[nodiscard]] const sched::PolicyEngine& policy_engine() const {
-    return engine_;
-  }
   [[nodiscard]] AdmissionController& admission() { return admission_; }
   [[nodiscard]] core::Database& database() { return db_; }
   /// Seconds since service start (the clock admission/power run on).
@@ -126,16 +135,15 @@ class QueryService {
 
  private:
   void dispatcher_loop();
-  void execute_one(const std::shared_ptr<PendingQuery>& item);
-  /// Runs one shared-scan candidate group (>= 2 members with equal
-  /// request-level sharing keys) through Database::run_batch as a single
-  /// pool task, then settles every member exactly like execute_one.
+  /// Runs one dispatched unit — a solo query (one member) or a shared-scan
+  /// candidate group (members with equal request-level sharing keys) —
+  /// through Database::run_batch as a single pool task, paces it once,
+  /// and settles every member.
   void execute_group(
       const std::vector<std::shared_ptr<PendingQuery>>& items);
 
   core::Database& db_;
   ServiceOptions options_;
-  sched::PolicyEngine engine_;
   AdmissionController admission_;
   RequestQueue queue_;
   BatchCoalescer coalescer_;

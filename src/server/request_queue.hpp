@@ -2,9 +2,10 @@
 //
 // A plain FIFO of admitted queries guarded by a condition variable. Policy
 // decisions do NOT live here: admission happens before push (the
-// AdmissionController), P-state choice happens at execution (the
-// PolicyEngine), and grouping happens at pop (the BatchCoalescer). Keeping
-// the queue dumb lets each policy reuse the same structure.
+// AdmissionController), P-state choice happens at compile time (the plan
+// governor, sched::Governor::decide), and grouping happens at pop (the
+// BatchCoalescer). Keeping the queue dumb lets each policy reuse the same
+// structure.
 #pragma once
 
 #include <condition_variable>

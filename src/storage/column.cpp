@@ -175,7 +175,7 @@ void Column::append_double(double v) {
 Column Column::from_int32(std::string name, std::span<const std::int32_t> v) {
   Column c(std::move(name), TypeId::kInt32);
   c.ensure_capacity(v.size());
-  std::memcpy(c.data_.data(), v.data(), v.size_bytes());
+  if (!v.empty()) std::memcpy(c.data_.data(), v.data(), v.size_bytes());
   c.count_ = v.size();
   return c;
 }
@@ -183,7 +183,7 @@ Column Column::from_int32(std::string name, std::span<const std::int32_t> v) {
 Column Column::from_int64(std::string name, std::span<const std::int64_t> v) {
   Column c(std::move(name), TypeId::kInt64);
   c.ensure_capacity(v.size());
-  std::memcpy(c.data_.data(), v.data(), v.size_bytes());
+  if (!v.empty()) std::memcpy(c.data_.data(), v.data(), v.size_bytes());
   c.count_ = v.size();
   return c;
 }
@@ -191,7 +191,7 @@ Column Column::from_int64(std::string name, std::span<const std::int64_t> v) {
 Column Column::from_double(std::string name, std::span<const double> v) {
   Column c(std::move(name), TypeId::kDouble);
   c.ensure_capacity(v.size());
-  std::memcpy(c.data_.data(), v.data(), v.size_bytes());
+  if (!v.empty()) std::memcpy(c.data_.data(), v.data(), v.size_bytes());
   c.count_ = v.size();
   return c;
 }

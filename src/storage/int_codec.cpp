@@ -36,18 +36,25 @@ std::int64_t unzigzag(std::uint64_t v) {
   return static_cast<std::int64_t>((v >> 1) ^ (~(v & 1) + 1));
 }
 
+/// std::memcpy for buffers that may be empty: a zero-length memcpy is
+/// still undefined when either pointer is null, as an empty span's or
+/// vector's data() may be.
+void copy_bytes(void* dst, const void* src, std::size_t n) {
+  if (n != 0) std::memcpy(dst, src, n);
+}
+
 void append_words(std::vector<std::byte>& out,
                   const std::vector<std::uint64_t>& words) {
   const std::size_t at = out.size();
   out.resize(at + words.size() * 8);
-  std::memcpy(out.data() + at, words.data(), words.size() * 8);
+  copy_bytes(out.data() + at, words.data(), words.size() * 8);
 }
 
 std::vector<std::uint64_t> read_words(std::span<const std::byte> in,
                                       std::size_t at, std::size_t n_words) {
   EIDB_EXPECTS(at + n_words * 8 <= in.size());
   std::vector<std::uint64_t> words(n_words);
-  std::memcpy(words.data(), in.data() + at, n_words * 8);
+  copy_bytes(words.data(), in.data() + at, n_words * 8);
   return words;
 }
 
@@ -63,7 +70,7 @@ class PlainCodec final : public IntCodec {
     put_u64(out, values.size());
     const std::size_t at = out.size();
     out.resize(at + values.size_bytes());
-    std::memcpy(out.data() + at, values.data(), values.size_bytes());
+    copy_bytes(out.data() + at, values.data(), values.size_bytes());
     return out;
   }
 
@@ -72,7 +79,7 @@ class PlainCodec final : public IntCodec {
     const std::uint64_t n = get_u64(bytes, 0);
     std::vector<std::int64_t> out(n);
     EIDB_EXPECTS(8 + n * 8 <= bytes.size());
-    std::memcpy(out.data(), bytes.data() + 8, n * 8);
+    copy_bytes(out.data(), bytes.data() + 8, n * 8);
     return out;
   }
 
@@ -95,9 +102,11 @@ class ForBitpackCodec final : public IntCodec {
     const auto [mn_it, mx_it] =
         std::minmax_element(values.begin(), values.end());
     const std::int64_t base = *mn_it;
+    // Offsets in uint64: full-range input would overflow int64.
     std::vector<std::uint64_t> offsets(values.size());
     for (std::size_t i = 0; i < values.size(); ++i)
-      offsets[i] = static_cast<std::uint64_t>(values[i] - base);
+      offsets[i] = static_cast<std::uint64_t>(values[i]) -
+                   static_cast<std::uint64_t>(base);
     const unsigned bits = min_bits(offsets);
     put_u64(out, static_cast<std::uint64_t>(base));
     put_u64(out, bits);
@@ -117,7 +126,8 @@ class ForBitpackCodec final : public IntCodec {
     std::vector<std::uint64_t> offsets(n);
     bitunpack(words, bits, n, offsets);
     for (std::size_t i = 0; i < n; ++i)
-      out[i] = base + static_cast<std::int64_t>(offsets[i]);
+      out[i] = static_cast<std::int64_t>(static_cast<std::uint64_t>(base) +
+                                         offsets[i]);
     return out;
   }
 
@@ -137,11 +147,14 @@ class DeltaBitpackCodec final : public IntCodec {
     std::vector<std::byte> out;
     put_u64(out, values.size());
     if (values.empty()) return out;
+    // Deltas wrap modulo 2^64 (uint64 arithmetic): full-range input
+    // would overflow int64, and decode wraps back the same way.
     std::vector<std::uint64_t> deltas(values.size());
-    std::int64_t prev = 0;
+    std::uint64_t prev = 0;
     for (std::size_t i = 0; i < values.size(); ++i) {
-      deltas[i] = zigzag(values[i] - prev);
-      prev = values[i];
+      const auto v = static_cast<std::uint64_t>(values[i]);
+      deltas[i] = zigzag(static_cast<std::int64_t>(v - prev));
+      prev = v;
     }
     const unsigned bits = min_bits(deltas);
     put_u64(out, bits);
@@ -158,10 +171,10 @@ class DeltaBitpackCodec final : public IntCodec {
     const auto words = read_words(bytes, 16, packed_word_count(n, bits));
     std::vector<std::uint64_t> deltas(n);
     bitunpack(words, bits, n, deltas);
-    std::int64_t prev = 0;
+    std::uint64_t prev = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      prev += unzigzag(deltas[i]);
-      out[i] = prev;
+      prev += static_cast<std::uint64_t>(unzigzag(deltas[i]));
+      out[i] = static_cast<std::int64_t>(prev);
     }
     return out;
   }
@@ -237,7 +250,7 @@ class LzIntCodec final : public IntCodec {
     const std::vector<std::byte> raw =
         lz_decompress(bytes.subspan(16, lz_size), n * 8);
     std::vector<std::int64_t> out(n);
-    std::memcpy(out.data(), raw.data(), n * 8);
+    copy_bytes(out.data(), raw.data(), n * 8);
     return out;
   }
 

@@ -165,11 +165,11 @@ TEST(DatabaseSql, BudgetedSqlQuery) {
   Database db;
   populate(db);
   RunOptions options;
-  options.energy_budget_j = 100.0;
+  options.exec.constraint.energy_budget_j = 100.0;
   const auto run = db.run_sql(
       "SELECT COUNT(*) FROM sales WHERE amount BETWEEN 0 AND 49", options);
-  ASSERT_TRUE(run.chosen_point.has_value());
-  EXPECT_LE(run.chosen_point->energy_j, 100.0);
+  EXPECT_EQ(run.governor.policy, "budget");
+  EXPECT_LE(run.governor.est_energy_j, 100.0);
   EXPECT_EQ(run.result.at(0, 0).as_int(), 1500);
 }
 

@@ -64,6 +64,15 @@ TEST(Database, MeterFallsBackToModelWithoutRapl) {
   EXPECT_GT(run.report.energy.package_j, 0.0);
 }
 
+/// The settlement at the granted state: incremental busy joules over the
+/// host busy time stretched to that state (no cold tier, no wire here).
+double model_bill(const Database& db, const RunResult& run) {
+  const hw::MachineSpec& m = db.machine();
+  return m.incremental_busy_energy_j(
+      run.stats.work, run.governor.state,
+      run.stats.elapsed_s * sched::slowdown(m, run.governor.state));
+}
+
 TEST(Database, EnergyBudgetSelectsConfiguration) {
   Database db;
   load_sales(db, 50000);
@@ -72,11 +81,14 @@ TEST(Database, EnergyBudgetSelectsConfiguration) {
                         .aggregate(AggOp::kCount)
                         .build();
   RunOptions options;
-  options.energy_budget_j = 1000.0;  // generous
+  options.exec.constraint.energy_budget_j = 1000.0;  // generous
   const RunResult run = db.run(plan, options);
-  ASSERT_TRUE(run.chosen_point.has_value());
-  EXPECT_FALSE(run.budget_infeasible);
-  EXPECT_LE(run.chosen_point->energy_j, 1000.0);
+  EXPECT_EQ(run.governor.policy, "budget");
+  EXPECT_LE(run.governor.est_energy_j, 1000.0);
+  // A generous budget races.
+  EXPECT_DOUBLE_EQ(run.governor.state.freq_ghz,
+                   db.machine().dvfs.fastest().freq_ghz);
+  EXPECT_NEAR(run.attributed_j, model_bill(db, run), 1e-9 * run.attributed_j);
 }
 
 TEST(Database, InfeasibleBudgetFallsBackToMinEnergy) {
@@ -85,11 +97,14 @@ TEST(Database, InfeasibleBudgetFallsBackToMinEnergy) {
   const auto plan =
       QueryBuilder("sales").aggregate(AggOp::kCount).build();
   RunOptions options;
-  options.energy_budget_j = 1e-12;
+  options.exec.constraint.energy_budget_j = 1e-12;
   const RunResult run = db.run(plan, options);
-  EXPECT_TRUE(run.budget_infeasible);
-  ASSERT_TRUE(run.chosen_point.has_value());
-  EXPECT_GT(run.chosen_point->energy_j, 1e-12);
+  EXPECT_EQ(run.governor.policy, "budget-infeasible");
+  EXPECT_GT(run.governor.est_energy_j, 1e-12);
+  // The floor state runs — and is billed — below f_max.
+  EXPECT_LT(run.governor.state.freq_ghz,
+            db.machine().dvfs.fastest().freq_ghz);
+  EXPECT_NEAR(run.attributed_j, model_bill(db, run), 1e-9 * run.attributed_j);
 }
 
 TEST(Database, TightVsGenerousBudgetTradesTime) {
@@ -102,18 +117,22 @@ TEST(Database, TightVsGenerousBudgetTradesTime) {
   RunOptions tight, generous;
   // Floor first.
   RunOptions probe;
-  probe.energy_budget_j = 1e-12;
+  probe.exec.constraint.energy_budget_j = 1e-12;
   const auto floor_run = db.run(plan, probe);
-  const double floor_j = floor_run.chosen_point->energy_j;
-  tight.energy_budget_j = floor_j * 1.02;
-  generous.energy_budget_j = floor_j * 100;
+  const double floor_j = floor_run.governor.est_energy_j;
+  tight.exec.constraint.energy_budget_j = floor_j * 1.02;
+  generous.exec.constraint.energy_budget_j = floor_j * 100;
   const auto rt = db.run(plan, tight);
   const auto rg = db.run(plan, generous);
-  ASSERT_TRUE(rt.chosen_point && rg.chosen_point);
-  EXPECT_LE(rg.chosen_point->time_s, rt.chosen_point->time_s + 1e-12);
+  // The tight budget runs no faster: its state is paced at least as much.
+  // (Busy-time estimates are not compared: the calibration EWMA moves the
+  // work estimate between runs.)
+  EXPECT_LE(rt.governor.state.freq_ghz, rg.governor.state.freq_ghz);
+  EXPECT_GE(sched::slowdown(db.machine(), rt.governor.state),
+            sched::slowdown(db.machine(), rg.governor.state));
 }
 
-TEST(Database, ExplainMentionsPlanAndBudget) {
+TEST(Database, ExplainNamesTheBudgetArm) {
   Database db;
   load_sales(db, 1000);
   const auto plan = QueryBuilder("sales")
@@ -121,11 +140,33 @@ TEST(Database, ExplainMentionsPlanAndBudget) {
                         .aggregate(AggOp::kCount)
                         .build();
   RunOptions options;
-  options.energy_budget_j = 500.0;
+  options.exec.constraint.energy_budget_j = 500.0;
   const std::string s = db.explain(plan, options);
   EXPECT_NE(s.find("scan(sales)"), std::string::npos);
-  EXPECT_NE(s.find("candidates"), std::string::npos);
-  EXPECT_NE(s.find("chosen under"), std::string::npos);
+  EXPECT_NE(s.find("governor: "), std::string::npos);
+  EXPECT_NE(s.find("(budget, "), std::string::npos);
+  options.exec.constraint.energy_budget_j = 1e-12;
+  EXPECT_NE(db.explain(plan, options).find("(budget-infeasible, "),
+            std::string::npos);
+}
+
+TEST(Database, RunIsAOneMemberBatch) {
+  Database db;
+  load_sales(db, 3000);
+  const auto plan = QueryBuilder("sales")
+                        .filter_int("amount", 100, 199)
+                        .aggregate(AggOp::kCount)
+                        .build();
+  const RunResult solo = db.run(plan);
+  const std::vector<RunResult> batch = db.run_batch({{plan, {}}});
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0].result.at(0, 0), solo.result.at(0, 0));
+  EXPECT_EQ(batch[0].stats.work.dram_bytes, solo.stats.work.dram_bytes);
+  EXPECT_EQ(batch[0].shared_members, 0u);
+  // Errors: run() throws what run_batch() reports.
+  const auto bad = QueryBuilder("missing").aggregate(AggOp::kCount).build();
+  EXPECT_THROW((void)db.run(bad), Error);
+  EXPECT_FALSE(db.run_batch({{bad, {}}}).front().error.empty());
 }
 
 TEST(Database, LedgerAccumulatesAcrossRuns) {

@@ -105,5 +105,15 @@ TEST(Machine, WorkArithmetic) {
   EXPECT_DOUBLE_EQ(d.dram_bytes, 6);
 }
 
+TEST(Machine, IncrementalBusyEnergyChargesBusyPowerDeltaPlusDram) {
+  // The per-query quantum the governor predicts and the ledger bills.
+  const MachineSpec m = MachineSpec::server();
+  const Work work{1e9, 1e8};
+  const DvfsState& s = m.dvfs.fastest();
+  const double expected = (s.active_power_w - m.core_idle_power_w) * 2.0 +
+                          work.dram_bytes * m.dram_energy_nj_per_byte * 1e-9;
+  EXPECT_DOUBLE_EQ(m.incremental_busy_energy_j(work, s, 2.0), expected);
+}
+
 }  // namespace
 }  // namespace eidb::hw

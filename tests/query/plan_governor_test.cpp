@@ -16,6 +16,7 @@
 #include "query/plan.hpp"
 #include "query/plan_governor.hpp"
 #include "sched/governor.hpp"
+#include "sched/scheduler.hpp"
 #include "sched/thread_pool.hpp"
 #include "storage/column.hpp"
 #include "storage/table.hpp"
@@ -120,6 +121,12 @@ TEST(PlanGovernor, RaceToIdleWhenDeepSleepAvailable) {
   EXPECT_GT(phys.governor.est_busy_s, 0.0);
   EXPECT_GT(phys.governor.est_energy_j, 0.0);
   EXPECT_GT(phys.governor.est_work.cpu_cycles, 0.0);
+  // One definition of predicted joules: the incremental busy quantum the
+  // settlement bills, at the granted state over the predicted busy time.
+  EXPECT_DOUBLE_EQ(phys.governor.est_energy_j,
+                   machine.incremental_busy_energy_j(phys.governor.est_work,
+                                                     phys.governor.state,
+                                                     phys.governor.est_busy_s));
   // EXPLAIN carries the decision.
   EXPECT_NE(phys.explain().find("governor: 4 cores x"), std::string::npos);
 }
@@ -153,16 +160,60 @@ TEST(PlanGovernor, DeadlineArbitratesRaceVsPace) {
   // A generous deadline with only shallow idle available: pacing beats
   // racing (slack burns idle power either way, but pace's busy phase is
   // cheaper on the superlinear power curve).
-  options.deadline_s = 3600.0;
+  options.constraint.deadline_s = 3600.0;
   const PhysicalPlan paced = compile_plan(cat, star_plan(), options);
   ASSERT_TRUE(paced.governor.enabled);
   EXPECT_EQ(paced.governor.policy, "pace");
   // An unattainable deadline degrades to f_max under either policy.
-  options.deadline_s = 1e-12;
+  options.constraint.deadline_s = 1e-12;
   const PhysicalPlan raced = compile_plan(cat, star_plan(), options);
   ASSERT_TRUE(raced.governor.enabled);
   EXPECT_DOUBLE_EQ(raced.governor.state.freq_ghz,
                    gov.machine().dvfs.fastest().freq_ghz);
+}
+
+TEST(PlanGovernor, SimulatorAndPlanGovernorShareTheDecision) {
+  // Live serving (compile_plan's plan governor) and the E8 simulator
+  // decide through one kernel: for the same work, policy and rolling
+  // power they grant the same P-state.
+  Catalog cat = make_catalog(10'000);
+  const hw::MachineSpec machine = hw::MachineSpec::server();
+  const sched::Governor gov(machine);
+  const double cap = machine.idle_power_w() + 20;
+  for (const sched::Policy policy :
+       {sched::Policy::kLatency, sched::Policy::kThroughput,
+        sched::Policy::kEnergyCap}) {
+    const sched::StreamScheduler sim(machine, policy, cap);
+    for (const double power : {cap - 1, cap + 1}) {
+      ExecOptions options;  // no pool: one core, as the simulator grants
+      options.governor = &gov;
+      options.constraint.policy = sched::policy_in_force(policy, power, cap);
+      const PhysicalPlan phys = compile_plan(cat, star_plan(), options);
+      const sched::GovernorDecision d =
+          sim.decide(phys.governor.est_work, power);
+      EXPECT_DOUBLE_EQ(phys.governor.state.freq_ghz, d.state.freq_ghz)
+          << sched::policy_name(policy) << " at " << power << " W";
+      EXPECT_EQ(phys.governor.policy, d.policy);
+      EXPECT_DOUBLE_EQ(phys.governor.est_busy_s, d.busy_s);
+    }
+  }
+}
+
+TEST(PlanGovernor, BudgetArmNamedInExplain) {
+  Catalog cat = make_catalog(10'000);
+  const sched::Governor gov(hw::MachineSpec::server());
+  ExecOptions options;
+  options.governor = &gov;
+  options.constraint.energy_budget_j = 1e9;
+  const PhysicalPlan generous = compile_plan(cat, star_plan(), options);
+  EXPECT_EQ(generous.governor.policy, "budget");
+  EXPECT_LE(generous.governor.est_energy_j, 1e9);
+  EXPECT_NE(generous.explain().find("(budget, "), std::string::npos);
+  options.constraint.energy_budget_j = 1e-12;
+  const PhysicalPlan floor = compile_plan(cat, star_plan(), options);
+  EXPECT_EQ(floor.governor.policy, "budget-infeasible");
+  EXPECT_GT(floor.governor.est_energy_j, 1e-12);
+  EXPECT_NE(floor.explain().find("(budget-infeasible, "), std::string::npos);
 }
 
 TEST(PlanGovernor, CoresClampedToPoolAndMachine) {
@@ -231,9 +282,9 @@ TEST(PlanGovernor, OperatorWorkSumsExactlyUnderEveryThreadCount) {
 TEST(PlanGovernor, PredictionWithinToleranceOfMeasurementAfterCalibration) {
   // The closed loop on a bench-shaped query: after a few runs the EWMA
   // calibration pulls the governor's busy-time estimate toward measured
-  // reality, so the predicted attribution (est_work at the chosen state
-  // over est_busy_s) lands within an order of magnitude of the measured
-  // ExecStats attribution. (The bound is loose on purpose: the model
+  // reality, so the predicted bill (est_energy_j: est_work at the chosen
+  // state over est_busy_s) lands within an order of magnitude of the
+  // measured settlement. (The bound is loose on purpose: the model
   // machine is a Sandy-Bridge-era server, the host is whatever CI runs —
   // calibration corrects cycles, not the DRAM/power split.)
   core::Database db;
@@ -258,8 +309,7 @@ TEST(PlanGovernor, PredictionWithinToleranceOfMeasurementAfterCalibration) {
   core::RunResult run;
   for (int i = 0; i < 4; ++i) run = db.run(plan);  // calibration warms up
   ASSERT_TRUE(run.governor.enabled);
-  const double predicted = db.machine().incremental_busy_energy_j(
-      run.governor.est_work, run.governor.state, run.governor.est_busy_s);
+  const double predicted = run.governor.est_energy_j;
   const double measured = run.attributed_j;
   ASSERT_GT(measured, 0.0);
   ASSERT_GT(predicted, 0.0);

@@ -73,25 +73,36 @@ TEST(Governor, IncrementalEfficientStateIsSlow) {
   EXPECT_DOUBLE_EQ(s.freq_ghz, gov.machine().dvfs.slowest().freq_ghz);
 }
 
-TEST(Governor, FastestWithinBudgetMonotone) {
+TEST(Governor, BestUnderBudgetMonotone) {
   const Governor gov = server_gov();
-  // More budget can only help (weakly) the response time.
+  const hw::MachineSpec& m = gov.machine();
+  // More budget can only help (weakly) the response time, and a feasible
+  // pick's predicted incremental joules fit the budget.
   double prev_time = 1e100;
   bool any = false;
-  for (double budget = 20; budget <= 2000; budget *= 1.6) {
-    const auto d = gov.fastest_within_budget(kCpuWork, budget);
-    if (!d) continue;
+  for (double budget = 0.5; budget <= 50; budget *= 1.3) {
+    const GovernorDecision d = gov.best_under_budget(kCpuWork, budget, 4);
+    EXPECT_EQ(d.cores, 4);
+    if (d.policy != "budget") continue;
     any = true;
-    EXPECT_LE(d->busy_s, prev_time + 1e-12);
-    prev_time = d->busy_s;
-    EXPECT_LE(d->energy_j, budget);
+    EXPECT_LE(d.busy_s, prev_time + 1e-12);
+    prev_time = d.busy_s;
+    EXPECT_LE(m.incremental_busy_energy_j(kCpuWork, d.state, d.busy_s),
+              budget);
   }
   EXPECT_TRUE(any);
 }
 
-TEST(Governor, ImpossibleBudgetReturnsNullopt) {
+TEST(Governor, ImpossibleBudgetTakesTheMinimumEnergyState) {
   const Governor gov = server_gov();
-  EXPECT_FALSE(gov.fastest_within_budget(kCpuWork, 1e-6).has_value());
+  const hw::MachineSpec& m = gov.machine();
+  const GovernorDecision d = gov.best_under_budget(kCpuWork, 1e-6, 2);
+  EXPECT_EQ(d.policy, "budget-infeasible");
+  const double floor_j =
+      m.incremental_busy_energy_j(kCpuWork, d.state, d.busy_s);
+  for (const GovernorDecision& p : gov.frontier(kCpuWork, 2))
+    EXPECT_LE(floor_j,
+              m.incremental_busy_energy_j(kCpuWork, p.state, p.busy_s) + 1e-12);
 }
 
 TEST(Governor, MostEfficientBeatsFmaxOnEnergy) {
@@ -127,6 +138,86 @@ TEST(Governor, MultiCoreSpeedsUpAndFitsBudgetDifferently) {
   const auto d1 = gov.race_to_idle(kCpuWork, 100.0, 1);
   const auto d8 = gov.race_to_idle(kCpuWork, 100.0, 8);
   EXPECT_LT(d8.busy_s, d1.busy_s);
+}
+
+// -- The one decision entry point (Governor::decide) -------------------------
+
+TEST(GovernorDecide, LatencyRacesAtFmax) {
+  const Governor gov = server_gov();
+  const GovernorDecision d = gov.decide(kCpuWork, 4, {});
+  EXPECT_EQ(d.policy, "race-to-idle");
+  EXPECT_EQ(d.cores, 4);
+  EXPECT_DOUBLE_EQ(d.state.freq_ghz, gov.machine().dvfs.fastest().freq_ghz);
+}
+
+TEST(GovernorDecide, ThroughputPacesAtTheIncrementalEfficientState) {
+  const Governor gov = server_gov();
+  QueryConstraint c;
+  c.policy = Policy::kThroughput;
+  for (const hw::Work& work : {kCpuWork, hw::Work{1e6, 50e9}}) {
+    const GovernorDecision d = gov.decide(work, 2, c);
+    EXPECT_EQ(d.policy, "pace");
+    EXPECT_DOUBLE_EQ(d.state.freq_ghz,
+                     gov.incremental_efficient_state(work).freq_ghz);
+  }
+  EXPECT_LT(gov.decide(kCpuWork, 2, c).state.freq_ghz,
+            gov.machine().dvfs.fastest().freq_ghz);
+}
+
+TEST(GovernorDecide, EnergyCapSwitchesAtTheCap) {
+  const double cap = hw::MachineSpec::server().idle_power_w() + 20;
+  EXPECT_EQ(policy_in_force(Policy::kEnergyCap, cap - 1, cap),
+            Policy::kLatency);
+  EXPECT_EQ(policy_in_force(Policy::kEnergyCap, cap + 1, cap),
+            Policy::kThroughput);
+  // The check returns a policy, never a state; others pass through.
+  for (const double power : {0.0, cap + 100})
+    for (const Policy p : {Policy::kLatency, Policy::kThroughput})
+      EXPECT_EQ(policy_in_force(p, power, cap), p);
+}
+
+TEST(GovernorDecide, GenerousBudgetRacesTightRunsNoFasterInfeasibleFloors) {
+  const Governor gov = server_gov();
+  const hw::MachineSpec& m = gov.machine();
+  QueryConstraint c;
+  c.energy_budget_j = 1e9;
+  const GovernorDecision generous = gov.decide(kCpuWork, 4, c);
+  EXPECT_EQ(generous.policy, "budget");
+  EXPECT_DOUBLE_EQ(generous.state.freq_ghz, m.dvfs.fastest().freq_ghz);
+
+  c.energy_budget_j = 1e-9;
+  const GovernorDecision floor = gov.decide(kCpuWork, 4, c);
+  EXPECT_EQ(floor.policy, "budget-infeasible");
+  const double floor_j =
+      m.incremental_busy_energy_j(kCpuWork, floor.state, floor.busy_s);
+  EXPECT_GT(floor_j, 1e-9);
+
+  // Just above the floor: feasible, and no faster than the generous pick.
+  c.energy_budget_j = floor_j * 1.01;
+  const GovernorDecision tight = gov.decide(kCpuWork, 4, c);
+  EXPECT_EQ(tight.policy, "budget");
+  EXPECT_GE(tight.busy_s, generous.busy_s);
+  EXPECT_LE(tight.state.freq_ghz, generous.state.freq_ghz);
+}
+
+TEST(GovernorDecide, BudgetWinsOverDeadlineWinsOverPolicy) {
+  const Governor gov = server_gov();
+  QueryConstraint c;
+  c.policy = Policy::kThroughput;
+  EXPECT_LT(gov.decide(kCpuWork, 1, c).state.freq_ghz,
+            gov.machine().dvfs.fastest().freq_ghz);
+  c.deadline_s = 1e-9;  // unattainable: the deadline arm's f_max fallback
+  EXPECT_DOUBLE_EQ(gov.decide(kCpuWork, 1, c).state.freq_ghz,
+                   gov.machine().dvfs.fastest().freq_ghz);
+  c.energy_budget_j = 1e-9;
+  EXPECT_EQ(gov.decide(kCpuWork, 1, c).policy, "budget-infeasible");
+}
+
+TEST(GovernorDecide, SlowdownIsRelativeToFmax) {
+  const hw::MachineSpec m = hw::MachineSpec::server();
+  EXPECT_DOUBLE_EQ(slowdown(m, m.dvfs.fastest()), 1.0);
+  EXPECT_DOUBLE_EQ(slowdown(m, m.dvfs.slowest()),
+                   m.dvfs.fastest().freq_ghz / m.dvfs.slowest().freq_ghz);
 }
 
 }  // namespace

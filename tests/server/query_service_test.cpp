@@ -32,6 +32,24 @@ class QueryServiceTest : public ::testing::Test {
     t.set_column(1, storage::Column::from_int64("val", val));
   }
 
+  /// One P-state per query: `resp` (the only query billed under `scope`)
+  /// was billed the model energy at its granted state over its host busy
+  /// time stretched to that state, and the rolling power monitor was fed
+  /// that same settlement.
+  void expect_billed_at_granted_state(const query::QueryResponse& resp,
+                                      const std::string& scope) const {
+    const hw::MachineSpec& m = db_.machine();
+    const hw::DvfsState& state = m.dvfs.at_least(resp.governor_freq_ghz);
+    ASSERT_DOUBLE_EQ(state.freq_ghz, resp.governor_freq_ghz);
+    const energy::LedgerEntry booked = db_.ledger().total(scope);
+    const double host_busy_s = resp.report.elapsed_s;  // no cold tier, no wire
+    const double model_j = m.incremental_busy_energy_j(
+        booked.work, state, host_busy_s * sched::slowdown(m, state));
+    EXPECT_NEAR(resp.billed_j, model_j, 1e-9 * model_j);
+    EXPECT_EQ(resp.policy_energy_j, resp.billed_j);
+    EXPECT_EQ(booked.energy_j, resp.billed_j);
+  }
+
   core::Database db_;
 };
 
@@ -48,8 +66,9 @@ TEST_F(QueryServiceTest, SqlRoundTrip) {
   EXPECT_GT(resp.latency_s, 0.0);
   EXPECT_GE(resp.queue_s, 0.0);
   EXPECT_GT(resp.report.total_j(), 0.0);
-  // Latency policy: every query runs at f_max.
-  EXPECT_DOUBLE_EQ(resp.chosen_freq_ghz,
+  // Latency policy on the default governor: race to idle at f_max.
+  EXPECT_EQ(resp.governor_policy, "race-to-idle");
+  EXPECT_DOUBLE_EQ(resp.governor_freq_ghz,
                    db_.machine().dvfs.fastest().freq_ghz);
 }
 
@@ -122,11 +141,9 @@ TEST_F(QueryServiceTest, ThroughputPolicyRunsAtEfficientState) {
   const auto resp =
       service.execute(session, query::QueryRequest::from_sql(kCountSql));
   ASSERT_TRUE(resp.ok()) << resp.error;
-  const auto& engine = service.policy_engine();
-  EXPECT_DOUBLE_EQ(
-      resp.chosen_freq_ghz,
-      db_.machine().dvfs.at_least(engine.efficient_state().freq_ghz).freq_ghz);
-  EXPECT_LT(resp.chosen_freq_ghz, db_.machine().dvfs.fastest().freq_ghz);
+  EXPECT_EQ(resp.governor_policy, "pace");
+  EXPECT_LT(resp.governor_freq_ghz, db_.machine().dvfs.fastest().freq_ghz);
+  expect_billed_at_granted_state(resp, "alice");
 }
 
 TEST_F(QueryServiceTest, EnergyCapBindsUnderTinyCap) {
@@ -139,8 +156,10 @@ TEST_F(QueryServiceTest, EnergyCapBindsUnderTinyCap) {
   const auto resp =
       service.execute(session, query::QueryRequest::from_sql(kCountSql));
   ASSERT_TRUE(resp.ok()) << resp.error;
-  EXPECT_LT(resp.chosen_freq_ghz, db_.machine().dvfs.fastest().freq_ghz);
+  EXPECT_EQ(resp.governor_policy, "pace");
+  EXPECT_LT(resp.governor_freq_ghz, db_.machine().dvfs.fastest().freq_ghz);
   EXPECT_GT(service.stats().peak_power_w, opts.power_cap_w);
+  expect_billed_at_granted_state(resp, "alice");
 }
 
 TEST_F(QueryServiceTest, GenerousCapBehavesLikeLatencyPolicy) {
@@ -152,8 +171,38 @@ TEST_F(QueryServiceTest, GenerousCapBehavesLikeLatencyPolicy) {
   const auto resp =
       service.execute(session, query::QueryRequest::from_sql(kCountSql));
   ASSERT_TRUE(resp.ok()) << resp.error;
-  EXPECT_DOUBLE_EQ(resp.chosen_freq_ghz,
+  EXPECT_DOUBLE_EQ(resp.governor_freq_ghz,
                    db_.machine().dvfs.fastest().freq_ghz);
+  expect_billed_at_granted_state(resp, "alice");
+}
+
+TEST_F(QueryServiceTest, BudgetedQueryIsPacedAndBilledAtTheBudgetArmState) {
+  QueryService service(db_);  // latency policy, pacing on
+  auto session = service.open_session("alice");
+  // Under the latency policy, a request's budget still decides: an
+  // unmeetable one takes the minimum-energy state, a generous one the
+  // budget arm's pick — each paced and billed there.
+  query::QueryRequest probe = query::QueryRequest::from_sql(kCountSql);
+  probe.energy_budget_j = 1e-12;
+  const auto floor = service.execute(session, std::move(probe));
+  ASSERT_TRUE(floor.ok()) << floor.error;
+  EXPECT_EQ(floor.governor_policy, "budget-infeasible");
+  EXPECT_LT(floor.governor_freq_ghz, db_.machine().dvfs.fastest().freq_ghz);
+  const hw::MachineSpec& m = db_.machine();
+  EXPECT_GE(floor.exec_s,
+            floor.report.elapsed_s *
+                sched::slowdown(m, m.dvfs.at_least(floor.governor_freq_ghz)) *
+                (1 - 1e-9));
+  expect_billed_at_granted_state(floor, "alice");
+
+  auto budgeted_session = service.open_session("bob");
+  query::QueryRequest req = query::QueryRequest::from_sql(kCountSql);
+  req.energy_budget_j = 1e9;
+  const auto generous = service.execute(budgeted_session, std::move(req));
+  ASSERT_TRUE(generous.ok()) << generous.error;
+  EXPECT_EQ(generous.governor_policy, "budget");
+  EXPECT_LE(generous.predicted_j, 1e9);
+  expect_billed_at_granted_state(generous, "bob");
 }
 
 TEST_F(QueryServiceTest, SubmitAfterStopIsShutdown) {
@@ -223,30 +272,49 @@ TEST_F(QueryServiceTest, ConcurrentSessionsHammerOneService) {
 }
 
 TEST_F(QueryServiceTest, PacingStretchesThroughputExecution) {
-  // Same query, latency vs. paced throughput: the paced run must take
-  // measurably longer wall time (f_max / f_efficient >= ~1.5x on the
-  // default server model; the query itself is ~0.1 ms so the test stays
-  // fast). Wall-clock ratios are noisy on shared CI hosts, so assert only
-  // the direction, generously.
-  QueryService lat(db_);
-  auto ls = lat.open_session("a");
-  const auto lat_resp =
-      lat.execute(ls, query::QueryRequest::from_sql(kCountSql));
-  ASSERT_TRUE(lat_resp.ok());
-
+  // The paced query sleeps its host busy time times (slowdown - 1) and is
+  // billed over that same stretched time at its granted state. Only lower
+  // bounds on wall time are asserted: sleeps never end early, but shared
+  // CI hosts make upper bounds flaky.
   ServiceOptions opts;
   opts.policy = sched::Policy::kThroughput;
   opts.pace_execution = true;
   QueryService thr(db_, opts);
   auto ts = thr.open_session("a");
-  const auto thr_resp =
+  const auto resp =
       thr.execute(ts, query::QueryRequest::from_sql(kCountSql));
-  ASSERT_TRUE(thr_resp.ok());
+  ASSERT_TRUE(resp.ok());
+  const hw::MachineSpec& m = db_.machine();
+  const hw::DvfsState& state = m.dvfs.at_least(resp.governor_freq_ghz);
+  const double stretch = sched::slowdown(m, state);
+  EXPECT_GT(stretch, 1.0);
+  EXPECT_GE(resp.exec_s, resp.report.elapsed_s * stretch * (1 - 1e-9));
+  expect_billed_at_granted_state(resp, "a");
 
-  // Paced busy energy is accounted at the slower state: fewer incremental
-  // joules per query than the f_max run — the throughput policy's point.
-  EXPECT_LT(thr_resp.chosen_freq_ghz, lat_resp.chosen_freq_ghz);
-  EXPECT_LT(thr_resp.policy_energy_j, lat_resp.policy_energy_j);
+  // The throughput policy's point: per host busy second, the paced state
+  // bills fewer incremental joules than f_max would.
+  const hw::Work work = db_.ledger().total("a").work;
+  const double t = resp.report.elapsed_s;
+  EXPECT_LT(m.incremental_busy_energy_j(work, state, t * stretch),
+            m.incremental_busy_energy_j(work, m.dvfs.fastest(), t));
+}
+
+TEST(PacingSleep, OneStretchByTheLargestSlowdown) {
+  const hw::MachineSpec m = hw::MachineSpec::server();
+  std::vector<core::RunResult> runs(3);
+  runs[0].stats.elapsed_s = 0.010;
+  runs[0].governor.enabled = true;
+  runs[0].governor.state = m.dvfs.fastest();
+  runs[1].stats.elapsed_s = 0.030;
+  runs[1].governor.enabled = true;
+  runs[1].governor.state = m.dvfs.slowest();
+  runs[2].stats.elapsed_s = 5.0;  // failed member: counts for nothing
+  runs[2].error = "boom";
+  const double stretch = sched::slowdown(m, m.dvfs.slowest());
+  EXPECT_DOUBLE_EQ(pacing_sleep_s(m, runs), 0.040 * (stretch - 1.0));
+  // All at f_max: no sleep.
+  runs[1].governor.state = m.dvfs.fastest();
+  EXPECT_DOUBLE_EQ(pacing_sleep_s(m, runs), 0.0);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <future>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -126,6 +127,41 @@ TEST_F(SharedScanServiceTest, CoalescedBatchFusesAndAnswersExactly) {
   EXPECT_GE(fused, 2u);
   EXPECT_EQ(service.stats().completed, 8u);
   EXPECT_EQ(service.stats().errors, 0u);
+}
+
+TEST_F(SharedScanServiceTest, FusedGroupPacesOnceAtItsGrantedState) {
+  ServiceOptions opts;
+  opts.policy = sched::Policy::kThroughput;
+  opts.coalesce_window_s = 0.25;
+  opts.max_batch = 16;
+  opts.workers = 2;
+  opts.pace_execution = true;
+  QueryService service(db_, opts);
+
+  const auto responses = run_burst(service);
+  expect_answers(responses);
+  const hw::MachineSpec& m = db_.machine();
+  // Per fused group: every member ends at one time (one sleep for the
+  // group), stretched at least by the members' summed host busy seconds
+  // times the slowdown of their granted state.
+  std::map<std::uint64_t, std::vector<const query::QueryResponse*>> groups;
+  for (const auto& resp : responses) {
+    EXPECT_EQ(resp.governor_policy, "pace");
+    if (resp.shared_members >= 2) groups[resp.shared_group].push_back(&resp);
+  }
+  ASSERT_FALSE(groups.empty());
+  for (const auto& [gid, members] : groups) {
+    double busy_s = 0;
+    for (const query::QueryResponse* r : members) {
+      EXPECT_EQ(r->exec_s, members.front()->exec_s);
+      busy_s += r->report.elapsed_s;
+    }
+    const double stretch = sched::slowdown(
+        m, m.dvfs.at_least(members.front()->governor_freq_ghz));
+    EXPECT_GT(stretch, 1.0);
+    for (const query::QueryResponse* r : members)
+      EXPECT_GE(r->exec_s, busy_s * stretch * (1 - 1e-9)) << "group " << gid;
+  }
 }
 
 TEST_F(SharedScanServiceTest, SharingDisabledGivesIdenticalAnswersUnfused) {

@@ -21,7 +21,7 @@ void expect_roundtrip(const std::vector<std::byte>& in) {
   const auto compressed = lz_compress(in);
   const auto back = lz_decompress(compressed, in.size());
   ASSERT_EQ(back.size(), in.size());
-  EXPECT_EQ(std::memcmp(back.data(), in.data(), in.size()), 0);
+  EXPECT_TRUE(back == in);
 }
 
 TEST(Lz, EmptyInput) { expect_roundtrip({}); }
