@@ -2,7 +2,9 @@
 // scan kernels, bit packing, codecs, hash table, group-by, join, LZ.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "exec/aggregate.hpp"
@@ -148,6 +150,90 @@ void BM_BitUnpackBlock64(benchmark::State& state) {
 BENCHMARK(BM_BitUnpackBlock64)
     ->Arg(1)->Arg(3)->Arg(7)->Arg(12)->Arg(15)->Arg(17)->Arg(31)->Arg(33)
     ->Arg(64);
+
+// -- packed kernels per tier -------------------------------------------------
+//
+// Arg 0 is the packed width, arg 1 the tier: 0 runs the scalar reference,
+// 1 the dispatched kernel (the tier named in the context and the label).
+// Items are keys decoded; bytes are the packed image streamed.
+
+const bool kTierContext = [] {
+  benchmark::AddCustomContext("packed_tier",
+                              exec::packed_tier_name(exec::packed_tier()));
+  return true;
+}();
+
+std::string tier_label(std::int64_t tier) {
+  return tier == 0 ? exec::packed_tier_name(exec::PackedTier::kScalar)
+                   : exec::packed_tier_name(exec::packed_tier());
+}
+
+std::vector<std::uint64_t> packed_keys(unsigned bits, std::size_t n) {
+  const std::uint64_t mask = (std::uint64_t{1} << bits) - 1;
+  Pcg32 rng(8);
+  std::vector<std::uint64_t> values(n);
+  for (auto& v : values) v = rng.next64() & mask;
+  return storage::bitpack(values, bits);
+}
+
+void BM_PackedRangeScan(benchmark::State& state) {
+  const auto bits = static_cast<unsigned>(state.range(0));
+  const bool scalar = state.range(1) == 0;
+  const std::uint64_t mask = (std::uint64_t{1} << bits) - 1;
+  const std::size_t n = 1 << 20;
+  const auto packed = packed_keys(bits, n);
+  BitVector out(n);
+  for (auto _ : state) {
+    if (scalar)
+      exec::scan_packed_bitmap_range_scalar(packed, bits, 0, n, mask / 4,
+                                            mask / 2, out);
+    else
+      exec::scan_packed_bitmap_range(packed, bits, 0, n, mask / 4, mask / 2,
+                                     out);
+    benchmark::DoNotOptimize(out.words());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+  state.SetBytesProcessed(state.iterations() * packed.size() *
+                          sizeof(std::uint64_t));
+  state.SetLabel(tier_label(state.range(1)));
+}
+BENCHMARK(BM_PackedRangeScan)
+    ->ArgsProduct({{3, 4, 6, 12, 15, 17, 25}, {0, 1}});
+
+// The semi-join filter test over all-live selection words: a filter over
+// the whole key domain with a random 64k build keys set. Each iteration
+// first restores the selection (a 128 KiB copy, the same for both tiers).
+void BM_JoinFilterApply(benchmark::State& state) {
+  const auto bits = static_cast<unsigned>(state.range(0));
+  const bool scalar = state.range(1) == 0;
+  const std::size_t n = 1 << 20;
+  const auto packed = packed_keys(bits, n);
+  const auto keys =
+      exec::JoinKeys::from(storage::PackedView{packed, bits, 0, n});
+  const std::int64_t domain = std::int64_t{1} << bits;
+  const auto build = data_i64(1 << 16, static_cast<std::uint32_t>(domain));
+  BitVector build_sel(build.size());
+  build_sel.set_all();
+  const exec::JoinFilter filter(exec::JoinKeys::from(std::span(build)),
+                                build_sel, 0, domain);
+  BitVector live(n);
+  live.set_all();
+  BitVector sel(n);
+  for (auto _ : state) {
+    std::copy(live.words(), live.words() + live.word_count(), sel.words());
+    benchmark::DoNotOptimize(
+        scalar ? filter.apply_scalar(keys, sel, 0, sel.word_count())
+               : filter.apply(keys, sel, 0, sel.word_count()));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+  state.SetBytesProcessed(state.iterations() * packed.size() *
+                          sizeof(std::uint64_t));
+  state.SetLabel(tier_label(state.range(1)));
+}
+BENCHMARK(BM_JoinFilterApply)
+    ->ArgsProduct({{3, 4, 6, 12, 15, 17, 25}, {0, 1}});
 
 // -- codecs ----------------------------------------------------------------------
 

@@ -144,12 +144,10 @@ void scan_packed_bitmap_masked_counted(std::span<const std::uint64_t> packed,
   const std::uint64_t width = hi - lo;
 
   // Byte-aligned widths compare the packed image in place (the typed
-  // loops autovectorize) — the masked counterpart of the fast paths in
-  // scan_packed_bitmap_range, kept in sync with the cost model's
-  // aligned-width pricing. Reinterpreting the packed words as narrow
-  // element arrays matches the little-endian bitpack layout only on
-  // little-endian hosts; others fall through to the endian-agnostic
-  // block unpack below.
+  // loops autovectorize), in line with the cost model's aligned-width
+  // pricing. Reinterpreting the packed words as narrow element arrays
+  // matches the little-endian bitpack layout only on little-endian hosts;
+  // others fall through to the endian-agnostic block unpack below.
   constexpr bool kLittleEndian =
       std::endian::native == std::endian::little;
   const auto live_word_match = [&](auto* data, std::size_t base,

@@ -132,6 +132,11 @@ class JoinKeys {
         return;
     }
   }
+  /// The packed image behind a JoinKeys::from(PackedView) view, else null:
+  /// lets a kernel decode many keys at once instead of calling at().
+  [[nodiscard]] const storage::PackedView* packed() const {
+    return kind_ == Kind::kPacked ? &packed_ : nullptr;
+  }
   [[nodiscard]] std::size_t size() const {
     switch (kind_) {
       case Kind::kInt32:
@@ -255,12 +260,22 @@ class JoinFilter {
 
   /// Clears, within selection words [word_begin, word_end), every row
   /// whose probe key the filter lacks; dead words are skipped without
-  /// reading a key. Full words read their keys through
-  /// JoinKeys::block64. Returns the rows kept (set bits on exit).
+  /// reading a key. Returns the rows kept (set bits on exit).
   /// Thread-safe for concurrent calls over disjoint word ranges.
+  /// Full words of packed keys at widths 1..25 run at exec::packed_tier():
+  /// on kAvx512Vbmi each 16-key group is decoded in place, biased into the
+  /// filter's key domain, bound-checked and tested with a masked gather.
+  /// Every other word runs apply_scalar.
   /// Precondition: selection.size() == probe_keys.size().
   std::uint64_t apply(const JoinKeys& probe_keys, BitVector& selection,
                       std::size_t word_begin, std::size_t word_end) const;
+
+  /// apply() at the scalar tier on any host (full words read their keys
+  /// through JoinKeys::block64): the reference the SIMD tier is tested and
+  /// benchmarked against.
+  std::uint64_t apply_scalar(const JoinKeys& probe_keys, BitVector& selection,
+                             std::size_t word_begin,
+                             std::size_t word_end) const;
 
  private:
   std::int64_t min_;

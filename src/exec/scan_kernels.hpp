@@ -13,6 +13,10 @@
 //  * kAvx512      — 512-bit SIMD compare; mask registers write the bitmap
 //                   directly.
 //
+// The SIMD kernels carry per-function target attributes and check the CPU
+// on every call, so a default build ships them and a host without the ISA
+// falls back one tier instead of faulting.
+//
 // The adaptive dispatcher (kAuto) is the "reconfigurable operator": it picks
 // the variant the calibrated cost model predicts cheapest for the estimated
 // selectivity and available ISA (experiment E3 measures the envelope).
@@ -36,9 +40,22 @@ enum class ScanVariant : std::uint8_t {
 
 [[nodiscard]] std::string variant_name(ScanVariant v);
 
-/// ISA support detected at runtime.
+/// ISA support detected at runtime (always false off x86-64).
 [[nodiscard]] bool cpu_has_avx2();
+/// AVX-512 F + BW.
 [[nodiscard]] bool cpu_has_avx512();
+/// AVX-512 F + BW + VBMI (checked once, then cached).
+[[nodiscard]] bool cpu_has_avx512_vbmi();
+
+/// Instruction-set tier the packed kernels run at: scan_packed_bitmap_range
+/// and JoinFilter::apply over packed keys. kAvx512Vbmi decodes widths 1..25
+/// with storage's AVX-512 unpack core; everything else (other CPUs, wider
+/// images, partial last blocks, plain keys) runs the scalar block decoder.
+enum class PackedTier : std::uint8_t { kScalar, kAvx512Vbmi };
+
+/// The tier this host runs: kAvx512Vbmi iff cpu_has_avx512_vbmi().
+[[nodiscard]] PackedTier packed_tier();
+[[nodiscard]] std::string packed_tier_name(PackedTier tier);
 
 // -- Index-producing kernels (Ross-style selection) ---------------------------
 
@@ -67,13 +84,15 @@ void scan_bitmap_scalar(std::span<const std::int32_t> values, std::int32_t lo,
 void scan_bitmap_scalar64(std::span<const std::int64_t> values,
                           std::int64_t lo, std::int64_t hi, BitVector& out);
 
-/// AVX2 variants; fall back to scalar when the ISA is unavailable.
+/// AVX2 variants. Compiled into every x86-64 build by target attribute;
+/// each call checks the CPU and falls back to scalar without AVX2.
 void scan_bitmap_avx2(std::span<const std::int32_t> values, std::int32_t lo,
                       std::int32_t hi, BitVector& out);
 void scan_bitmap_avx2_64(std::span<const std::int64_t> values, std::int64_t lo,
                          std::int64_t hi, BitVector& out);
 
-/// AVX-512 variants; fall back to AVX2/scalar when unavailable.
+/// AVX-512 (F + BW) variants; each call falls back to the AVX2 variant
+/// when the CPU lacks AVX-512.
 void scan_bitmap_avx512(std::span<const std::int32_t> values, std::int32_t lo,
                         std::int32_t hi, BitVector& out);
 void scan_bitmap_avx512_64(std::span<const std::int64_t> values,
@@ -97,10 +116,18 @@ void scan_packed_bitmap(std::span<const std::uint64_t> packed, unsigned bits,
 /// Range variant over values [value_begin, value_end): writes only the
 /// selection words covering that range, so 64-aligned chunks can be
 /// scanned by independent workers. `value_begin` must be a multiple of 64.
+/// Runs at packed_tier().
 void scan_packed_bitmap_range(std::span<const std::uint64_t> packed,
                               unsigned bits, std::size_t value_begin,
                               std::size_t value_end, std::uint64_t lo,
                               std::uint64_t hi, BitVector& out);
+
+/// The same scan at PackedTier::kScalar on any host: the reference the
+/// SIMD tier is tested and benchmarked against.
+void scan_packed_bitmap_range_scalar(std::span<const std::uint64_t> packed,
+                                     unsigned bits, std::size_t value_begin,
+                                     std::size_t value_end, std::uint64_t lo,
+                                     std::uint64_t hi, BitVector& out);
 
 // -- Dispatch ------------------------------------------------------------------
 
