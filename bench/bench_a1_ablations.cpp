@@ -1,19 +1,13 @@
 // A1 — ablations over the design choices the core library makes.
 //
-//  A1.a  Need-to-Know vs. Ubiquity index maintenance (paper §IV.A) across
-//        read/write mixes: maintenance work saved by laziness.
-//  A1.b  Zone-map block size: pruning effectiveness vs. map overhead.
-//  A1.c  Dense-array vs. hash group-by: the domain-size crossover behind
+//  A1.a  Zone-map block size: pruning effectiveness vs. map overhead.
+//  A1.b  Dense-array vs. hash group-by: the domain-size crossover behind
 //        the adaptive strategy.
-//  A1.d  Checkpoint interval vs. fault rate for restartable aggregation
-//        (paper §IV "Robustness"): redone work + checkpoint cost.
 #include <iostream>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "exec/aggregate.hpp"
-#include "exec/restartable.hpp"
-#include "storage/secondary_index.hpp"
 #include "storage/zonemap.hpp"
 #include "util/table_printer.hpp"
 
@@ -21,46 +15,8 @@ using namespace eidb;
 
 namespace {
 
-void ablation_need_to_know() {
-  std::cout << "[A1.a] index maintenance policy vs read/write mix\n";
-  TablePrinter table({"reads_per_1k_writes", "ubiquity_ops", "ntk_ops",
-                      "ops_saved_%", "answers_equal"});
-  for (const int reads_per_1k : {0, 1, 10, 100, 1000}) {
-    storage::SecondaryIndex eager(storage::IndexMaintenance::kUbiquity);
-    storage::SecondaryIndex lazy(storage::IndexMaintenance::kNeedToKnow);
-    Pcg32 rng(7);
-    bool equal = true;
-    constexpr int kWrites = 20'000;
-    const int gap = reads_per_1k > 0 ? 1000 / reads_per_1k : 0;
-    for (int w = 0; w < kWrites; ++w) {
-      const auto v = static_cast<std::int64_t>(rng.next_bounded(10'000));
-      eager.append(v);
-      lazy.append(v);
-      if (gap > 0 && w % gap == gap - 1) {
-        const auto a = eager.lookup_range(0, 100);
-        const auto b = lazy.lookup_range(0, 100);
-        equal = equal && a == b;
-      }
-    }
-    const double saved =
-        eager.maintenance_ops() == 0
-            ? 0.0
-            : 100.0 *
-                  (1.0 - static_cast<double>(lazy.maintenance_ops()) /
-                             static_cast<double>(eager.maintenance_ops()));
-    table.add_row(
-        {TablePrinter::fmt_int(reads_per_1k),
-         TablePrinter::fmt_int(static_cast<long long>(eager.maintenance_ops())),
-         TablePrinter::fmt_int(static_cast<long long>(lazy.maintenance_ops())),
-         TablePrinter::fmt(saved, 3), equal ? "yes" : "NO"});
-  }
-  table.print(std::cout);
-  std::cout << "(write-only: Need-to-Know does zero maintenance; answers "
-               "stay identical because reads force catch-up)\n\n";
-}
-
 void ablation_zonemap_block() {
-  std::cout << "[A1.b] zone-map block size (8M sorted rows, 1000-row range "
+  std::cout << "[A1.a] zone-map block size (8M sorted rows, 1000-row range "
                "predicate)\n";
   std::vector<std::int64_t> sorted(8'000'000);
   for (std::size_t i = 0; i < sorted.size(); ++i)
@@ -98,7 +54,7 @@ void ablation_zonemap_block() {
 }
 
 void ablation_group_strategy() {
-  std::cout << "[A1.c] dense vs hash group-by across key-domain sizes (2M "
+  std::cout << "[A1.b] dense vs hash group-by across key-domain sizes (2M "
                "rows)\n";
   TablePrinter table({"domain", "dense_ms", "hash_ms", "dense_speedup"});
   constexpr std::size_t kRows = 2'000'000;
@@ -128,59 +84,14 @@ void ablation_group_strategy() {
   table.print(std::cout);
   std::cout << "(dense accumulators win while the domain fits caches; the "
                "adaptive kAuto threshold of 2^20 slots keeps the dense arm "
-               "inside its winning region)\n\n";
-}
-
-void ablation_checkpoint_interval() {
-  std::cout << "[A1.d] checkpoint interval vs fault rate (1000 morsels)\n";
-  const auto values = bench::uniform_i64(1'000'000, 1000, 4);
-  BitVector sel(values.size());
-  sel.set_all();
-  TablePrinter table({"faults_per_run", "ckpt_every", "reprocessed_morsels",
-                      "checkpoints", "overhead_vs_ideal_%"});
-  for (const int faults : {1, 4, 16}) {
-    for (const std::size_t every : {1u, 5u, 20u, 100u, 1000u}) {
-      exec::RestartableAggregation agg(1000, every);
-      exec::RestartStats stats;
-      // Deterministic faults spread across the job, each firing once.
-      std::vector<bool> fired(1001, false);
-      const int gap = 1000 / (faults + 1);
-      const auto injector = [&](std::uint64_t m) {
-        if (m > 0 && m % gap == 0 && !fired[m]) {
-          fired[m] = true;
-          return true;
-        }
-        return false;
-      };
-      (void)agg.run(values, sel, injector, stats);
-      const double overhead =
-          100.0 *
-          static_cast<double>(stats.morsels_processed - stats.morsels_total) /
-          static_cast<double>(stats.morsels_total);
-      table.add_row(
-          {TablePrinter::fmt_int(faults),
-           TablePrinter::fmt_int(static_cast<long long>(every)),
-           TablePrinter::fmt_int(
-               static_cast<long long>(stats.morsels_reprocessed)),
-           TablePrinter::fmt_int(
-               static_cast<long long>(stats.checkpoints_taken)),
-           TablePrinter::fmt(overhead, 3)});
-    }
-  }
-  table.print(std::cout);
-  std::cout << "(redone work grows linearly with the checkpoint interval "
-               "and the fault count; frequent checkpoints bound it at the "
-               "cost of snapshot copies — pick per expected query length, "
-               "as §IV prescribes)\n";
+               "inside its winning region)\n";
 }
 
 }  // namespace
 
 int main() {
   std::cout << "== A1: design-choice ablations ==\n\n";
-  ablation_need_to_know();
   ablation_zonemap_block();
   ablation_group_strategy();
-  ablation_checkpoint_interval();
   return 0;
 }

@@ -5,14 +5,14 @@
 //
 // Selectivity sweep of the same range selection executed by the branching,
 // predicated, AVX2 and AVX-512 kernels (host-measured ns/tuple), plus the
-// adaptive operator (cost-model pick). Expected shape: branching forms a
+// adaptive operator: the kernel the cost model picks per selectivity
+// (opt::CostModel::pick_scan_variant). Expected shape: branching forms a
 // hump peaking near 50% selectivity; predicated is flat; SIMD is flat and
 // lowest; the adaptive line hugs the lower envelope.
 #include <iostream>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "exec/adaptive_scan.hpp"
 #include "exec/scan_kernels.hpp"
 #include "opt/cost_model.hpp"
 #include "util/table_printer.hpp"
@@ -87,37 +87,5 @@ int main() {
   std::cout << "Shape checks (Ross [17]): branching hump peaks near 50%; "
                "predicated flat; SIMD lowest; adaptive == lower envelope.\n";
 
-  // -- Mid-scan reconfiguration on clustered data ------------------------------
-  // §IV.B: the operator must adapt to *changing* characteristics, not just
-  // pick once. Data whose selectivity drifts region-by-region (modeled on a
-  // SIMD-less machine, where the branching/predicated choice matters).
-  // Note: the *calibrated* host constants show predicated always beating
-  // branching on this CPU (cheap cmov) — no switching is the right answer
-  // here. The demonstration therefore uses the Ross-era default constants
-  // (branch base < predicated), i.e. the machine class the paper cites.
-  std::cout << "\nmid-scan adaptation on clustered data (Ross-era scalar "
-               "machine model):\n";
-  opt::KernelCosts no_simd;  // defaults: branch_base 1.6 < predicated 2.4
-  no_simd.avx2 = 1e9;
-  no_simd.avx512 = 1e9;
-  const opt::CostModel scalar_model(no_simd);
-  std::vector<std::int32_t> clustered;
-  clustered.reserve(kRows);
-  Pcg32 rng(7);
-  for (std::size_t region = 0; region < 8; ++region) {
-    // Alternate near-0% and near-50% selectivity regions for predicate ==0.
-    for (std::size_t i = 0; i < kRows / 8; ++i)
-      clustered.push_back(region % 2 == 0
-                              ? 1 + static_cast<std::int32_t>(rng.next_bounded(9))
-                              : static_cast<std::int32_t>(rng.next_bounded(2)));
-  }
-  exec::AdaptiveScan adaptive(scalar_model, 0.01, 64 * 1024);
-  BitVector bits(clustered.size());
-  exec::AdaptiveScanStats astats;
-  adaptive.scan(clustered, 0, 0, bits, astats);
-  std::cout << "  " << astats.chunks << " chunks, " << astats.switches
-            << " kernel switches, final estimate "
-            << TablePrinter::fmt(astats.final_selectivity_estimate, 3)
-            << " (expected: >= 2 switches as regions alternate)\n";
   return 0;
 }

@@ -5,45 +5,21 @@
 //
 // A parallel aggregation (1024 morsels x 1 ms) synchronizes its result
 // under four schemes; speedup vs. core count on the simulated multicore
-// (DESIGN.md §5 — the host container has one vCPU). Critical-section
-// lengths are calibrated from the real latches in src/txn/latch.hpp,
-// measured on this host.
+// (DESIGN.md §5 — the host container has one vCPU). The per-morsel
+// critical sections are fixed model inputs, not host measurements:
+// kMutexCs (20 us), kAtomicCs (1.6 us), kOptimisticCs (2 us) and the
+// partitioned scheme's kMergePerCore (40 us per core).
+#include <algorithm>
 #include <iostream>
 
 #include "bench_common.hpp"
 #include "hw/sync_sim.hpp"
-#include "txn/latch.hpp"
 #include "util/table_printer.hpp"
 
 using namespace eidb;
 
-namespace {
-
-/// Measures one uncontended lock+unlock round trip (ns).
-template <typename Lock>
-double measure_lock_ns() {
-  Lock lock;
-  constexpr int kIters = 200'000;
-  volatile std::int64_t sink = 0;
-  const double s = bench::time_best([&] {
-    for (int i = 0; i < kIters; ++i) {
-      lock.lock();
-      sink = sink + 1;
-      lock.unlock();
-    }
-  });
-  return s / kIters * 1e9;
-}
-
-}  // namespace
-
 int main() {
   std::cout << "== E4: speedup vs cores under synchronization schemes ==\n\n";
-
-  const double spin_ns = measure_lock_ns<txn::Spinlock>();
-  const double ticket_ns = measure_lock_ns<txn::TicketLock>();
-  std::cout << "host-calibrated uncontended critical sections: spinlock "
-            << spin_ns << " ns, ticket " << ticket_ns << " ns\n\n";
 
   const hw::MachineSpec machine = hw::MachineSpec::server();
   const auto& state = machine.dvfs.fastest();
@@ -61,21 +37,29 @@ int main() {
   //                    effective critical section.
   constexpr std::int64_t kTasks = 1024;
   constexpr double kParallel = 1e-3;
+  constexpr double kMutexCs = 20e-6;
+  constexpr double kAtomicCs = 1.6e-6;
+  constexpr double kOptimisticCs = 2e-6;
+  constexpr double kMergePerCore = 40e-6;
 
   TablePrinter table({"cores", "mutex_speedup", "atomic_speedup",
                       "partitioned_speedup", "optimistic_speedup",
                       "mutex_J", "partitioned_J"});
 
   for (const int cores : {1, 2, 4, 8, 16, 32, 64, 128}) {
-    const hw::SyncWorkload mutex_wl{kTasks, kParallel - 20e-6, 20e-6, 0};
-    const hw::SyncWorkload atomic_wl{kTasks, kParallel - 1.6e-6, 1.6e-6, 0};
-    const hw::SyncWorkload part_wl{kTasks, kParallel, 0, cores * 40e-6};
-    // Optimistic: validation cs 2 us; conflict probability grows with
-    // cores, aborted work re-executes (inflates the parallel part).
+    const hw::SyncWorkload mutex_wl{kTasks, kParallel - kMutexCs, kMutexCs,
+                                    0};
+    const hw::SyncWorkload atomic_wl{kTasks, kParallel - kAtomicCs, kAtomicCs,
+                                     0};
+    const hw::SyncWorkload part_wl{kTasks, kParallel, 0,
+                                   cores * kMergePerCore};
+    // Optimistic: validation critical section; conflict probability grows
+    // with cores, aborted work re-executes (inflates the parallel part).
     const double p_conflict =
         std::min(0.5, 0.004 * static_cast<double>(cores - 1));
     const hw::SyncWorkload occ_wl{
-        kTasks, (kParallel - 2e-6) * (1.0 + p_conflict), 2e-6, 0};
+        kTasks, (kParallel - kOptimisticCs) * (1.0 + p_conflict),
+        kOptimisticCs, 0};
 
     const auto mutex_r = simulate_sync(mutex_wl, cores, machine, state);
     const auto atomic_r = simulate_sync(atomic_wl, cores, machine, state);
@@ -98,7 +82,7 @@ int main() {
 
   std::cout << "\nShape checks (Shore-MT [6]): the mutex scheme saturates "
                "at ~ parallel/critical = "
-            << (kParallel - 20e-6) / 20e-6
+            << (kParallel - kMutexCs) / kMutexCs
             << "x regardless of cores; atomics push the ceiling up ~12x "
                "further; partitioned scales until the serial merge "
                "dominates; optimistic tracks partitioned at low contention "

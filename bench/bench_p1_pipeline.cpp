@@ -1,11 +1,12 @@
 // Experiment P1 — the single-pass vectorized aggregation pipeline.
 //
-// Same queries, two executor paths:
-//   * row-at-a-time  — one pass per AggSpec, per-query key min/max scans,
-//                      widened int64 copies of int32 columns;
-//   * vectorized     — exec/vector_agg: all aggregates in ONE pass over
-//                      each input column, key ranges from the cached
-//                      ColumnStats, morsel-parallel when a pool is given.
+// Same queries, three configurations of the one aggregation path
+// (exec/vector_agg: all aggregates in ONE pass over each input column,
+// key ranges from the cached ColumnStats):
+//   * vectorized         — plain column arrays, serial (the reference
+//                          column: speedup and J_ratio are relative to it);
+//   * vectorized+packed  — the bit-packed column images (the default);
+//   * vectorized+pool    — packed and morsel-parallel on a worker pool.
 //
 // The DRAM ledger (ExecStats.work.dram_bytes) shows the single-pass
 // property directly; modeled joules drop with it — the paper's "fastest
@@ -88,8 +89,8 @@ int main(int argc, char** argv) {
                       .aggregate(query::AggOp::kMax, "v2")
                       .aggregate(query::AggOp::kAvg, "v3")
                       .build();
-  // Q2: global multi-aggregate over ONE column — worst case for the
-  // one-pass-per-AggSpec path (4 rescans vs 1 pass).
+  // Q2: global multi-aggregate over ONE column — four aggregates, one
+  // pass.
   const auto q2 = query::QueryBuilder("sales")
                       .aggregate(query::AggOp::kSum, "v1")
                       .aggregate(query::AggOp::kMin, "v1")
@@ -97,9 +98,6 @@ int main(int argc, char** argv) {
                       .aggregate(query::AggOp::kAvg, "v1")
                       .build();
 
-  query::ExecOptions legacy;
-  legacy.agg_path = query::AggPath::kRowAtATime;
-  legacy.use_encodings = false;
   // Plain vectorized isolates the single-pass effect; the packed arm adds
   // the compressed column segments (the production default) on top.
   query::ExecOptions vectorized;
@@ -115,8 +113,7 @@ int main(int argc, char** argv) {
                       "speedup", "J_ratio"});
 
   const auto compare = [&](const char* qname, const query::LogicalPlan& q) {
-    const PathResult base = run_path(ex, q, legacy, machine);
-    const PathResult vec = run_path(ex, q, vectorized, machine);
+    const PathResult base = run_path(ex, q, vectorized, machine);
     const PathResult packed = run_path(ex, q, vec_packed, machine);
     const PathResult par = run_path(ex, q, vec_parallel, machine);
     const auto add = [&](const char* path, const PathResult& r) {
@@ -130,8 +127,7 @@ int main(int argc, char** argv) {
       json.add(prefix + "_joules", r.joules);
       json.add(prefix + "_dram_bytes", r.dram_bytes);
     };
-    add("row-at-a-time", base);
-    add("vectorized", vec);
+    add("vectorized", base);
     add("vectorized+packed", packed);
     add("vectorized+pool", par);
   };

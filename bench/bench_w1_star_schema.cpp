@@ -18,10 +18,12 @@
 //       codes, the dimension's codes are remapped across dictionaries
 //       once, and no string is materialized before projection
 //
-// A second section pits the legacy pair-materializing join interpreter
-// against the vectorized block-at-a-time pipeline (packed key probing,
-// dense/hash/radix arm, morsel-parallel probe) on the join-heavy queries, and
-// everything lands in BENCH_w1_star_schema.json for CI trend tracking.
+// A second section pits the cost model's join-arm pick (kAuto) against
+// each pinned arm — dense direct-address array, one hash table,
+// radix-partitioned — on the join-heavy queries, all on the vectorized
+// block-at-a-time pipeline (packed key probing, morsel-parallel probe),
+// and everything lands in BENCH_w1_star_schema.json for CI trend
+// tracking.
 //
 // Usage: bench_w1_star_schema [fact_rows]   (default 4,000,000)
 #include <algorithm>
@@ -34,6 +36,8 @@
 #include "core/database.hpp"
 #include "exec/parallel.hpp"
 #include "hw/sync_sim.hpp"
+#include "opt/cost_model.hpp"
+#include "query/physical_plan.hpp"
 #include "query/plan_governor.hpp"
 #include "query/sql.hpp"
 #include "sched/thread_pool.hpp"
@@ -232,11 +236,11 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  // ---- Join arms: legacy pair-materializing interpreter vs the
-  // vectorized block pipeline (packed keys, cost-model dense/hash/radix
-  // arm, morsel-parallel probe). Same statements, same answers — the wall
-  // and attributed-joule gap is the price of materializing every
-  // JoinPair. ----
+  // ---- Join arms: the cost model's pick (kAuto) against each pinned
+  // arm, all on the vectorized block pipeline with the pool. Same
+  // statements, same answers. The pinned twin of auto's pick runs the
+  // same plan, so its gap to auto is the run-to-run noise; another arm
+  // beating auto by more than that is a cost-model miss. ----
   const struct {
     const char* id;
     const char* sql;
@@ -246,32 +250,40 @@ int main(int argc, char** argv) {
        "SELECT SUM(revenue), COUNT(*) FROM lineorder JOIN customer ON "
        "lineorder.custkey = customer.custkey"},
   };
-  std::cout << "\njoin arm comparison (best of 3):\n";
-  TablePrinter arms({"query", "arm", "time_ms", "attributed_J", "speedup",
-                     "J_ratio"});
+  const struct {
+    const char* name;
+    query::JoinPath path;
+  } join_arms[] = {{"auto", query::JoinPath::kAuto},
+                   {"dense", query::JoinPath::kDense},
+                   {"hash", query::JoinPath::kHash},
+                   {"radix", query::JoinPath::kRadix}};
+  std::cout << "\njoin arm comparison (best of 3; vs_auto = arm / auto):\n";
+  TablePrinter arms({"query", "arm", "time_ms", "attributed_J",
+                     "vs_auto_time", "vs_auto_J"});
   for (const auto& jc : join_cases) {
-    core::RunOptions legacy;
-    legacy.exec.join_path = query::JoinPath::kPairMaterialize;
-    core::RunOptions vec;
-    vec.exec.pool = &pool;  // kAuto arm + morsel-parallel probe
-    const Measured l = measure(db, jc.sql, legacy);
-    const Measured v = measure(db, jc.sql, vec);
-    const double speedup = v.wall_s > 0 ? l.wall_s / v.wall_s : 0;
-    const double jratio =
-        v.attributed_j > 0 ? l.attributed_j / v.attributed_j : 0;
-    arms.add_row({jc.id, "legacy-pairs", TablePrinter::fmt(l.wall_s * 1e3, 4),
-                  TablePrinter::fmt(l.attributed_j, 4), "1.00", "1.00"});
-    arms.add_row({jc.id, "vectorized", TablePrinter::fmt(v.wall_s * 1e3, 4),
-                  TablePrinter::fmt(v.attributed_j, 4),
-                  TablePrinter::fmt(speedup, 2),
-                  TablePrinter::fmt(jratio, 2)});
-    const std::string id(jc.id);
-    json.add(id + "_legacy_ms", l.wall_s * 1e3);
-    json.add(id + "_vectorized_ms", v.wall_s * 1e3);
-    json.add(id + "_legacy_attributed_J", l.attributed_j);
-    json.add(id + "_vectorized_attributed_J", v.attributed_j);
-    json.add(id + "_join_speedup", speedup);
-    json.add(id + "_join_J_ratio", jratio);
+    core::RunOptions auto_opts;
+    auto_opts.exec.pool = &pool;
+    auto_opts.exec.cost_model = &db.cost_model();
+    const query::PhysicalPlan phys = query::compile_plan(
+        db.catalog(), query::parse_sql(jc.sql), auto_opts.exec);
+    const std::string picked = opt::join_arm_name(phys.joins.front().arm);
+    Measured base;
+    for (const auto& arm : join_arms) {
+      core::RunOptions options = auto_opts;
+      options.exec.join_path = arm.path;
+      const Measured m = measure(db, jc.sql, options);
+      if (arm.path == query::JoinPath::kAuto) base = m;
+      const std::string label =
+          arm.path == query::JoinPath::kAuto ? "auto (" + picked + ")"
+                                             : std::string(arm.name);
+      arms.add_row({jc.id, label, TablePrinter::fmt(m.wall_s * 1e3, 4),
+                    TablePrinter::fmt(m.attributed_j, 4),
+                    TablePrinter::fmt(m.wall_s / base.wall_s, 2),
+                    TablePrinter::fmt(m.attributed_j / base.attributed_j, 2)});
+      const std::string prefix = std::string(jc.id) + "_" + arm.name;
+      json.add(prefix + "_ms", m.wall_s * 1e3);
+      json.add(prefix + "_attributed_J", m.attributed_j);
+    }
   }
   arms.print(std::cout);
 
@@ -408,12 +420,13 @@ int main(int argc, char** argv) {
                "returns one row per region (the pre-vectorized path could "
                "not answer it at all); Q7 chains two dimension probes "
                "through the physical-plan compiler and top-ks the grouped "
-               "result; the legacy join arm pays pair materialization + "
-               "sort on top of the same probe work, so the vectorized arm "
-               "wins both wall time and attributed joules; Q8 joins on a "
-               "string key end to end in the int32 code domain (one "
-               "dictionary remap, no per-row string compares) and returns "
-               "the four shared priorities — 'rush' rows never match.\n";
+               "result; in the join arm table no pinned arm should beat "
+               "auto by more than the gap between auto and the pinned twin "
+               "of its pick (same plan, so that gap is noise); Q8 "
+               "joins on a string key end to end in the int32 code domain "
+               "(one dictionary remap, no per-row string compares) and "
+               "returns the four shared priorities — 'rush' rows never "
+               "match.\n";
   std::cout << "\nwrote " << json.write() << "\n";
   return 0;
 }

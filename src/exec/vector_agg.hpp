@@ -1,8 +1,6 @@
 // Single-pass vectorized aggregation kernels.
 //
-// The row-at-a-time aggregation path re-reads its inputs once per AggSpec
-// (and rescans the key column for min/max on every group-by). These
-// kernels instead consume the selection bitmap 64 rows at a word and
+// These kernels consume the selection bitmap 64 rows at a word and
 // compute *all* of a query's aggregates in ONE pass over the data:
 //
 //  * full selection words take a branch-free unrolled path (SIMD-friendly:

@@ -81,16 +81,6 @@ hw::Work CostModel::group_work(std::uint64_t rows,
   return group_work(rows, dense, bytes_per_tuple);
 }
 
-double CostModel::estimate_selectivity(const storage::ColumnStats& stats,
-                                       std::int64_t lo, std::int64_t hi) {
-  return stats.range_selectivity(lo, hi);
-}
-
-double CostModel::estimate_selectivity(const storage::ColumnStats& stats,
-                                       double lo, double hi) {
-  return stats.range_selectivity(lo, hi);
-}
-
 hw::Work CostModel::join_work(std::uint64_t build_rows,
                               std::uint64_t probe_rows,
                               double bytes_per_tuple) const {

@@ -138,14 +138,6 @@ class CostModel {
                                     const storage::ColumnStats& key_stats,
                                     double bytes_per_tuple) const;
 
-  /// Predicted selectivity of an inclusive range predicate from cached
-  /// column statistics (uniform-value assumption) — feeds
-  /// pick_scan_variant and predicate ordering.
-  [[nodiscard]] static double estimate_selectivity(
-      const storage::ColumnStats& stats, std::int64_t lo, std::int64_t hi);
-  [[nodiscard]] static double estimate_selectivity(
-      const storage::ColumnStats& stats, double lo, double hi);
-
   /// Work of a hash join.
   [[nodiscard]] hw::Work join_work(std::uint64_t build_rows,
                                    std::uint64_t probe_rows,

@@ -304,10 +304,8 @@ QueryResult run_distributed(const storage::Catalog& catalog,
     ShardOut& out = outs[s];
     try {
       const storage::Table& shard = *pset->shards[s];
-      std::vector<std::uint32_t> idx_scratch;
       std::vector<std::int64_t> key_scratch;
-      ops::OpContext sctx{catalog,     shard_options, out.stats,
-                          idx_scratch, key_scratch,   {}};
+      ops::OpContext sctx{catalog, shard_options, out.stats, key_scratch, {}};
       if (dist.mode == DistMode::kPartialMerge) {
         out.result = ops::execute_pipeline(sctx, shard_phys, shard);
       } else {
@@ -347,9 +345,8 @@ QueryResult run_distributed(const storage::Catalog& catalog,
 
   // Phases B/C run at the coordinator on the parent stats; exchanges are
   // replayed in shard order so the wire accounting is deterministic.
-  std::vector<std::uint32_t> idx_scratch;
   std::vector<std::int64_t> key_scratch;
-  ops::OpContext ctx{catalog, options, stats, idx_scratch, key_scratch, {}};
+  ops::OpContext ctx{catalog, options, stats, key_scratch, {}};
   if (phys.governor.enabled)
     ctx.cores = static_cast<std::size_t>(std::max(1, phys.governor.cores));
 

@@ -14,7 +14,7 @@ BitVector Executor::evaluate_predicates(const storage::Table& table,
                                         const std::vector<Predicate>& preds,
                                         ExecStats& stats,
                                         const ExecOptions& options) {
-  ops::OpContext ctx{catalog_, options, stats, idx_scratch_, key_scratch_, {}};
+  ops::OpContext ctx{catalog_, options, stats, key_scratch_, {}};
   return ops::evaluate_predicates(ctx, table, preds);
 }
 
@@ -34,8 +34,7 @@ QueryResult Executor::execute(const PhysicalPlan& phys, ExecStats& stats,
   if (phys.dist.active() && options.shard_count > 0) {
     result = run_distributed(catalog_, phys, stats, options);
   } else {
-    ops::OpContext ctx{catalog_, options, stats, idx_scratch_, key_scratch_,
-                       {}};
+    ops::OpContext ctx{catalog_, options, stats, key_scratch_, {}};
     // The governor's core grant caps every operator's morsel fan-out.
     if (phys.governor.enabled)
       ctx.cores = static_cast<std::size_t>(std::max(1, phys.governor.cores));

@@ -14,18 +14,20 @@
 //
 //   ops/scan_filter   predicate binding, pruning, masked conjuncts
 //   ops/join_op       multi-way chained joins, dense/hash/radix arms
-//   ops/aggregate_op  single-pass vectorized + legacy row-at-a-time
+//   ops/aggregate_op  single-pass vectorized aggregation
 //   ops/sort_op       sort / heap top-k (typed key views, result rows)
 //   ops/project_op    late materialization with gather-bounded charging
 //
-// See docs/executor_pipeline.md.
+// Each operator has one production path; the reference behaviour the
+// parity suites check it against lives in the test oracle
+// (tests/query/parity_matrix.hpp), not in a selectable arm here. See
+// docs/executor_pipeline.md.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "exec/scan_kernels.hpp"
 #include "query/plan.hpp"
 #include "query/result.hpp"
 #include "sched/governor.hpp"
@@ -47,11 +49,6 @@ namespace eidb::query {
 struct PhysicalPlan;
 class OperatorCalibration;
 
-/// Aggregation implementation choice. kVectorized is the production path;
-/// kRowAtATime preserves the one-pass-per-AggSpec interpreter as a
-/// reference for parity tests and the P1 pipeline bench.
-enum class AggPath : std::uint8_t { kVectorized, kRowAtATime };
-
 /// Join implementation choice. kAuto is the production path: the
 /// block-at-a-time vectorized pipeline, with the physical arm (dense
 /// direct-address array vs one cache-resident hash table vs
@@ -59,44 +56,28 @@ enum class AggPath : std::uint8_t { kVectorized, kRowAtATime };
 /// statistics by the cost model; kDense / kHash / kRadix pin that arm
 /// (kDense throws when the key domain is too large to allocate; kRadix
 /// applies to the first executed step of aggregate plans and degrades to
-/// kHash elsewhere). kPairMaterialize preserves the legacy pair-vector
-/// interpreter as a reference for parity tests and the W1 join bench —
-/// it supports only single joins with ungrouped aggregates or unsorted
-/// projections, and throws on anything else rather than mis-answering.
-enum class JoinPath : std::uint8_t {
-  kAuto,
-  kDense,
-  kHash,
-  kRadix,
-  kPairMaterialize,
-};
+/// kHash elsewhere).
+enum class JoinPath : std::uint8_t { kAuto, kDense, kHash, kRadix };
 
 struct ExecOptions {
-  /// Scan kernel choice; kAuto lets the adaptive dispatcher decide.
-  exec::ScanVariant scan_variant = exec::ScanVariant::kAuto;
   /// Use per-block zone maps to prune scans (the E1 "better plan" arm).
   bool use_zone_maps = false;
   std::size_t zone_block_rows = 4096;
   /// Optional tier manager: cold-column accesses are charged (E6).
   storage::TierManager* tiers = nullptr;
   /// Optional worker pool: predicate scans and grouped/multi aggregation
-  /// run morsel-parallel across it (kAuto kernels only; explicit variant
-  /// choices stay serial so the E3 bench measures exactly the requested
-  /// kernel).
+  /// run morsel-parallel across it.
   sched::ThreadPool* pool = nullptr;
-  /// Aggregation path (see AggPath).
-  AggPath agg_path = AggPath::kVectorized;
   /// Order conjunctive predicates most-selective-first and evaluate later
-  /// predicates with masked kernels that skip dead 64-row blocks
-  /// (kAuto scans only, like the parallel path).
+  /// predicates with masked kernels that skip dead 64-row blocks.
   bool order_predicates = true;
-  /// Consume bit-packed column images where one exists (kAuto scans,
-  /// vectorized aggregation, join-key probing, and sort keys): predicates
-  /// are rewritten into the packed domain and the DRAM ledger is charged
-  /// the packed byte count. Off = always read the plain arrays (the
-  /// parity baseline). Operators with no packed kernel (projections, join
-  /// gathers, expression evaluation, explicit scan variants)
-  /// transparently fall back to plain either way.
+  /// Consume bit-packed column images where one exists (predicate scans,
+  /// aggregation, join-key probing, and sort keys): predicates are
+  /// rewritten into the packed domain and the DRAM ledger is charged the
+  /// packed byte count. Off = always read the plain arrays (the parity
+  /// baseline). Operators with no packed kernel (projections, join
+  /// gathers, expression evaluation) transparently fall back to plain
+  /// either way.
   bool use_encodings = true;
   /// Minimum selected rows before aggregation goes morsel-parallel on
   /// `pool` (below this the dispatch overhead dominates).
@@ -146,12 +127,6 @@ struct ExecOptions {
   /// machine. The uncapped grant is still recorded as
   /// GovernorChoice::requested_cores for requested-vs-granted visibility.
   std::size_t core_cap = 0;
-  /// Mid-scan operator reconfiguration (exec::AdaptiveScan, paper §IV.B):
-  /// the first int32 plain-array conjunct of a kAuto scan re-estimates
-  /// chunk selectivity with an EWMA and re-picks its kernel mid-column.
-  /// Serial by design (adaptation is sequential); parallel pools fall
-  /// back to the static kernels when this is off.
-  bool adaptive_scan = false;
 };
 
 /// NOT thread-safe across concurrent execute() calls (scratch buffers are
@@ -183,9 +158,6 @@ class Executor {
 
  private:
   const storage::Catalog& catalog_;
-  /// Reused scratch for index-producing scan kernels (kBranching /
-  /// kPredicated) — avoids an n-row allocation per predicate.
-  std::vector<std::uint32_t> idx_scratch_;
   /// Reused scratch for synthesized composite group keys.
   std::vector<std::int64_t> key_scratch_;
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -26,53 +25,6 @@ std::int64_t column_int_at(const Column& c, std::size_t i) {
 }
 
 namespace {
-
-/// Accumulates one aggregate over an index stream (legacy row-at-a-time
-/// path).
-struct Accumulator {
-  AggOp op;
-  bool is_double = false;
-  std::uint64_t count = 0;
-  std::int64_t isum = 0;
-  std::int64_t imin = std::numeric_limits<std::int64_t>::max();
-  std::int64_t imax = std::numeric_limits<std::int64_t>::min();
-  double dsum = 0;
-  double dmin = std::numeric_limits<double>::infinity();
-  double dmax = -std::numeric_limits<double>::infinity();
-
-  void add_int(std::int64_t v) {
-    ++count;
-    isum += v;
-    imin = std::min(imin, v);
-    imax = std::max(imax, v);
-  }
-  void add_double(double v) {
-    ++count;
-    dsum += v;
-    dmin = std::min(dmin, v);
-    dmax = std::max(dmax, v);
-  }
-  [[nodiscard]] storage::Value value() const {
-    switch (op) {
-      case AggOp::kCount:
-        return storage::Value{static_cast<std::int64_t>(count)};
-      case AggOp::kSum:
-        return is_double ? storage::Value{dsum} : storage::Value{isum};
-      case AggOp::kMin:
-        if (count == 0) return storage::Value{std::int64_t{0}};
-        return is_double ? storage::Value{dmin} : storage::Value{imin};
-      case AggOp::kMax:
-        if (count == 0) return storage::Value{std::int64_t{0}};
-        return is_double ? storage::Value{dmax} : storage::Value{imax};
-      case AggOp::kAvg: {
-        if (count == 0) return storage::Value{0.0};
-        const double sum = is_double ? dsum : static_cast<double>(isum);
-        return storage::Value{sum / static_cast<double>(count)};
-      }
-    }
-    return {};
-  }
-};
 
 QueryResult run_aggregate_vectorized(OpContext& ctx, const LogicalPlan& plan,
                                      const Table& table,
@@ -369,270 +321,6 @@ QueryResult run_aggregate_vectorized(OpContext& ctx, const LogicalPlan& plan,
   return result;
 }
 
-QueryResult run_aggregate_rows(OpContext& ctx, const LogicalPlan& plan,
-                               const Table& table,
-                               const BitVector& selection) {
-  ExecStats& stats = ctx.stats;
-  const std::uint64_t selected = selection.count();
-
-  if (!plan.has_group_by()) {
-    // Global aggregates.
-    std::vector<std::string> names;
-    names.reserve(plan.aggregates.size());
-    for (const AggSpec& a : plan.aggregates) names.push_back(agg_column_name(a));
-    QueryResult result(std::move(names));
-    std::vector<storage::Value> row;
-    for (const AggSpec& a : plan.aggregates) {
-      Accumulator acc{a.op};
-      if (a.op == AggOp::kCount) {
-        acc.count = selected;
-      } else if (a.expr != nullptr) {
-        std::vector<std::string> referenced;
-        a.expr->collect_columns(referenced);
-        for (const std::string& name : referenced)
-          ctx.charge_scan(table, table.column(name), false);
-        std::vector<double> evaluated;
-        exec::evaluate_expression(*a.expr, table, evaluated);
-        acc.is_double = true;
-        selection.for_each_set(
-            [&](std::size_t i) { acc.add_double(evaluated[i]); });
-      } else {
-        const Column& c = table.column(a.column);
-        ctx.charge_scan(table, c, false);
-        if (c.type() == TypeId::kDouble) {
-          acc.is_double = true;
-          const auto data = c.double_data();
-          selection.for_each_set(
-              [&](std::size_t i) { acc.add_double(data[i]); });
-        } else {
-          selection.for_each_set(
-              [&](std::size_t i) { acc.add_int(column_int_at(c, i)); });
-        }
-      }
-      row.push_back(acc.value());
-      stats.work.cpu_cycles +=
-          kAggCyclesPerTuple * static_cast<double>(selected);
-    }
-    result.add_row(std::move(row));
-    stats.groups = 1;
-    return result;
-  }
-
-  // Grouped aggregation over one or more key columns (int32 / int64 /
-  // string codes). A composite non-negative int64 key is synthesized from
-  // the columns' value ranges (stride layout), so every grouping runs on
-  // the int64 kernels and decodes back to column values for output.
-  struct GroupKeyPart {
-    const Column* col;
-    /// Double key grouped on its dictionary codes (decoded at emit).
-    bool double_codes = false;
-    std::int64_t min = 0;
-    std::int64_t domain = 1;  // max - min + 1
-    std::int64_t stride = 1;
-  };
-  std::vector<GroupKeyPart> parts;
-  const std::size_t n_rows = table.row_count();
-  for (const std::string& name : plan.group_by) {
-    const Column& col = table.column(name);
-    ctx.charge_scan(table, col, false);
-    if (col.type() == TypeId::kDouble && !col.has_double_dictionary())
-      throw Error("cannot group by double column " + col.name() +
-                  " (no ordered dictionary: column contains NaN)");
-    GroupKeyPart part;
-    part.col = &col;
-    part.double_codes = col.type() == TypeId::kDouble;
-    std::int64_t mn = 0, mx = 0;
-    if (n_rows > 0) {
-      // Deliberately rescans the column (the "before" the stats cache
-      // eliminates in the vectorized path).
-      if (part.double_codes) {
-        const auto data = col.double_codes();
-        mn = mx = data[0];
-        for (const std::int32_t v : data) {
-          mn = std::min<std::int64_t>(mn, v);
-          mx = std::max<std::int64_t>(mx, v);
-        }
-      } else if (col.type() == TypeId::kInt64) {
-        const auto data = col.int64_data();
-        mn = mx = data[0];
-        for (const std::int64_t v : data) {
-          mn = std::min(mn, v);
-          mx = std::max(mx, v);
-        }
-      } else {
-        const auto data = col.int32_data();  // int32 or string codes
-        mn = mx = data[0];
-        for (const std::int32_t v : data) {
-          mn = std::min<std::int64_t>(mn, v);
-          mx = std::max<std::int64_t>(mx, v);
-        }
-      }
-    }
-    part.min = mn;
-    part.domain = mx - mn + 1;
-    parts.push_back(part);
-  }
-  // Strides right-to-left; guard against composite-domain overflow.
-  std::int64_t total = 1;
-  for (auto it = parts.rbegin(); it != parts.rend(); ++it) {
-    it->stride = total;
-    if (it->domain > (std::int64_t{1} << 62) / total)
-      throw Error("composite group-by domain too large");
-    total *= it->domain;
-  }
-  // Synthesize the composite keys.
-  std::vector<std::int64_t> synth(n_rows, 0);
-  for (const GroupKeyPart& part : parts) {
-    if (part.double_codes) {
-      const auto data = part.col->double_codes();
-      for (std::size_t i = 0; i < n_rows; ++i)
-        synth[i] += (data[i] - part.min) * part.stride;
-    } else if (part.col->type() == TypeId::kInt64) {
-      const auto data = part.col->int64_data();
-      for (std::size_t i = 0; i < n_rows; ++i)
-        synth[i] += (data[i] - part.min) * part.stride;
-    } else {
-      const auto data = part.col->int32_data();
-      for (std::size_t i = 0; i < n_rows; ++i)
-        synth[i] += (data[i] - part.min) * part.stride;
-    }
-  }
-  const std::span<const std::int64_t> group_keys(synth);
-
-  std::vector<std::string> names(plan.group_by.begin(), plan.group_by.end());
-  for (const AggSpec& a : plan.aggregates) names.push_back(agg_column_name(a));
-  QueryResult result(std::move(names));
-
-  // Resolve each aggregate into per-key accumulation via the exec kernels.
-  // Strategy: for the first aggregate we compute the group layout (sorted
-  // keys); subsequent aggregates are joined by key order. To keep a single
-  // pass per aggregate we rely on group_aggregate* returning key-sorted rows.
-  struct GroupedOut {
-    std::vector<exec::GroupRow> irows;
-    std::vector<exec::GroupRowD> drows;
-    bool is_double = false;
-  };
-  std::vector<GroupedOut> per_agg(plan.aggregates.size());
-
-  for (std::size_t ai = 0; ai < plan.aggregates.size(); ++ai) {
-    const AggSpec& a = plan.aggregates[ai];
-    GroupedOut& out = per_agg[ai];
-    if (a.expr != nullptr && a.op != AggOp::kCount) {
-      // Expression input: evaluate once, group as doubles.
-      std::vector<std::string> referenced;
-      a.expr->collect_columns(referenced);
-      for (const std::string& name : referenced)
-        ctx.charge_scan(table, table.column(name), false);
-      std::vector<double> evaluated;
-      exec::evaluate_expression(*a.expr, table, evaluated);
-      out.is_double = true;
-      out.drows = exec::group_aggregate_d(group_keys, evaluated, selection);
-      stats.work.cpu_cycles +=
-          kGroupCyclesPerTuple * static_cast<double>(selected);
-      continue;
-    }
-    const std::string& value_col_name =
-        a.op == AggOp::kCount ? plan.group_by.front() : a.column;
-    const Column& val_col = table.column(value_col_name);
-    if (a.op != AggOp::kCount) ctx.charge_scan(table, val_col, false);
-    if (val_col.type() == TypeId::kDouble) {
-      out.is_double = true;
-      out.drows = exec::group_aggregate_d(group_keys, val_col.double_data(),
-                                          selection);
-    } else {
-      // Integer (or count over the synthesized key itself).
-      std::vector<std::int64_t> widened;
-      std::span<const std::int64_t> values;
-      if (a.op == AggOp::kCount) {
-        values = group_keys;  // any column works for counting
-      } else if (val_col.type() == TypeId::kInt64) {
-        values = val_col.int64_data();
-      } else {
-        widened.reserve(val_col.size());
-        for (std::size_t i = 0; i < val_col.size(); ++i)
-          widened.push_back(column_int_at(val_col, i));
-        values = widened;
-      }
-      out.irows = exec::group_aggregate(group_keys, values, selection);
-    }
-    stats.work.cpu_cycles +=
-        kGroupCyclesPerTuple * static_cast<double>(selected);
-  }
-
-  // All aggregates share the same key set; take it from the first.
-  std::vector<std::int64_t> keys;
-  if (!per_agg.empty()) {
-    if (per_agg[0].is_double)
-      for (const auto& r : per_agg[0].drows) keys.push_back(r.key);
-    else
-      for (const auto& r : per_agg[0].irows) keys.push_back(r.key);
-  }
-  stats.groups = keys.size();
-
-  for (std::size_t g = 0; g < keys.size(); ++g) {
-    std::vector<storage::Value> row;
-    row.reserve(parts.size() + plan.aggregates.size());
-    // Decode the composite key back into per-column values.
-    for (const GroupKeyPart& part : parts) {
-      const std::int64_t component =
-          (keys[g] / part.stride) % part.domain + part.min;
-      if (part.col->type() == TypeId::kString)
-        row.emplace_back(part.col->dictionary().at(
-            static_cast<std::int32_t>(component)));
-      else if (part.double_codes)
-        row.emplace_back(part.col->double_dictionary().at(
-            static_cast<std::int32_t>(component)));
-      else
-        row.emplace_back(component);
-    }
-    for (std::size_t ai = 0; ai < plan.aggregates.size(); ++ai) {
-      const AggSpec& a = plan.aggregates[ai];
-      const GroupedOut& out = per_agg[ai];
-      if (out.is_double) {
-        const exec::AggResultD& r = out.drows[g].agg;
-        switch (a.op) {
-          case AggOp::kCount:
-            row.emplace_back(static_cast<std::int64_t>(r.count));
-            break;
-          case AggOp::kSum:
-            row.emplace_back(r.sum);
-            break;
-          case AggOp::kMin:
-            row.emplace_back(r.min);
-            break;
-          case AggOp::kMax:
-            row.emplace_back(r.max);
-            break;
-          case AggOp::kAvg:
-            row.emplace_back(r.avg());
-            break;
-        }
-      } else {
-        const exec::AggResult& r = out.irows[g].agg;
-        switch (a.op) {
-          case AggOp::kCount:
-            row.emplace_back(static_cast<std::int64_t>(r.count));
-            break;
-          case AggOp::kSum:
-            row.emplace_back(r.sum);
-            break;
-          case AggOp::kMin:
-            row.emplace_back(r.min);
-            break;
-          case AggOp::kMax:
-            row.emplace_back(r.max);
-            break;
-          case AggOp::kAvg:
-            row.emplace_back(r.avg());
-            break;
-        }
-      }
-    }
-    result.add_row(std::move(row));
-  }
-  return result;
-}
-
 }  // namespace
 
 exec::AggInput agg_input_of(const Column& c) {
@@ -690,8 +378,6 @@ QueryResult run_aggregate(OpContext& ctx, const LogicalPlan& plan,
                           const Table& table, const BitVector& selection) {
   OperatorScope scope(ctx.stats,
                       plan.has_group_by() ? "group-aggregate" : "aggregate");
-  if (ctx.options.agg_path == AggPath::kRowAtATime)
-    return run_aggregate_rows(ctx, plan, table, selection);
   return run_aggregate_vectorized(ctx, plan, table, selection);
 }
 

@@ -42,9 +42,8 @@ struct OpContext {
   const storage::Catalog& catalog;
   const ExecOptions& options;
   ExecStats& stats;
-  /// Executor-owned scratch (reused across queries, no per-operator
-  /// allocation): index-producing scan kernels / composite group keys.
-  std::vector<std::uint32_t>& idx_scratch;
+  /// Executor-owned scratch for composite group keys (reused across
+  /// queries, no per-operator allocation).
   std::vector<std::int64_t>& key_scratch;
   /// (table, column) pairs already charged to the DRAM ledger this query.
   std::set<std::string> charged;

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <limits>
 
-#include "exec/adaptive_scan.hpp"
 #include "exec/fused.hpp"
 #include "exec/parallel.hpp"
 #include "exec/scan_kernels.hpp"
-#include "opt/cost_model.hpp"
 #include "storage/zonemap.hpp"
 #include "util/assert.hpp"
 
@@ -32,6 +30,13 @@ PackedBounds packed_bounds(const storage::EncodedSegment& seg,
   const auto ref = static_cast<std::uint64_t>(seg.reference);
   return {lo <= seg.reference ? 0 : static_cast<std::uint64_t>(lo) - ref,
           static_cast<std::uint64_t>(hi) - ref};
+}
+
+/// Saturates a bound into the int32 kernels' domain.
+std::int32_t clamp32(std::int64_t v) {
+  return static_cast<std::int32_t>(
+      std::clamp<std::int64_t>(v, std::numeric_limits<std::int32_t>::min(),
+                               std::numeric_limits<std::int32_t>::max()));
 }
 
 /// Stats-based pre-scan pruning: returns true when the predicate was
@@ -71,11 +76,7 @@ void apply_predicate(OpContext& ctx, const Table& table, const Predicate& p,
   if (n == 0) return;
   stats.tuples_scanned += n;
   stats.work.cpu_cycles += kScanCyclesPerTuple * static_cast<double>(n);
-  // Packed consumption: kAuto scans only — explicit variant choices (the
-  // E3 bench) must measure exactly the requested plain kernel.
-  const bool packed = !r.is_double &&
-                      options.scan_variant == exec::ScanVariant::kAuto &&
-                      use_packed(column, options);
+  const bool packed = !r.is_double && use_packed(column, options);
   ctx.charge_scan(table, column, packed);
 
   BitVector match(n);
@@ -141,80 +142,18 @@ void apply_predicate(OpContext& ctx, const Table& table, const Predicate& p,
     stats.work.cpu_cycles -= kScanCyclesPerTuple * skipped;
     stats.work.dram_bytes -= skipped * storage::physical_size(column.type());
   } else {
-    const auto lo32 = [&] {
-      return static_cast<std::int32_t>(std::clamp<std::int64_t>(
-          r.lo, std::numeric_limits<std::int32_t>::min(),
-          std::numeric_limits<std::int32_t>::max()));
-    };
-    const auto hi32 = [&] {
-      return static_cast<std::int32_t>(std::clamp<std::int64_t>(
-          r.hi, std::numeric_limits<std::int32_t>::min(),
-          std::numeric_limits<std::int32_t>::max()));
-    };
-    switch (options.scan_variant) {
-      case exec::ScanVariant::kBranching:
-      case exec::ScanVariant::kPredicated: {
-        // Index kernels, converted to a bitmap (kept for experiment parity).
-        // Scratch buffer is executor-owned: no per-predicate allocation.
-        if (ctx.idx_scratch.size() < n) ctx.idx_scratch.resize(n);
-        std::size_t k = 0;
-        if (column.type() == TypeId::kInt64) {
-          k = options.scan_variant == exec::ScanVariant::kBranching
-                  ? exec::scan_branching64(column.int64_data(), r.lo, r.hi,
-                                           ctx.idx_scratch.data())
-                  : exec::scan_predicated64(column.int64_data(), r.lo, r.hi,
-                                            ctx.idx_scratch.data());
-        } else {
-          k = options.scan_variant == exec::ScanVariant::kBranching
-                  ? exec::scan_branching(column.int32_data(), lo32(), hi32(),
-                                         ctx.idx_scratch.data())
-                  : exec::scan_predicated(column.int32_data(), lo32(), hi32(),
-                                          ctx.idx_scratch.data());
-        }
-        for (std::size_t j = 0; j < k; ++j) match.set(ctx.idx_scratch[j]);
-        break;
-      }
-      case exec::ScanVariant::kAvx2:
-        if (column.type() == TypeId::kInt64)
-          exec::scan_bitmap_avx2_64(column.int64_data(), r.lo, r.hi, match);
-        else
-          exec::scan_bitmap_avx2(column.int32_data(), lo32(), hi32(), match);
-        break;
-      case exec::ScanVariant::kAvx512:
-        if (column.type() == TypeId::kInt64)
-          exec::scan_bitmap_avx512_64(column.int64_data(), r.lo, r.hi, match);
-        else
-          exec::scan_bitmap_avx512(column.int32_data(), lo32(), hi32(), match);
-        break;
-      case exec::ScanVariant::kAuto:
-        if (options.adaptive_scan && column.type() != TypeId::kInt64) {
-          // Mid-scan reconfiguration (paper §IV.B): chunked serial scan
-          // that re-estimates selectivity with an EWMA and re-picks the
-          // kernel between chunks. Takes precedence over the pool — the
-          // adaptation is sequential by construction. Same bitmap as the
-          // static kernels, so parity is unaffected.
-          static const opt::CostModel default_model = opt::CostModel::defaults();
-          const opt::CostModel& cm = options.cost_model != nullptr
-                                         ? *options.cost_model
-                                         : default_model;
-          const double prior = opt::CostModel::estimate_selectivity(
-              column.stats(), r.lo, r.hi);
-          exec::AdaptiveScan adaptive(cm, prior);
-          exec::AdaptiveScanStats as;
-          adaptive.scan(column.int32_data(), lo32(), hi32(), match, as);
-        } else if (options.pool != nullptr) {
-          if (column.type() == TypeId::kInt64)
-            exec::parallel_scan_bitmap64(*options.pool, column.int64_data(),
-                                         r.lo, r.hi, match);
-          else
-            exec::parallel_scan_bitmap32(*options.pool, column.int32_data(),
-                                         lo32(), hi32(), match);
-        } else if (column.type() == TypeId::kInt64) {
-          exec::scan_bitmap_best64(column.int64_data(), r.lo, r.hi, match);
-        } else {
-          exec::scan_bitmap_best(column.int32_data(), lo32(), hi32(), match);
-        }
-        break;
+    if (options.pool != nullptr) {
+      if (column.type() == TypeId::kInt64)
+        exec::parallel_scan_bitmap64(*options.pool, column.int64_data(), r.lo,
+                                     r.hi, match);
+      else
+        exec::parallel_scan_bitmap32(*options.pool, column.int32_data(),
+                                     clamp32(r.lo), clamp32(r.hi), match);
+    } else if (column.type() == TypeId::kInt64) {
+      exec::scan_bitmap_best64(column.int64_data(), r.lo, r.hi, match);
+    } else {
+      exec::scan_bitmap_best(column.int32_data(), clamp32(r.lo),
+                             clamp32(r.hi), match);
     }
   }
   selection &= match;
@@ -250,17 +189,10 @@ void apply_predicate_masked(OpContext& ctx, const Table& table,
                                            selection, ms);
         break;
       case TypeId::kInt32:
-      case TypeId::kString: {
-        const auto lo = static_cast<std::int32_t>(std::clamp<std::int64_t>(
-            r.lo, std::numeric_limits<std::int32_t>::min(),
-            std::numeric_limits<std::int32_t>::max()));
-        const auto hi = static_cast<std::int32_t>(std::clamp<std::int64_t>(
-            r.hi, std::numeric_limits<std::int32_t>::min(),
-            std::numeric_limits<std::int32_t>::max()));
-        exec::scan_bitmap_masked32_counted(column.int32_data(), lo, hi,
-                                           selection, ms);
+      case TypeId::kString:
+        exec::scan_bitmap_masked32_counted(column.int32_data(), clamp32(r.lo),
+                                           clamp32(r.hi), selection, ms);
         break;
-      }
       case TypeId::kDouble:
         exec::scan_bitmap_masked_double_counted(column.double_data(), r.dlo,
                                                 r.dhi, selection, ms);
@@ -362,12 +294,10 @@ BitVector evaluate_predicates(OpContext& ctx, const Table& table,
                      });
   }
 
-  // Masked (selection-aware) evaluation needs the adaptive kernels; the
-  // explicit-variant and zone-map paths keep per-predicate full scans so
-  // experiments measure exactly the requested kernel.
-  const bool can_mask = ctx.options.order_predicates &&
-                        ctx.options.scan_variant == exec::ScanVariant::kAuto &&
-                        !ctx.options.use_zone_maps;
+  // Masked (selection-aware) evaluation skips dead blocks; the zone-map
+  // path keeps per-predicate candidate-range scans.
+  const bool can_mask =
+      ctx.options.order_predicates && !ctx.options.use_zone_maps;
   bool first = true;
   for (const Predicate* p : ordered) {
     if (first || !can_mask)

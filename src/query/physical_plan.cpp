@@ -293,7 +293,6 @@ double estimate_filter_selectivity(const Column& source, const Column& build,
 /// as the pass order.
 void plan_join_filters(const storage::Catalog& catalog, PhysicalPlan& phys,
                        const ExecOptions& options, const opt::CostModel& cm) {
-  if (options.join_path == JoinPath::kPairMaterialize) return;
   const Table& probe = catalog.get(phys.logical.table);
   for (std::size_t s = 0; s < phys.joins.size(); ++s) {
     PhysicalJoinStep& step = phys.joins[s];
@@ -383,7 +382,6 @@ PhysicalPlan compile_plan(const storage::Catalog& catalog,
   validate_join_plan(plan);
   PhysicalPlan phys;
   phys.logical = plan;
-  phys.agg_path = options.agg_path;
   phys.join_path = options.join_path;
 
   const Table& probe = catalog.get(plan.table);
@@ -404,9 +402,6 @@ PhysicalPlan compile_plan(const storage::Catalog& catalog,
     apply_plan_governor(catalog, phys, options);
     return phys;
   }
-  if (options.join_path == JoinPath::kPairMaterialize && k > 1)
-    throw Error("the legacy pair-materializing join path supports a single "
-                "join; multi-way joins require the vectorized pipeline");
 
   // ---- Resolve every declared join: build table, key columns (typed),
   // probe-key provenance, and cardinality estimates. ----
@@ -447,11 +442,6 @@ PhysicalPlan compile_plan(const storage::Catalog& catalog,
     else if (key_types[j] == JoinKeyType::kDouble)
       code_domain[j] =
           static_cast<std::uint64_t>(left.double_dictionary().size()) + 1;
-    if (key_types[j] != JoinKeyType::kInt &&
-        options.join_path == JoinPath::kPairMaterialize)
-      throw Error("the legacy pair-materializing join path joins integer "
-                  "keys only: " +
-                  spec.right_key);
     est_build[j] = estimate_selected_rows(*build_tables[j], spec.predicates);
     const double distinct =
         std::max<double>(1.0, static_cast<double>(right.stats().distinct));
@@ -607,9 +597,7 @@ std::string PhysicalPlan::explain() const {
     os << "aggs=[";
     for (std::size_t i = 0; i < logical.aggregates.size(); ++i)
       os << (i ? "," : "") << agg_column_name(logical.aggregates[i]);
-    os << "], path="
-       << (agg_path == AggPath::kVectorized ? "vectorized" : "row-at-a-time")
-       << ")\n";
+    os << "])\n";
   } else {
     os << "  project(";
     if (logical.projection.empty()) {

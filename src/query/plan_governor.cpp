@@ -83,20 +83,16 @@ void OperatorCalibration::observe_operators(
 namespace {
 
 /// Predicted scan work of `table` under `preds` (one kernel pass per
-/// conjunct, variant picked the way the executor's kAuto dispatcher
-/// would).
+/// conjunct, variant picked by the cost model).
 hw::Work estimate_scan_work(const opt::CostModel& cm, const Table& table,
-                            const std::vector<Predicate>& preds,
-                            const ExecOptions& options) {
+                            const std::vector<Predicate>& preds) {
   hw::Work work;
   const std::uint64_t rows = table.row_count();
   if (rows == 0) return work;
   for (const Predicate& p : preds) {
     const Column& col = table.column(p.column);
     const double sel = ops::estimate_predicate_selectivity(col, p);
-    const exec::ScanVariant v = options.scan_variant == exec::ScanVariant::kAuto
-                                    ? cm.pick_scan_variant(sel)
-                                    : options.scan_variant;
+    const exec::ScanVariant v = cm.pick_scan_variant(sel);
     const double bytes_per_tuple =
         static_cast<double>(col.byte_size()) / static_cast<double>(rows);
     work += cm.scan_work(v, rows, sel, bytes_per_tuple);
@@ -121,10 +117,9 @@ hw::Work estimate_plan_work(const storage::Catalog& catalog,
   const Table& probe = catalog.get(plan.table);
 
   // Scans: the FROM table's conjuncts plus every build side's.
-  hw::Work scan = estimate_scan_work(cm, probe, plan.predicates, options);
+  hw::Work scan = estimate_scan_work(cm, probe, plan.predicates);
   for (const JoinSpec& spec : plan.joins)
-    scan += estimate_scan_work(cm, catalog.get(spec.table), spec.predicates,
-                               options);
+    scan += estimate_scan_work(cm, catalog.get(spec.table), spec.predicates);
 
   // Joins: the compiled cardinality chain — probe rows into step i are the
   // previous step's predicted matches, shortened by the semi-join filters

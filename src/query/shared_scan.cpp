@@ -167,7 +167,6 @@ std::string scan_sharing_key(const storage::Catalog& catalog,
                              const ExecOptions& options) {
   if (phys.logical.predicates.empty()) return "";
   if (phys.dist.active() || options.shard_count > 0) return "";
-  if (options.scan_variant != exec::ScanVariant::kAuto) return "";
   if (options.use_zone_maps || options.tiers != nullptr) return "";
   const Table& table = catalog.get(phys.logical.table);
   std::vector<std::string> tags;
@@ -291,10 +290,9 @@ void execute_shared_group(const storage::Catalog& catalog,
   // path charges nothing for the scan — the group charge lands below).
   std::vector<double> pipeline_s(members.size(), 0);
   for (std::size_t i = 0; i < members.size(); ++i) {
-    std::vector<std::uint32_t> idx_scratch;
     std::vector<std::int64_t> key_scratch;
     ops::OpContext ctx{catalog, *members[i].options, outs[i].stats,
-                       idx_scratch, key_scratch, {}};
+                       key_scratch, {}};
     if (members[i].phys->governor.enabled)
       ctx.cores = static_cast<std::size_t>(
           std::max(1, members[i].phys->governor.cores));

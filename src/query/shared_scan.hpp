@@ -45,9 +45,8 @@ struct SharedBatchMember {
 /// of (predicate column, streamed representation) — the representation tag
 /// captures the encoding-visible column set (a packed image is a different
 /// stream than the plain array). Empty = ineligible for sharing (no
-/// predicates, distributed/sharded plan, explicit scan variant, zone maps,
-/// or tiered columns — those paths keep their specialized kernels and
-/// charging).
+/// predicates, distributed/sharded plan, zone maps, or tiered columns —
+/// those paths keep their specialized kernels and charging).
 [[nodiscard]] std::string scan_sharing_key(const storage::Catalog& catalog,
                                            const PhysicalPlan& phys,
                                            const ExecOptions& options);

@@ -131,18 +131,6 @@ GovernorDecision Governor::best_under_budget(const hw::Work& work,
   return floor;
 }
 
-GovernorDecision Governor::most_efficient(const hw::Work& work,
-                                          int cores) const {
-  GovernorDecision best;
-  best.energy_j = std::numeric_limits<double>::infinity();
-  for (const hw::DvfsState& s : machine_.dvfs.states()) {
-    const GovernorDecision d = run_to_completion(work, s, cores);
-    if (d.energy_j < best.energy_j) best = d;
-  }
-  best.policy = "most-efficient";
-  return best;
-}
-
 hw::DvfsState Governor::incremental_efficient_state(
     const hw::Work& work) const {
   hw::DvfsState best = machine_.dvfs.fastest();

@@ -132,10 +132,6 @@ class Governor {
                                                    double budget_j,
                                                    int cores = 1) const;
 
-  /// Minimal-energy configuration with no deadline (throughput mode).
-  [[nodiscard]] GovernorDecision most_efficient(const hw::Work& work,
-                                                int cores = 1) const;
-
   /// Full (time, energy) frontier over P-states for `cores` — each point is
   /// a run-to-completion execution with no idle tail.
   [[nodiscard]] std::vector<GovernorDecision> frontier(const hw::Work& work,

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "parity_matrix.hpp"
+
 #include <limits>
 #include <map>
 #include <string>
@@ -411,31 +413,6 @@ TEST(Executor, ZoneMapsGiveSameAnswerLessWork) {
   EXPECT_LT(zm_stats.work.cpu_cycles, full_stats.work.cpu_cycles);
 }
 
-TEST(Executor, ScanVariantsAllProduceSameAnswer) {
-  const Catalog cat = make_catalog();
-  Executor ex(cat);
-  const auto plan = QueryBuilder("sales")
-                        .filter_int("amount", 30, 59)
-                        .aggregate(AggOp::kCount)
-                        .build();
-  std::int64_t want = -1;
-  for (const auto variant :
-       {exec::ScanVariant::kAuto, exec::ScanVariant::kBranching,
-        exec::ScanVariant::kPredicated, exec::ScanVariant::kAvx2,
-        exec::ScanVariant::kAvx512}) {
-    ExecStats stats;
-    ExecOptions options;
-    options.scan_variant = variant;
-    const QueryResult r = ex.execute(plan, stats, options);
-    if (want < 0)
-      want = r.at(0, 0).as_int();
-    else
-      EXPECT_EQ(r.at(0, 0).as_int(), want)
-          << exec::variant_name(variant);
-  }
-  EXPECT_EQ(want, 300);
-}
-
 TEST(Executor, TierAccountingChargesColdColumns) {
   const Catalog cat = make_catalog();
   Executor ex(cat);
@@ -672,7 +649,7 @@ TEST(Executor, JoinCompositeGroupAcrossBothTables) {
   EXPECT_EQ(total, 40);  // 4 qualifying ids x 10 rows each
 }
 
-TEST(Executor, JoinArmsAgreeWithLegacyPairPath) {
+TEST(Executor, JoinArmsAgreeWithOracle) {
   const Catalog cat = make_catalog();
   Executor ex(cat);
   const auto plan = QueryBuilder("sales")
@@ -683,20 +660,22 @@ TEST(Executor, JoinArmsAgreeWithLegacyPairPath) {
                         .aggregate(AggOp::kSum, "amount")
                         .aggregate(AggOp::kAvg, "price")
                         .build();
+  const auto groups = parity::run_join_oracle(ex, cat, plan);
   std::vector<QueryResult> results;
-  for (const JoinPath path : {JoinPath::kPairMaterialize, JoinPath::kAuto,
-                              JoinPath::kDense, JoinPath::kHash,
-                              JoinPath::kRadix}) {
+  for (const JoinPath path :
+       {JoinPath::kAuto, JoinPath::kDense, JoinPath::kHash, JoinPath::kRadix}) {
     ExecStats stats;
     ExecOptions options;
     options.join_path = path;
     results.push_back(ex.execute(plan, stats, options));
+    parity::expect_matches_oracle(results.back(), groups, plan,
+                                  "path " + std::to_string(results.size()));
   }
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    ASSERT_EQ(results[i].row_count(), results[0].row_count());
+  // The arms accumulate in the same probe order: bit-identical to each
+  // other, not just within the oracle's double tolerance.
+  for (std::size_t i = 1; i < results.size(); ++i)
     for (std::size_t c = 0; c < results[0].column_count(); ++c)
       EXPECT_EQ(results[i].at(0, c), results[0].at(0, c)) << "path " << i;
-  }
 }
 
 TEST(Executor, JoinParallelProbeMatchesSerial) {
@@ -761,17 +740,6 @@ TEST(Executor, JoinRejectsUnsupportedShapesUpFront) {
   const Catalog cat = make_catalog();
   Executor ex(cat);
   ExecStats stats;
-  // Legacy pair path cannot group: must throw, never silently mis-answer.
-  {
-    ExecOptions options;
-    options.join_path = JoinPath::kPairMaterialize;
-    const auto plan = QueryBuilder("sales")
-                          .join("customers", "amount", "id")
-                          .group_by("region")
-                          .aggregate(AggOp::kCount)
-                          .build();
-    EXPECT_THROW((void)ex.execute(plan, stats, options), Error);
-  }
   // Without aliases, joining the same table twice makes every qualified
   // reference ambiguous — rejected rather than bound to the first
   // instance.
@@ -782,17 +750,6 @@ TEST(Executor, JoinRejectsUnsupportedShapesUpFront) {
                           .aggregate(AggOp::kCount)
                           .build();
     EXPECT_THROW((void)ex.execute(plan, stats), Error);
-  }
-  // The legacy path cannot chain joins either.
-  {
-    ExecOptions options;
-    options.join_path = JoinPath::kPairMaterialize;
-    const auto plan = QueryBuilder("sales")
-                          .join("customers", "amount", "id")
-                          .join("discounts", "amount", "amount")
-                          .aggregate(AggOp::kCount)
-                          .build();
-    EXPECT_THROW((void)ex.execute(plan, stats, options), Error);
   }
   // Expression aggregates over joins are rejected before any work runs.
   {

@@ -4,20 +4,32 @@
 // every execution-path pair must answer BIT-IDENTICALLY. Consumed by the
 // compressed-parity suite (packed vs plain) and the distributed-parity
 // suite (sharded vs single-node).
+//
+// It also holds the scalar reference oracle (run_join_oracle /
+// expect_matches_oracle) that the parity, executor and fuzz suites check
+// aggregate plans against.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "exec/expression.hpp"
+#include "query/executor.hpp"
 #include "query/plan.hpp"
 #include "query/result.hpp"
 #include "storage/column.hpp"
 #include "storage/table.hpp"
+#include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace eidb::query::parity {
@@ -400,6 +412,283 @@ inline std::vector<std::pair<std::string, LogicalPlan>> query_matrix() {
                        .limit(20)
                        .build());
   return qs;
+}
+
+// ---------------------------------------------------------------------------
+// The scalar reference oracle for aggregate plans, with or without joins.
+// Selections come from the public predicate API over the plain arrays;
+// matches from plain nested loops over every join in declaration order,
+// with keys compared in the VALUE domain; grouping and aggregation from
+// scalar maps keyed by the group values' text. It shares no aggregation
+// or join code with the engine and does no planner reordering.
+//
+// Integer inputs accumulate exactly in int64. Double and expression
+// inputs accumulate in nested-loop order, so a double SUM or AVG is
+// compared within the rounding bound of a reordered sum; MIN and MAX are
+// exact. Plans with ORDER BY are checked for membership, sortedness and
+// the LIMIT row count (positional order on tied sort keys is the
+// executor's deterministic tie-break, which the oracle does not model).
+// ---------------------------------------------------------------------------
+
+/// One aggregate's scalar accumulator within one group.
+struct OracleAcc {
+  bool is_double = false;  ///< Double column or expression input.
+  std::int64_t isum = 0;
+  std::int64_t imin = std::numeric_limits<std::int64_t>::max();
+  std::int64_t imax = std::numeric_limits<std::int64_t>::min();
+  double dsum = 0;
+  double dabs = 0;  ///< Sum of |x|: bounds dsum's reordering error.
+  double dmin = std::numeric_limits<double>::infinity();
+  double dmax = -std::numeric_limits<double>::infinity();
+};
+
+/// Scalar oracle result: one group per composite key string.
+struct OracleGroup {
+  std::int64_t count = 0;
+  std::vector<OracleAcc> aggs;
+};
+
+/// Runs the oracle for an aggregate plan (zero or more joins).
+inline std::map<std::string, OracleGroup> run_join_oracle(
+    Executor& ex, const storage::Catalog& cat, const LogicalPlan& plan) {
+  using storage::Column;
+  using storage::Table;
+  using storage::TypeId;
+  EIDB_EXPECTS(plan.is_aggregate());
+  const Table& facts = cat.get(plan.table);
+  std::vector<const Table*> sides{&facts};  // side j+1 = join j's table
+  for (const JoinSpec& j : plan.joins) sides.push_back(&cat.get(j.table));
+
+  // Column resolution mirroring the executor: bare names bind probe
+  // first, then the joined tables in declaration order.
+  const auto resolve =
+      [&](const std::string& n) -> std::pair<std::size_t, const Column*> {
+    const auto dot = n.find('.');
+    if (dot != std::string::npos) {
+      const std::string t = n.substr(0, dot);
+      const std::string c = n.substr(dot + 1);
+      for (std::size_t s = 0; s < sides.size(); ++s)
+        if (sides[s]->name() == t) return {s, &sides[s]->column(c)};
+      throw Error("oracle: unknown table " + t);
+    }
+    for (std::size_t s = 0; s < sides.size(); ++s)
+      if (sides[s]->schema().has_column(n)) return {s, &sides[s]->column(n)};
+    throw Error("oracle: unknown column " + n);
+  };
+
+  // Selections through the public predicate API (encodings off).
+  ExecStats scratch;
+  ExecOptions oracle_opts;
+  oracle_opts.use_encodings = false;
+  const BitVector psel =
+      ex.evaluate_predicates(facts, plan.predicates, scratch, oracle_opts);
+  std::vector<BitVector> bsel;
+  for (std::size_t j = 0; j < plan.joins.size(); ++j)
+    bsel.push_back(ex.evaluate_predicates(*sides[j + 1],
+                                          plan.joins[j].predicates, scratch,
+                                          oracle_opts));
+
+  // Nested-loop match tuples, one join at a time in declaration order.
+  std::vector<std::vector<std::size_t>> tuples;
+  psel.for_each_set([&](std::size_t i) { tuples.push_back({i}); });
+  for (std::size_t j = 0; j < plan.joins.size(); ++j) {
+    const JoinSpec& spec = plan.joins[j];
+    const auto [src_side, src_col] = resolve(spec.left_key);
+    const Column& right = sides[j + 1]->column(spec.right_key);
+    // Key equality in the VALUE domain, never dictionary codes: the two
+    // sides of a string (or double) join own independent dictionaries,
+    // so equal codes do not mean equal keys.
+    const TypeId kt = src_col->type();
+    std::vector<std::vector<std::size_t>> next;
+    for (const auto& tup : tuples) {
+      for (std::size_t b = 0; b < right.size(); ++b) {
+        if (!bsel[j].test(b)) continue;
+        bool eq;
+        if (kt == TypeId::kString)
+          eq = src_col->value_at(tup[src_side]).as_string() ==
+               right.value_at(b).as_string();
+        else if (kt == TypeId::kDouble)
+          eq = src_col->value_at(tup[src_side]).as_double() ==
+               right.value_at(b).as_double();
+        else
+          eq = src_col->int_at(tup[src_side]) == right.int_at(b);
+        if (!eq) continue;
+        auto extended = tup;
+        extended.push_back(b);
+        next.push_back(std::move(extended));
+      }
+    }
+    tuples = std::move(next);
+  }
+
+  // Scalar expression evaluation: integer leaves widen to double, the
+  // operators apply in tree order (IEEE division, as the engine does).
+  const auto eval = [&](const auto& self, const exec::Expr& e,
+                        const std::vector<std::size_t>& tup) -> double {
+    switch (e.kind()) {
+      case exec::ExprKind::kLiteral:
+        return e.literal_value();
+      case exec::ExprKind::kColumn: {
+        const auto [s, c] = resolve(e.column_name());
+        return c->value_at(tup[s]).as_double();
+      }
+      case exec::ExprKind::kBinary: {
+        const double l = self(self, e.lhs(), tup);
+        const double r = self(self, e.rhs(), tup);
+        switch (e.op()) {
+          case exec::ExprOp::kAdd:
+            return l + r;
+          case exec::ExprOp::kSub:
+            return l - r;
+          case exec::ExprOp::kMul:
+            return l * r;
+          case exec::ExprOp::kDiv:
+            return l / r;
+        }
+      }
+    }
+    throw Error("oracle: invalid expression");
+  };
+
+  std::map<std::string, OracleGroup> groups;
+  const std::size_t n_aggs = plan.aggregates.size();
+  const auto fresh_group = [&] {
+    OracleGroup g;
+    g.aggs.resize(n_aggs);
+    for (std::size_t ai = 0; ai < n_aggs; ++ai) {
+      const AggSpec& a = plan.aggregates[ai];
+      g.aggs[ai].is_double =
+          a.op != AggOp::kCount &&
+          (a.expr != nullptr ||
+           resolve(a.column).second->type() == TypeId::kDouble);
+    }
+    return g;
+  };
+  for (const auto& tup : tuples) {
+    std::string key;
+    for (const std::string& gname : plan.group_by) {
+      const auto [s, c] = resolve(gname);
+      key += c->value_at(tup[s]).to_string() + "|";
+    }
+    auto it = groups.find(key);
+    if (it == groups.end()) it = groups.emplace(key, fresh_group()).first;
+    OracleGroup& g = it->second;
+    ++g.count;
+    for (std::size_t ai = 0; ai < n_aggs; ++ai) {
+      const AggSpec& a = plan.aggregates[ai];
+      if (a.op == AggOp::kCount) continue;
+      OracleAcc& acc = g.aggs[ai];
+      if (acc.is_double) {
+        double v;
+        if (a.expr != nullptr) {
+          v = eval(eval, *a.expr, tup);
+        } else {
+          const auto [s, c] = resolve(a.column);
+          v = c->value_at(tup[s]).as_double();
+        }
+        acc.dsum += v;
+        acc.dabs += std::abs(v);
+        acc.dmin = std::min(acc.dmin, v);
+        acc.dmax = std::max(acc.dmax, v);
+      } else {
+        const auto [s, c] = resolve(a.column);
+        const std::int64_t v = c->int_at(tup[s]);
+        acc.isum += v;
+        acc.imin = std::min(acc.imin, v);
+        acc.imax = std::max(acc.imax, v);
+      }
+    }
+  }
+  // A global aggregate over zero matches still emits one zeroed row.
+  if (plan.group_by.empty() && groups.empty()) groups.emplace("", fresh_group());
+  return groups;
+}
+
+/// The value the engine must report for aggregate `ai` of `g`, and the
+/// absolute tolerance a double is compared within. Empty MIN / MAX report
+/// integer 0 and an empty AVG 0.0, whatever the input type.
+inline std::pair<storage::Value, double> oracle_value(const AggSpec& a,
+                                                      const OracleGroup& g,
+                                                      std::size_t ai) {
+  using storage::Value;
+  const OracleAcc& acc = g.aggs[ai];
+  // Both sides' rounding grows at most linearly in the addends' magnitude.
+  const double sum_tol = 1e-9 * acc.dabs;
+  switch (a.op) {
+    case AggOp::kCount:
+      return {Value{g.count}, 0};
+    case AggOp::kSum:
+      return acc.is_double ? std::pair{Value{acc.dsum}, sum_tol}
+                           : std::pair{Value{acc.isum}, 0.0};
+    case AggOp::kMin:
+      if (g.count == 0) return {Value{std::int64_t{0}}, 0};
+      return {acc.is_double ? Value{acc.dmin} : Value{acc.imin}, 0};
+    case AggOp::kMax:
+      if (g.count == 0) return {Value{std::int64_t{0}}, 0};
+      return {acc.is_double ? Value{acc.dmax} : Value{acc.imax}, 0};
+    case AggOp::kAvg: {
+      if (g.count == 0) return {Value{0.0}, 0};
+      const auto n = static_cast<double>(g.count);
+      return acc.is_double
+                 ? std::pair{Value{acc.dsum / n}, sum_tol / n}
+                 : std::pair{Value{static_cast<double>(acc.isum) / n}, 0.0};
+    }
+  }
+  throw Error("oracle: invalid aggregate");
+}
+
+/// Checks an executed aggregate result against the oracle groups: the
+/// result's columns, one row per group (LIMIT-bounded), distinct group
+/// keys, every value, and sortedness under ORDER BY.
+inline void expect_matches_oracle(
+    const QueryResult& got, const std::map<std::string, OracleGroup>& groups,
+    const LogicalPlan& plan, const std::string& label) {
+  std::vector<std::string> names(plan.group_by.begin(), plan.group_by.end());
+  for (const AggSpec& a : plan.aggregates) names.push_back(agg_column_name(a));
+  ASSERT_EQ(got.column_names(), names) << label;
+  const std::size_t want_rows =
+      plan.limit != 0 ? std::min(plan.limit, groups.size()) : groups.size();
+  ASSERT_EQ(got.row_count(), want_rows) << label;
+  if (plan.order_by.has_value() && got.row_count() > 1) {
+    const std::size_t oc = got.column_index(plan.order_by->column);
+    for (std::size_t r = 0; r + 1 < got.row_count(); ++r) {
+      const storage::Value& a = got.at(r, oc);
+      const storage::Value& b = got.at(r + 1, oc);
+      const auto leq = [](const storage::Value& x, const storage::Value& y) {
+        if (x.is_string()) return x.as_string() <= y.as_string();
+        if (x.is_double() || y.is_double())
+          return x.as_double() <= y.as_double();
+        return x.as_int() <= y.as_int();
+      };
+      if (plan.order_by->ascending)
+        EXPECT_TRUE(leq(a, b)) << label << " row " << r;
+      else
+        EXPECT_TRUE(leq(b, a)) << label << " row " << r;
+    }
+  }
+  std::set<std::string> seen;
+  for (std::size_t r = 0; r < got.row_count(); ++r) {
+    std::string key;
+    for (std::size_t gc = 0; gc < plan.group_by.size(); ++gc)
+      key += got.at(r, gc).to_string() + "|";
+    EXPECT_TRUE(seen.insert(key).second) << label << " duplicate key " << key;
+    const auto it = groups.find(key);
+    ASSERT_TRUE(it != groups.end()) << label << " key " << key;
+    for (std::size_t ai = 0; ai < plan.aggregates.size(); ++ai) {
+      const storage::Value& got_v = got.at(r, plan.group_by.size() + ai);
+      const auto [want, tol] =
+          oracle_value(plan.aggregates[ai], it->second, ai);
+      if (want.is_double()) {
+        ASSERT_TRUE(got_v.is_double())
+            << label << " key " << key << " agg " << ai;
+        EXPECT_LE(std::abs(got_v.as_double() - want.as_double()), tol)
+            << label << " key " << key << " agg " << ai << ": got "
+            << got_v.as_double() << ", want " << want.as_double();
+      } else {
+        EXPECT_EQ(got_v, want) << label << " key " << key << " agg " << ai;
+      }
+    }
+  }
 }
 
 }  // namespace eidb::query::parity

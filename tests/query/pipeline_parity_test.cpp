@@ -1,9 +1,11 @@
-// Parity between the single-pass vectorized aggregation pipeline (the
-// default) and the preserved row-at-a-time reference path, plus the
-// single-pass accounting guarantees: a multi-aggregate group-by charges
-// each input column to the DRAM ledger exactly once and never rescans a
-// key column for min/max.
+// Parity between the single-pass vectorized aggregation pipeline and the
+// scalar reference oracle (parity_matrix.hpp), plus the single-pass
+// accounting guarantees: a multi-aggregate group-by charges each input
+// column to the DRAM ledger exactly once and never rescans a key column
+// for min/max.
 #include <gtest/gtest.h>
+
+#include "parity_matrix.hpp"
 
 #include <cmath>
 #include <vector>
@@ -74,16 +76,13 @@ void expect_results_match(const QueryResult& want, const QueryResult& got) {
   }
 }
 
-/// Runs `plan` on both aggregation paths and checks the results match.
-void expect_parity(const Catalog& cat, const LogicalPlan& plan,
-                   ExecOptions options = {}) {
+/// Runs `plan` and checks the result against the scalar oracle.
+void expect_parity(const Catalog& cat, const LogicalPlan& plan) {
   Executor ex(cat);
-  ExecStats legacy_stats, vec_stats;
-  options.agg_path = AggPath::kRowAtATime;
-  const QueryResult want = ex.execute(plan, legacy_stats, options);
-  options.agg_path = AggPath::kVectorized;
-  const QueryResult got = ex.execute(plan, vec_stats, options);
-  expect_results_match(want, got);
+  ExecStats stats;
+  const QueryResult got = ex.execute(plan, stats);
+  parity::expect_matches_oracle(got, parity::run_join_oracle(ex, cat, plan),
+                                plan, plan.table);
 }
 
 TEST(PipelineParity, GlobalMultiAggregate) {
@@ -158,23 +157,15 @@ TEST(PipelineParity, EmptySelection) {
                          .build());
 }
 
-TEST(PipelineParity, AllScanVariants) {
+TEST(PipelineParity, ConjunctiveGroupBy) {
   const Catalog cat = make_catalog();
-  const auto plan = QueryBuilder("facts")
-                        .filter_int("v64", -2'000, 7'000)
-                        .filter_int("v32", -400, 100)
-                        .group_by("k32")
-                        .aggregate(AggOp::kCount)
-                        .aggregate(AggOp::kSum, "v64")
-                        .build();
-  for (const auto variant :
-       {exec::ScanVariant::kAuto, exec::ScanVariant::kBranching,
-        exec::ScanVariant::kPredicated, exec::ScanVariant::kAvx2,
-        exec::ScanVariant::kAvx512}) {
-    ExecOptions options;
-    options.scan_variant = variant;
-    expect_parity(cat, plan, options);
-  }
+  expect_parity(cat, QueryBuilder("facts")
+                         .filter_int("v64", -2'000, 7'000)
+                         .filter_int("v32", -400, 100)
+                         .group_by("k32")
+                         .aggregate(AggOp::kCount)
+                         .aggregate(AggOp::kSum, "v64")
+                         .build());
 }
 
 TEST(PipelineParity, ParallelPoolMatchesSerial) {
@@ -254,13 +245,6 @@ TEST(SinglePassAccounting, EachInputColumnChargedExactlyOnce) {
   EXPECT_LE(stats.work.dram_bytes, plain_stats.work.dram_bytes);
   EXPECT_DOUBLE_EQ(stats.work.dram_bytes + stats.dram_bytes_saved,
                    plain_stats.work.dram_bytes);
-
-  // The row-at-a-time path pays one pass per AggSpec (plus key rescans).
-  ExecStats legacy_stats;
-  ExecOptions legacy;
-  legacy.agg_path = AggPath::kRowAtATime;
-  (void)ex.execute(plan, legacy_stats, legacy);
-  EXPECT_GT(legacy_stats.work.dram_bytes, stats.work.dram_bytes);
 }
 
 TEST(SinglePassAccounting, StatsPruningSkipsDecidedPredicates) {
@@ -291,8 +275,7 @@ TEST(SinglePassAccounting, StatsPruningSkipsDecidedPredicates) {
 
 TEST(PipelineParity, GroupByHashLikeInt64Keys) {
   // Key spread overflows a signed domain computation: the vectorized path
-  // must fall back to hashing (the legacy path has UB here, so expected
-  // values are computed directly).
+  // must fall back to hashing (expected values are computed directly).
   constexpr std::int64_t kLo = -5'000'000'000'000'000'000LL;
   constexpr std::int64_t kHi = 5'000'000'000'000'000'000LL;
   Catalog cat;

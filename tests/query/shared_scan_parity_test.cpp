@@ -206,10 +206,6 @@ TEST(SharedScanParity, SharingKeyGroupsOnlyCompatiblePlans) {
   zone.use_zone_maps = true;
   EXPECT_TRUE(key_of(count_u32(100, 899), zone).empty())
       << "zone-map pruning reads different bytes per member";
-  ExecOptions forced = opts;
-  forced.scan_variant = exec::ScanVariant::kBranching;
-  EXPECT_TRUE(key_of(count_u32(100, 899), forced).empty())
-      << "explicit kernel choices must stay on the requested kernel";
 
   // Encoding visibility: packed vs plain stream different bytes, so the
   // keys must differ between use_encodings on and off.

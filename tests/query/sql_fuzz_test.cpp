@@ -6,9 +6,12 @@
 // whichever shard count the FROM table is partitioned into — so the
 // fuzzer exercises the packed scan/agg kernels and the distributed
 // partial-merge / gather paths, not just the plain single-node ones.
+// Every generated aggregate statement is also checked against the scalar
+// oracle in parity_matrix.hpp.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include "parity_matrix.hpp"
+
 #include <string>
 #include <vector>
 
@@ -275,6 +278,8 @@ TEST(SqlFuzz, ExecutionParityUnderRandomEncodings) {
   // so the fuzzer also hunts thread-count-dependent results.
   sched::ThreadPool pool2(2), pool3(3), pool8(8);
   sched::ThreadPool* pools[] = {nullptr, &pool2, &pool3, &pool8};
+  int oracle_checked = 0;  // aggregate statements compared to the oracle
+  int oracle_joins = 0;    // ... of which join at least one table
   for (int trial = 0; trial < 300; ++trial) {
     // Toggle every integer column's physical encoding for this iteration
     // (kBitPacked degrades to FOR on negative-domain columns).
@@ -309,9 +314,6 @@ TEST(SqlFuzz, ExecutionParityUnderRandomEncodings) {
       packed_opts.parallel_sort_min_rows = 1;
       packed_opts.parallel_project_min_rows = 1;
     }
-    // Random per-iteration adaptive-scan toggle: the mid-scan kernel
-    // re-picker must be invisible in results whatever else is in play.
-    packed_opts.adaptive_scan = rng.next_bounded(2) == 1;
     ExecStats plain_stats, packed_stats;
     QueryResult want, got;
     bool plain_threw = false, packed_threw = false;
@@ -361,35 +363,18 @@ TEST(SqlFuzz, ExecutionParityUnderRandomEncodings) {
     if (shards == 1) {
       EXPECT_EQ(dist_stats.wire_messages, 0u) << sql;
     }
-    // Single ungrouped, unsorted joins also have the legacy
-    // pair-materializing oracle — but it only ever read FROM-table
-    // aggregate columns, so skip statements with build-side (qualified)
-    // aggregates, and it supports neither chains nor ORDER BY, nor the
-    // code-domain (string / double) join keys compile_plan rejects on it.
-    const bool probe_side_only =
-        std::all_of(plan.aggregates.begin(), plan.aggregates.end(),
-                    [](const AggSpec& a) {
-                      return a.column.find('.') == std::string::npos;
-                    });
-    const bool int_keyed =
-        plan.joins.size() != 1 ||
-        [&] {
-          const storage::TypeId kt = cat.get(plan.joins[0].table)
-                                         .column(plan.joins[0].right_key)
-                                         .type();
-          return kt == storage::TypeId::kInt32 ||
-                 kt == storage::TypeId::kInt64;
-        }();
-    if (plan.joins.size() == 1 && !plan.has_group_by() && probe_side_only &&
-        !plan.order_by.has_value() && int_keyed) {
-      ExecOptions legacy_opts;
-      legacy_opts.use_encodings = false;
-      legacy_opts.join_path = JoinPath::kPairMaterialize;
-      ExecStats legacy_stats;
-      const QueryResult legacy = ex.execute(plan, legacy_stats, legacy_opts);
-      expect_identical(legacy, "legacy-join");
+    // Every aggregate statement — no join, single and multi-way joins,
+    // grouped or not, with build-side aggregates, string and double join
+    // keys, ORDER BY and LIMIT — must match the scalar oracle.
+    if (plan.is_aggregate()) {
+      parity::expect_matches_oracle(
+          want, parity::run_join_oracle(ex, cat, plan), plan, sql);
+      ++oracle_checked;
+      if (plan.has_join()) ++oracle_joins;
     }
   }
+  EXPECT_GT(oracle_checked, 200);
+  EXPECT_GT(oracle_joins, 60);
 }
 
 TEST(SqlFuzz, PathologicalInputs) {

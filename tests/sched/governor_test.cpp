@@ -2,12 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 namespace eidb::sched {
 namespace {
 
 Governor server_gov() { return Governor(hw::MachineSpec::server()); }
 
 const hw::Work kCpuWork{5e9, 1e8};  // compute-heavy
+
+/// The minimum-energy point of a (time, energy) frontier.
+const GovernorDecision& min_energy(const std::vector<GovernorDecision>& pts) {
+  return *std::min_element(pts.begin(), pts.end(),
+                           [](const GovernorDecision& a,
+                              const GovernorDecision& b) {
+                             return a.energy_j < b.energy_j;
+                           });
+}
 
 TEST(Governor, RaceToIdleUsesFastestState) {
   const Governor gov = server_gov();
@@ -107,10 +119,18 @@ TEST(Governor, ImpossibleBudgetTakesTheMinimumEnergyState) {
 
 TEST(Governor, MostEfficientBeatsFmaxOnEnergy) {
   const Governor gov = server_gov();
-  const auto eff = gov.most_efficient(kCpuWork);
-  const auto frontier = gov.frontier(kCpuWork);
-  const auto& fastest = frontier.back();
-  EXPECT_LE(eff.energy_j, fastest.energy_j);
+  const double f_max = gov.machine().dvfs.fastest().freq_ghz;
+  for (const hw::Work& work : {kCpuWork, hw::Work{1e6, 50e9}}) {
+    for (const int cores : {1, 4}) {
+      const auto frontier = gov.frontier(work, cores);
+      const auto fastest = std::find_if(
+          frontier.begin(), frontier.end(), [&](const GovernorDecision& d) {
+            return d.state.freq_ghz == f_max;
+          });
+      ASSERT_NE(fastest, frontier.end());
+      EXPECT_LE(min_energy(frontier).energy_j, fastest->energy_j);
+    }
+  }
 }
 
 TEST(Governor, FrontierTimeDecreasesEnergyShapes) {
@@ -127,10 +147,10 @@ TEST(Governor, MemoryBoundWorkFlattensFrontier) {
   const hw::Work mem_bound{1e6, 50e9};
   const auto points = gov.frontier(mem_bound);
   // Memory-bound: same time at every frequency => higher frequency only
-  // wastes power; most efficient must be the slowest state.
+  // wastes power; the minimum-energy point must be the slowest state.
   EXPECT_NEAR(points.front().busy_s, points.back().busy_s, 1e-9);
-  const auto eff = gov.most_efficient(mem_bound);
-  EXPECT_DOUBLE_EQ(eff.state.freq_ghz, gov.machine().dvfs.slowest().freq_ghz);
+  EXPECT_DOUBLE_EQ(min_energy(points).state.freq_ghz,
+                   gov.machine().dvfs.slowest().freq_ghz);
 }
 
 TEST(Governor, MultiCoreSpeedsUpAndFitsBudgetDifferently) {
