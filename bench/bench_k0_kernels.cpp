@@ -1,5 +1,6 @@
 // K0 — google-benchmark micro suite backing the experiment harnesses:
-// scan kernels, bit packing, codecs, hash table, group-by, join, LZ.
+// scan kernels, bit packing, codecs, hash table, group-by (plain and over
+// packed columns), join, LZ.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include "exec/join.hpp"
 #include "exec/radix_join.hpp"
 #include "exec/scan_kernels.hpp"
+#include "exec/vector_agg.hpp"
 #include "storage/bitpack.hpp"
 #include "storage/int_codec.hpp"
 #include "storage/lz.hpp"
@@ -234,6 +236,49 @@ void BM_JoinFilterApply(benchmark::State& state) {
 }
 BENCHMARK(BM_JoinFilterApply)
     ->ArgsProduct({{3, 4, 6, 12, 15, 17, 25}, {0, 1}});
+
+// Grouped aggregation over a packed group key and a packed FOR input,
+// SUM only (the serving benchmark's scan_agg shape): arg 0 is the key
+// width (dense groups), arg 1 the input width, arg 2 the live rows per
+// selection word (at random positions), arg 3 the tier as above. Words
+// with at least exec::kAggBlockMinLive live rows take the block path.
+// Items are selected rows; bytes are both packed images streamed.
+void BM_GroupedAggPacked(benchmark::State& state) {
+  const auto key_bits = static_cast<unsigned>(state.range(0));
+  const auto in_bits = static_cast<unsigned>(state.range(1));
+  const auto live = static_cast<unsigned>(state.range(2));
+  const exec::PackedTier tier = state.range(3) == 0
+                                    ? exec::PackedTier::kScalar
+                                    : exec::packed_tier();
+  const std::size_t n = 1 << 20;
+  const auto keys = packed_keys(key_bits, n);
+  const auto values = packed_keys(in_bits, n);
+  Pcg32 rng(10);
+  BitVector sel(n);
+  for (std::size_t w = 0; w < sel.word_count(); ++w) {
+    std::uint64_t bits = live == 64 ? ~std::uint64_t{0} : 0;
+    while (static_cast<unsigned>(__builtin_popcountll(bits)) < live)
+      bits |= std::uint64_t{1} << rng.next_bounded(64);
+    sel.words()[w] = bits;
+  }
+  std::vector<exec::AggInput> inputs = {exec::AggInput::from(
+      storage::PackedView{values, in_bits, 1000, n})};
+  inputs[0].ops = exec::kAggSum;
+  const storage::PackedView key_view{keys, key_bits, 0, n};
+  const exec::KeyRange range{true, 0,
+                             (std::int64_t{1} << key_bits) - 1, 0};
+  for (auto _ : state) {
+    const exec::GroupedAggs g = exec::grouped_multi_aggregate_packed(
+        key_view, inputs, sel, range, exec::GroupStrategy::kAuto, tier);
+    benchmark::DoNotOptimize(g.counts.data());
+  }
+  state.SetItemsProcessed(state.iterations() * (n / 64) * live);
+  state.SetBytesProcessed(state.iterations() * (keys.size() + values.size()) *
+                          sizeof(std::uint64_t));
+  state.SetLabel(tier_label(state.range(3)));
+}
+BENCHMARK(BM_GroupedAggPacked)
+    ->ArgsProduct({{4, 12}, {17, 25}, {1, 8, 16, 32, 64}, {0, 1}});
 
 // -- codecs ----------------------------------------------------------------------
 

@@ -86,17 +86,6 @@ std::size_t scan_branching(std::span<const std::int32_t> values,
   return k;
 }
 
-std::size_t scan_branching64(std::span<const std::int64_t> values,
-                             std::int64_t lo, std::int64_t hi,
-                             std::uint32_t* out) {
-  std::size_t k = 0;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (values[i] >= lo && values[i] <= hi)
-      out[k++] = static_cast<std::uint32_t>(i);
-  }
-  return k;
-}
-
 std::size_t scan_predicated(std::span<const std::int32_t> values,
                             std::int32_t lo, std::int32_t hi,
                             std::uint32_t* out) {
@@ -108,21 +97,6 @@ std::size_t scan_predicated(std::span<const std::int32_t> values,
                                   static_cast<std::uint32_t>(lo);
     const std::uint32_t width = static_cast<std::uint32_t>(hi) -
                                 static_cast<std::uint32_t>(lo);
-    k += shifted <= width;
-  }
-  return k;
-}
-
-std::size_t scan_predicated64(std::span<const std::int64_t> values,
-                              std::int64_t lo, std::int64_t hi,
-                              std::uint32_t* out) {
-  std::size_t k = 0;
-  const std::uint64_t width =
-      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo);
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    out[k] = static_cast<std::uint32_t>(i);
-    const std::uint64_t shifted = static_cast<std::uint64_t>(values[i]) -
-                                  static_cast<std::uint64_t>(lo);
     k += shifted <= width;
   }
   return k;

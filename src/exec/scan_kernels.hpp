@@ -47,8 +47,9 @@ enum class ScanVariant : std::uint8_t {
 /// AVX-512 F + BW + VBMI (checked once, then cached).
 [[nodiscard]] bool cpu_has_avx512_vbmi();
 
-/// Instruction-set tier the packed kernels run at: scan_packed_bitmap_range
-/// and JoinFilter::apply over packed keys. kAvx512Vbmi decodes widths 1..25
+/// Instruction-set tier the packed kernels run at: scan_packed_bitmap_range,
+/// JoinFilter::apply over packed keys, and the block path of the
+/// aggregation kernels (exec/vector_agg). kAvx512Vbmi decodes widths 1..25
 /// with storage's AVX-512 unpack core; everything else (other CPUs, wider
 /// images, partial last blocks, plain keys) runs the scalar block decoder.
 enum class PackedTier : std::uint8_t { kScalar, kAvx512Vbmi };
@@ -64,16 +65,10 @@ enum class PackedTier : std::uint8_t { kScalar, kAvx512Vbmi };
 std::size_t scan_branching(std::span<const std::int32_t> values,
                            std::int32_t lo, std::int32_t hi,
                            std::uint32_t* out);
-std::size_t scan_branching64(std::span<const std::int64_t> values,
-                             std::int64_t lo, std::int64_t hi,
-                             std::uint32_t* out);
 
 std::size_t scan_predicated(std::span<const std::int32_t> values,
                             std::int32_t lo, std::int32_t hi,
                             std::uint32_t* out);
-std::size_t scan_predicated64(std::span<const std::int64_t> values,
-                              std::int64_t lo, std::int64_t hi,
-                              std::uint32_t* out);
 
 // -- Bitmap-producing kernels --------------------------------------------------
 

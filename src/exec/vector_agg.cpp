@@ -1,11 +1,15 @@
 #include "exec/vector_agg.hpp"
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 #include <algorithm>
 #include <limits>
-#include <mutex>
 #include <type_traits>
 
 #include "exec/hash_table.hpp"
+#include "storage/bitpack_avx512.hpp"
 #include "util/assert.hpp"
 
 namespace eidb::exec {
@@ -13,122 +17,256 @@ namespace eidb::exec {
 namespace {
 
 // Serial dense slots come from the shared kDenseDomainLimit
-// (exec/aggregate.hpp); per-worker dense accumulators cap lower.
+// (exec/aggregate.hpp); per-chunk dense accumulators cap lower.
 constexpr std::int64_t kParallelDenseLimit = 1 << 16;
+
+constexpr std::uint64_t kAllLive = ~std::uint64_t{0};
+
+// ---------------------------------------------------------------------------
+// The live lanes of one selection word: the only places a pass lists its
+// selected rows or decodes a packed block.
+// ---------------------------------------------------------------------------
+
+#if defined(__x86_64__)
+/// AVX-512 tier of live_rows: vpcompressd keeps the live row ids of each
+/// 16-row group, in row order. A group's 16-lane store starts at
+/// k <= 16 * g, so it stays inside out[0..64).
+EIDB_TARGET_AVX512_VBMI std::size_t live_rows_avx512(std::size_t base,
+                                                     std::uint64_t live,
+                                                     std::uint32_t* out) {
+  const __m512i lane = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
+                                         11, 12, 13, 14, 15);
+  std::size_t k = 0;
+  for (unsigned g = 0; g < 4; ++g) {
+    const auto m = static_cast<__mmask16>(live >> (16 * g));
+    const __m512i rows = _mm512_add_epi32(
+        lane, _mm512_set1_epi32(static_cast<int>(base + 16 * g)));
+    _mm512_storeu_si512(out + k, _mm512_maskz_compress_epi32(m, rows));
+    k += static_cast<std::size_t>(__builtin_popcount(m));
+  }
+  return k;
+}
+
+/// AVX-512 tier of decode_live: each 16-value group decodes through the
+/// storage core and vpcompressd keeps its live lanes in row order (stores
+/// bounded as in live_rows_avx512).
+EIDB_TARGET_AVX512_VBMI std::size_t decode_live_avx512(
+    const storage::PackedView& pv, std::size_t base, std::uint64_t live,
+    std::uint32_t* out) {
+  const storage::avx512::Unpacker unpack(pv.words.data(), pv.bits);
+  std::size_t k = 0;
+  for (unsigned g = 0; g < 4; ++g) {
+    const auto m = static_cast<__mmask16>(live >> (16 * g));
+    _mm512_storeu_si512(
+        out + k, _mm512_maskz_compress_epi32(m, unpack.load16(base + 16 * g)));
+    k += static_cast<std::size_t>(__builtin_popcount(m));
+  }
+  return k;
+}
+#endif  // __x86_64__
+
+/// Row ids of the rows set in `live` (the word at `base`) into out[],
+/// in row order; returns their count. The AVX-512 tier compresses, the
+/// scalar tier walks the bits with count-trailing-zeros.
+std::size_t live_rows(std::size_t base, std::uint64_t live, PackedTier tier,
+                      std::uint32_t* out) {
+#if defined(__x86_64__)
+  if (tier == PackedTier::kAvx512Vbmi)
+    return live_rows_avx512(base, live, out);
+#else
+  (void)tier;
+#endif
+  std::size_t k = 0;
+  while (live != 0) {
+    out[k++] = static_cast<std::uint32_t>(
+        base + static_cast<std::size_t>(__builtin_ctzll(live)));
+    live &= live - 1;
+  }
+  return k;
+}
+
+/// The block helper: decodes the 64-value block of `pv` at `base` once and
+/// writes the packed values (reference not added) of the rows set in
+/// `live` to out[], in row order; returns their count. `Raw` is uint32_t
+/// for widths up to 32, uint64_t above. The AVX-512 tier decodes widths
+/// 1..25 with storage::avx512::Unpacker; widths 0 and above 25, and other
+/// CPUs, take the scalar block decoder and a ctz walk.
+template <typename Raw>
+std::size_t decode_live(const storage::PackedView& pv, std::size_t base,
+                        std::uint64_t live, PackedTier tier, Raw* out) {
+  EIDB_EXPECTS(base % 64 == 0 && base + 64 <= pv.count);
+  EIDB_EXPECTS(pv.bits <= 8 * sizeof(Raw));
+#if defined(__x86_64__)
+  if constexpr (std::is_same_v<Raw, std::uint32_t>) {
+    if (tier == PackedTier::kAvx512Vbmi && pv.bits >= 1 &&
+        pv.bits <= storage::avx512::kMaxBits) {
+      // A 64-value block ends on a word boundary: block b spans words
+      // [b * bits, (b + 1) * bits).
+      EIDB_EXPECTS((base / 64 + 1) * pv.bits <= pv.words.size());
+      return decode_live_avx512(pv, base, live, out);
+    }
+  }
+#endif
+  (void)tier;
+  alignas(64) std::uint64_t buf[64];
+  storage::bitunpack_block64(pv.words, pv.bits, base, buf);
+  if (live == kAllLive) {
+    for (unsigned j = 0; j < 64; ++j) out[j] = static_cast<Raw>(buf[j]);
+    return 64;
+  }
+  std::size_t k = 0;
+  while (live != 0) {
+    out[k++] = static_cast<Raw>(buf[__builtin_ctzll(live)]);
+    live &= live - 1;
+  }
+  return k;
+}
+
+/// Calls fn(value), where value(e) is the decoded value (reference added)
+/// of the e-th live row of the word at `base`: from one decode_live for a
+/// block word, through value_at at the listed rows idx[] otherwise.
+template <typename Fn>
+void with_live_values(const storage::PackedView& pv, std::size_t base,
+                      std::uint64_t live, bool block, PackedTier tier,
+                      const std::uint32_t* idx, Fn&& fn) {
+  const std::int64_t ref = pv.reference;
+  if (block && pv.bits <= 32) {
+    alignas(64) std::uint32_t raw[64];
+    decode_live(pv, base, live, tier, raw);
+    fn([&](std::size_t e) { return ref + static_cast<std::int64_t>(raw[e]); });
+  } else if (block) {
+    alignas(64) std::uint64_t raw[64];
+    decode_live(pv, base, live, tier, raw);
+    fn([&](std::size_t e) { return ref + static_cast<std::int64_t>(raw[e]); });
+  } else {
+    fn([&](std::size_t e) { return pv.value_at(idx[e]); });
+  }
+}
+
+/// Which words of a pass take the block path: those with at least
+/// kAggBlockMinLive live rows whose 64-row block lies inside every column
+/// (`rows`, and each packed input). A block word lists its row ids only
+/// when some column reads plain rows.
+struct BlockPlan {
+  std::size_t block_words = 0;
+  bool plain_reads = false;
+  [[nodiscard]] bool block(std::size_t w, std::size_t live) const {
+    return w < block_words && live >= kAggBlockMinLive;
+  }
+};
+
+BlockPlan plan_blocks(std::span<const AggInput> inputs, std::size_t rows,
+                      bool plain_reads) {
+  for (const AggInput& in : inputs) {
+    if (in.kind == AggInput::Kind::kPacked)
+      rows = std::min(rows, in.packed.count);
+    else
+      plain_reads = true;
+  }
+  return {rows / 64, plain_reads};
+}
+
+// ---------------------------------------------------------------------------
+// Folds: only the state an input's op set names, one loop per op, so every
+// state sees its values in row order (double sums stay bit-identical).
+// ---------------------------------------------------------------------------
+
+template <typename S>
+constexpr S fold_top() {
+  if constexpr (std::is_floating_point_v<S>)
+    return std::numeric_limits<S>::infinity();
+  else
+    return std::numeric_limits<S>::max();
+}
+
+template <typename S>
+constexpr S fold_bottom() {
+  if constexpr (std::is_floating_point_v<S>)
+    return -std::numeric_limits<S>::infinity();
+  else
+    return std::numeric_limits<S>::min();
+}
+
+/// Folds value(0..k) into one running state.
+template <typename S, typename Value>
+void fold(AggOpSet ops, std::size_t k, const Value& value, S& sum, S& mn,
+          S& mx) {
+  if (ops & kAggSum)
+    for (std::size_t e = 0; e < k; ++e) sum += value(e);
+  if (ops & kAggMin)
+    for (std::size_t e = 0; e < k; ++e) mn = std::min(mn, value(e));
+  if (ops & kAggMax)
+    for (std::size_t e = 0; e < k; ++e) mx = std::max(mx, value(e));
+}
+
+/// Folds value(e) into slot[e]'s state, e in [0, k).
+template <typename S, typename Value>
+void fold_slots(AggOpSet ops, std::size_t k, const std::uint32_t* slot,
+                const Value& value, GroupAccum::Arrays<S>& a) {
+  if (ops & kAggSum) {
+    S* sum = a.sum.data();
+    for (std::size_t e = 0; e < k; ++e) sum[slot[e]] += value(e);
+  }
+  if (ops & kAggMin) {
+    S* mn = a.mn.data();
+    for (std::size_t e = 0; e < k; ++e)
+      mn[slot[e]] = std::min(mn[slot[e]], value(e));
+  }
+  if (ops & kAggMax) {
+    S* mx = a.mx.data();
+    for (std::size_t e = 0; e < k; ++e)
+      mx[slot[e]] = std::max(mx[slot[e]], value(e));
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Global (ungrouped) multi-aggregate.
 // ---------------------------------------------------------------------------
 
-/// Per-input running accumulator; integer inputs (int32/int64) promote into
-/// the int64 fields, doubles into the double fields.
+/// Per-input running accumulator; integer inputs (int32/int64/packed)
+/// promote into the int64 fields, doubles into the double fields.
 struct InputAcc {
   std::int64_t isum = 0;
-  std::int64_t imin = std::numeric_limits<std::int64_t>::max();
-  std::int64_t imax = std::numeric_limits<std::int64_t>::min();
+  std::int64_t imin = fold_top<std::int64_t>();
+  std::int64_t imax = fold_bottom<std::int64_t>();
   double dsum = 0;
-  double dmin = std::numeric_limits<double>::infinity();
-  double dmax = -std::numeric_limits<double>::infinity();
+  double dmin = fold_top<double>();
+  double dmax = fold_bottom<double>();
 };
 
-/// Branch-free full-word accumulate: 64 consecutive rows, no bit tests —
-/// the plain loops autovectorize (SIMD) on any target.
+/// Branch-free full-word accumulate over 64 consecutive rows: the plain
+/// loops autovectorize (SIMD) on any target.
 template <typename T, typename S>
-void acc_word_full(const T* data, std::size_t base, S& sum, S& mn, S& mx) {
-  S s = 0;
-  T lo = data[base];
-  T hi = data[base];
-  for (std::size_t j = 0; j < 64; ++j) {
-    const T v = data[base + j];
-    s += static_cast<S>(v);
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
+void acc_word_full(const T* data, AggOpSet ops, S& sum, S& mn, S& mx) {
+  if (ops & kAggSum) {
+    S s = 0;
+    for (std::size_t j = 0; j < 64; ++j) s += static_cast<S>(data[j]);
+    sum += s;
   }
-  sum += s;
-  mn = std::min(mn, static_cast<S>(lo));
-  mx = std::max(mx, static_cast<S>(hi));
-}
-
-/// Partial-word accumulate: walk set bits (count-trailing-zeros).
-template <typename T, typename S>
-void acc_word_bits(const T* data, std::size_t base, std::uint64_t bits,
-                   S& sum, S& mn, S& mx) {
-  while (bits != 0) {
-    const auto j = static_cast<std::size_t>(__builtin_ctzll(bits));
-    bits &= bits - 1;
-    const S v = static_cast<S>(data[base + j]);
-    sum += v;
-    mn = std::min(mn, v);
-    mx = std::max(mx, v);
+  if (ops & kAggMin) {
+    T lo = data[0];
+    for (std::size_t j = 0; j < 64; ++j) lo = std::min(lo, data[j]);
+    mn = std::min(mn, static_cast<S>(lo));
+  }
+  if (ops & kAggMax) {
+    T hi = data[0];
+    for (std::size_t j = 0; j < 64; ++j) hi = std::max(hi, data[j]);
+    mx = std::max(mx, static_cast<S>(hi));
   }
 }
 
-/// Packed-input accumulate: full words unpack one 64-value block into a
-/// stack buffer (the only memory touched is the packed image); partial
-/// words random-access the surviving bits.
-void acc_word_packed(const storage::PackedView& pv, InputAcc& acc,
-                     std::size_t base, std::uint64_t bits, bool full) {
+/// One plain input over one word: full words branch-free, partial words
+/// at the listed rows idx[0..k).
+template <typename T, typename S>
+void acc_word_plain(const T* data, std::size_t base, bool full,
+                    const std::uint32_t* idx, std::size_t k, AggOpSet ops,
+                    S& sum, S& mn, S& mx) {
   if (full) {
-    alignas(64) std::uint64_t buf[64];
-    storage::bitunpack_block64(pv.words, pv.bits, base, buf);
-    std::int64_t s = 0;
-    std::int64_t lo = std::numeric_limits<std::int64_t>::max();
-    std::int64_t hi = std::numeric_limits<std::int64_t>::min();
-    for (unsigned j = 0; j < 64; ++j) {
-      const std::int64_t v =
-          pv.reference + static_cast<std::int64_t>(buf[j]);
-      s += v;
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
-    }
-    acc.isum += s;
-    acc.imin = std::min(acc.imin, lo);
-    acc.imax = std::max(acc.imax, hi);
+    acc_word_full(data + base, ops, sum, mn, mx);
     return;
   }
-  // Dense partial words amortize one block unpack; sparse ones pay the
-  // cheaper per-bit random access.
-  alignas(64) std::uint64_t buf[64];
-  const bool unpack_block = __builtin_popcountll(bits) >= 16 &&
-                            base + 64 <= pv.count;
-  if (unpack_block) storage::bitunpack_block64(pv.words, pv.bits, base, buf);
-  while (bits != 0) {
-    const auto j = static_cast<std::size_t>(__builtin_ctzll(bits));
-    bits &= bits - 1;
-    const std::int64_t v =
-        unpack_block ? pv.reference + static_cast<std::int64_t>(buf[j])
-                     : pv.value_at(base + j);
-    acc.isum += v;
-    acc.imin = std::min(acc.imin, v);
-    acc.imax = std::max(acc.imax, v);
-  }
-}
-
-void acc_word(const AggInput& in, InputAcc& acc, std::size_t base,
-              std::uint64_t bits, bool full) {
-  switch (in.kind) {
-    case AggInput::Kind::kInt32:
-      if (full)
-        acc_word_full(in.i32.data(), base, acc.isum, acc.imin, acc.imax);
-      else
-        acc_word_bits(in.i32.data(), base, bits, acc.isum, acc.imin, acc.imax);
-      break;
-    case AggInput::Kind::kInt64:
-      if (full)
-        acc_word_full(in.i64.data(), base, acc.isum, acc.imin, acc.imax);
-      else
-        acc_word_bits(in.i64.data(), base, bits, acc.isum, acc.imin, acc.imax);
-      break;
-    case AggInput::Kind::kDouble:
-      if (full)
-        acc_word_full(in.f64.data(), base, acc.dsum, acc.dmin, acc.dmax);
-      else
-        acc_word_bits(in.f64.data(), base, bits, acc.dsum, acc.dmin, acc.dmax);
-      break;
-    case AggInput::Kind::kPacked:
-      acc_word_packed(in.packed, acc, base, bits, full);
-      break;
-  }
+  fold(ops, k, [&](std::size_t e) { return static_cast<S>(data[idx[e]]); },
+       sum, mn, mx);
 }
 
 /// One pass over selection words [word_begin, word_end) accumulating every
@@ -136,17 +274,46 @@ void acc_word(const AggInput& in, InputAcc& acc, std::size_t base,
 std::uint64_t multi_acc_range(std::span<const AggInput> inputs,
                               const BitVector& selection,
                               std::size_t word_begin, std::size_t word_end,
-                              std::vector<InputAcc>& accs) {
+                              PackedTier tier, std::vector<InputAcc>& accs) {
+  // Full words of plain inputs read all 64 rows without listing them.
+  const BlockPlan plan = plan_blocks(inputs, selection.size(), false);
   const std::uint64_t* words = selection.words();
   std::uint64_t count = 0;
+  alignas(64) std::uint32_t idx[64];
   for (std::size_t w = word_begin; w < word_end; ++w) {
     const std::uint64_t bits = words[w];
     if (bits == 0) continue;
-    count += static_cast<std::uint64_t>(__builtin_popcountll(bits));
-    const bool full = bits == ~std::uint64_t{0};
+    const auto k = static_cast<std::size_t>(__builtin_popcountll(bits));
+    count += k;
+    const bool full = bits == kAllLive;
+    const bool block = plan.block(w, k);
     const std::size_t base = w * 64;
-    for (std::size_t j = 0; j < inputs.size(); ++j)
-      acc_word(inputs[j], accs[j], base, bits, full);
+    if (!block || (plan.plain_reads && !full))
+      live_rows(base, bits, block ? tier : PackedTier::kScalar, idx);
+    for (std::size_t j = 0; j < inputs.size(); ++j) {
+      const AggInput& in = inputs[j];
+      InputAcc& a = accs[j];
+      switch (in.kind) {
+        case AggInput::Kind::kInt32:
+          acc_word_plain(in.i32.data(), base, full, idx, k, in.ops, a.isum,
+                         a.imin, a.imax);
+          break;
+        case AggInput::Kind::kInt64:
+          acc_word_plain(in.i64.data(), base, full, idx, k, in.ops, a.isum,
+                         a.imin, a.imax);
+          break;
+        case AggInput::Kind::kDouble:
+          acc_word_plain(in.f64.data(), base, full, idx, k, in.ops, a.dsum,
+                         a.dmin, a.dmax);
+          break;
+        case AggInput::Kind::kPacked:
+          with_live_values(in.packed, base, bits, block, tier, idx,
+                           [&](const auto& value) {
+                             fold(in.ops, k, value, a.isum, a.imin, a.imax);
+                           });
+          break;
+      }
+    }
   }
   return count;
 }
@@ -157,17 +324,19 @@ std::vector<AggOut> finalize_multi(std::span<const AggInput> inputs,
   std::vector<AggOut> outs(inputs.size());
   for (std::size_t j = 0; j < inputs.size(); ++j) {
     AggOut& o = outs[j];
+    const AggOpSet ops = inputs[j].ops;
+    const bool any = count != 0;
     o.is_double = inputs[j].is_double();
     if (o.is_double) {
       o.d.count = count;
-      o.d.sum = accs[j].dsum;
-      o.d.min = count ? accs[j].dmin : 0;
-      o.d.max = count ? accs[j].dmax : 0;
+      o.d.sum = (ops & kAggSum) ? accs[j].dsum : 0;
+      o.d.min = any && (ops & kAggMin) ? accs[j].dmin : 0;
+      o.d.max = any && (ops & kAggMax) ? accs[j].dmax : 0;
     } else {
       o.i.count = count;
-      o.i.sum = accs[j].isum;
-      o.i.min = count ? accs[j].imin : 0;
-      o.i.max = count ? accs[j].imax : 0;
+      o.i.sum = (ops & kAggSum) ? accs[j].isum : 0;
+      o.i.min = any && (ops & kAggMin) ? accs[j].imin : 0;
+      o.i.max = any && (ops & kAggMax) ? accs[j].imax : 0;
     }
   }
   return outs;
@@ -179,101 +348,14 @@ void check_input_sizes(std::span<const AggInput> inputs,
     EIDB_EXPECTS(selection.size() >= in.size());
 }
 
+/// A caller-picked tier must be the reference or the host's own.
+void check_tier(PackedTier tier) {
+  EIDB_EXPECTS(tier == PackedTier::kScalar || tier == packed_tier());
+}
+
 // ---------------------------------------------------------------------------
 // Grouped multi-aggregate.
 // ---------------------------------------------------------------------------
-
-/// Slot-indexed accumulation arrays shared by the dense and hash paths:
-/// one count per group plus sum/min/max per (input, group).
-struct GroupAccum {
-  struct IntArrays {
-    std::vector<std::int64_t> sum, mn, mx;
-  };
-  struct DblArrays {
-    std::vector<double> sum, mn, mx;
-  };
-  std::vector<std::uint64_t> counts;
-  std::vector<IntArrays> iarr;  // indexed by input; empty for double inputs
-  std::vector<DblArrays> darr;  // indexed by input; empty for int inputs
-
-  void init(std::span<const AggInput> inputs) {
-    iarr.resize(inputs.size());
-    darr.resize(inputs.size());
-  }
-
-  /// Grows every array to `slots`, default-initializing new groups.
-  /// Capacity grows geometrically so one-slot-at-a-time growth (hash path)
-  /// stays amortized O(1).
-  void ensure(std::size_t slots, std::span<const AggInput> inputs) {
-    if (counts.size() >= slots) return;
-    if (counts.capacity() < slots) {
-      const std::size_t cap = std::max(slots, counts.capacity() * 2 + 16);
-      counts.reserve(cap);
-      for (std::size_t j = 0; j < inputs.size(); ++j) {
-        if (inputs[j].is_double()) {
-          darr[j].sum.reserve(cap);
-          darr[j].mn.reserve(cap);
-          darr[j].mx.reserve(cap);
-        } else {
-          iarr[j].sum.reserve(cap);
-          iarr[j].mn.reserve(cap);
-          iarr[j].mx.reserve(cap);
-        }
-      }
-    }
-    counts.resize(slots, 0);
-    for (std::size_t j = 0; j < inputs.size(); ++j) {
-      if (inputs[j].is_double()) {
-        darr[j].sum.resize(slots, 0);
-        darr[j].mn.resize(slots, std::numeric_limits<double>::infinity());
-        darr[j].mx.resize(slots, -std::numeric_limits<double>::infinity());
-      } else {
-        iarr[j].sum.resize(slots, 0);
-        iarr[j].mn.resize(slots, std::numeric_limits<std::int64_t>::max());
-        iarr[j].mx.resize(slots, std::numeric_limits<std::int64_t>::min());
-      }
-    }
-  }
-};
-
-/// Accumulates one extracted block (up to 64 rows) for one input.
-template <typename T, typename A>
-void acc_block_grouped(const T* data, const std::uint32_t* idx,
-                       const std::uint32_t* slot, std::size_t k,
-                       A& arrays) {
-  using S = std::decay_t<decltype(arrays.sum[0])>;
-  for (std::size_t e = 0; e < k; ++e) {
-    const S v = static_cast<S>(data[idx[e]]);
-    const std::uint32_t s = slot[e];
-    arrays.sum[s] += v;
-    arrays.mn[s] = std::min(arrays.mn[s], v);
-    arrays.mx[s] = std::max(arrays.mx[s], v);
-  }
-}
-
-void acc_block_grouped_packed(const storage::PackedView& pv,
-                              const std::uint32_t* idx,
-                              const std::uint32_t* slot, std::size_t k,
-                              GroupAccum::IntArrays& arrays) {
-  // All idx entries of one call lie in a single 64-value block (they were
-  // extracted from one selection word): dense blocks amortize one
-  // vectorizable unpack, sparse ones use per-bit random access — the
-  // grouped mirror of acc_word_packed.
-  const std::size_t base = k > 0 ? (idx[0] / 64) * 64 : 0;
-  alignas(64) std::uint64_t buf[64];
-  const bool unpack_block = k >= 16 && base + 64 <= pv.count;
-  if (unpack_block) storage::bitunpack_block64(pv.words, pv.bits, base, buf);
-  for (std::size_t e = 0; e < k; ++e) {
-    const std::int64_t v =
-        unpack_block
-            ? pv.reference + static_cast<std::int64_t>(buf[idx[e] - base])
-            : pv.value_at(idx[e]);
-    const std::uint32_t s = slot[e];
-    arrays.sum[s] += v;
-    arrays.mn[s] = std::min(arrays.mn[s], v);
-    arrays.mx[s] = std::max(arrays.mx[s], v);
-  }
-}
 
 /// Readonly key accessor over a bit-packed column image, shaped like the
 /// span the templated grouped kernels expect (operator[] + size()).
@@ -289,43 +371,70 @@ struct PackedKeys {
 /// dense slot id (identity-offset for the dense strategy, hash lookup
 /// otherwise). Processes selection words [word_begin, word_end).
 template <typename Keys, typename Resolve>
-void grouped_acc_range(const Keys& keys,
-                       std::span<const AggInput> inputs,
+void grouped_acc_range(const Keys& keys, std::span<const AggInput> inputs,
                        const BitVector& selection, std::size_t word_begin,
-                       std::size_t word_end, Resolve&& resolve,
-                       GroupAccum& acc) {
+                       std::size_t word_end, PackedTier tier,
+                       Resolve&& resolve, GroupAccum& acc) {
+  constexpr bool kPackedKeys = std::is_same_v<Keys, PackedKeys>;
+  const BlockPlan plan = plan_blocks(inputs, keys.size(), !kPackedKeys);
   const std::uint64_t* words = selection.words();
-  std::uint32_t idx[64];
-  std::uint32_t slot[64];
+  alignas(64) std::uint32_t idx[64];
+  alignas(64) std::uint32_t slot[64];
   for (std::size_t w = word_begin; w < word_end; ++w) {
-    std::uint64_t bits = words[w];
+    const std::uint64_t bits = words[w];
     if (bits == 0) continue;  // dead block: 64 rows skipped outright
     const std::size_t base = w * 64;
-    std::size_t k = 0;
-    while (bits != 0) {
-      const auto j = static_cast<std::size_t>(__builtin_ctzll(bits));
-      bits &= bits - 1;
-      idx[k++] = static_cast<std::uint32_t>(base + j);
+    const auto k = static_cast<std::size_t>(__builtin_popcountll(bits));
+    const bool block = plan.block(w, k);
+    if (!block || plan.plain_reads)
+      live_rows(base, bits, block ? tier : PackedTier::kScalar, idx);
+    // Key column touched once per row: slots computed (and counted) for
+    // the whole word, then every input accumulates column-at-a-time.
+    const auto resolve_all = [&](const auto& key) {
+      for (std::size_t e = 0; e < k; ++e) {
+        const std::uint32_t s = resolve(key(e));
+        slot[e] = s;
+        ++acc.counts[s];
+      }
+    };
+    if constexpr (kPackedKeys) {
+      with_live_values(keys.view, base, bits, block, tier, idx, resolve_all);
+    } else {
+      resolve_all([&](std::size_t e) {
+        return static_cast<std::int64_t>(keys[idx[e]]);
+      });
     }
-    // Key column touched once per row: slots computed for the whole block,
-    // then every input accumulates column-at-a-time over the block.
-    for (std::size_t e = 0; e < k; ++e)
-      slot[e] = resolve(static_cast<std::int64_t>(keys[idx[e]]));
-    for (std::size_t e = 0; e < k; ++e) ++acc.counts[slot[e]];
     for (std::size_t j = 0; j < inputs.size(); ++j) {
       const AggInput& in = inputs[j];
       switch (in.kind) {
-        case AggInput::Kind::kInt32:
-          acc_block_grouped(in.i32.data(), idx, slot, k, acc.iarr[j]);
+        case AggInput::Kind::kInt32: {
+          const std::int32_t* data = in.i32.data();
+          fold_slots(in.ops, k, slot,
+                     [&](std::size_t e) {
+                       return static_cast<std::int64_t>(data[idx[e]]);
+                     },
+                     acc.iarr[j]);
           break;
-        case AggInput::Kind::kInt64:
-          acc_block_grouped(in.i64.data(), idx, slot, k, acc.iarr[j]);
+        }
+        case AggInput::Kind::kInt64: {
+          const std::int64_t* data = in.i64.data();
+          fold_slots(in.ops, k, slot,
+                     [&](std::size_t e) { return data[idx[e]]; },
+                     acc.iarr[j]);
           break;
-        case AggInput::Kind::kDouble:
-          acc_block_grouped(in.f64.data(), idx, slot, k, acc.darr[j]);
+        }
+        case AggInput::Kind::kDouble: {
+          const double* data = in.f64.data();
+          fold_slots(in.ops, k, slot,
+                     [&](std::size_t e) { return data[idx[e]]; },
+                     acc.darr[j]);
           break;
+        }
         case AggInput::Kind::kPacked:
-          acc_block_grouped_packed(in.packed, idx, slot, k, acc.iarr[j]);
+          with_live_values(in.packed, base, bits, block, tier, idx,
+                           [&](const auto& value) {
+                             fold_slots(in.ops, k, slot, value, acc.iarr[j]);
+                           });
           break;
       }
     }
@@ -354,46 +463,11 @@ KeyRange selected_key_range(const Keys& keys, const BitVector& selection) {
   return r;
 }
 
-/// Emits groups `order[i] -> slot` as sorted GroupedAggs.
-GroupedAggs emit_groups(std::span<const AggInput> inputs,
-                        const GroupAccum& acc,
-                        const std::vector<std::pair<std::int64_t,
-                                                    std::uint32_t>>& order) {
-  GroupedAggs out;
-  const std::size_t g = order.size();
-  out.keys.reserve(g);
-  out.counts.reserve(g);
-  out.iout.resize(inputs.size());
-  out.dout.resize(inputs.size());
-  for (std::size_t j = 0; j < inputs.size(); ++j) {
-    if (inputs[j].is_double())
-      out.dout[j].reserve(g);
-    else
-      out.iout[j].reserve(g);
-  }
-  for (const auto& [key, slot] : order) {
-    out.keys.push_back(key);
-    const std::uint64_t count = acc.counts[slot];
-    out.counts.push_back(count);
-    for (std::size_t j = 0; j < inputs.size(); ++j) {
-      if (inputs[j].is_double()) {
-        const auto& a = acc.darr[j];
-        out.dout[j].push_back({count, a.sum[slot], a.mn[slot], a.mx[slot]});
-      } else {
-        const auto& a = acc.iarr[j];
-        out.iout[j].push_back({count, a.sum[slot], a.mn[slot], a.mx[slot]});
-      }
-    }
-  }
-  return out;
-}
-
 template <typename Keys>
-GroupedAggs grouped_impl(const Keys& keys,
-                         std::span<const AggInput> inputs,
+GroupedAggs grouped_impl(const Keys& keys, std::span<const AggInput> inputs,
                          const BitVector& selection, KeyRange range,
                          GroupStrategy strategy, std::size_t word_begin,
-                         std::size_t word_end) {
+                         std::size_t word_end, PackedTier tier) {
   if (!range.known) range = selected_key_range(keys, selection);
   if (!range.known) return {};  // empty selection
 
@@ -408,21 +482,20 @@ GroupedAggs grouped_impl(const Keys& keys,
   if (chosen == GroupStrategy::kDenseArray && !dense_ok)
     throw Error("dense group-by domain too large");
 
-  GroupAccum acc;
-  acc.init(inputs);
+  GroupAccum acc(inputs);
   std::vector<std::pair<std::int64_t, std::uint32_t>> order;
 
   if (chosen == GroupStrategy::kDenseArray) {
     const auto domain = static_cast<std::size_t>(width) + 1;
-    acc.ensure(domain, inputs);
+    acc.ensure(domain);
     const std::int64_t kmin = range.min;
-    grouped_acc_range(keys, inputs, selection, word_begin, word_end,
+    grouped_acc_range(keys, inputs, selection, word_begin, word_end, tier,
                       [kmin](std::int64_t key) {
                         return static_cast<std::uint32_t>(key - kmin);
                       },
                       acc);
     // Slot order == key order for the dense layout.
-    for (std::size_t s = 0; s < static_cast<std::size_t>(domain); ++s)
+    for (std::size_t s = 0; s < domain; ++s)
       if (acc.counts[s] != 0)
         order.emplace_back(kmin + static_cast<std::int64_t>(s),
                            static_cast<std::uint32_t>(s));
@@ -441,11 +514,11 @@ GroupedAggs grouped_impl(const Keys& keys,
     HashTable<std::uint32_t> slots(sized);
     std::uint32_t next = 0;
     grouped_acc_range(
-        keys, inputs, selection, word_begin, word_end,
+        keys, inputs, selection, word_begin, word_end, tier,
         [&](std::int64_t key) {
           std::uint32_t& s = slots.get_or_insert(
               key, [&](std::uint32_t& fresh) { fresh = next++; });
-          acc.ensure(next, inputs);
+          acc.ensure(next);
           return s;
         },
         acc);
@@ -455,49 +528,20 @@ GroupedAggs grouped_impl(const Keys& keys,
     });
     std::sort(order.begin(), order.end());
   }
-  return emit_groups(inputs, acc, order);
-}
-
-/// Merges partial GroupedAggs (parallel workers) by key.
-void merge_grouped(std::span<const AggInput> inputs, const GroupedAggs& part,
-                   HashTable<std::uint32_t>& slots, std::uint32_t& next,
-                   GroupAccum& acc) {
-  for (std::size_t g = 0; g < part.keys.size(); ++g) {
-    const std::int64_t key = part.keys[g];
-    const std::uint32_t s = slots.get_or_insert(
-        key, [&](std::uint32_t& f) { f = next++; });
-    acc.ensure(next, inputs);
-    acc.counts[s] += part.counts[g];
-    for (std::size_t j = 0; j < inputs.size(); ++j) {
-      if (inputs[j].is_double()) {
-        const AggResultD& r = part.dout[j][g];
-        auto& a = acc.darr[j];
-        a.sum[s] += r.sum;
-        a.mn[s] = std::min(a.mn[s], r.min);
-        a.mx[s] = std::max(a.mx[s], r.max);
-      } else {
-        const AggResult& r = part.iout[j][g];
-        auto& a = acc.iarr[j];
-        a.sum[s] += r.sum;
-        a.mn[s] = std::min(a.mn[s], r.min);
-        a.mx[s] = std::max(a.mx[s], r.max);
-      }
-    }
-  }
+  return acc.emit(order);
 }
 
 template <typename Keys>
-GroupedAggs parallel_grouped_impl(sched::ThreadPool& pool,
-                                  const Keys& keys,
+GroupedAggs parallel_grouped_impl(sched::ThreadPool& pool, const Keys& keys,
                                   std::span<const AggInput> inputs,
                                   const BitVector& selection, KeyRange range,
-                                  std::size_t morsel_rows) {
+                                  std::size_t morsel_rows, PackedTier tier) {
   EIDB_EXPECTS(selection.size() >= keys.size());
   check_input_sizes(inputs, selection);
   if (!range.known) range = selected_key_range(keys, selection);
   if (!range.known) return {};
 
-  // Per-worker dense accumulators only for modest domains; everything
+  // Per-chunk dense accumulators only for modest domains; everything
   // larger hashes explicitly — per-chunk dense arrays over a big domain
   // would pay O(domain) init and emit per chunk.
   const std::uint64_t width = static_cast<std::uint64_t>(range.max) -
@@ -516,40 +560,166 @@ GroupedAggs parallel_grouped_impl(sched::ThreadPool& pool,
       std::max<std::size_t>(64, std::max(morsel_rows, per_worker) / 64 * 64);
   const std::size_t total_words = (n + 63) / 64;
 
-  std::mutex merge_mu;
-  GroupAccum merged;
-  merged.init(inputs);
-  HashTable<std::uint32_t> slots;
-  std::uint32_t next = 0;
-
+  // Morsels are grain-aligned (multiples of 64): whole selection words,
+  // one partial per chunk slot.
+  std::vector<GroupedAggs> parts((n + grain - 1) / grain);
   pool.parallel_for(n, grain, [&](std::size_t begin, std::size_t end) {
-    // Morsels are grain-aligned (multiple of 64): whole selection words.
     const std::size_t wb = begin / 64;
     const std::size_t we = std::min(total_words, (end + 63) / 64);
-    GroupedAggs part =
-        grouped_impl(keys, inputs, selection, range, strategy, wb, we);
-    if (part.keys.empty()) return;
-    std::scoped_lock lock(merge_mu);
-    merge_grouped(inputs, part, slots, next, merged);
+    parts[begin / grain] =
+        grouped_impl(keys, inputs, selection, range, strategy, wb, we, tier);
   });
 
+  // Merged in chunk order, not completion order: double sums are then the
+  // same on every run.
+  GroupAccum merged(inputs);
+  HashTable<std::uint32_t> slots;
+  std::uint32_t next = 0;
+  for (const GroupedAggs& part : parts) {
+    for (std::size_t g = 0; g < part.group_count(); ++g) {
+      const std::uint32_t s = slots.get_or_insert(
+          part.keys[g], [&](std::uint32_t& f) { f = next++; });
+      merged.ensure(next);
+      merged.merge(s, part, g);
+    }
+  }
   std::vector<std::pair<std::int64_t, std::uint32_t>> order;
   order.reserve(next);
   slots.for_each([&](std::int64_t key, const std::uint32_t& s) {
     order.emplace_back(key, s);
   });
   std::sort(order.begin(), order.end());
-  return emit_groups(inputs, merged, order);
+  return merged.emit(order);
+}
+
+/// Grows the arrays `ops` names to `slots`, new slots at the fold
+/// identities.
+template <typename S>
+void grow(GroupAccum::Arrays<S>& a, AggOpSet ops, std::size_t slots,
+          std::size_t cap) {
+  const auto grow_one = [&](std::vector<S>& v, S identity) {
+    v.reserve(cap);
+    v.resize(slots, identity);
+  };
+  if (ops & kAggSum) grow_one(a.sum, S{0});
+  if (ops & kAggMin) grow_one(a.mn, fold_top<S>());
+  if (ops & kAggMax) grow_one(a.mx, fold_bottom<S>());
+}
+
+/// Folds one (sum, min, max) partial into slot `s`.
+template <typename S>
+void fold_into(GroupAccum::Arrays<S>& a, AggOpSet ops, std::uint32_t s,
+               S sum, S mn, S mx) {
+  if (ops & kAggSum) a.sum[s] += sum;
+  if (ops & kAggMin) a.mn[s] = std::min(a.mn[s], mn);
+  if (ops & kAggMax) a.mx[s] = std::max(a.mx[s], mx);
+}
+
+template <typename S>
+void fold_into(GroupAccum::Arrays<S>& a, AggOpSet ops, std::uint32_t s,
+               const GroupAccum::Arrays<S>& o, std::size_t t) {
+  fold_into(a, ops, s, (ops & kAggSum) ? o.sum[t] : S{0},
+            (ops & kAggMin) ? o.mn[t] : S{0},
+            (ops & kAggMax) ? o.mx[t] : S{0});
+}
+
+template <typename R, typename S>
+R slot_result(const GroupAccum::Arrays<S>& a, AggOpSet ops, std::uint32_t s,
+              std::uint64_t count) {
+  R r;
+  r.count = count;
+  if (ops & kAggSum) r.sum = a.sum[s];
+  if (count != 0 && (ops & kAggMin)) r.min = a.mn[s];
+  if (count != 0 && (ops & kAggMax)) r.max = a.mx[s];
+  return r;
 }
 
 }  // namespace
 
+GroupAccum::GroupAccum(std::span<const AggInput> inputs)
+    : iarr(inputs.size()), darr(inputs.size()) {
+  shapes_.reserve(inputs.size());
+  for (const AggInput& in : inputs) shapes_.push_back({in.is_double(), in.ops});
+}
+
+void GroupAccum::ensure(std::size_t slots) {
+  if (counts.size() >= slots) return;
+  const std::size_t cap = counts.capacity() >= slots
+                              ? counts.capacity()
+                              : std::max(slots, counts.capacity() * 2 + 16);
+  counts.reserve(cap);
+  counts.resize(slots, 0);
+  for (std::size_t j = 0; j < shapes_.size(); ++j) {
+    if (shapes_[j].is_double)
+      grow(darr[j], shapes_[j].ops, slots, cap);
+    else
+      grow(iarr[j], shapes_[j].ops, slots, cap);
+  }
+}
+
+void GroupAccum::merge(std::uint32_t s, const GroupedAggs& part,
+                       std::size_t g) {
+  counts[s] += part.counts[g];
+  for (std::size_t j = 0; j < shapes_.size(); ++j) {
+    if (shapes_[j].is_double) {
+      const AggResultD& r = part.dout[j][g];
+      fold_into(darr[j], shapes_[j].ops, s, r.sum, r.min, r.max);
+    } else {
+      const AggResult& r = part.iout[j][g];
+      fold_into(iarr[j], shapes_[j].ops, s, r.sum, r.min, r.max);
+    }
+  }
+}
+
+void GroupAccum::merge(std::uint32_t mine, const GroupAccum& other,
+                       std::size_t theirs) {
+  counts[mine] += other.counts[theirs];
+  for (std::size_t j = 0; j < shapes_.size(); ++j) {
+    if (shapes_[j].is_double)
+      fold_into(darr[j], shapes_[j].ops, mine, other.darr[j], theirs);
+    else
+      fold_into(iarr[j], shapes_[j].ops, mine, other.iarr[j], theirs);
+  }
+}
+
+GroupedAggs GroupAccum::emit(
+    std::span<const std::pair<std::int64_t, std::uint32_t>> order) const {
+  GroupedAggs out;
+  const std::size_t g = order.size();
+  out.keys.reserve(g);
+  out.counts.reserve(g);
+  out.iout.resize(shapes_.size());
+  out.dout.resize(shapes_.size());
+  for (std::size_t j = 0; j < shapes_.size(); ++j) {
+    if (shapes_[j].is_double)
+      out.dout[j].reserve(g);
+    else
+      out.iout[j].reserve(g);
+  }
+  for (const auto& [key, slot] : order) {
+    out.keys.push_back(key);
+    const std::uint64_t count = counts[slot];
+    out.counts.push_back(count);
+    for (std::size_t j = 0; j < shapes_.size(); ++j) {
+      if (shapes_[j].is_double)
+        out.dout[j].push_back(
+            slot_result<AggResultD>(darr[j], shapes_[j].ops, slot, count));
+      else
+        out.iout[j].push_back(
+            slot_result<AggResult>(iarr[j], shapes_[j].ops, slot, count));
+    }
+  }
+  return out;
+}
+
 std::vector<AggOut> multi_aggregate(std::span<const AggInput> inputs,
-                                    const BitVector& selection) {
+                                    const BitVector& selection,
+                                    PackedTier tier) {
   check_input_sizes(inputs, selection);
+  check_tier(tier);
   std::vector<InputAcc> accs(inputs.size());
-  const std::uint64_t count =
-      multi_acc_range(inputs, selection, 0, selection.word_count(), accs);
+  const std::uint64_t count = multi_acc_range(
+      inputs, selection, 0, selection.word_count(), tier, accs);
   return finalize_multi(inputs, accs, count);
 }
 
@@ -561,28 +731,36 @@ std::vector<AggOut> parallel_multi_aggregate(sched::ThreadPool& pool,
   const std::size_t n = selection.size();
   const std::size_t grain = std::max<std::size_t>(64, morsel_rows / 64 * 64);
   const std::size_t total_words = selection.word_count();
+  const PackedTier tier = packed_tier();
 
-  std::mutex merge_mu;
-  std::vector<InputAcc> accs(inputs.size());
-  std::uint64_t count = 0;
-
+  // One partial per chunk slot, merged in chunk order below.
+  const std::size_t chunks = (n + grain - 1) / grain;
+  std::vector<std::vector<InputAcc>> parts(chunks);
+  std::vector<std::uint64_t> part_counts(chunks, 0);
   pool.parallel_for(n, grain, [&](std::size_t begin, std::size_t end) {
+    const std::size_t chunk = begin / grain;
     const std::size_t wb = begin / 64;
     const std::size_t we = std::min(total_words, (end + 63) / 64);
-    std::vector<InputAcc> local(inputs.size());
-    const std::uint64_t c = multi_acc_range(inputs, selection, wb, we, local);
-    if (c == 0) return;
-    std::scoped_lock lock(merge_mu);
-    count += c;
-    for (std::size_t j = 0; j < inputs.size(); ++j) {
-      accs[j].isum += local[j].isum;
-      accs[j].imin = std::min(accs[j].imin, local[j].imin);
-      accs[j].imax = std::max(accs[j].imax, local[j].imax);
-      accs[j].dsum += local[j].dsum;
-      accs[j].dmin = std::min(accs[j].dmin, local[j].dmin);
-      accs[j].dmax = std::max(accs[j].dmax, local[j].dmax);
-    }
+    parts[chunk].resize(inputs.size());
+    part_counts[chunk] =
+        multi_acc_range(inputs, selection, wb, we, tier, parts[chunk]);
   });
+
+  std::vector<InputAcc> accs(inputs.size());
+  std::uint64_t count = 0;
+  for (std::size_t c = 0; c < chunks; ++c) {
+    if (part_counts[c] == 0) continue;
+    count += part_counts[c];
+    for (std::size_t j = 0; j < inputs.size(); ++j) {
+      const InputAcc& p = parts[c][j];
+      accs[j].isum += p.isum;
+      accs[j].imin = std::min(accs[j].imin, p.imin);
+      accs[j].imax = std::max(accs[j].imax, p.imax);
+      accs[j].dsum += p.dsum;
+      accs[j].dmin = std::min(accs[j].dmin, p.dmin);
+      accs[j].dmax = std::max(accs[j].dmax, p.dmax);
+    }
+  }
   return finalize_multi(inputs, accs, count);
 }
 
@@ -593,7 +771,7 @@ GroupedAggs grouped_multi_aggregate(std::span<const std::int64_t> keys,
   EIDB_EXPECTS(selection.size() >= keys.size());
   check_input_sizes(inputs, selection);
   return grouped_impl(keys, inputs, selection, range, strategy, 0,
-                      (keys.size() + 63) / 64);
+                      (keys.size() + 63) / 64, packed_tier());
 }
 
 GroupedAggs grouped_multi_aggregate32(std::span<const std::int32_t> keys,
@@ -603,7 +781,7 @@ GroupedAggs grouped_multi_aggregate32(std::span<const std::int32_t> keys,
   EIDB_EXPECTS(selection.size() >= keys.size());
   check_input_sizes(inputs, selection);
   return grouped_impl(keys, inputs, selection, range, strategy, 0,
-                      (keys.size() + 63) / 64);
+                      (keys.size() + 63) / 64, packed_tier());
 }
 
 GroupedAggs parallel_grouped_multi_aggregate(
@@ -611,7 +789,7 @@ GroupedAggs parallel_grouped_multi_aggregate(
     std::span<const AggInput> inputs, const BitVector& selection,
     KeyRange range, std::size_t morsel_rows) {
   return parallel_grouped_impl(pool, keys, inputs, selection, range,
-                               morsel_rows);
+                               morsel_rows, packed_tier());
 }
 
 GroupedAggs parallel_grouped_multi_aggregate32(
@@ -619,26 +797,29 @@ GroupedAggs parallel_grouped_multi_aggregate32(
     std::span<const AggInput> inputs, const BitVector& selection,
     KeyRange range, std::size_t morsel_rows) {
   return parallel_grouped_impl(pool, keys, inputs, selection, range,
-                               morsel_rows);
+                               morsel_rows, packed_tier());
 }
 
 GroupedAggs grouped_multi_aggregate_packed(const storage::PackedView& keys,
                                            std::span<const AggInput> inputs,
                                            const BitVector& selection,
                                            KeyRange range,
-                                           GroupStrategy strategy) {
+                                           GroupStrategy strategy,
+                                           PackedTier tier) {
   EIDB_EXPECTS(selection.size() >= keys.count);
   check_input_sizes(inputs, selection);
+  check_tier(tier);
   return grouped_impl(PackedKeys{keys}, inputs, selection, range, strategy,
-                      0, (keys.count + 63) / 64);
+                      0, (keys.count + 63) / 64, tier);
 }
 
 GroupedAggs parallel_grouped_multi_aggregate_packed(
     sched::ThreadPool& pool, const storage::PackedView& keys,
     std::span<const AggInput> inputs, const BitVector& selection,
-    KeyRange range, std::size_t morsel_rows) {
+    KeyRange range, std::size_t morsel_rows, PackedTier tier) {
+  check_tier(tier);
   return parallel_grouped_impl(pool, PackedKeys{keys}, inputs, selection,
-                               range, morsel_rows);
+                               range, morsel_rows, tier);
 }
 
 // ---------------------------------------------------------------------------
@@ -665,47 +846,38 @@ std::int64_t gather_int(const AggInput& in, std::uint32_t row) {
   return 0;
 }
 
+std::vector<AggInput> columns_of(
+    const std::vector<JoinAggregator::Input>& inputs) {
+  std::vector<AggInput> columns;
+  columns.reserve(inputs.size());
+  for (const JoinAggregator::Input& in : inputs) columns.push_back(in.column);
+  return columns;
+}
+
 }  // namespace
 
 JoinAggregator::JoinAggregator(std::vector<Input> inputs)
-    : inputs_(std::move(inputs)) {
-  iacc_.resize(inputs_.size());
-  dacc_.resize(inputs_.size());
+    : inputs_(std::move(inputs)), acc_(columns_of(inputs_)) {
   dense_ = true;  // one implicit slot
-  ensure(1);
+  acc_.ensure(1);
 }
 
 JoinAggregator::JoinAggregator(std::vector<Input> inputs,
                                std::vector<KeyPart> key, KeyRange range)
-    : inputs_(std::move(inputs)), key_(std::move(key)), grouped_(true) {
+    : inputs_(std::move(inputs)),
+      key_(std::move(key)),
+      grouped_(true),
+      acc_(columns_of(inputs_)) {
   EIDB_EXPECTS(!key_.empty());
   for (const KeyPart& part : key_)
     EIDB_EXPECTS(part.column.kind != AggInput::Kind::kDouble);
-  iacc_.resize(inputs_.size());
-  dacc_.resize(inputs_.size());
   const std::uint64_t width = static_cast<std::uint64_t>(range.max) -
                               static_cast<std::uint64_t>(range.min);
   dense_ = range.known &&
            width < static_cast<std::uint64_t>(kDenseDomainLimit);
   if (dense_) {
     dense_min_ = range.min;
-    ensure(static_cast<std::size_t>(width) + 1);
-  }
-}
-
-void JoinAggregator::ensure(std::size_t slots) {
-  if (counts_.size() >= slots) return;
-  counts_.resize(slots, 0);
-  for (std::size_t j = 0; j < inputs_.size(); ++j) {
-    if (inputs_[j].column.is_double()) {
-      dacc_[j].sum.resize(slots, 0);
-      dacc_[j].mn.resize(slots, std::numeric_limits<double>::infinity());
-      dacc_[j].mx.resize(slots, -std::numeric_limits<double>::infinity());
-    } else {
-      iacc_[j].sum.resize(slots, 0);
-      iacc_[j].mn.resize(slots, std::numeric_limits<std::int64_t>::max());
-      iacc_[j].mx.resize(slots, std::numeric_limits<std::int64_t>::min());
-    }
+    acc_.ensure(static_cast<std::size_t>(width) + 1);
   }
 }
 
@@ -715,7 +887,7 @@ std::uint32_t JoinAggregator::resolve(std::int64_t key) {
     f = next_++;
     slot_keys_.push_back(key);
   });
-  ensure(next_);
+  acc_.ensure(next_);
   return s;
 }
 
@@ -735,7 +907,7 @@ void JoinAggregator::add_block(const std::uint32_t* const* side_rows,
     const std::size_t n = std::min(kGatherBlock, count - at);
     if (!grouped_) {
       for (std::size_t e = 0; e < n; ++e) slot[e] = 0;
-      counts_[0] += n;
+      acc_.counts[0] += n;
     } else {
       // Key column(s) touched once per match: the composite key is
       // synthesized per block, then every input gathers column-at-a-time.
@@ -747,30 +919,20 @@ void JoinAggregator::add_block(const std::uint32_t* const* side_rows,
               (gather_int(part.column, rows[e]) - part.offset) * part.stride;
       }
       for (std::size_t e = 0; e < n; ++e) slot[e] = resolve(keys[e]);
-      for (std::size_t e = 0; e < n; ++e) ++counts_[slot[e]];
+      for (std::size_t e = 0; e < n; ++e) ++acc_.counts[slot[e]];
     }
     for (std::size_t j = 0; j < inputs_.size(); ++j) {
-      const Input& in = inputs_[j];
-      const std::uint32_t* rows = side_rows[in.side] + at;
-      if (in.column.is_double()) {
-        const auto data = in.column.f64;
-        DblAcc& a = dacc_[j];
-        for (std::size_t e = 0; e < n; ++e) {
-          const double v = data[rows[e]];
-          const std::uint32_t s = slot[e];
-          a.sum[s] += v;
-          a.mn[s] = std::min(a.mn[s], v);
-          a.mx[s] = std::max(a.mx[s], v);
-        }
+      const AggInput& column = inputs_[j].column;
+      const std::uint32_t* rows = side_rows[inputs_[j].side] + at;
+      if (column.is_double()) {
+        const double* data = column.f64.data();
+        fold_slots(column.ops, n, slot,
+                   [&](std::size_t e) { return data[rows[e]]; },
+                   acc_.darr[j]);
       } else {
-        IntAcc& a = iacc_[j];
-        for (std::size_t e = 0; e < n; ++e) {
-          const std::int64_t v = gather_int(in.column, rows[e]);
-          const std::uint32_t s = slot[e];
-          a.sum[s] += v;
-          a.mn[s] = std::min(a.mn[s], v);
-          a.mx[s] = std::max(a.mx[s], v);
-        }
+        fold_slots(column.ops, n, slot,
+                   [&](std::size_t e) { return gather_int(column, rows[e]); },
+                   acc_.iarr[j]);
       }
     }
   }
@@ -778,33 +940,16 @@ void JoinAggregator::add_block(const std::uint32_t* const* side_rows,
 
 void JoinAggregator::merge_from(const JoinAggregator& other) {
   pairs_ += other.pairs_;
-  const auto merge_slot = [&](std::uint32_t mine, std::size_t theirs) {
-    counts_[mine] += other.counts_[theirs];
-    for (std::size_t j = 0; j < inputs_.size(); ++j) {
-      if (inputs_[j].column.is_double()) {
-        DblAcc& a = dacc_[j];
-        const DblAcc& o = other.dacc_[j];
-        a.sum[mine] += o.sum[theirs];
-        a.mn[mine] = std::min(a.mn[mine], o.mn[theirs]);
-        a.mx[mine] = std::max(a.mx[mine], o.mx[theirs]);
-      } else {
-        IntAcc& a = iacc_[j];
-        const IntAcc& o = other.iacc_[j];
-        a.sum[mine] += o.sum[theirs];
-        a.mn[mine] = std::min(a.mn[mine], o.mn[theirs]);
-        a.mx[mine] = std::max(a.mx[mine], o.mx[theirs]);
-      }
-    }
-  };
   if (dense_) {
     // Same slot layout (shared dense_min_): merge elementwise.
-    ensure(other.counts_.size());
-    for (std::size_t s = 0; s < other.counts_.size(); ++s) {
-      if (other.counts_[s] != 0) merge_slot(static_cast<std::uint32_t>(s), s);
+    acc_.ensure(other.acc_.counts.size());
+    for (std::size_t s = 0; s < other.acc_.counts.size(); ++s) {
+      if (other.acc_.counts[s] != 0)
+        acc_.merge(static_cast<std::uint32_t>(s), other.acc_, s);
     }
   } else {
     for (std::size_t s = 0; s < other.next_; ++s)
-      merge_slot(resolve(other.slot_keys_[s]), s);
+      acc_.merge(resolve(other.slot_keys_[s]), other.acc_, s);
   }
 }
 
@@ -813,8 +958,8 @@ GroupedAggs JoinAggregator::finish() const {
   if (!grouped_) {
     order.emplace_back(0, 0);
   } else if (dense_) {
-    for (std::size_t s = 0; s < counts_.size(); ++s)
-      if (counts_[s] != 0)
+    for (std::size_t s = 0; s < acc_.counts.size(); ++s)
+      if (acc_.counts[s] != 0)
         order.emplace_back(dense_min_ + static_cast<std::int64_t>(s),
                            static_cast<std::uint32_t>(s));
   } else {
@@ -823,29 +968,7 @@ GroupedAggs JoinAggregator::finish() const {
       order.emplace_back(slot_keys_[s], static_cast<std::uint32_t>(s));
     std::sort(order.begin(), order.end());
   }
-
-  GroupedAggs out;
-  out.keys.reserve(order.size());
-  out.counts.reserve(order.size());
-  out.iout.resize(inputs_.size());
-  out.dout.resize(inputs_.size());
-  for (const auto& [key, slot] : order) {
-    out.keys.push_back(key);
-    const std::uint64_t count = counts_[slot];
-    out.counts.push_back(count);
-    for (std::size_t j = 0; j < inputs_.size(); ++j) {
-      if (inputs_[j].column.is_double()) {
-        const DblAcc& a = dacc_[j];
-        out.dout[j].push_back({count, a.sum[slot], count ? a.mn[slot] : 0,
-                               count ? a.mx[slot] : 0});
-      } else {
-        const IntAcc& a = iacc_[j];
-        out.iout[j].push_back({count, a.sum[slot], count ? a.mn[slot] : 0,
-                               count ? a.mx[slot] : 0});
-      }
-    }
-  }
-  return out;
+  return acc_.emit(order);
 }
 
 }  // namespace eidb::exec

@@ -3,17 +3,24 @@
 // These kernels consume the selection bitmap 64 rows at a word and
 // compute *all* of a query's aggregates in ONE pass over the data:
 //
-//  * full selection words take a branch-free unrolled path (SIMD-friendly:
-//    plain `for (j = 0..64)` loops the compiler autovectorizes);
-//  * partial words extract the set bits into a tiny index block
-//    (count-trailing-zeros), then accumulate column-at-a-time over the
-//    block so each input column streams sequentially.
+//  * block words (at least kAggBlockMinLive live rows, the 64-row block
+//    wholly inside the columns): every packed column the pass reads (group
+//    key and kPacked inputs) decodes its block once at
+//    exec::packed_tier() and keeps only the live lanes, in row order;
+//  * sparse words list their set bits (count-trailing-zeros) and read
+//    each column at those rows, packed ones through value_at;
+//  * full words of plain inputs to the global kernel run branch-free,
+//    autovectorized loops;
+//  * each input then accumulates column-at-a-time over the word, and only
+//    the state (sum / min / max) its AggOpSet names.
 //
 // Every input column is therefore touched exactly once per query — the
 // DRAM-byte ledger (and the joules attributed from it) drops accordingly.
 // Grouped variants share one per-group count across all inputs and accept
 // the key range from the cached storage::ColumnStats, eliminating the
-// per-call key min/max pass of group_aggregate.
+// per-call key min/max pass of group_aggregate. Parallel variants merge
+// their per-chunk partials in chunk order, so double sums do not depend
+// on thread scheduling.
 #pragma once
 
 #include <cstdint>
@@ -23,19 +30,37 @@
 #include "exec/aggregate.hpp"
 #include "exec/hash_table.hpp"
 #include "exec/parallel.hpp"
+#include "exec/scan_kernels.hpp"
 #include "storage/bitpack.hpp"
 #include "util/bitvector.hpp"
 
 namespace eidb::exec {
 
+/// The accumulator state an aggregate input keeps, as a bit set. COUNT
+/// needs none (every input shares the per-group count) and AVG reads the
+/// sum and the count, so any mix of AggOps maps onto these three bits.
+using AggOpSet = std::uint8_t;
+inline constexpr AggOpSet kAggSum = 1;
+inline constexpr AggOpSet kAggMin = 2;
+inline constexpr AggOpSet kAggMax = 4;
+inline constexpr AggOpSet kAggAllOps = kAggSum | kAggMin | kAggMax;
+
+/// Live rows a selection word needs to take the block path. Below it, a
+/// word's packed columns are read per row; at or above it, each decodes
+/// its whole 64-value block once. Chosen from bench_k0's
+/// BM_GroupedAggPacked density sweep (docs/executor_pipeline.md).
+inline constexpr unsigned kAggBlockMinLive = 8;
+
 /// A typed view of one aggregate input column. int32 (and dictionary-code)
 /// inputs are consumed directly — no widened int64 copy. kPacked inputs
-/// are bit-packed column images (storage::PackedView): full selection
-/// words unpack one 64-value block into registers/stack, so the DRAM
+/// are bit-packed column images (storage::PackedView): dense selection
+/// words decode one 64-value block into registers/stack, so the DRAM
 /// traffic of the pass is the packed bytes, not the plain width.
 struct AggInput {
   enum class Kind : std::uint8_t { kInt32, kInt64, kDouble, kPacked };
   Kind kind = Kind::kInt64;
+  /// State the kernels accumulate; outputs outside the set read 0.
+  AggOpSet ops = kAggAllOps;
   std::span<const std::int32_t> i32;
   std::span<const std::int64_t> i64;
   std::span<const double> f64;
@@ -83,7 +108,8 @@ struct AggInput {
 };
 
 /// Result of one input of a multi-aggregate pass: `i` for integer inputs,
-/// `d` for double inputs (count/sum/min/max cover every AggOp incl. AVG).
+/// `d` for double inputs (count/sum/min/max cover every AggOp incl. AVG;
+/// sum/min/max read 0 unless the input's op set names them).
 struct AggOut {
   bool is_double = false;
   AggResult i;
@@ -92,12 +118,14 @@ struct AggOut {
 
 /// Aggregates ALL `inputs` in a single pass over the selection bitmap.
 /// Empty selections return zeroed results (min/max = 0), matching
-/// aggregate_selected.
+/// aggregate_selected. `tier` decodes packed inputs: the host's by
+/// default, or kScalar, the reference on any host.
 [[nodiscard]] std::vector<AggOut> multi_aggregate(
-    std::span<const AggInput> inputs, const BitVector& selection);
+    std::span<const AggInput> inputs, const BitVector& selection,
+    PackedTier tier = packed_tier());
 
-/// Morsel-parallel multi_aggregate: per-worker partials over 64-aligned
-/// morsels, serial merge (the E4-partitioned scheme).
+/// Morsel-parallel multi_aggregate: per-chunk partials over 64-aligned
+/// morsels, merged in chunk order (the E4-partitioned scheme).
 [[nodiscard]] std::vector<AggOut> parallel_multi_aggregate(
     sched::ThreadPool& pool, std::span<const AggInput> inputs,
     const BitVector& selection, std::size_t morsel_rows = kDefaultMorselRows);
@@ -139,8 +167,8 @@ struct GroupedAggs {
     const BitVector& selection, KeyRange range = {},
     GroupStrategy strategy = GroupStrategy::kAuto);
 
-/// Morsel-parallel grouped multi-aggregate: per-worker dense accumulators
-/// (small domains) or hash tables, merged serially by key.
+/// Morsel-parallel grouped multi-aggregate: per-chunk dense accumulators
+/// (small domains) or hash tables, merged by key in chunk order.
 [[nodiscard]] GroupedAggs parallel_grouped_multi_aggregate(
     sched::ThreadPool& pool, std::span<const std::int64_t> keys,
     std::span<const AggInput> inputs, const BitVector& selection,
@@ -151,18 +179,64 @@ struct GroupedAggs {
     std::span<const AggInput> inputs, const BitVector& selection,
     KeyRange range = {}, std::size_t morsel_rows = kDefaultMorselRows);
 
-/// Bit-packed key column, decoded per selected row (reference + packed
-/// value): the key column's DRAM traffic is its packed image. Output keys
-/// are the decoded values, exactly as the plain-key overloads produce.
+/// Bit-packed key column (reference + packed value): dense words decode
+/// the key block once, sparse ones read the selected rows, so the key
+/// column's DRAM traffic is its packed image. Output keys are the decoded
+/// values, exactly as the plain-key overloads produce. `tier` decodes the
+/// key and packed inputs: the host's by default, or kScalar, the
+/// reference on any host.
 [[nodiscard]] GroupedAggs grouped_multi_aggregate_packed(
     const storage::PackedView& keys, std::span<const AggInput> inputs,
     const BitVector& selection, KeyRange range = {},
-    GroupStrategy strategy = GroupStrategy::kAuto);
+    GroupStrategy strategy = GroupStrategy::kAuto,
+    PackedTier tier = packed_tier());
 
 [[nodiscard]] GroupedAggs parallel_grouped_multi_aggregate_packed(
     sched::ThreadPool& pool, const storage::PackedView& keys,
     std::span<const AggInput> inputs, const BitVector& selection,
-    KeyRange range = {}, std::size_t morsel_rows = kDefaultMorselRows);
+    KeyRange range = {}, std::size_t morsel_rows = kDefaultMorselRows,
+    PackedTier tier = packed_tier());
+
+/// Slot-indexed accumulation state shared by the grouped kernels and
+/// JoinAggregator: one count per group and, per input, only the
+/// sum/min/max arrays its op set names (int64 for integer inputs, double
+/// for doubles).
+class GroupAccum {
+ public:
+  template <typename S>
+  struct Arrays {
+    std::vector<S> sum, mn, mx;
+  };
+
+  explicit GroupAccum(std::span<const AggInput> inputs);
+
+  /// Grows every array to `slots`, new groups at the fold identities.
+  /// Capacity grows geometrically, so one-slot-at-a-time growth (the hash
+  /// strategy) stays amortized O(1).
+  void ensure(std::size_t slots);
+  /// Folds group `g` of a partial result into slot `s` (the parallel
+  /// merge).
+  void merge(std::uint32_t s, const GroupedAggs& part, std::size_t g);
+  /// Folds slot `theirs` of an accumulator over the same inputs into
+  /// slot `mine`.
+  void merge(std::uint32_t mine, const GroupAccum& other, std::size_t theirs);
+  /// Groups `order[i] = (key, slot)` as GroupedAggs, in `order`'s order;
+  /// a group with count 0 (JoinAggregator's empty global group) reads
+  /// min/max 0.
+  [[nodiscard]] GroupedAggs emit(
+      std::span<const std::pair<std::int64_t, std::uint32_t>> order) const;
+
+  std::vector<std::uint64_t> counts;
+  std::vector<Arrays<std::int64_t>> iarr;  // by input; unused for doubles
+  std::vector<Arrays<double>> darr;        // by input; unused for ints
+
+ private:
+  struct Shape {
+    bool is_double = false;
+    AggOpSet ops = kAggAllOps;
+  };
+  std::vector<Shape> shapes_;
+};
 
 /// Gather-based aggregation sink for the late-materialized join pipeline
 /// (query::Executor's vectorized join path): matches arrive as blocks of
@@ -171,9 +245,9 @@ struct GroupedAggs {
 /// column by row id, so no pair vector and no widened key copy is ever
 /// materialized. Side 0 is the probe (FROM) table; sides 1..k are the
 /// build tables of a (possibly multi-way) join chain in execution order.
-/// Accumulation state and output shapes are shared with the bitmap
-/// kernels: a grouped join produces exactly the GroupedAggs a base-table
-/// GROUP BY would.
+/// Accumulation state (GroupAccum, each input's op set included) and
+/// output shapes are shared with the bitmap kernels: a grouped join
+/// produces exactly the GroupedAggs a base-table GROUP BY would.
 class JoinAggregator {
  public:
   /// One aggregate input, gathered by the row id of its side.
@@ -221,13 +295,6 @@ class JoinAggregator {
   [[nodiscard]] GroupedAggs finish() const;
 
  private:
-  struct IntAcc {
-    std::vector<std::int64_t> sum, mn, mx;
-  };
-  struct DblAcc {
-    std::vector<double> sum, mn, mx;
-  };
-  void ensure(std::size_t slots);
   std::uint32_t resolve(std::int64_t key);
 
   std::vector<Input> inputs_;
@@ -238,9 +305,7 @@ class JoinAggregator {
   HashTable<std::uint32_t> slots_;         // hash strategy only
   std::vector<std::int64_t> slot_keys_;    // hash strategy: key per slot
   std::uint32_t next_ = 0;
-  std::vector<std::uint64_t> counts_;
-  std::vector<IntAcc> iacc_;
-  std::vector<DblAcc> dacc_;
+  GroupAccum acc_;
   std::uint64_t pairs_ = 0;
 };
 

@@ -106,8 +106,15 @@ QueryResult run_aggregate_vectorized(OpContext& ctx, const LogicalPlan& plan,
     }
   }
 
+  // Each input accumulates only the state its AggSpecs read.
+  for (exec::AggInput& in : inputs) in.ops = 0;
+  for (std::size_t ai = 0; ai < plan.aggregates.size(); ++ai)
+    if (spec_input[ai] >= 0)
+      inputs[static_cast<std::size_t>(spec_input[ai])].ops |=
+          agg_state_of(plan.aggregates[ai].op);
+
   if (!plan.has_group_by()) {
-    // Global aggregates: one pass computes count/sum/min/max for every
+    // Global aggregates: one pass computes the named state for every
     // input; each AggSpec just projects its op out of the shared result.
     std::vector<exec::AggOut> outs;
     if (!inputs.empty())
@@ -190,7 +197,7 @@ QueryResult run_aggregate_vectorized(OpContext& ctx, const LogicalPlan& plan,
   const bool composite = parts.size() > 1;
   if (!composite) {
     // Single key column consumed in place (int32/codes stay 32-bit;
-    // encoded keys stay packed and decode per selected row).
+    // encoded keys stay packed and decode once per block word).
     const GroupKeyPart& part = parts.front();
     const exec::KeyRange range{true, part.min, part.max, part.distinct};
     if (consume_packed(*part.col)) {
@@ -335,6 +342,21 @@ exec::AggInput agg_input_of(const Column& c) {
       return exec::AggInput::from(c.double_data());
   }
   throw Error("invalid column type");
+}
+
+exec::AggOpSet agg_state_of(AggOp op) {
+  switch (op) {
+    case AggOp::kCount:
+      return 0;
+    case AggOp::kSum:
+    case AggOp::kAvg:
+      return exec::kAggSum;
+    case AggOp::kMin:
+      return exec::kAggMin;
+    case AggOp::kMax:
+      return exec::kAggMax;
+  }
+  return exec::kAggAllOps;
 }
 
 storage::Value agg_out_value(AggOp op, const exec::AggOut& out) {

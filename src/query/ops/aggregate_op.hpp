@@ -20,6 +20,11 @@ namespace eidb::query::ops {
 [[nodiscard]] std::int64_t column_int_at(const storage::Column& c,
                                          std::size_t i);
 
+/// The accumulator state `op` reads from its input: AVG the sum (with
+/// the shared count), COUNT none. Inputs keep only the union over the
+/// AggSpecs that read them.
+[[nodiscard]] exec::AggOpSet agg_state_of(AggOp op);
+
 /// Value of one aggregate op from a single-pass AggOut, with zeroed
 /// empty-input semantics (min/max of nothing = 0).
 [[nodiscard]] storage::Value agg_out_value(AggOp op, const exec::AggOut& out);

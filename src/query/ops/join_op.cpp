@@ -476,7 +476,13 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
       input_index[a.column] = inputs.size();
       spec_input[ai] = static_cast<int>(inputs.size());
       inputs.push_back({agg_input_of(*r.col), r.side});
+      inputs.back().column.ops = 0;
     }
+    // Each input accumulates only the state its AggSpecs read.
+    for (std::size_t ai = 0; ai < plan.aggregates.size(); ++ai)
+      if (spec_input[ai] >= 0)
+        inputs[static_cast<std::size_t>(spec_input[ai])].column.ops |=
+            agg_state_of(plan.aggregates[ai].op);
 
     // Group keys: any mix of probe- and build-side columns; composite
     // keys use the stride layout of the base aggregation path, with

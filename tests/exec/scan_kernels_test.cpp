@@ -59,15 +59,6 @@ TEST(ScanKernels, IndexKernelsAgreeWithReference) {
   EXPECT_EQ(na, ref.count());
 }
 
-TEST(ScanKernels, IndexKernels64AgreeWithReference) {
-  const auto v = random_i64(5000, -1000000, 1000000, 2);
-  std::vector<std::uint32_t> a(v.size()), b(v.size());
-  const std::size_t na = scan_branching64(v, -5000, 700000, a.data());
-  const std::size_t nb = scan_predicated64(v, -5000, 700000, b.data());
-  ASSERT_EQ(na, nb);
-  for (std::size_t i = 0; i < na; ++i) EXPECT_EQ(a[i], b[i]);
-}
-
 TEST(ScanKernels, EmptyInput) {
   const std::vector<std::int32_t> v;
   std::vector<std::uint32_t> out(1);
