@@ -241,7 +241,8 @@ BENCHMARK(BM_JoinFilterApply)
 // SUM only (the serving benchmark's scan_agg shape): arg 0 is the key
 // width (dense groups), arg 1 the input width, arg 2 the live rows per
 // selection word (at random positions), arg 3 the tier as above. Words
-// with at least exec::kAggBlockMinLive live rows take the block path.
+// with at least exec::agg_block_min_live(tier) live rows take the block
+// path.
 // Items are selected rows; bytes are both packed images streamed.
 void BM_GroupedAggPacked(benchmark::State& state) {
   const auto key_bits = static_cast<unsigned>(state.range(0));

@@ -20,6 +20,11 @@ namespace {
 // (exec/aggregate.hpp); per-chunk dense accumulators cap lower.
 constexpr std::int64_t kParallelDenseLimit = 1 << 16;
 
+// Most chunks one parallel grouped pass cuts: enough to spread over a
+// pool (4 per worker on a 4-worker host), few enough that per-chunk
+// dense-array setup amortizes.
+constexpr std::size_t kGroupedChunks = 16;
+
 constexpr std::uint64_t kAllLive = ~std::uint64_t{0};
 
 // ---------------------------------------------------------------------------
@@ -28,28 +33,10 @@ constexpr std::uint64_t kAllLive = ~std::uint64_t{0};
 // ---------------------------------------------------------------------------
 
 #if defined(__x86_64__)
-/// AVX-512 tier of live_rows: vpcompressd keeps the live row ids of each
-/// 16-row group, in row order. A group's 16-lane store starts at
-/// k <= 16 * g, so it stays inside out[0..64).
-EIDB_TARGET_AVX512_VBMI std::size_t live_rows_avx512(std::size_t base,
-                                                     std::uint64_t live,
-                                                     std::uint32_t* out) {
-  const __m512i lane = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
-                                         11, 12, 13, 14, 15);
-  std::size_t k = 0;
-  for (unsigned g = 0; g < 4; ++g) {
-    const auto m = static_cast<__mmask16>(live >> (16 * g));
-    const __m512i rows = _mm512_add_epi32(
-        lane, _mm512_set1_epi32(static_cast<int>(base + 16 * g)));
-    _mm512_storeu_si512(out + k, _mm512_maskz_compress_epi32(m, rows));
-    k += static_cast<std::size_t>(__builtin_popcount(m));
-  }
-  return k;
-}
-
 /// AVX-512 tier of decode_live: each 16-value group decodes through the
-/// storage core and vpcompressd keeps its live lanes in row order (stores
-/// bounded as in live_rows_avx512).
+/// storage core and vpcompressd keeps its live lanes in row order. A
+/// group's 16-lane store starts at k <= 16 * g, so it stays inside
+/// out[0..64).
 EIDB_TARGET_AVX512_VBMI std::size_t decode_live_avx512(
     const storage::PackedView& pv, std::size_t base, std::uint64_t live,
     std::uint32_t* out) {
@@ -66,16 +53,9 @@ EIDB_TARGET_AVX512_VBMI std::size_t decode_live_avx512(
 #endif  // __x86_64__
 
 /// Row ids of the rows set in `live` (the word at `base`) into out[],
-/// in row order; returns their count. The AVX-512 tier compresses, the
-/// scalar tier walks the bits with count-trailing-zeros.
-std::size_t live_rows(std::size_t base, std::uint64_t live, PackedTier tier,
+/// in row order (count-trailing-zeros walk); returns their count.
+std::size_t live_rows(std::size_t base, std::uint64_t live,
                       std::uint32_t* out) {
-#if defined(__x86_64__)
-  if (tier == PackedTier::kAvx512Vbmi)
-    return live_rows_avx512(base, live, out);
-#else
-  (void)tier;
-#endif
   std::size_t k = 0;
   while (live != 0) {
     out[k++] = static_cast<std::uint32_t>(
@@ -144,31 +124,33 @@ void with_live_values(const storage::PackedView& pv, std::size_t base,
 }
 
 /// Which words of a pass take the block path: those with at least
-/// kAggBlockMinLive live rows whose 64-row block lies inside every column
-/// (`rows`, and each packed input). A block word lists its row ids only
-/// when some column reads plain rows.
+/// agg_block_min_live(tier) live rows whose 64-row block lies inside
+/// every column (`rows`, and each packed input). A block word lists its
+/// row ids only when some column reads plain rows.
 struct BlockPlan {
   std::size_t block_words = 0;
+  unsigned min_live = 0;
   bool plain_reads = false;
   [[nodiscard]] bool block(std::size_t w, std::size_t live) const {
-    return w < block_words && live >= kAggBlockMinLive;
+    return w < block_words && live >= min_live;
   }
 };
 
 BlockPlan plan_blocks(std::span<const AggInput> inputs, std::size_t rows,
-                      bool plain_reads) {
+                      PackedTier tier, bool plain_reads) {
   for (const AggInput& in : inputs) {
     if (in.kind == AggInput::Kind::kPacked)
       rows = std::min(rows, in.packed.count);
     else
       plain_reads = true;
   }
-  return {rows / 64, plain_reads};
+  return {rows / 64, agg_block_min_live(tier), plain_reads};
 }
 
 // ---------------------------------------------------------------------------
-// Folds: only the state an input's op set names, one loop per op, so every
-// state sees its values in row order (double sums stay bit-identical).
+// Folds: one fused loop per op set, which reads each value once and updates
+// only the state the set names, in row order (double sums stay
+// bit-identical).
 // ---------------------------------------------------------------------------
 
 template <typename S>
@@ -187,36 +169,61 @@ constexpr S fold_bottom() {
     return std::numeric_limits<S>::min();
 }
 
+constexpr bool has(AggOpSet ops, AggOpSet op) { return (ops & op) != 0; }
+
+/// Calls fn(std::integral_constant<AggOpSet, ops>{}), so each fold below
+/// compiles one loop per op set; an empty set folds nothing.
+template <typename Fn>
+void with_ops(AggOpSet ops, Fn&& fn) {
+  using std::integral_constant;
+  switch (ops & kAggAllOps) {
+    case 1: return fn(integral_constant<AggOpSet, 1>{});
+    case 2: return fn(integral_constant<AggOpSet, 2>{});
+    case 3: return fn(integral_constant<AggOpSet, 3>{});
+    case 4: return fn(integral_constant<AggOpSet, 4>{});
+    case 5: return fn(integral_constant<AggOpSet, 5>{});
+    case 6: return fn(integral_constant<AggOpSet, 6>{});
+    case 7: return fn(integral_constant<AggOpSet, 7>{});
+    default: return;
+  }
+}
+
 /// Folds value(0..k) into one running state.
 template <typename S, typename Value>
 void fold(AggOpSet ops, std::size_t k, const Value& value, S& sum, S& mn,
           S& mx) {
-  if (ops & kAggSum)
-    for (std::size_t e = 0; e < k; ++e) sum += value(e);
-  if (ops & kAggMin)
-    for (std::size_t e = 0; e < k; ++e) mn = std::min(mn, value(e));
-  if (ops & kAggMax)
-    for (std::size_t e = 0; e < k; ++e) mx = std::max(mx, value(e));
+  with_ops(ops, [&](auto set) {
+    constexpr AggOpSet kOps = decltype(set)::value;
+    S s = sum, lo = mn, hi = mx;
+    for (std::size_t e = 0; e < k; ++e) {
+      const S v = value(e);
+      if constexpr (has(kOps, kAggSum)) s += v;
+      if constexpr (has(kOps, kAggMin)) lo = std::min(lo, v);
+      if constexpr (has(kOps, kAggMax)) hi = std::max(hi, v);
+    }
+    sum = s;
+    mn = lo;
+    mx = hi;
+  });
 }
 
 /// Folds value(e) into slot[e]'s state, e in [0, k).
 template <typename S, typename Value>
 void fold_slots(AggOpSet ops, std::size_t k, const std::uint32_t* slot,
                 const Value& value, GroupAccum::Arrays<S>& a) {
-  if (ops & kAggSum) {
+  with_ops(ops, [&](auto set) {
+    constexpr AggOpSet kOps = decltype(set)::value;
     S* sum = a.sum.data();
-    for (std::size_t e = 0; e < k; ++e) sum[slot[e]] += value(e);
-  }
-  if (ops & kAggMin) {
     S* mn = a.mn.data();
-    for (std::size_t e = 0; e < k; ++e)
-      mn[slot[e]] = std::min(mn[slot[e]], value(e));
-  }
-  if (ops & kAggMax) {
     S* mx = a.mx.data();
-    for (std::size_t e = 0; e < k; ++e)
-      mx[slot[e]] = std::max(mx[slot[e]], value(e));
-  }
+    for (std::size_t e = 0; e < k; ++e) {
+      const S v = value(e);
+      const std::uint32_t g = slot[e];
+      if constexpr (has(kOps, kAggSum)) sum[g] += v;
+      if constexpr (has(kOps, kAggMin)) mn[g] = std::min(mn[g], v);
+      if constexpr (has(kOps, kAggMax)) mx[g] = std::max(mx[g], v);
+    }
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -235,24 +242,23 @@ struct InputAcc {
 };
 
 /// Branch-free full-word accumulate over 64 consecutive rows: the plain
-/// loops autovectorize (SIMD) on any target.
+/// loop autovectorizes (SIMD) on any target.
 template <typename T, typename S>
 void acc_word_full(const T* data, AggOpSet ops, S& sum, S& mn, S& mx) {
-  if (ops & kAggSum) {
+  with_ops(ops, [&](auto set) {
+    constexpr AggOpSet kOps = decltype(set)::value;
     S s = 0;
-    for (std::size_t j = 0; j < 64; ++j) s += static_cast<S>(data[j]);
-    sum += s;
-  }
-  if (ops & kAggMin) {
     T lo = data[0];
-    for (std::size_t j = 0; j < 64; ++j) lo = std::min(lo, data[j]);
-    mn = std::min(mn, static_cast<S>(lo));
-  }
-  if (ops & kAggMax) {
     T hi = data[0];
-    for (std::size_t j = 0; j < 64; ++j) hi = std::max(hi, data[j]);
-    mx = std::max(mx, static_cast<S>(hi));
-  }
+    for (std::size_t j = 0; j < 64; ++j) {
+      if constexpr (has(kOps, kAggSum)) s += static_cast<S>(data[j]);
+      if constexpr (has(kOps, kAggMin)) lo = std::min(lo, data[j]);
+      if constexpr (has(kOps, kAggMax)) hi = std::max(hi, data[j]);
+    }
+    if constexpr (has(kOps, kAggSum)) sum += s;
+    if constexpr (has(kOps, kAggMin)) mn = std::min(mn, static_cast<S>(lo));
+    if constexpr (has(kOps, kAggMax)) mx = std::max(mx, static_cast<S>(hi));
+  });
 }
 
 /// One plain input over one word: full words branch-free, partial words
@@ -276,7 +282,7 @@ std::uint64_t multi_acc_range(std::span<const AggInput> inputs,
                               std::size_t word_begin, std::size_t word_end,
                               PackedTier tier, std::vector<InputAcc>& accs) {
   // Full words of plain inputs read all 64 rows without listing them.
-  const BlockPlan plan = plan_blocks(inputs, selection.size(), false);
+  const BlockPlan plan = plan_blocks(inputs, selection.size(), tier, false);
   const std::uint64_t* words = selection.words();
   std::uint64_t count = 0;
   alignas(64) std::uint32_t idx[64];
@@ -288,8 +294,7 @@ std::uint64_t multi_acc_range(std::span<const AggInput> inputs,
     const bool full = bits == kAllLive;
     const bool block = plan.block(w, k);
     const std::size_t base = w * 64;
-    if (!block || (plan.plain_reads && !full))
-      live_rows(base, bits, block ? tier : PackedTier::kScalar, idx);
+    if (!block || (plan.plain_reads && !full)) live_rows(base, bits, idx);
     for (std::size_t j = 0; j < inputs.size(); ++j) {
       const AggInput& in = inputs[j];
       InputAcc& a = accs[j];
@@ -376,7 +381,8 @@ void grouped_acc_range(const Keys& keys, std::span<const AggInput> inputs,
                        std::size_t word_end, PackedTier tier,
                        Resolve&& resolve, GroupAccum& acc) {
   constexpr bool kPackedKeys = std::is_same_v<Keys, PackedKeys>;
-  const BlockPlan plan = plan_blocks(inputs, keys.size(), !kPackedKeys);
+  const BlockPlan plan =
+      plan_blocks(inputs, keys.size(), tier, !kPackedKeys);
   const std::uint64_t* words = selection.words();
   alignas(64) std::uint32_t idx[64];
   alignas(64) std::uint32_t slot[64];
@@ -386,8 +392,7 @@ void grouped_acc_range(const Keys& keys, std::span<const AggInput> inputs,
     const std::size_t base = w * 64;
     const auto k = static_cast<std::size_t>(__builtin_popcountll(bits));
     const bool block = plan.block(w, k);
-    if (!block || plan.plain_reads)
-      live_rows(base, bits, block ? tier : PackedTier::kScalar, idx);
+    if (!block || plan.plain_reads) live_rows(base, bits, idx);
     // Key column touched once per row: slots computed (and counted) for
     // the whole word, then every input accumulates column-at-a-time.
     const auto resolve_all = [&](const auto& key) {
@@ -552,12 +557,12 @@ GroupedAggs parallel_grouped_impl(sched::ThreadPool& pool, const Keys& keys,
           : GroupStrategy::kHash;
 
   const std::size_t n = keys.size();
-  // Chunks are at least a morsel but no more than ~4 per worker, so the
-  // per-chunk dense-array setup amortizes over enough rows.
-  const std::size_t chunks = pool.thread_count() * 4;
-  const std::size_t per_worker = (n + chunks - 1) / chunks;
-  const std::size_t grain =
-      std::max<std::size_t>(64, std::max(morsel_rows, per_worker) / 64 * 64);
+  // Chunks are at least a morsel and at most kGroupedChunks, cut from the
+  // row count alone: the pool width never moves a chunk boundary, so the
+  // result does not depend on it.
+  const std::size_t per_chunk = (n + kGroupedChunks - 1) / kGroupedChunks;
+  const std::size_t grain = std::max<std::size_t>(
+      64, (std::max(morsel_rows, per_chunk) + 63) / 64 * 64);
   const std::size_t total_words = (n + 63) / 64;
 
   // Morsels are grain-aligned (multiples of 64): whole selection words,

@@ -3,9 +3,9 @@
 // These kernels consume the selection bitmap 64 rows at a word and
 // compute *all* of a query's aggregates in ONE pass over the data:
 //
-//  * block words (at least kAggBlockMinLive live rows, the 64-row block
-//    wholly inside the columns): every packed column the pass reads (group
-//    key and kPacked inputs) decodes its block once at
+//  * block words (at least agg_block_min_live(tier) live rows, the 64-row
+//    block wholly inside the columns): every packed column the pass reads
+//    (group key and kPacked inputs) decodes its block once at
 //    exec::packed_tier() and keeps only the live lanes, in row order;
 //  * sparse words list their set bits (count-trailing-zeros) and read
 //    each column at those rows, packed ones through value_at;
@@ -18,9 +18,10 @@
 // DRAM-byte ledger (and the joules attributed from it) drops accordingly.
 // Grouped variants share one per-group count across all inputs and accept
 // the key range from the cached storage::ColumnStats, eliminating the
-// per-call key min/max pass of group_aggregate. Parallel variants merge
-// their per-chunk partials in chunk order, so double sums do not depend
-// on thread scheduling.
+// per-call key min/max pass of group_aggregate. Parallel variants cut
+// their chunks from the row count and morsel size alone and merge the
+// per-chunk partials in chunk order, so double sums depend neither on
+// thread scheduling nor on the pool width.
 #pragma once
 
 #include <cstdint>
@@ -45,11 +46,14 @@ inline constexpr AggOpSet kAggMin = 2;
 inline constexpr AggOpSet kAggMax = 4;
 inline constexpr AggOpSet kAggAllOps = kAggSum | kAggMin | kAggMax;
 
-/// Live rows a selection word needs to take the block path. Below it, a
-/// word's packed columns are read per row; at or above it, each decodes
-/// its whole 64-value block once. Chosen from bench_k0's
-/// BM_GroupedAggPacked density sweep (docs/executor_pipeline.md).
-inline constexpr unsigned kAggBlockMinLive = 8;
+/// Live rows a selection word needs to take the block path at `tier`.
+/// Below it, a word's packed columns are read per row; at or above it,
+/// each decodes its whole 64-value block once. Chosen from bench_k0's
+/// BM_GroupedAggPacked density sweep (docs/executor_pipeline.md): the
+/// AVX-512 VBMI decode wins from 8 live rows, the scalar one from 16.
+[[nodiscard]] constexpr unsigned agg_block_min_live(PackedTier tier) {
+  return tier == PackedTier::kAvx512Vbmi ? 8 : 16;
+}
 
 /// A typed view of one aggregate input column. int32 (and dictionary-code)
 /// inputs are consumed directly — no widened int64 copy. kPacked inputs
@@ -168,7 +172,9 @@ struct GroupedAggs {
     GroupStrategy strategy = GroupStrategy::kAuto);
 
 /// Morsel-parallel grouped multi-aggregate: per-chunk dense accumulators
-/// (small domains) or hash tables, merged by key in chunk order.
+/// (small domains) or hash tables, merged by key in chunk order. The
+/// chunks (at least `morsel_rows`, at most 16 per call) do not depend on
+/// the pool width, so neither do double sums.
 [[nodiscard]] GroupedAggs parallel_grouped_multi_aggregate(
     sched::ThreadPool& pool, std::span<const std::int64_t> keys,
     std::span<const AggInput> inputs, const BitVector& selection,

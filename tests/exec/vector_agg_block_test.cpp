@@ -2,14 +2,16 @@
 // reference, on both packed tiers: grouped_multi_aggregate_packed and its
 // morsel-parallel form (dense and hash strategies), the plain-key grouped
 // kernel over packed inputs, and the global multi_aggregate. Selection
-// words cycle through popcounts 0, 1, kAggBlockMinLive - 1,
-// kAggBlockMinLive, 64 and random ones; images end where an unreadable
-// page begins. Also: every op-set subset against the all-ops run, and
-// bitwise-repeatable double sums from the parallel kernels.
+// words cycle through popcounts 0, 1, 64, random ones, and each tier's
+// block threshold and one below it; images end where an unreadable page
+// begins. Also: every op-set subset against the all-ops run, and double
+// sums from the parallel kernels that repeat bit for bit from run to run
+// and at every pool width.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
 #include <span>
@@ -41,16 +43,19 @@ constexpr std::int64_t kRefs[] = {-123456789, 0, std::int64_t{1} << 40};
 // 64k values, one past, and one short of the next block.
 constexpr std::size_t kSizes[] = {65536, 65537, 65536 + 63};
 
-/// Selection whose words cycle through popcounts 0, 1, T - 1, T, 64 and a
-/// random count (T = kAggBlockMinLive), at random bit positions; bits past
-/// `n` are dropped, so the partial last word keeps what fits.
+/// Selection whose words cycle through popcounts 0, 1, T - 1 and T for
+/// each tier's threshold T, 64 and a random count, at random bit
+/// positions; bits past `n` are dropped, so the partial last word keeps
+/// what fits.
 BitVector cycling_selection(std::size_t n, std::uint64_t seed) {
-  const unsigned counts[] = {0, 1, kAggBlockMinLive - 1, kAggBlockMinLive,
-                             64, 65};
+  constexpr unsigned simd = agg_block_min_live(PackedTier::kAvx512Vbmi);
+  constexpr unsigned scalar = agg_block_min_live(PackedTier::kScalar);
+  const unsigned counts[] = {0,          1,      simd - 1, simd,
+                             scalar - 1, scalar, 64,       65};
   Pcg32 rng(seed);
   BitVector sel(n);
   for (std::size_t w = 0; w * 64 < n; ++w) {
-    unsigned want = counts[w % 6];
+    unsigned want = counts[w % 8];
     if (want == 65) want = rng.next_bounded(65);
     std::uint64_t bits = want == 64 ? ~std::uint64_t{0} : 0;
     while (static_cast<unsigned>(std::popcount(bits)) < want)
@@ -73,7 +78,14 @@ struct Columns {
         in_ref(-ref) {
     Pcg32 rng(seed);
     std::uint64_t pool[256];
-    for (std::uint64_t& k : pool) k = rng.next64() & width_mask(key_bits);
+    key_min = std::numeric_limits<std::int64_t>::max();
+    key_max = std::numeric_limits<std::int64_t>::min();
+    for (std::uint64_t& k : pool) {
+      k = rng.next64() & width_mask(key_bits);
+      const std::int64_t key = key_ref + static_cast<std::int64_t>(k);
+      key_min = std::min(key_min, key);
+      key_max = std::max(key_max, key);
+    }
     for (std::size_t i = 0; i < n; ++i) {
       key_raw.push_back(pool[rng.next_bounded(256)]);
       in_raw.push_back(rng.next64() & width_mask(in_bits));
@@ -99,10 +111,7 @@ struct Columns {
     for (AggInput& x : in) x.ops = ops;
     return in;
   }
-  [[nodiscard]] KeyRange range() const {
-    return {true, key_ref,
-            key_ref + static_cast<std::int64_t>(width_mask(key_bits)), 0};
-  }
+  [[nodiscard]] KeyRange range() const { return {true, key_min, key_max, 0}; }
   [[nodiscard]] std::int64_t packed_in(std::size_t i) const {
     return in_ref + static_cast<std::int64_t>(in_raw[i]);
   }
@@ -110,6 +119,7 @@ struct Columns {
   std::size_t n;
   unsigned key_bits, in_bits;
   std::int64_t key_ref, in_ref;
+  std::int64_t key_min, key_max;  // over the key pool
   std::vector<std::uint64_t> key_raw, in_raw;
   std::vector<std::int32_t> i32;
   std::vector<std::int64_t> i64;
@@ -179,15 +189,19 @@ class BlockPath
 TEST_P(BlockPath, MatchesPerRowReference) {
   const auto [width, tier] = GetParam();
   SKIP_WITHOUT_TIER(tier);
-  // Key widths 1..32 against input widths 32..1 (> 25 is the SIMD
-  // tier's scalar fallback); each size meets a different reference per
-  // width, so the sweep covers every (size, reference) pair.
+  // Key widths 0..33 against input widths 33..0, then key widths 34..64
+  // against input widths 14..44 (wider inputs would overflow the int64
+  // sums). Width 0 and widths above 25 are the SIMD tier's scalar
+  // fallback; above 32 the block decode keeps 64-bit values. Each size
+  // meets a different reference per width, so the sweep covers every
+  // (size, reference) pair.
+  const unsigned in_width = width <= 33 ? 33 - width : width - 20;
   sched::ThreadPool pool(2);
   for (std::size_t s = 0; s < 3; ++s) {
-    const Columns c(kSizes[s], width, 33 - width, kRefs[(s + width) % 3],
+    const Columns c(kSizes[s], width, in_width, kRefs[(s + width) % 3],
                     100 * width + s);
     SCOPED_TRACE(::testing::Message()
-                 << "key bits " << width << ", input bits " << 33 - width
+                 << "key bits " << width << ", input bits " << in_width
                  << ", rows " << c.n << ", reference " << c.key_ref);
     const auto ref = reference(c);
     const auto inputs = c.inputs();
@@ -199,7 +213,8 @@ TEST_P(BlockPath, MatchesPerRowReference) {
     expect_matches(ref, grouped_multi_aggregate_packed(
                             c.keys(), inputs, c.selection, c.range(),
                             GroupStrategy::kHash, tier));
-    // Five chunks; dense per-chunk arrays up to 16 key bits, hash above.
+    // Four or five chunks; dense per-chunk arrays up to 16 key bits, hash
+    // above.
     expect_matches(ref, parallel_grouped_multi_aggregate_packed(
                             pool, c.keys(), inputs, c.selection, c.range(),
                             16384, tier));
@@ -242,7 +257,7 @@ std::string block_path_name(
 
 INSTANTIATE_TEST_SUITE_P(
     Widths, BlockPath,
-    ::testing::Combine(::testing::Range(1u, 33u),
+    ::testing::Combine(::testing::Range(0u, 65u),
                        ::testing::Values(PackedTier::kScalar,
                                          PackedTier::kAvx512Vbmi)),
     block_path_name);
@@ -347,41 +362,60 @@ TEST(OpSets, JoinAggregatorHonoursTheOpSet) {
 // Parallel merges run in chunk order: double sums repeat bit for bit.
 // ---------------------------------------------------------------------------
 
-TEST(ParallelAggregates, DoubleSumsAreBitwiseRepeatable) {
-  // Doubles over 60 binades, so any change in summation order shows up in
-  // the low bits; 4 groups, a pool of 8 and 4096-row morsels.
-  constexpr std::size_t n = 1 << 20;
-  Pcg32 rng(2024);
-  std::vector<std::int64_t> keys(n);
-  std::vector<double> values(n);
-  BitVector sel(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    keys[i] = rng.next_bounded(4);
-    const double mantissa = 1 + rng.next_double();
-    values[i] = std::ldexp(rng.next_bounded(2) ? mantissa : -mantissa,
-                           static_cast<int>(rng.next_bounded(60)) - 30);
-    if (rng.next_double() < 0.7) sel.set(i);
+/// 1M rows in 4 groups, ~70 % selected, doubles spread over 60 binades:
+/// any change in summation order shows up in the low bits.
+struct SpreadDoubles {
+  static constexpr std::size_t n = 1 << 20;
+  SpreadDoubles() : keys(n), values(n), sel(n) {
+    Pcg32 rng(2024);
+    for (std::size_t i = 0; i < n; ++i) {
+      keys[i] = rng.next_bounded(4);
+      const double mantissa = 1 + rng.next_double();
+      values[i] = std::ldexp(rng.next_bounded(2) ? mantissa : -mantissa,
+                             static_cast<int>(rng.next_bounded(60)) - 30);
+      if (rng.next_double() < 0.7) sel.set(i);
+    }
   }
-  const std::vector<AggInput> inputs = {AggInput::from(std::span(values))};
-  sched::ThreadPool pool(8);
-  const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
-
-  const GroupedAggs first = parallel_grouped_multi_aggregate(
-      pool, std::span(keys), inputs, sel, {}, 4096);
-  const std::vector<AggOut> first_global =
-      parallel_multi_aggregate(pool, inputs, sel, 4096);
-  ASSERT_EQ(first.group_count(), 4u);
-  for (int run = 1; run < 50; ++run) {
+  /// Bit patterns of the four group sums of the grouped kernel, then the
+  /// global kernel's sum, at 4096-row morsels.
+  [[nodiscard]] std::vector<std::uint64_t> sums(
+      sched::ThreadPool& pool) const {
+    const std::vector<AggInput> inputs = {AggInput::from(std::span(values))};
     const GroupedAggs g = parallel_grouped_multi_aggregate(
         pool, std::span(keys), inputs, sel, {}, 4096);
-    ASSERT_EQ(g.group_count(), 4u);
-    for (std::size_t k = 0; k < 4; ++k)
-      ASSERT_EQ(bits(g.dout[0][k].sum), bits(first.dout[0][k].sum))
-          << "run " << run << ", group " << k;
     const std::vector<AggOut> global =
         parallel_multi_aggregate(pool, inputs, sel, 4096);
-    ASSERT_EQ(bits(global[0].d.sum), bits(first_global[0].d.sum))
-        << "run " << run;
+    std::vector<std::uint64_t> out;
+    EXPECT_EQ(g.group_count(), 4u);
+    for (const AggResultD& r : g.dout[0])
+      out.push_back(std::bit_cast<std::uint64_t>(r.sum));
+    out.push_back(std::bit_cast<std::uint64_t>(global[0].d.sum));
+    return out;
+  }
+
+  std::vector<std::int64_t> keys;
+  std::vector<double> values;
+  BitVector sel;
+};
+
+TEST(ParallelAggregates, DoubleSumsAreBitwiseRepeatable) {
+  const SpreadDoubles data;
+  sched::ThreadPool pool(8);
+  const std::vector<std::uint64_t> first = data.sums(pool);
+  for (int run = 1; run < 50; ++run)
+    ASSERT_EQ(data.sums(pool), first) << "run " << run;
+}
+
+TEST(ParallelAggregates, DoubleSumsDoNotDependOnThePoolWidth) {
+  // Chunks are cut from the row count and the morsel size, so every pool
+  // width sums the same chunks and merges them in the same order.
+  const SpreadDoubles data;
+  std::vector<std::uint64_t> want;
+  for (const std::size_t width : {1, 2, 3, 8}) {
+    sched::ThreadPool pool(width);
+    const std::vector<std::uint64_t> got = data.sums(pool);
+    if (want.empty()) want = got;
+    EXPECT_EQ(got, want) << "pool of " << width;
   }
 }
 
