@@ -281,6 +281,52 @@ void BM_GroupedAggPacked(benchmark::State& state) {
 BENCHMARK(BM_GroupedAggPacked)
     ->ArgsProduct({{4, 12}, {17, 25}, {1, 8, 16, 32, 64}, {0, 1}});
 
+// The groupjoin's grouped SUM: the group key is read through a dense
+// lookup (exec::LookupKey) over a packed foreign key — a dimension's five
+// group codes indexed by the fact key, as star_join's customer.region is.
+// Arg 0 is the foreign-key width (the lookup spans 2^width keys), arg 1
+// the live rows per selection word (at random positions), arg 2 the tier
+// as above; the input is a 17-bit packed column. Items are selected rows;
+// bytes are both packed images streamed.
+void BM_GroupJoinLookup(benchmark::State& state) {
+  const auto fk_bits = static_cast<unsigned>(state.range(0));
+  const auto live = static_cast<unsigned>(state.range(1));
+  const exec::PackedTier tier = state.range(2) == 0
+                                    ? exec::PackedTier::kScalar
+                                    : exec::packed_tier();
+  const std::size_t n = 1 << 20;
+  const unsigned in_bits = 17;
+  const auto fks = packed_keys(fk_bits, n);
+  const auto values = packed_keys(in_bits, n);
+  Pcg32 rng(11);
+  BitVector sel(n);
+  for (std::size_t w = 0; w < sel.word_count(); ++w) {
+    std::uint64_t bits = live == 64 ? ~std::uint64_t{0} : 0;
+    while (static_cast<unsigned>(__builtin_popcountll(bits)) < live)
+      bits |= std::uint64_t{1} << rng.next_bounded(64);
+    sel.words()[w] = bits;
+  }
+  std::vector<exec::AggInput> inputs = {exec::AggInput::from(
+      storage::PackedView{values, in_bits, 1000, n})};
+  inputs[0].ops = exec::kAggSum;
+  std::vector<std::int64_t> lut(std::size_t{1} << fk_bits);
+  for (std::int64_t& code : lut) code = rng.next_bounded(5);
+  const exec::LookupKey key{
+      exec::AggInput::from(storage::PackedView{fks, fk_bits, 0, n}), lut, 0};
+  const exec::KeyRange range{true, 0, 4, 5};
+  for (auto _ : state) {
+    const exec::GroupedAggs g = exec::grouped_multi_aggregate_lookup(
+        key, inputs, sel, range, exec::GroupStrategy::kAuto, tier);
+    benchmark::DoNotOptimize(g.counts.data());
+  }
+  state.SetItemsProcessed(state.iterations() * (n / 64) * live);
+  state.SetBytesProcessed(state.iterations() * (fks.size() + values.size()) *
+                          sizeof(std::uint64_t));
+  state.SetLabel(tier_label(state.range(2)));
+}
+BENCHMARK(BM_GroupJoinLookup)
+    ->ArgsProduct({{12, 15}, {1, 5, 8, 16, 64}, {0, 1}});
+
 // -- codecs ----------------------------------------------------------------------
 
 void BM_CodecEncode(benchmark::State& state) {

@@ -145,16 +145,21 @@ DenseJoinTable build_dense_join_table(const JoinKeys& keys,
 }
 
 JoinFilter::JoinFilter(const JoinKeys& keys, const BitVector& selection,
-                       std::int64_t min_key, std::int64_t domain)
+                       std::int64_t min_key, std::int64_t domain,
+                       std::int64_t live_min)
     : min_(min_key),
       bits_(static_cast<std::size_t>(std::max<std::int64_t>(0, domain))) {
   EIDB_EXPECTS(selection.size() == keys.size());
   EIDB_EXPECTS(domain >= 1);
   selection.for_each_set([&](std::size_t i) {
-    const std::uint64_t off = static_cast<std::uint64_t>(keys.at(i)) -
-                              static_cast<std::uint64_t>(min_);
+    const std::int64_t key = keys.at(i);
+    const std::uint64_t off =
+        static_cast<std::uint64_t>(key) - static_cast<std::uint64_t>(min_);
     EIDB_EXPECTS(off < bits_.size());
-    bits_.set(static_cast<std::size_t>(off));
+    if (key < live_min) return;
+    const auto at = static_cast<std::size_t>(off);
+    repeats_ += bits_.test(at) ? 1 : 0;
+    bits_.set(at);
   });
 }
 

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -245,10 +246,19 @@ class DenseJoinTable {
 /// 4-byte chain heads are not.
 class JoinFilter {
  public:
+  /// Selected build keys below `live_min` are left out of the bitmap: no
+  /// probe key carries them (the -1 that a cross-dictionary remap gives
+  /// values the probe dictionary lacks).
   /// Preconditions: selection.size() == keys.size(); every selected key
   /// in [min_key, min_key + domain); domain >= 1.
   JoinFilter(const JoinKeys& keys, const BitVector& selection,
-             std::int64_t min_key, std::int64_t domain);
+             std::int64_t min_key, std::int64_t domain,
+             std::int64_t live_min = std::numeric_limits<std::int64_t>::min());
+
+  /// True when no two selected build rows carry the same live key: then
+  /// every probe row the filter keeps joins exactly one build row, and
+  /// the filter answers the whole join step.
+  [[nodiscard]] bool keys_unique() const { return repeats_ == 0; }
 
   /// True when some selected build row carries `key`; out-of-domain keys
   /// are never contained.
@@ -280,6 +290,8 @@ class JoinFilter {
  private:
   std::int64_t min_;
   BitVector bits_;
+  /// Selected live build rows whose key an earlier one already set.
+  std::uint64_t repeats_ = 0;
 };
 
 /// Probes selection words [word_begin, word_end) against `table` (a

@@ -10,6 +10,7 @@
 // workers.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -23,6 +24,23 @@ namespace eidb::exec {
 /// Default morsel size: big enough to amortize dispatch, small enough to
 /// load-balance (64-aligned).
 inline constexpr std::size_t kDefaultMorselRows = 64 * 1024;
+
+/// Most chunks a chunk-merged parallel pass cuts: enough to spread over a
+/// pool (4 per worker on a 4-worker host), few enough that per-chunk
+/// setup (dense group arrays, join aggregators) amortizes.
+inline constexpr std::size_t kMaxChunks = 16;
+
+/// Chunk grain of a parallel pass over `rows` rows whose per-chunk
+/// partials merge in chunk order: a multiple of 64 (selection words are
+/// never split), at least `morsel_rows`, and large enough that the pass
+/// cuts at most kMaxChunks chunks. It depends on the input size alone,
+/// never on the pool width, so neither do the merged double sums.
+[[nodiscard]] constexpr std::size_t chunk_grain(
+    std::size_t rows, std::size_t morsel_rows = kDefaultMorselRows) {
+  const std::size_t per_chunk = (rows + kMaxChunks - 1) / kMaxChunks;
+  return std::max<std::size_t>(
+      64, (std::max(morsel_rows, per_chunk) + 63) / 64 * 64);
+}
 
 /// Parallel range scan into a selection bitmap (int64 values).
 void parallel_scan_bitmap64(sched::ThreadPool& pool,

@@ -20,11 +20,6 @@ namespace {
 // (exec/aggregate.hpp); per-chunk dense accumulators cap lower.
 constexpr std::int64_t kParallelDenseLimit = 1 << 16;
 
-// Most chunks one parallel grouped pass cuts: enough to spread over a
-// pool (4 per worker on a 4-worker host), few enough that per-chunk
-// dense-array setup amortizes.
-constexpr std::size_t kGroupedChunks = 16;
-
 constexpr std::uint64_t kAllLive = ~std::uint64_t{0};
 
 // ---------------------------------------------------------------------------
@@ -242,12 +237,16 @@ struct InputAcc {
 };
 
 /// Branch-free full-word accumulate over 64 consecutive rows: the plain
-/// loop autovectorizes (SIMD) on any target.
+/// loop autovectorizes (SIMD) on any target. Integer sums add a word
+/// partial (exact in any order); double sums add each value onto the
+/// running sum in row order, as the per-row fold and the join pipeline's
+/// aggregator do, so a global double SUM is the same on every path.
 template <typename T, typename S>
 void acc_word_full(const T* data, AggOpSet ops, S& sum, S& mn, S& mx) {
   with_ops(ops, [&](auto set) {
     constexpr AggOpSet kOps = decltype(set)::value;
-    S s = 0;
+    constexpr bool kInOrder = std::is_floating_point_v<S>;
+    S s = kInOrder ? sum : S{0};
     T lo = data[0];
     T hi = data[0];
     for (std::size_t j = 0; j < 64; ++j) {
@@ -255,7 +254,7 @@ void acc_word_full(const T* data, AggOpSet ops, S& sum, S& mn, S& mx) {
       if constexpr (has(kOps, kAggMin)) lo = std::min(lo, data[j]);
       if constexpr (has(kOps, kAggMax)) hi = std::max(hi, data[j]);
     }
-    if constexpr (has(kOps, kAggSum)) sum += s;
+    if constexpr (has(kOps, kAggSum)) sum = kInOrder ? s : sum + s;
     if constexpr (has(kOps, kAggMin)) mn = std::min(mn, static_cast<S>(lo));
     if constexpr (has(kOps, kAggMax)) mx = std::max(mx, static_cast<S>(hi));
   });
@@ -364,13 +363,58 @@ void check_tier(PackedTier tier) {
 
 /// Readonly key accessor over a bit-packed column image, shaped like the
 /// span the templated grouped kernels expect (operator[] + size()).
+/// Accessors whose keys decode from a packed image per block word also
+/// name that image (packed()) and map each decoded value to its key.
 struct PackedKeys {
   storage::PackedView view;
   [[nodiscard]] std::int64_t operator[](std::size_t i) const {
     return view.value_at(i);
   }
   [[nodiscard]] std::size_t size() const { return view.count; }
+  [[nodiscard]] const storage::PackedView& packed() const { return view; }
+  [[nodiscard]] static std::int64_t map(std::int64_t v) { return v; }
 };
+
+/// Key accessor of a LookupKey over its foreign-key view `Fk` (an int32 or
+/// int64 span, or PackedKeys).
+template <typename Fk>
+struct LookupKeys {
+  Fk fk;
+  const std::int64_t* lut;
+  std::int64_t lut_min;
+  [[nodiscard]] std::int64_t map(std::int64_t v) const {
+    return lut[v - lut_min];
+  }
+  [[nodiscard]] std::int64_t operator[](std::size_t i) const {
+    return map(static_cast<std::int64_t>(fk[i]));
+  }
+  [[nodiscard]] std::size_t size() const { return fk.size(); }
+  [[nodiscard]] const storage::PackedView& packed() const
+    requires std::is_same_v<Fk, PackedKeys>
+  {
+    return fk.view;
+  }
+};
+
+/// Calls fn(accessor) with the LookupKeys over `keys.fk`'s kind.
+template <typename Fn>
+decltype(auto) with_lookup_keys(const LookupKey& keys, Fn&& fn) {
+  const std::int64_t* lut = keys.lut.data();
+  switch (keys.fk.kind) {
+    case AggInput::Kind::kInt32:
+      return fn(LookupKeys<std::span<const std::int32_t>>{keys.fk.i32, lut,
+                                                          keys.lut_min});
+    case AggInput::Kind::kInt64:
+      return fn(LookupKeys<std::span<const std::int64_t>>{keys.fk.i64, lut,
+                                                          keys.lut_min});
+    case AggInput::Kind::kPacked:
+      return fn(LookupKeys<PackedKeys>{PackedKeys{keys.fk.packed}, lut,
+                                       keys.lut_min});
+    case AggInput::Kind::kDouble:
+      break;
+  }
+  throw Error("lookup foreign key must be an integer view");
+}
 
 /// Core grouped pass, templated over key width. `resolve` maps a key to a
 /// dense slot id (identity-offset for the dense strategy, hash lookup
@@ -380,7 +424,7 @@ void grouped_acc_range(const Keys& keys, std::span<const AggInput> inputs,
                        const BitVector& selection, std::size_t word_begin,
                        std::size_t word_end, PackedTier tier,
                        Resolve&& resolve, GroupAccum& acc) {
-  constexpr bool kPackedKeys = std::is_same_v<Keys, PackedKeys>;
+  constexpr bool kPackedKeys = requires(const Keys& k) { k.packed(); };
   const BlockPlan plan =
       plan_blocks(inputs, keys.size(), tier, !kPackedKeys);
   const std::uint64_t* words = selection.words();
@@ -403,7 +447,12 @@ void grouped_acc_range(const Keys& keys, std::span<const AggInput> inputs,
       }
     };
     if constexpr (kPackedKeys) {
-      with_live_values(keys.view, base, bits, block, tier, idx, resolve_all);
+      with_live_values(keys.packed(), base, bits, block, tier, idx,
+                       [&](const auto& value) {
+                         resolve_all([&](std::size_t e) {
+                           return keys.map(value(e));
+                         });
+                       });
     } else {
       resolve_all([&](std::size_t e) {
         return static_cast<std::int64_t>(keys[idx[e]]);
@@ -557,12 +606,9 @@ GroupedAggs parallel_grouped_impl(sched::ThreadPool& pool, const Keys& keys,
           : GroupStrategy::kHash;
 
   const std::size_t n = keys.size();
-  // Chunks are at least a morsel and at most kGroupedChunks, cut from the
-  // row count alone: the pool width never moves a chunk boundary, so the
-  // result does not depend on it.
-  const std::size_t per_chunk = (n + kGroupedChunks - 1) / kGroupedChunks;
-  const std::size_t grain = std::max<std::size_t>(
-      64, (std::max(morsel_rows, per_chunk) + 63) / 64 * 64);
+  // Chunks are cut from the row count alone: the pool width never moves a
+  // chunk boundary, so the result does not depend on it.
+  const std::size_t grain = chunk_grain(n, morsel_rows);
   const std::size_t total_words = (n + 63) / 64;
 
   // Morsels are grain-aligned (multiples of 64): whole selection words,
@@ -734,7 +780,7 @@ std::vector<AggOut> parallel_multi_aggregate(sched::ThreadPool& pool,
                                              std::size_t morsel_rows) {
   check_input_sizes(inputs, selection);
   const std::size_t n = selection.size();
-  const std::size_t grain = std::max<std::size_t>(64, morsel_rows / 64 * 64);
+  const std::size_t grain = chunk_grain(n, morsel_rows);
   const std::size_t total_words = selection.word_count();
   const PackedTier tier = packed_tier();
 
@@ -827,6 +873,32 @@ GroupedAggs parallel_grouped_multi_aggregate_packed(
                                range, morsel_rows, tier);
 }
 
+GroupedAggs grouped_multi_aggregate_lookup(const LookupKey& keys,
+                                           std::span<const AggInput> inputs,
+                                           const BitVector& selection,
+                                           KeyRange range,
+                                           GroupStrategy strategy,
+                                           PackedTier tier) {
+  EIDB_EXPECTS(selection.size() >= keys.fk.size());
+  check_input_sizes(inputs, selection);
+  check_tier(tier);
+  return with_lookup_keys(keys, [&](const auto& k) {
+    return grouped_impl(k, inputs, selection, range, strategy, 0,
+                        (k.size() + 63) / 64, tier);
+  });
+}
+
+GroupedAggs parallel_grouped_multi_aggregate_lookup(
+    sched::ThreadPool& pool, const LookupKey& keys,
+    std::span<const AggInput> inputs, const BitVector& selection,
+    KeyRange range, std::size_t morsel_rows, PackedTier tier) {
+  check_tier(tier);
+  return with_lookup_keys(keys, [&](const auto& k) {
+    return parallel_grouped_impl(pool, k, inputs, selection, range,
+                                 morsel_rows, tier);
+  });
+}
+
 // ---------------------------------------------------------------------------
 // JoinAggregator: gather-based sink for the late-materialized join pipeline.
 // ---------------------------------------------------------------------------
@@ -835,21 +907,6 @@ namespace {
 
 /// Internal sub-block size: key/slot scratch stays on the stack.
 constexpr std::size_t kGatherBlock = 1024;
-
-std::int64_t gather_int(const AggInput& in, std::uint32_t row) {
-  switch (in.kind) {
-    case AggInput::Kind::kInt32:
-      return in.i32[row];
-    case AggInput::Kind::kInt64:
-      return in.i64[row];
-    case AggInput::Kind::kPacked:
-      return in.packed.value_at(row);
-    case AggInput::Kind::kDouble:
-      break;
-  }
-  EIDB_ASSERT(false);
-  return 0;
-}
 
 std::vector<AggInput> columns_of(
     const std::vector<JoinAggregator::Input>& inputs) {
@@ -921,7 +978,7 @@ void JoinAggregator::add_block(const std::uint32_t* const* side_rows,
         const std::uint32_t* rows = side_rows[part.side] + at;
         for (std::size_t e = 0; e < n; ++e)
           keys[e] +=
-              (gather_int(part.column, rows[e]) - part.offset) * part.stride;
+              (part.column.int_at(rows[e]) - part.offset) * part.stride;
       }
       for (std::size_t e = 0; e < n; ++e) slot[e] = resolve(keys[e]);
       for (std::size_t e = 0; e < n; ++e) ++acc_.counts[slot[e]];
@@ -936,7 +993,7 @@ void JoinAggregator::add_block(const std::uint32_t* const* side_rows,
                    acc_.darr[j]);
       } else {
         fold_slots(column.ops, n, slot,
-                   [&](std::size_t e) { return gather_int(column, rows[e]); },
+                   [&](std::size_t e) { return column.int_at(rows[e]); },
                    acc_.iarr[j]);
       }
     }

@@ -33,6 +33,7 @@
 #include "exec/parallel.hpp"
 #include "exec/scan_kernels.hpp"
 #include "storage/bitpack.hpp"
+#include "util/assert.hpp"
 #include "util/bitvector.hpp"
 
 namespace eidb::exec {
@@ -96,6 +97,21 @@ struct AggInput {
   }
 
   [[nodiscard]] bool is_double() const { return kind == Kind::kDouble; }
+  /// Value of row i of an integer view (int32, int64 or packed).
+  [[nodiscard]] std::int64_t int_at(std::size_t i) const {
+    switch (kind) {
+      case Kind::kInt32:
+        return i32[i];
+      case Kind::kInt64:
+        return i64[i];
+      case Kind::kPacked:
+        return packed.value_at(i);
+      case Kind::kDouble:
+        break;
+    }
+    EIDB_ASSERT(false);
+    return 0;
+  }
   [[nodiscard]] std::size_t size() const {
     switch (kind) {
       case Kind::kInt32:
@@ -199,6 +215,32 @@ struct GroupedAggs {
 
 [[nodiscard]] GroupedAggs parallel_grouped_multi_aggregate_packed(
     sched::ThreadPool& pool, const storage::PackedView& keys,
+    std::span<const AggInput> inputs, const BitVector& selection,
+    KeyRange range = {}, std::size_t morsel_rows = kDefaultMorselRows,
+    PackedTier tier = packed_tier());
+
+/// A group key read through a dense lookup on a foreign key (a
+/// groupjoin): row i's key is lut[fk(i) - lut_min], the group value of
+/// the one dimension row its foreign key joins. `fk` is an int32, int64
+/// or packed view; block words decode its 64-value block once, as packed
+/// keys do. Precondition: every selected row's fk(i) - lut_min indexes
+/// `lut`.
+struct LookupKey {
+  AggInput fk;
+  std::span<const std::int64_t> lut;
+  std::int64_t lut_min = 0;
+};
+
+/// Grouped multi-aggregate over a lookup key; output keys are the lookup
+/// values, exactly as a plain key column holding them would produce.
+[[nodiscard]] GroupedAggs grouped_multi_aggregate_lookup(
+    const LookupKey& keys, std::span<const AggInput> inputs,
+    const BitVector& selection, KeyRange range = {},
+    GroupStrategy strategy = GroupStrategy::kAuto,
+    PackedTier tier = packed_tier());
+
+[[nodiscard]] GroupedAggs parallel_grouped_multi_aggregate_lookup(
+    sched::ThreadPool& pool, const LookupKey& keys,
     std::span<const AggInput> inputs, const BitVector& selection,
     KeyRange range = {}, std::size_t morsel_rows = kDefaultMorselRows,
     PackedTier tier = packed_tier());

@@ -137,6 +137,19 @@ JoinArm CostModel::pick_join_arm(std::uint64_t build_rows,
   return entries > cache_entries ? JoinArm::kRadixJoin : JoinArm::kHashJoin;
 }
 
+hw::Work CostModel::join_filter_pass_work(double build_rows,
+                                         double tested_rows,
+                                         unsigned packed_key_bits,
+                                         double plain_key_bytes) const {
+  const bool packed = packed_key_bits > 0;
+  const double test_cycles =
+      packed ? costs_.packed_scan_unaligned : costs_.scalar_bitmap;
+  const double key_bytes =
+      packed ? static_cast<double>(packed_key_bits) / 8.0 : plain_key_bytes;
+  return {costs_.scalar_bitmap * build_rows + test_cycles * tested_rows,
+          key_bytes * tested_rows};
+}
+
 JoinFilterChoice CostModel::pick_join_filter(double build_rows,
                                              double tested_rows,
                                              double chain_probes,
@@ -144,18 +157,17 @@ JoinFilterChoice CostModel::pick_join_filter(double build_rows,
                                              unsigned packed_key_bits,
                                              double plain_key_bytes) const {
   const double sel = std::clamp(selectivity, 0.0, 1.0);
-  const bool packed = packed_key_bits > 0;
-  const double test_cycles =
-      packed ? costs_.packed_scan_unaligned : costs_.scalar_bitmap;
-  const double key_bytes =
-      packed ? static_cast<double>(packed_key_bits) / 8.0 : plain_key_bytes;
   JoinFilterChoice out;
-  out.pass = {costs_.scalar_bitmap * build_rows + test_cycles * tested_rows,
-              key_bytes * tested_rows};
+  out.pass = join_filter_pass_work(build_rows, tested_rows, packed_key_bits,
+                                   plain_key_bytes);
   const double removed = (1.0 - sel) * chain_probes;
   out.probes = {costs_.join_probe_per_tuple * removed, 8.0 * removed};
   out.filter = out.pass.cpu_cycles < out.probes.cpu_cycles;
   return out;
+}
+
+hw::Work CostModel::lookup_build_work(double build_rows) const {
+  return {costs_.join_build_per_tuple * build_rows, 16.0 * build_rows};
 }
 
 hw::Work CostModel::remap_work(std::uint64_t entries) const {

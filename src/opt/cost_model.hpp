@@ -167,18 +167,29 @@ class CostModel {
                                       std::uint64_t key_domain = 0,
                                       unsigned key_width_bytes = 8) const;
 
-  /// Semi-join filter arm for one dense join step probed from the fact
-  /// table. The pass sets one bitmap bit per selected build row and tests
-  /// `tested_rows` fact keys against the bitmap, 64 per selection word: a
-  /// block unpack plus compare per key when the key is bit-packed
-  /// (`packed_key_bits` > 0), a scalar bitmap test otherwise. It removes
-  /// the (1 - `selectivity`) share of `chain_probes` — the probes into
-  /// this step and every chain step before it — each priced as a join
-  /// probe. Fires when the pass costs fewer cycles than those probes.
+  /// Work of one semi-join filter pass: it sets one bitmap bit per
+  /// selected build row and tests `tested_rows` fact keys against the
+  /// bitmap, 64 per selection word — a block unpack plus compare per key
+  /// when the key is bit-packed (`packed_key_bits` > 0), a scalar bitmap
+  /// test otherwise.
+  [[nodiscard]] hw::Work join_filter_pass_work(double build_rows,
+                                               double tested_rows,
+                                               unsigned packed_key_bits,
+                                               double plain_key_bytes) const;
+
+  /// Semi-join filter arm for one dense chain step probed from the fact
+  /// table: the pass (join_filter_pass_work) removes the (1 -
+  /// `selectivity`) share of `chain_probes` — the probes into this step
+  /// and every chain step before it — each priced as a join probe. Fires
+  /// when the pass costs fewer cycles than those probes.
   [[nodiscard]] JoinFilterChoice pick_join_filter(
       double build_rows, double tested_rows, double chain_probes,
       double selectivity, unsigned packed_key_bits,
       double plain_key_bytes) const;
+
+  /// Work of a gather step's dense key -> group-value lookup: one read of
+  /// the group column and one lookup write per selected build row.
+  [[nodiscard]] hw::Work lookup_build_work(double build_rows) const;
 
   /// Work of building a build-code -> probe-code dictionary remap over
   /// `entries` build-dictionary entries (one linear merge; the output

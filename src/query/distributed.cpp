@@ -347,8 +347,6 @@ QueryResult run_distributed(const storage::Catalog& catalog,
   // replayed in shard order so the wire accounting is deterministic.
   std::vector<std::int64_t> key_scratch;
   ops::OpContext ctx{catalog, options, stats, key_scratch, {}};
-  if (phys.governor.enabled)
-    ctx.cores = static_cast<std::size_t>(std::max(1, phys.governor.cores));
 
   if (dist.mode == DistMode::kPartialMerge) {
     std::vector<net::WireTable> partials;

@@ -35,9 +35,6 @@ QueryResult Executor::execute(const PhysicalPlan& phys, ExecStats& stats,
     result = run_distributed(catalog_, phys, stats, options);
   } else {
     ops::OpContext ctx{catalog_, options, stats, key_scratch_, {}};
-    // The governor's core grant caps every operator's morsel fan-out.
-    if (phys.governor.enabled)
-      ctx.cores = static_cast<std::size_t>(std::max(1, phys.governor.cores));
     result = ops::execute_pipeline(ctx, phys, table);
   }
   stats.elapsed_s = total.elapsed_seconds();

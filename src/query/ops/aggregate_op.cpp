@@ -24,11 +24,48 @@ std::int64_t column_int_at(const Column& c, std::size_t i) {
   return c.int_at(i);
 }
 
-namespace {
+GroupKeyPart group_key_part(const Table& t, const Column& c) {
+  GroupKeyPart part;
+  part.tbl = &t;
+  part.col = &c;
+  if (c.type() == TypeId::kDouble) {
+    if (!c.has_double_dictionary())
+      throw Error("cannot group by double column " + c.name() +
+                  " (no ordered dictionary: column contains NaN)");
+    // Group on the int32 codes — dense range [0, dict size), exact
+    // distinct count — and decode from the double dictionary at emit.
+    const auto dsize = static_cast<std::int64_t>(c.double_dictionary().size());
+    part.double_codes = true;
+    part.max = std::max<std::int64_t>(0, dsize - 1);
+    part.domain = std::max<std::int64_t>(1, dsize);
+    part.distinct = static_cast<std::uint64_t>(dsize);
+    return part;
+  }
+  const storage::ColumnStats& cs = c.stats();
+  part.min = cs.rows == 0 ? 0 : cs.min;
+  part.max = cs.rows == 0 ? 0 : cs.max;
+  part.domain = std::max<std::int64_t>(1, cs.domain());
+  part.distinct = cs.distinct;
+  return part;
+}
 
-QueryResult run_aggregate_vectorized(OpContext& ctx, const LogicalPlan& plan,
-                                     const Table& table,
-                                     const BitVector& selection) {
+std::int64_t assign_strides(std::span<GroupKeyPart> parts) {
+  std::int64_t total = 1;
+  for (auto it = parts.rbegin(); it != parts.rend(); ++it) {
+    it->stride = total;
+    if (it->domain > (std::int64_t{1} << 62) / total)
+      throw Error("composite group-by domain too large");
+    total *= it->domain;
+  }
+  return total;
+}
+
+QueryResult aggregate_rows(
+    OpContext& ctx, const LogicalPlan& plan, const Table& table,
+    const BitVector& selection,
+    const std::function<const Column&(const std::string&)>& column_of,
+    std::vector<GroupKeyPart> parts,
+    const std::set<std::string>& plain_required) {
   const ExecOptions& options = ctx.options;
   ExecStats& stats = ctx.stats;
   const std::uint64_t selected = selection.count();
@@ -44,17 +81,9 @@ QueryResult run_aggregate_vectorized(OpContext& ctx, const LogicalPlan& plan,
   // plain array, so a column any of them touches is consumed plain by
   // every consumer — otherwise the once-per-query charge could not match
   // what the pass actually streams.
-  std::set<std::string> plain_required;
-  for (const AggSpec& a : plan.aggregates) {
-    if (a.expr == nullptr) continue;
-    std::vector<std::string> referenced;
-    a.expr->collect_columns(referenced);
-    plain_required.insert(referenced.begin(), referenced.end());
-  }
-  if (plan.group_by.size() > 1)
-    plain_required.insert(plan.group_by.begin(), plan.group_by.end());
   const auto consume_packed = [&](const Column& c) {
-    return use_packed(c, options) && plain_required.count(c.name()) == 0;
+    return use_packed(c, options) &&
+           plain_required.count(OpContext::charge_key(table, c)) == 0;
   };
   // Aggregate inputs consume the packed image when one exists: the pass
   // streams fewer DRAM bytes, and the ledger charges exactly those.
@@ -96,10 +125,9 @@ QueryResult run_aggregate_vectorized(OpContext& ctx, const LogicalPlan& plan,
     } else {
       const auto it = input_index.find(a.column);
       if (it == input_index.end()) {
-        const Column& c = table.column(a.column);
         input_index[a.column] = inputs.size();
         spec_input[ai] = static_cast<int>(inputs.size());
-        inputs.push_back(input_of(c));
+        inputs.push_back(input_of(column_of(a.column)));
       } else {
         spec_input[ai] = static_cast<int>(it->second);
       }
@@ -145,62 +173,37 @@ QueryResult run_aggregate_vectorized(OpContext& ctx, const LogicalPlan& plan,
   }
 
   // ---- Grouped aggregation. Key ranges come from the cached column
-  // statistics — no per-query min/max scan over the key columns. ----------
-  struct GroupKeyPart {
-    const Column* col;
-    /// Double key grouped on its dictionary codes (decoded at emit).
-    bool double_codes = false;
-    std::int64_t min = 0;
-    std::int64_t max = 0;
-    std::int64_t domain = 1;  // max - min + 1, saturated by ColumnStats
-    std::int64_t stride = 1;
-    std::uint64_t distinct = 0;
-  };
-  std::vector<GroupKeyPart> parts;
-  const std::size_t n_rows = table.row_count();
-  // Composite keys are in plain_required (synthesized from the plain
-  // arrays); a single packed key column is consumed in place.
-  for (const std::string& name : plan.group_by) {
-    const Column& col = table.column(name);
-    GroupKeyPart part;
-    part.col = &col;
-    if (col.type() == TypeId::kDouble) {
-      if (!col.has_double_dictionary())
-        throw Error("cannot group by double column " + col.name() +
-                    " (no ordered dictionary: column contains NaN)");
-      // Group on the int32 codes — dense range [0, dict size), exact
-      // distinct count — and decode from the double dictionary at emit.
+  // statistics — no per-query min/max scan over the key columns. Key
+  // columns of `table` are charged here; a lookup's dimension column was
+  // charged where its lookup was built. ------------------------------------
+  for (const GroupKeyPart& part : parts) {
+    if (part.lookup) continue;
+    if (part.double_codes)
       // The pass streams the 4-byte code array, so that is the charge
       // (unless another consumer already billed the plain width).
-      ctx.charge_column_bytes(table, col,
-                              4.0 * static_cast<double>(col.size()));
-      const auto dsize =
-          static_cast<std::int64_t>(col.double_dictionary().size());
-      part.double_codes = true;
-      part.min = 0;
-      part.max = std::max<std::int64_t>(0, dsize - 1);
-      part.domain = std::max<std::int64_t>(1, dsize);
-      part.distinct = static_cast<std::uint64_t>(dsize);
-      parts.push_back(part);
-      continue;
-    }
-    ctx.charge_column(table, col, consume_packed(col));
-    const storage::ColumnStats& cs = col.stats();
-    part.min = cs.rows == 0 ? 0 : cs.min;
-    part.max = cs.rows == 0 ? 0 : cs.max;
-    part.domain = std::max<std::int64_t>(1, cs.domain());
-    part.distinct = cs.distinct;
-    parts.push_back(part);
+      ctx.charge_column_bytes(table, *part.col,
+                              4.0 * static_cast<double>(part.col->size()));
+    else
+      ctx.charge_column(table, *part.col, consume_packed(*part.col));
   }
 
   exec::GroupedAggs grouped;
+  const std::size_t n_rows = table.row_count();
   const bool composite = parts.size() > 1;
   if (!composite) {
     // Single key column consumed in place (int32/codes stay 32-bit;
-    // encoded keys stay packed and decode once per block word).
+    // encoded keys stay packed and decode once per block word; lookup
+    // keys decode their foreign key the same way).
     const GroupKeyPart& part = parts.front();
     const exec::KeyRange range{true, part.min, part.max, part.distinct};
-    if (consume_packed(*part.col)) {
+    if (part.lookup) {
+      const exec::LookupKey keys{part.fk, part.lut, part.lut_min};
+      grouped = parallel
+                    ? exec::parallel_grouped_multi_aggregate_lookup(
+                          *options.pool, keys, inputs, selection, range)
+                    : exec::grouped_multi_aggregate_lookup(keys, inputs,
+                                                           selection, range);
+    } else if (consume_packed(*part.col)) {
       const storage::PackedView keys = part.col->packed_view();
       grouped = parallel
                     ? exec::parallel_grouped_multi_aggregate_packed(
@@ -230,30 +233,42 @@ QueryResult run_aggregate_vectorized(OpContext& ctx, const LogicalPlan& plan,
                                                       range);
     }
   } else {
-    // Strides right-to-left; guard against composite-domain overflow.
-    std::int64_t total = 1;
-    for (auto it = parts.rbegin(); it != parts.rend(); ++it) {
-      it->stride = total;
-      if (it->domain > (std::int64_t{1} << 62) / total)
-        throw Error("composite group-by domain too large");
-      total *= it->domain;
-    }
-    // Synthesize the composite keys into the reusable scratch buffer
-    // (one sequential pass per key column).
+    const std::int64_t total = assign_strides(parts);
+    // Synthesize the composite keys into the reusable scratch buffer: one
+    // sequential pass per key column over every row, or — when a part
+    // reads a lookup, which only the selected rows' foreign keys address —
+    // one pass over the selected rows.
     ctx.key_scratch.assign(n_rows, 0);
-    for (const GroupKeyPart& part : parts) {
-      if (part.double_codes) {
-        const auto data = part.col->double_codes();
-        for (std::size_t i = 0; i < n_rows; ++i)
-          ctx.key_scratch[i] += (data[i] - part.min) * part.stride;
-      } else if (part.col->type() == TypeId::kInt64) {
-        const auto data = part.col->int64_data();
-        for (std::size_t i = 0; i < n_rows; ++i)
-          ctx.key_scratch[i] += (data[i] - part.min) * part.stride;
-      } else {
-        const auto data = part.col->int32_data();
-        for (std::size_t i = 0; i < n_rows; ++i)
-          ctx.key_scratch[i] += (data[i] - part.min) * part.stride;
+    const auto part_at = [](const GroupKeyPart& part, std::size_t i) {
+      if (part.lookup)
+        return part.lut[static_cast<std::size_t>(part.fk.int_at(i) -
+                                                 part.lut_min)];
+      if (part.double_codes) return std::int64_t{part.col->double_codes()[i]};
+      return part.col->type() == TypeId::kInt64
+                 ? part.col->int64_data()[i]
+                 : std::int64_t{part.col->int32_data()[i]};
+    };
+    if (std::any_of(parts.begin(), parts.end(),
+                    [](const GroupKeyPart& p) { return p.lookup; })) {
+      selection.for_each_set([&](std::size_t i) {
+        for (const GroupKeyPart& part : parts)
+          ctx.key_scratch[i] += (part_at(part, i) - part.min) * part.stride;
+      });
+    } else {
+      for (const GroupKeyPart& part : parts) {
+        if (part.double_codes) {
+          const auto data = part.col->double_codes();
+          for (std::size_t i = 0; i < n_rows; ++i)
+            ctx.key_scratch[i] += (data[i] - part.min) * part.stride;
+        } else if (part.col->type() == TypeId::kInt64) {
+          const auto data = part.col->int64_data();
+          for (std::size_t i = 0; i < n_rows; ++i)
+            ctx.key_scratch[i] += (data[i] - part.min) * part.stride;
+        } else {
+          const auto data = part.col->int32_data();
+          for (std::size_t i = 0; i < n_rows; ++i)
+            ctx.key_scratch[i] += (data[i] - part.min) * part.stride;
+        }
       }
     }
     const std::span<const std::int64_t> keys(ctx.key_scratch.data(), n_rows);
@@ -268,45 +283,43 @@ QueryResult run_aggregate_vectorized(OpContext& ctx, const LogicalPlan& plan,
       kGroupCyclesPerTuple * static_cast<double>(selected) +
       kAggCyclesPerTuple * static_cast<double>(selected) *
           static_cast<double>(inputs.size());
+  return emit_groups(ctx, plan, parts, grouped, spec_input, inputs);
+}
 
-  // String group keys late-materialize at emit: the emitted groups gather
+QueryResult emit_groups(OpContext& ctx, const LogicalPlan& plan,
+                        std::span<const GroupKeyPart> parts,
+                        const exec::GroupedAggs& grouped,
+                        std::span<const int> spec_input,
+                        std::span<const exec::AggInput> inputs) {
+  // String group keys late-materialize here: the emitted groups gather
   // from the dictionary payload, and that traffic is charged (bounded by
   // one full dictionary read).
   for (const GroupKeyPart& part : parts)
     if (part.col->type() == TypeId::kString)
-      ctx.charge_dict_gather(table, *part.col, grouped.group_count());
+      ctx.charge_dict_gather(*part.tbl, *part.col, grouped.group_count());
 
+  const auto key_value = [](const GroupKeyPart& part, std::int64_t key) {
+    if (part.col->type() == TypeId::kString)
+      return storage::Value{
+          part.col->dictionary().at(static_cast<std::int32_t>(key))};
+    if (part.double_codes)
+      return storage::Value{
+          part.col->double_dictionary().at(static_cast<std::int32_t>(key))};
+    return storage::Value{key};
+  };
   std::vector<std::string> names(plan.group_by.begin(), plan.group_by.end());
   for (const AggSpec& a : plan.aggregates) names.push_back(agg_column_name(a));
   QueryResult result(std::move(names));
-
   for (std::size_t g = 0; g < grouped.group_count(); ++g) {
     std::vector<storage::Value> row;
     row.reserve(parts.size() + plan.aggregates.size());
-    if (!composite) {
-      const GroupKeyPart& part = parts.front();
-      if (part.col->type() == TypeId::kString)
-        row.emplace_back(part.col->dictionary().at(
-            static_cast<std::int32_t>(grouped.keys[g])));
-      else if (part.double_codes)
-        row.emplace_back(part.col->double_dictionary().at(
-            static_cast<std::int32_t>(grouped.keys[g])));
-      else
-        row.emplace_back(grouped.keys[g]);
+    if (parts.size() == 1) {
+      row.push_back(key_value(parts.front(), grouped.keys[g]));
     } else {
       // Decode the composite key back into per-column values.
-      for (const GroupKeyPart& part : parts) {
-        const std::int64_t component =
-            (grouped.keys[g] / part.stride) % part.domain + part.min;
-        if (part.col->type() == TypeId::kString)
-          row.emplace_back(part.col->dictionary().at(
-              static_cast<std::int32_t>(component)));
-        else if (part.double_codes)
-          row.emplace_back(part.col->double_dictionary().at(
-              static_cast<std::int32_t>(component)));
-        else
-          row.emplace_back(component);
-      }
+      for (const GroupKeyPart& part : parts)
+        row.push_back(key_value(
+            part, (grouped.keys[g] / part.stride) % part.domain + part.min));
     }
     for (std::size_t ai = 0; ai < plan.aggregates.size(); ++ai) {
       const AggSpec& a = plan.aggregates[ai];
@@ -327,8 +340,6 @@ QueryResult run_aggregate_vectorized(OpContext& ctx, const LogicalPlan& plan,
   }
   return result;
 }
-
-}  // namespace
 
 exec::AggInput agg_input_of(const Column& c) {
   switch (c.type()) {
@@ -400,7 +411,29 @@ QueryResult run_aggregate(OpContext& ctx, const LogicalPlan& plan,
                           const Table& table, const BitVector& selection) {
   OperatorScope scope(ctx.stats,
                       plan.has_group_by() ? "group-aggregate" : "aggregate");
-  return run_aggregate_vectorized(ctx, plan, table, selection);
+  // Expression evaluation and composite-key synthesis have no packed
+  // kernel: the columns they touch are read plain by every consumer.
+  std::set<std::string> plain_required;
+  for (const AggSpec& a : plan.aggregates) {
+    if (a.expr == nullptr) continue;
+    std::vector<std::string> referenced;
+    a.expr->collect_columns(referenced);
+    for (const std::string& name : referenced)
+      plain_required.insert(OpContext::charge_key(table, table.column(name)));
+  }
+  std::vector<GroupKeyPart> parts;
+  for (const std::string& name : plan.group_by) {
+    const Column& col = table.column(name);
+    parts.push_back(group_key_part(table, col));
+    if (plan.group_by.size() > 1)
+      plain_required.insert(OpContext::charge_key(table, col));
+  }
+  return aggregate_rows(
+      ctx, plan, table, selection,
+      [&table](const std::string& name) -> const Column& {
+        return table.column(name);
+      },
+      std::move(parts), plain_required);
 }
 
 }  // namespace eidb::query::ops

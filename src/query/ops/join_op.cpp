@@ -20,6 +20,7 @@
 #include "exec/vector_agg.hpp"
 #include "opt/cost_model.hpp"
 #include "query/ops/aggregate_op.hpp"
+#include "query/ops/project_op.hpp"
 #include "query/ops/scan_filter.hpp"
 #include "util/assert.hpp"
 
@@ -42,6 +43,11 @@ struct StepExec {
   std::uint64_t build_rows = 0;
   exec::JoinKeys build_keys;
   exec::JoinKeys source_keys;
+  /// The FROM-table probe key as the aggregate kernels read it (a gather
+  /// step's lookup key), in the representation `source_keys` streams.
+  exec::AggInput source_view;
+  /// Side of the running match tuple carrying the probe key, counted over
+  /// the steps that run in the chain.
   std::size_t source_side = 0;
   /// String/double keys: build-code -> probe-code translation table
   /// (owns the storage the kRemapped build_keys view reads; -1 = the
@@ -53,6 +59,8 @@ struct StepExec {
   /// Key views resolved (and their columns charged) — by the step's
   /// semi-join filter pass when it has one, else by the join operator.
   bool keys_ready = false;
+  /// The pass found no two selected build rows with the same key.
+  bool keys_unique = false;
   std::optional<exec::JoinHashTable> hash;
   std::optional<exec::DenseJoinTable> dense;
 
@@ -75,7 +83,8 @@ class ChainDriver {
   using Sink =
       std::function<void(const std::uint32_t* const*, std::size_t)>;
 
-  explicit ChainDriver(const std::vector<StepExec>& steps) : steps_(steps) {
+  explicit ChainDriver(const std::vector<const StepExec*>& steps)
+      : steps_(steps) {
     bufs_.resize(steps.size());
     ptrs_.resize(steps.size());
     for (std::size_t s = 1; s < steps.size(); ++s) {
@@ -97,7 +106,7 @@ class ChainDriver {
     limit_ = limit_pairs;
     pairs_ = 0;
     stop_ = false;
-    const StepExec& first = steps_.front();
+    const StepExec& first = *steps_.front();
     const auto first_sink = [&](const std::uint32_t* b, const std::uint32_t* p,
                                 std::size_t k) {
       if (stop_) return;
@@ -146,7 +155,7 @@ class ChainDriver {
       emit(rows, n);
       return;
     }
-    const StepExec& st = steps_[s];
+    const StepExec& st = *steps_[s];
     auto& out = bufs_[s];
     std::size_t k = 0;
     const auto flush = [&] {
@@ -178,7 +187,7 @@ class ChainDriver {
     if (n != 0) (*sink_)(rows, n);
   }
 
-  const std::vector<StepExec>& steps_;
+  const std::vector<const StepExec*>& steps_;
   /// Per-step output blocks: bufs_[s][side] holds side `side`'s row ids;
   /// ptrs_[s] is the stable pointer table handed downstream.
   std::vector<std::vector<std::array<std::uint32_t, exec::kJoinBlockRows>>>
@@ -199,23 +208,18 @@ struct Ref {
   std::size_t side;
 };
 
-/// 64-aligned chunking of the probe selection for per-chunk ChainDrivers:
-/// the grain is a multiple of 64 (selection words are never split across
-/// workers), at least a morsel, and sized for ~4 chunks per worker so
-/// per-chunk setup (aggregators over dense group domains allocate
-/// O(domain)) amortizes over enough rows. Chunk ids address per-chunk
-/// result slots, so downstream merges run in CHUNK order — deterministic
-/// and equal to the serial traversal order — never completion order.
+/// 64-aligned chunking of the probe selection for per-chunk ChainDrivers
+/// and filter passes: exec::chunk_grain, cut from the selection's size
+/// alone, so the chunks — and the chunk-ordered merges of double sums —
+/// are the same at every pool width and governor grant, and equal the
+/// grouped aggregate kernels' chunks. Chunk ids address per-chunk result
+/// slots, so downstream merges run in CHUNK order, never completion
+/// order.
 struct MorselChunks {
   std::size_t grain = 0;
   std::size_t count = 0;
-  MorselChunks(std::size_t n, std::size_t workers) {
-    const std::size_t target = std::max<std::size_t>(1, workers * 4);
-    const std::size_t per = (n + target - 1) / target;
-    grain = std::max<std::size_t>(
-        64, std::max(exec::kDefaultMorselRows, per) / 64 * 64);
-    count = (n + grain - 1) / grain;
-  }
+  explicit MorselChunks(std::size_t n)
+      : grain(exec::chunk_grain(n)), count((n + grain - 1) / grain) {}
 };
 
 }  // namespace
@@ -272,17 +276,25 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
   // this join actually streams — the packed image for packed-probed key
   // columns, the plain width for every gathered payload/group column.
   // One representation per column per query (the base aggregation path's
-  // rule): a key column that any gather consumer also needs is read plain
+  // rule): a key column that any plain consumer also needs is read plain
   // by the key path too, so the once-per-query charge matches the bytes
-  // the pipeline touches. ----
+  // the pipeline touches. The chain gathers its aggregate inputs, group
+  // keys, projections and projection sort key plain, by row id. A
+  // chainless plan reads what the base operators read: aggregate_op's
+  // kernels stream packed inputs and single keys, and only a composite
+  // key's FROM-table columns are plain. The set is fixed before any pass
+  // resolves a key, and a step the passes send back to the chain reads
+  // its columns by the same set. ----
+  const bool chainless = phys.chainless();
   std::set<std::string> plain_required;
-  const auto require_plain = [&](const std::string& name) {
-    const Ref r = resolve(name);
+  const auto require_plain = [&](const Ref& r) {
     plain_required.insert(OpContext::charge_key(*r.tbl, *r.col));
   };
   if (plan.is_aggregate()) {
-    for (const AggSpec& a : plan.aggregates)
-      if (a.op != AggOp::kCount) require_plain(a.column);
+    if (!chainless) {
+      for (const AggSpec& a : plan.aggregates)
+        if (a.op != AggOp::kCount) require_plain(resolve(a.column));
+    }
     for (const std::string& name : plan.group_by) {
       const Ref r = resolve(name);
       // Double group keys are consumed as dictionary codes end to end
@@ -290,23 +302,26 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
       // emit) — they never force a plain read.
       if (r.col->type() == TypeId::kDouble && r.col->has_double_dictionary())
         continue;
-      require_plain(name);
+      if (!chainless || (plan.group_by.size() > 1 && r.side == 0))
+        require_plain(r);
     }
   } else {
-    for (const std::string& name : plan.projection) require_plain(name);
+    for (const std::string& name : plan.projection)
+      require_plain(resolve(name));
+    if (plan.order_by.has_value() && !chainless)
+      require_plain(resolve(plan.order_by->column));
   }
-  if (plan.order_by.has_value() && !plan.is_aggregate())
-    require_plain(plan.order_by->column);
 
   // ---- Join keys, consumed without widening: int64/int32 spans read in
   // place, bit-packed images decoded per probed row. ----
+  const auto packed_read = [&](const Table& t, const Column& c) {
+    return use_packed(c, options) &&
+           plain_required.count(OpContext::charge_key(t, c)) == 0;
+  };
   const auto keys_of = [&](const Table& t, const Column& c) {
-    if (use_packed(c, options) &&
-        plain_required.count(OpContext::charge_key(t, c)) == 0) {
-      ctx.charge_column(t, c, true);
-      return exec::JoinKeys::from(c.packed_view());
-    }
-    ctx.charge_column(t, c, false);
+    const bool packed = packed_read(t, c);
+    ctx.charge_column(t, c, packed);
+    if (packed) return exec::JoinKeys::from(c.packed_view());
     return c.type() == TypeId::kInt64 ? exec::JoinKeys::from(c.int64_data())
                                       : exec::JoinKeys::from(c.int32_data());
   };
@@ -322,21 +337,26 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
   const auto resolve_keys = [&](StepExec& st) {
     if (st.keys_ready) return;
     st.keys_ready = true;
-    const Table& src_tbl =
-        st.source_side == 0 ? table : *steps[st.source_side - 1].build_table;
+    const Table& src_tbl = st.phys->source_side == 0
+                               ? table
+                               : *steps[st.phys->source_side - 1].build_table;
     const Column& src_col = src_tbl.column(st.phys->source_key);
     const Column& bld_col = st.build_table->column(st.spec->right_key);
     switch (st.phys->key_type) {
       case JoinKeyType::kInt:
-        st.source_keys = keys_of(src_tbl, src_col);
-        st.build_keys = keys_of(*st.build_table, bld_col);
-        break;
       case JoinKeyType::kString:
-        // Probe side streams its own codes unchanged (packed image is
-        // fine — codes are plain int32s to the kernels). The build side's
-        // codes are translated into the probe's code domain once, so the
-        // probe never touches a string.
+        // A string key's probe side streams its own codes unchanged
+        // (packed image is fine — codes are plain int32s to the kernels).
         st.source_keys = keys_of(src_tbl, src_col);
+        st.source_view = packed_read(src_tbl, src_col)
+                             ? exec::AggInput::from(src_col.packed_view())
+                             : agg_input_of(src_col);
+        if (st.phys->key_type == JoinKeyType::kInt) {
+          st.build_keys = keys_of(*st.build_table, bld_col);
+          break;
+        }
+        // The build side's codes are translated into the probe's code
+        // domain once, so the probe never touches a string.
         ctx.charge_column(*st.build_table, bld_col, false);
         st.build_remap = bld_col.dictionary().remap_to(src_col.dictionary());
         st.build_keys =
@@ -347,6 +367,7 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
       case JoinKeyType::kDouble:
         charge_codes(src_tbl, src_col);
         st.source_keys = exec::JoinKeys::from(src_col.double_codes());
+        st.source_view = exec::AggInput::from(src_col.double_codes());
         charge_codes(*st.build_table, bld_col);
         st.build_remap = bld_col.double_dictionary().remap_to(
             src_col.double_dictionary());
@@ -378,7 +399,8 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
   // runs — every sink below then probes only the rows all filtered
   // dimensions keep. Each pass is its own attributed operator and
   // resolves its step's key views, so the key columns are charged there,
-  // once, in the representation the probe reads again later. ----
+  // once, in the representation the probe reads again later. Building the
+  // bitmap also tells whether the selected build keys are unique. ----
   BitVector filtered;
   std::uint64_t live_rows = probe_selection.count();
   bool any_filter = false;
@@ -388,8 +410,12 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
     OperatorScope scope(stats, "join-filter(" + st.spec->table + ")");
     resolve_keys(st);
     const auto [min_key, domain] = dense_range(st);
-    const exec::JoinFilter filter(st.build_keys, st.build_sel, min_key,
-                                  domain);
+    // Remapped keys put every value the probe dictionary lacks at -1,
+    // which no probe key carries.
+    const exec::JoinFilter filter(
+        st.build_keys, st.build_sel, min_key, domain,
+        st.phys->key_type == JoinKeyType::kInt ? min_key : 0);
+    st.keys_unique = filter.keys_unique();
     if (!any_filter) filtered = probe_selection;
     any_filter = true;
     stats.work.cpu_cycles += kJoinFilterCyclesPerTuple *
@@ -402,7 +428,7 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
     }
     // Morsel-parallel over 64-aligned word ranges: workers write
     // disjoint selection words; kept counts land in chunk slots.
-    const MorselChunks chunking(filtered.size(), ctx.worker_width());
+    const MorselChunks chunking(filtered.size());
     const std::size_t grain_words = chunking.grain / 64;
     std::vector<std::uint64_t> kept(chunking.count, 0);
     options.pool->parallel_for(
@@ -415,21 +441,118 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
   }
   const BitVector& selection = any_filter ? filtered : probe_selection;
 
+  // ---- Run-time roles. A filter or gather step whose selected build keys
+  // repeat runs in the chain (its pass has run, and the selection it left
+  // is still right); a chain step takes every gather step back in, since
+  // the chain's aggregator reads each group key by side row id. ----
+  std::vector<JoinRole> roles(n_steps);
+  for (std::size_t s = 0; s < n_steps; ++s)
+    roles[s] = steps[s].keys_unique ? phys.joins[s].role : JoinRole::kChain;
+  const bool chain_left =
+      std::find(roles.begin(), roles.end(), JoinRole::kChain) != roles.end();
+  if (chain_left)
+    for (JoinRole& role : roles)
+      if (role == JoinRole::kGather) role = JoinRole::kChain;
+
+  if (!chain_left) {
+    // Every surviving row joins once; a projection without ORDER BY stops
+    // at its LIMIT, as the chain's early exit does.
+    stats.join_pairs = live_rows;
+    if (!plan.is_aggregate()) {
+      if (!plan.order_by.has_value() && plan.limit != 0)
+        stats.join_pairs = std::min<std::uint64_t>(live_rows, plan.limit);
+      return run_projection(ctx, phys, table, selection);
+    }
+
+    // ==== Groupjoin: each gather step builds a dense key -> group-value
+    // lookup per group-key part on its side; the FROM table's filtered
+    // selection then runs through the base aggregation kernels, which
+    // read those parts through the lookups on the fact foreign keys. ====
+    std::vector<GroupKeyPart> parts;
+    std::vector<std::size_t> part_side;
+    for (const std::string& name : plan.group_by) {
+      const Ref r = resolve(name);
+      parts.push_back(group_key_part(*r.tbl, *r.col));
+      part_side.push_back(r.side);
+    }
+    for (std::size_t s = 0; s < n_steps; ++s) {
+      if (roles[s] != JoinRole::kGather) continue;
+      const StepExec& st = steps[s];
+      OperatorScope scope(stats, "join-gather(" + st.spec->table + ")");
+      const auto [min_key, domain] = dense_range(st);
+      for (std::size_t p = 0; p < parts.size(); ++p) {
+        if (part_side[p] != s + 1) continue;
+        GroupKeyPart& part = parts[p];
+        const Column& col = *part.col;
+        if (part.double_codes)
+          charge_codes(*st.build_table, col);
+        else
+          ctx.charge_column(*st.build_table, col, false);
+        part.lookup = true;
+        part.fk = st.source_view;
+        part.lut_min = min_key;
+        part.lut.assign(static_cast<std::size_t>(domain), 0);
+        // Each entry holds the value (or dictionary code) at the one
+        // selected build row with that key. Remapped keys of values the
+        // probe lacks all land on the -1 slot, which no fact key reads.
+        st.build_sel.for_each_set([&](std::size_t i) {
+          part.lut[static_cast<std::size_t>(st.build_keys.at(i) - min_key)] =
+              part.double_codes ? col.double_codes()[i] : col.int_at(i);
+        });
+      }
+      stats.work.cpu_cycles +=
+          kJoinBuildCyclesPerTuple * static_cast<double>(st.build_rows);
+    }
+    OperatorScope scope(stats,
+                        plan.has_group_by() ? "group-aggregate" : "aggregate");
+    return aggregate_rows(
+        ctx, plan, table, selection,
+        [&](const std::string& name) -> const Column& {
+          const Ref r = resolve(name);
+          EIDB_ASSERT(r.side == 0);  // a step whose side feeds one chains
+          return *r.col;
+        },
+        std::move(parts), plain_required);
+  }
+
+  // ---- The chain: the steps that probe per row, in execution order.
+  // Filter steps never enter it; a match tuple holds the FROM row and one
+  // row per chain step, so `chain_side` maps a side (0 = the FROM table,
+  // s + 1 = step s) to its place in the tuple. ----
+  std::vector<const StepExec*> chain;
+  constexpr std::size_t kNoSide = ~std::size_t{0};
+  std::vector<std::size_t> chain_side(n_steps + 1, kNoSide);
+  chain_side[0] = 0;
+  for (std::size_t s = 0; s < n_steps; ++s) {
+    if (roles[s] != JoinRole::kChain) continue;
+    chain.push_back(&steps[s]);
+    chain_side[s + 1] = chain.size();
+  }
+  const std::size_t n_chain = chain.size();
+  const auto tuple_side = [&](std::size_t side) {
+    EIDB_ASSERT(chain_side[side] != kNoSide);  // only chain sides are read
+    return chain_side[side];
+  };
+  for (StepExec& st : steps)
+    if (chain_side[st.phys->source_side] != kNoSide)
+      st.source_side = chain_side[st.phys->source_side];
+
   // ---- One operator scope covers the rest of the join pipeline — key-view
   // resolution, build-table construction, and the probe — so its charges
   // land in one attributed operator. Projections without ORDER BY
   // materialize inside the probe sink, hence the merged name. ----
   std::string op_name;
-  for (std::size_t s = 0; s < n_steps; ++s) {
-    if (s > 0) op_name += " ";
-    op_name += std::string(opt::join_arm_name(phys.joins[s].arm)) + "(" +
-               steps[s].build_table->name() + ")";
+  for (const StepExec* st : chain) {
+    if (!op_name.empty()) op_name += " ";
+    op_name += std::string(opt::join_arm_name(st->phys->arm)) + "(" +
+               st->build_table->name() + ")";
   }
   const bool stream_materialize =
       !plan.is_aggregate() && !plan.order_by.has_value();
   OperatorScope join_scope(
       stats, stream_materialize ? op_name + "+materialize" : op_name);
-  for (StepExec& st : steps) resolve_keys(st);
+  for (std::size_t s = 0; s < n_steps; ++s)
+    if (roles[s] == JoinRole::kChain) resolve_keys(steps[s]);
 
   const std::uint64_t probe_rows = live_rows;
 
@@ -438,12 +561,14 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
   const opt::CostModel& cm =
       options.cost_model != nullptr ? *options.cost_model : default_model;
   const bool radix_first =
-      n_steps >= 1 && phys.joins[0].arm == opt::JoinArm::kRadixJoin;
+      chain.front()->phys->arm == opt::JoinArm::kRadixJoin;
   for (std::size_t s = 0; s < n_steps; ++s) {
+    if (roles[s] != JoinRole::kChain) continue;
     StepExec& st = steps[s];
     stats.work.cpu_cycles +=
         kJoinBuildCyclesPerTuple * static_cast<double>(st.build_rows);
-    if (s == 0 && radix_first) continue;  // the radix arm partitions instead
+    // The radix arm partitions instead.
+    if (&st == chain.front() && radix_first) continue;
     if (st.phys->arm == opt::JoinArm::kDenseJoin) {
       const auto [min_key, domain] = dense_range(st);
       st.dense.emplace(exec::build_dense_join_table(
@@ -455,11 +580,18 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
 
   const bool parallel = options.pool != nullptr &&
                         probe_rows >= options.parallel_join_min_rows;
-  const std::size_t sides = n_steps + 1;
+  const std::size_t sides = n_chain + 1;
 
   // ==== Aggregate sink: exec::JoinAggregator over multi-side row-id
   // tuples (probe- and build-side inputs, composite cross-table keys). ====
   if (plan.is_aggregate()) {
+    // A column is gathered in the representation the ledger set names.
+    const auto gather_view = [&](const Ref& r) {
+      const bool packed = packed_read(*r.tbl, *r.col);
+      ctx.charge_column(*r.tbl, *r.col, packed);
+      return packed ? exec::AggInput::from(r.col->packed_view())
+                    : agg_input_of(*r.col);
+    };
     std::vector<exec::JoinAggregator::Input> inputs;
     std::map<std::string, std::size_t> input_index;
     std::vector<int> spec_input(plan.aggregates.size(), -1);  // -1 = COUNT
@@ -472,10 +604,9 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
         continue;
       }
       const Ref r = resolve(a.column);
-      ctx.charge_column(*r.tbl, *r.col, false);
       input_index[a.column] = inputs.size();
       spec_input[ai] = static_cast<int>(inputs.size());
-      inputs.push_back({agg_input_of(*r.col), r.side});
+      inputs.push_back({gather_view(r), tuple_side(r.side)});
       inputs.back().column.ops = 0;
     }
     // Each input accumulates only the state its AggSpecs read.
@@ -487,86 +618,44 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
     // Group keys: any mix of probe- and build-side columns; composite
     // keys use the stride layout of the base aggregation path, with
     // ranges from the cached column statistics.
-    struct GroupPart {
-      const Column* col;
-      const Table* tbl;
-      std::size_t side;
-      /// Double key grouped on its dictionary codes (decoded at emit).
-      bool double_codes = false;
-      std::int64_t min = 0;
-      std::int64_t max = 0;
-      std::int64_t domain = 1;
-      std::int64_t stride = 1;
-      std::uint64_t distinct = 0;
-    };
-    std::vector<GroupPart> parts;
+    std::vector<GroupKeyPart> parts;
+    std::vector<exec::AggInput> key_views;
+    std::vector<std::size_t> key_sides;
     for (const std::string& name : plan.group_by) {
       const Ref r = resolve(name);
-      GroupPart part;
-      part.col = r.col;
-      part.tbl = r.tbl;
-      part.side = r.side;
-      if (r.col->type() == TypeId::kDouble) {
-        if (!r.col->has_double_dictionary())
-          throw Error("cannot group by double column " + name +
-                      " (no ordered dictionary: column contains NaN)");
-        // Group on the int32 codes — dense range [0, dict size), exact
-        // distinct count — and decode from the double dictionary at emit.
+      parts.push_back(group_key_part(*r.tbl, *r.col));
+      if (parts.back().double_codes) {
         charge_codes(*r.tbl, *r.col);
-        const auto dsize =
-            static_cast<std::int64_t>(r.col->double_dictionary().size());
-        part.double_codes = true;
-        part.min = 0;
-        part.max = std::max<std::int64_t>(0, dsize - 1);
-        part.domain = std::max<std::int64_t>(1, dsize);
-        part.distinct = static_cast<std::uint64_t>(dsize);
+        key_views.push_back(exec::AggInput::from(r.col->double_codes()));
       } else {
-        ctx.charge_column(*r.tbl, *r.col, false);
-        const storage::ColumnStats& cs = r.col->stats();
-        part.min = cs.rows == 0 ? 0 : cs.min;
-        part.max = cs.rows == 0 ? 0 : cs.max;
-        part.domain = std::max<std::int64_t>(1, cs.domain());
-        part.distinct = cs.distinct;
+        key_views.push_back(gather_view(r));
       }
-      parts.push_back(part);
+      key_sides.push_back(tuple_side(r.side));
     }
-    const bool composite = parts.size() > 1;
-    const auto key_input = [](const GroupPart& part) {
-      return part.double_codes ? exec::AggInput::from(part.col->double_codes())
-                               : agg_input_of(*part.col);
-    };
     exec::KeyRange range;
     std::vector<exec::JoinAggregator::KeyPart> kparts;
-    if (!parts.empty()) {
-      if (!composite) {
-        const GroupPart& part = parts.front();
-        range = {true, part.min, part.max, part.distinct};
-        kparts.push_back({key_input(part), part.side, 0, 1});
-      } else {
-        std::int64_t total = 1;
-        for (auto it = parts.rbegin(); it != parts.rend(); ++it) {
-          it->stride = total;
-          if (it->domain > (std::int64_t{1} << 62) / total)
-            throw Error("composite group-by domain too large");
-          total *= it->domain;
-        }
-        for (const GroupPart& part : parts)
-          kparts.push_back(
-              {key_input(part), part.side, part.min, part.stride});
-        range = {true, 0, total - 1};
-      }
+    if (parts.size() == 1) {
+      const GroupKeyPart& part = parts.front();
+      range = {true, part.min, part.max, part.distinct};
+      kparts.push_back({key_views.front(), key_sides.front(), 0, 1});
+    } else if (!parts.empty()) {
+      const std::int64_t total = assign_strides(parts);
+      for (std::size_t p = 0; p < parts.size(); ++p)
+        kparts.push_back(
+            {key_views[p], key_sides[p], parts[p].min, parts[p].stride});
+      range = {true, 0, total - 1};
     }
     const auto make_agg = [&] {
       return plan.has_group_by() ? exec::JoinAggregator(inputs, kparts, range)
                                  : exec::JoinAggregator(inputs);
     };
     exec::JoinAggregator master = make_agg();
-    std::vector<std::uint64_t> produced(n_steps, 0);
+    std::vector<std::uint64_t> produced(n_chain, 0);
 
     if (radix_first) {
       // Radix arm on the first step: partition both sides, join the
       // partition pairs, feed the chain tail (if any) with each block.
-      const StepExec& first = steps.front();
+      const StepExec& first = *chain.front();
       const unsigned bits = cm.pick_radix_bits(first.build_rows);
       const exec::RadixPartitions bparts =
           exec::radix_partition(first.build_keys, first.build_sel, bits);
@@ -579,7 +668,7 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
       const auto run_parts = [&](std::size_t begin, std::size_t stride,
                                  exec::JoinAggregator& agg,
                                  std::vector<std::uint64_t>& prod) {
-        ChainDriver driver(steps);
+        ChainDriver driver(chain);
         const ChainDriver::Sink sink =
             [&agg](const std::uint32_t* const* rows, std::size_t k) {
               agg.add_block(rows, k);
@@ -589,18 +678,19 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
               bparts.parts[part], pparts.parts[part],
               [&](const std::uint32_t* b, const std::uint32_t* p,
                   std::size_t k) { driver.feed_first(b, p, k, sink); });
-        for (std::size_t s = 0; s < n_steps; ++s)
-          prod[s] += driver.produced()[s];
+        for (std::size_t c = 0; c < n_chain; ++c)
+          prod[c] += driver.produced()[c];
       };
       if (parallel) {
         // Partition-range tasks with private aggregators, merged serially
-        // in task order (task t owns partitions t, t + n_tasks, ...) — the
-        // merged result is independent of completion order.
-        const std::size_t n_tasks =
-            std::min(n_parts, ctx.worker_width() * 2);
+        // in task order (task t owns partitions t, t + n_tasks, ...). The
+        // task count follows the partition count alone, so the merged
+        // result depends neither on completion order nor on the pool
+        // width.
+        const std::size_t n_tasks = std::min(n_parts, exec::kMaxChunks);
         std::vector<exec::JoinAggregator> locals;
         std::vector<std::vector<std::uint64_t>> prods(
-            n_tasks, std::vector<std::uint64_t>(n_steps, 0));
+            n_tasks, std::vector<std::uint64_t>(n_chain, 0));
         locals.reserve(n_tasks);
         for (std::size_t t = 0; t < n_tasks; ++t) locals.push_back(make_agg());
         options.pool->parallel_for(
@@ -610,8 +700,8 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
             });
         for (std::size_t t = 0; t < n_tasks; ++t) {
           master.merge_from(locals[t]);
-          for (std::size_t s = 0; s < n_steps; ++s)
-            produced[s] += prods[t][s];
+          for (std::size_t c = 0; c < n_chain; ++c)
+            produced[c] += prods[t][c];
         }
       } else {
         run_parts(0, 1, master, produced);
@@ -624,11 +714,11 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
       // partials between runs; chunk order makes the merged sums a pure
       // function of the chunking.
       const std::size_t total_words = selection.word_count();
-      const MorselChunks chunking(selection.size(), ctx.worker_width());
+      const MorselChunks chunking(selection.size());
       std::vector<std::unique_ptr<exec::JoinAggregator>> locals(
           chunking.count);
       std::vector<std::vector<std::uint64_t>> prods(
-          chunking.count, std::vector<std::uint64_t>(n_steps, 0));
+          chunking.count, std::vector<std::uint64_t>(n_chain, 0));
       options.pool->parallel_for(
           selection.size(), chunking.grain,
           [&](std::size_t begin, std::size_t end) {
@@ -636,7 +726,7 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
             const std::size_t wb = begin / 64;
             const std::size_t we = std::min(total_words, (end + 63) / 64);
             auto local = std::make_unique<exec::JoinAggregator>(make_agg());
-            ChainDriver driver(steps);
+            ChainDriver driver(chain);
             const ChainDriver::Sink sink =
                 [&local](const std::uint32_t* const* rows, std::size_t k) {
                   local->add_block(rows, k);
@@ -647,30 +737,30 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
           });
       for (std::size_t chunk = 0; chunk < chunking.count; ++chunk) {
         master.merge_from(*locals[chunk]);
-        for (std::size_t s = 0; s < n_steps; ++s)
-          produced[s] += prods[chunk][s];
+        for (std::size_t c = 0; c < n_chain; ++c)
+          produced[c] += prods[chunk][c];
       }
     } else {
-      ChainDriver driver(steps);
+      ChainDriver driver(chain);
       const ChainDriver::Sink sink =
           [&master](const std::uint32_t* const* rows, std::size_t k) {
             master.add_block(rows, k);
           };
       (void)driver.run(selection, 0, selection.word_count(), sink, 0);
-      for (std::size_t s = 0; s < n_steps; ++s)
-        produced[s] = driver.produced()[s];
+      for (std::size_t c = 0; c < n_chain; ++c)
+        produced[c] = driver.produced()[c];
     }
 
     const std::uint64_t pairs = master.pair_count();
     stats.join_pairs = pairs;
     stats.work.cpu_cycles +=
         kJoinProbeCyclesPerTuple * static_cast<double>(probe_rows);
-    for (std::size_t s = 0; s + 1 < n_steps; ++s)
+    for (std::size_t c = 0; c + 1 < n_chain; ++c)
       stats.work.cpu_cycles +=
-          kJoinProbeCyclesPerTuple * static_cast<double>(produced[s]);
+          kJoinProbeCyclesPerTuple * static_cast<double>(produced[c]);
     join_scope.close();
 
-    // ---- Emit: same decode/emit shape as the base grouped path. ----
+    // ---- Emit: the base grouped path's emit. ----
     OperatorScope emit_scope(stats, "aggregate(join)");
     const exec::GroupedAggs grouped = master.finish();
     stats.work.cpu_cycles +=
@@ -680,63 +770,11 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
       stats.work.cpu_cycles +=
           kGroupCyclesPerTuple * static_cast<double>(pairs);
     stats.groups = plan.has_group_by() ? grouped.group_count() : 1;
-
-    // String group keys late-materialize here: the emitted groups gather
-    // from the dictionary payload, and that traffic is charged (bounded
-    // by one full dictionary read).
-    for (const GroupPart& part : parts)
-      if (part.col->type() == TypeId::kString)
-        ctx.charge_dict_gather(*part.tbl, *part.col, grouped.group_count());
-
-    std::vector<std::string> names(plan.group_by.begin(), plan.group_by.end());
-    for (const AggSpec& a : plan.aggregates)
-      names.push_back(agg_column_name(a));
-    QueryResult result(std::move(names));
-    for (std::size_t g = 0; g < grouped.group_count(); ++g) {
-      std::vector<storage::Value> row;
-      row.reserve(parts.size() + plan.aggregates.size());
-      if (!parts.empty() && !composite) {
-        const GroupPart& part = parts.front();
-        if (part.col->type() == TypeId::kString)
-          row.emplace_back(part.col->dictionary().at(
-              static_cast<std::int32_t>(grouped.keys[g])));
-        else if (part.double_codes)
-          row.emplace_back(part.col->double_dictionary().at(
-              static_cast<std::int32_t>(grouped.keys[g])));
-        else
-          row.emplace_back(grouped.keys[g]);
-      } else {
-        for (const GroupPart& part : parts) {
-          const std::int64_t component =
-              (grouped.keys[g] / part.stride) % part.domain + part.min;
-          if (part.col->type() == TypeId::kString)
-            row.emplace_back(part.col->dictionary().at(
-                static_cast<std::int32_t>(component)));
-          else if (part.double_codes)
-            row.emplace_back(part.col->double_dictionary().at(
-                static_cast<std::int32_t>(component)));
-          else
-            row.emplace_back(component);
-        }
-      }
-      for (std::size_t ai = 0; ai < plan.aggregates.size(); ++ai) {
-        const AggSpec& a = plan.aggregates[ai];
-        if (spec_input[ai] < 0) {
-          row.emplace_back(static_cast<std::int64_t>(grouped.counts[g]));
-          continue;
-        }
-        const auto j = static_cast<std::size_t>(spec_input[ai]);
-        exec::AggOut out;
-        out.is_double = inputs[j].column.is_double();
-        if (out.is_double)
-          out.d = grouped.dout[j][g];
-        else
-          out.i = grouped.iout[j][g];
-        row.push_back(agg_out_value(a.op, out));
-      }
-      result.add_row(std::move(row));
-    }
-    return result;
+    std::vector<exec::AggInput> columns;
+    columns.reserve(inputs.size());
+    for (const exec::JoinAggregator::Input& in : inputs)
+      columns.push_back(in.column);
+    return emit_groups(ctx, plan, parts, grouped, spec_input, columns);
   }
 
   // ==== Projection sink: chain traversal in deterministic (probe asc,
@@ -759,29 +797,29 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
   cols.reserve(proj.size());
   for (const std::string& name : proj) {
     const Ref r = resolve(name);
-    cols.push_back({r.col, r.tbl, r.side});
+    cols.push_back({r.col, r.tbl, tuple_side(r.side)});
   }
 
   QueryResult result(proj);
-  ChainDriver driver(steps);
+  ChainDriver driver(chain);
   std::uint64_t pairs = 0;
   const auto charge_probe_cycles =
       [&](const std::vector<std::uint64_t>& step_produced) {
         stats.work.cpu_cycles +=
             kJoinProbeCyclesPerTuple * static_cast<double>(probe_rows);
-        for (std::size_t s = 0; s + 1 < n_steps; ++s)
+        for (std::size_t c = 0; c + 1 < n_chain; ++c)
           stats.work.cpu_cycles +=
               kJoinProbeCyclesPerTuple *
-              static_cast<double>(step_produced[s]);
+              static_cast<double>(step_produced[c]);
       };
   // Drives one private ChainDriver per 64-aligned chunk and hands each
   // chunk's sink output to `collect(chunk)`; returns total pairs after
   // accumulating per-step produced counts (charged like the serial walk).
   const auto run_chunked = [&](const auto& collect) {
     const std::size_t total_words = selection.word_count();
-    const MorselChunks chunking(selection.size(), ctx.worker_width());
+    const MorselChunks chunking(selection.size());
     std::vector<std::vector<std::uint64_t>> prods(
-        chunking.count, std::vector<std::uint64_t>(n_steps, 0));
+        chunking.count, std::vector<std::uint64_t>(n_chain, 0));
     std::vector<std::uint64_t> chunk_pairs(chunking.count, 0);
     options.pool->parallel_for(
         selection.size(), chunking.grain,
@@ -789,17 +827,17 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
           const std::size_t chunk = begin / chunking.grain;
           const std::size_t wb = begin / 64;
           const std::size_t we = std::min(total_words, (end + 63) / 64);
-          ChainDriver local(steps);
+          ChainDriver local(chain);
           chunk_pairs[chunk] =
               local.run(selection, wb, we, collect(chunk), 0);
           prods[chunk] = local.produced();
         });
-    std::vector<std::uint64_t> step_produced(n_steps, 0);
+    std::vector<std::uint64_t> step_produced(n_chain, 0);
     std::uint64_t total_pairs = 0;
     for (std::size_t chunk = 0; chunk < chunking.count; ++chunk) {
       total_pairs += chunk_pairs[chunk];
-      for (std::size_t s = 0; s < n_steps; ++s)
-        step_produced[s] += prods[chunk][s];
+      for (std::size_t c = 0; c < n_chain; ++c)
+        step_produced[c] += prods[chunk][c];
     }
     charge_probe_cycles(step_produced);
     return total_pairs;
@@ -815,7 +853,7 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
       return row;
     };
     if (parallel && plan.limit == 0) {
-      const MorselChunks chunking(selection.size(), ctx.worker_width());
+      const MorselChunks chunking(selection.size());
       std::vector<std::vector<std::vector<storage::Value>>> chunk_rows(
           chunking.count);
       pairs = run_chunked([&](std::size_t chunk) {
@@ -851,7 +889,7 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
     // Collect the match tuples (row ids only — late materialization).
     std::vector<std::vector<std::uint32_t>> tuples(sides);
     if (parallel) {
-      const MorselChunks chunking(selection.size(), ctx.worker_width());
+      const MorselChunks chunking(selection.size());
       std::vector<std::vector<std::vector<std::uint32_t>>> chunk_tuples(
           chunking.count, std::vector<std::vector<std::uint32_t>>(sides));
       pairs = run_chunked([&](std::size_t chunk) {
@@ -890,7 +928,7 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
     // gather, not the full column.
     ctx.charge_gather(*key.tbl, *key.col, static_cast<std::size_t>(pairs));
     std::vector<std::uint32_t> perm;
-    const std::vector<std::uint32_t>& key_rows = tuples[key.side];
+    const std::vector<std::uint32_t>& key_rows = tuples[tuple_side(key.side)];
     sched::ThreadPool* sort_pool =
         key_rows.size() >= options.parallel_sort_min_rows ? options.pool
                                                           : nullptr;

@@ -37,6 +37,15 @@ constexpr double kDictRemapCyclesPerEntry = 3.0;
 /// key tested against it.
 constexpr double kJoinFilterCyclesPerTuple = 2.0;
 
+/// Column `name` of `t`, bare or qualified with the table's own name
+/// ("t.col", as a join plan may name its FROM-table columns).
+inline const storage::Column& table_column(const storage::Table& t,
+                                           const std::string& name) {
+  const std::string prefix = t.name() + ".";
+  return t.column(name.rfind(prefix, 0) == 0 ? name.substr(prefix.size())
+                                             : name);
+}
+
 /// Per-query execution context threaded through every operator.
 struct OpContext {
   const storage::Catalog& catalog;
@@ -47,17 +56,6 @@ struct OpContext {
   std::vector<std::int64_t>& key_scratch;
   /// (table, column) pairs already charged to the DRAM ledger this query.
   std::set<std::string> charged;
-  /// Plan-governor core grant for this query (0 = uncapped): parallel
-  /// operators chunk their morsels for this many workers.
-  std::size_t cores = 0;
-
-  /// Effective fan-out width for parallel operators: the pool width,
-  /// capped by the governor's core grant.
-  [[nodiscard]] std::size_t worker_width() const {
-    const std::size_t pool_width =
-        options.pool != nullptr ? options.pool->thread_count() : 1;
-    return cores == 0 ? pool_width : std::min(cores, pool_width);
-  }
 
   [[nodiscard]] static std::string charge_key(const storage::Table& t,
                                               const storage::Column& c) {

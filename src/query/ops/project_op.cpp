@@ -33,7 +33,7 @@ QueryResult run_projection(OpContext& ctx, const PhysicalPlan& phys,
   // full and not charged again). String columns additionally gather
   // their dictionary payload — late materialization is not free.
   for (const std::string& name : proj) {
-    const storage::Column& col = table.column(name);
+    const storage::Column& col = table_column(table, name);
     ctx.charge_gather(table, col, order.size());
     if (col.type() == storage::TypeId::kString)
       ctx.charge_dict_gather(table, col, order.size());
@@ -42,7 +42,8 @@ QueryResult run_projection(OpContext& ctx, const PhysicalPlan& phys,
   QueryResult result(proj);
   std::vector<const storage::Column*> cols;
   cols.reserve(proj.size());
-  for (const std::string& name : proj) cols.push_back(&table.column(name));
+  for (const std::string& name : proj)
+    cols.push_back(&table_column(table, name));
   const auto gather_row = [&](std::uint32_t row_idx) {
     std::vector<storage::Value> row;
     row.reserve(cols.size());

@@ -42,7 +42,7 @@ std::vector<std::uint32_t> order_row_ids(OpContext& ctx, const Table& table,
                                          const OrderBySpec& order,
                                          const BitVector& selection,
                                          std::size_t limit) {
-  const Column& key = table.column(order.column);
+  const Column& key = table_column(table, order.column);
   const std::uint64_t selected = selection.count();
   ctx.stats.work.cpu_cycles += sort_cycles(selected, limit);
   // The parallel kernels order by (key, row id) — a total order — so the

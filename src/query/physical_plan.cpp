@@ -286,11 +286,86 @@ double estimate_filter_selectivity(const Column& source, const Column& build,
          std::min(1.0, held / source_codes);
 }
 
-/// The semi-join filter arm over the compiled chain. Candidates are the
-/// dense steps probed from the FROM table (their key domain bounds the
-/// bitmap); they are priced most selective first, each against the
-/// chain as the filters already chosen leave it, and the order is kept
-/// as the pass order.
+/// Column liveness and join roles. Records, per executed side, whether
+/// group keys read it and whether anything else does — aggregate inputs,
+/// projections, a projection's sort key, snowflake probe keys — then
+/// gives each step its JoinRole. Names resolve as the join operator
+/// resolves them: "table.column" binds its table, a bare name the FROM
+/// table first, then the build sides in execution order. A name that
+/// resolves nowhere leaves every step in the chain, where execution
+/// reports it.
+void assign_join_roles(const storage::Catalog& catalog, PhysicalPlan& phys) {
+  const LogicalPlan& plan = phys.logical;
+  const Table& probe = catalog.get(plan.table);
+  const std::size_t n = phys.joins.size();
+  std::vector<const Table*> sides{&probe};  // side s + 1 = step s
+  for (const PhysicalJoinStep& step : phys.joins)
+    sides.push_back(&catalog.get(plan.joins[step.logical_index].table));
+  const auto side_of = [&](const std::string& name) -> int {
+    const auto dot = name.find('.');
+    for (std::size_t side = 0; side <= n; ++side) {
+      const Table& t = *sides[side];
+      if (dot == std::string::npos) {
+        if (t.schema().has_column(name)) return static_cast<int>(side);
+      } else if (t.name() == name.substr(0, dot)) {
+        return t.schema().has_column(name.substr(dot + 1))
+                   ? static_cast<int>(side)
+                   : -1;
+      }
+    }
+    return -1;
+  };
+  struct SideReads {
+    bool group = false;  ///< A GROUP BY key reads the side.
+    bool other = false;  ///< Any other consumer reads it.
+  };
+  std::vector<SideReads> reads(n + 1);
+  bool resolved = true;
+  const auto read = [&](const std::string& name, bool group) {
+    const int side = side_of(name);
+    if (side < 0) {
+      resolved = false;
+      return;
+    }
+    SideReads& r = reads[static_cast<std::size_t>(side)];
+    (group ? r.group : r.other) = true;
+  };
+  if (plan.is_aggregate()) {
+    for (const AggSpec& a : plan.aggregates)
+      if (a.op != AggOp::kCount) read(a.column, false);
+    for (const std::string& g : plan.group_by) read(g, true);
+  } else {
+    for (const std::string& p : plan.projection) read(p, false);
+    if (plan.order_by.has_value()) read(plan.order_by->column, false);
+  }
+  for (const PhysicalJoinStep& step : phys.joins)
+    reads[step.source_side].other = true;
+  if (!resolved) return;
+
+  bool chain_left = false;
+  for (std::size_t s = 0; s < n; ++s) {
+    PhysicalJoinStep& step = phys.joins[s];
+    const SideReads& r = reads[s + 1];
+    if (step.arm != opt::JoinArm::kDenseJoin || step.source_side != 0 ||
+        r.other) {
+      step.role = JoinRole::kChain;
+      chain_left = true;
+    } else {
+      step.role = r.group ? JoinRole::kGather : JoinRole::kFilter;
+    }
+  }
+  // A lookup replaces a side only when no chain runs: a chain step's
+  // aggregator reads every group key by side row id.
+  if (chain_left)
+    for (PhysicalJoinStep& step : phys.joins)
+      if (step.role == JoinRole::kGather) step.role = JoinRole::kChain;
+}
+
+/// The semi-join filter arm. Candidates are the dense steps probed from
+/// the FROM table (their key domain bounds the bitmap), taken most
+/// selective first, which is also the pass order. Filter and gather steps
+/// always run their pass; a chain step's pass is priced against the chain
+/// as the passes before it leave it.
 void plan_join_filters(const storage::Catalog& catalog, PhysicalPlan& phys,
                        const ExecOptions& options, const opt::CostModel& cm) {
   const Table& probe = catalog.get(phys.logical.table);
@@ -313,21 +388,36 @@ void plan_join_filters(const storage::Catalog& catalog, PhysicalPlan& phys,
   double tested = std::max(0.0, phys.est_probe_rows);
   for (const std::size_t s : phys.filter_order) {
     PhysicalJoinStep& step = phys.joins[s];
-    const std::vector<double> rows_in = phys.chain_probe_rows();
-    double chain_probes = 0;
-    for (std::size_t t = 0; t <= s; ++t) chain_probes += rows_in[t];
     const Column& key = probe.column(step.source_key);
     const unsigned packed_bits =
         ops::use_packed(key, options) ? key.encoded()->bits : 0;
-    step.join_filter = cm.pick_join_filter(
-        std::max(0.0, step.est_build_rows), tested, chain_probes,
-        step.filter_selectivity, packed_bits,
-        key.type() == TypeId::kInt64 ? 8.0 : 4.0);
+    const double build = std::max(0.0, step.est_build_rows);
+    const double key_bytes = key.type() == TypeId::kInt64 ? 8.0 : 4.0;
+    if (step.role != JoinRole::kChain) {
+      step.join_filter = {
+          true, cm.join_filter_pass_work(build, tested, packed_bits, key_bytes),
+          {}};
+    } else {
+      const std::vector<double> rows_in = phys.chain_probe_rows();
+      double chain_probes = 0;
+      for (std::size_t t = 0; t <= s; ++t) chain_probes += rows_in[t];
+      step.join_filter =
+          cm.pick_join_filter(build, tested, chain_probes,
+                              step.filter_selectivity, packed_bits, key_bytes);
+    }
     if (step.join_filter.filter) tested *= step.filter_selectivity;
   }
 }
 
 }  // namespace
+
+bool PhysicalPlan::chainless() const {
+  return !joins.empty() &&
+         std::none_of(joins.begin(), joins.end(),
+                      [](const PhysicalJoinStep& step) {
+                        return step.role == JoinRole::kChain;
+                      });
+}
 
 std::vector<double> PhysicalPlan::chain_probe_rows() const {
   std::vector<double> rows(joins.size());
@@ -336,9 +426,16 @@ std::vector<double> PhysicalPlan::chain_probe_rows() const {
     double kept = in;
     for (std::size_t f = t; f < joins.size(); ++f)
       if (joins[f].join_filter.filter) kept *= joins[f].filter_selectivity;
-    rows[t] = kept;
+    rows[t] = joins[t].role == JoinRole::kChain ? kept : 0;
     in = std::max(0.0, joins[t].est_rows_out);
   }
+  return rows;
+}
+
+double PhysicalPlan::filtered_rows() const {
+  double rows = std::max(0.0, est_probe_rows);
+  for (const PhysicalJoinStep& step : joins)
+    if (step.join_filter.filter) rows *= step.filter_selectivity;
   return rows;
 }
 
@@ -360,6 +457,18 @@ std::string exchange_strategy_name(ExchangeStrategy s) {
       return "broadcast";
     case ExchangeStrategy::kRepartition:
       return "repartition";
+  }
+  return "?";
+}
+
+std::string join_role_name(JoinRole r) {
+  switch (r) {
+    case JoinRole::kChain:
+      return "chain";
+    case JoinRole::kFilter:
+      return "filter";
+    case JoinRole::kGather:
+      return "gather";
   }
   return "?";
 }
@@ -564,6 +673,7 @@ PhysicalPlan compile_plan(const storage::Catalog& catalog,
       step.arm = opt::JoinArm::kHashJoin;
     phys.joins.push_back(std::move(step));
   }
+  assign_join_roles(catalog, phys);
   plan_join_filters(catalog, phys, options, cm);
   plan_distribution(catalog, phys, options, cm);
   apply_plan_governor(catalog, phys, options);
@@ -618,7 +728,7 @@ std::string PhysicalPlan::explain() const {
     if (it->key_type != JoinKeyType::kInt)
       os << ", key=" << join_key_type_name(it->key_type) << " codes, remap="
          << it->remap_entries << " entries";
-    os << ")\n";
+    os << ", role=" << join_role_name(it->role) << ")\n";
   }
   os << "  scan+filter(" << logical.table << ", preds="
      << logical.predicates.size() << ", est_rows=" << fmt_rows(est_probe_rows)
@@ -627,10 +737,13 @@ std::string PhysicalPlan::explain() const {
     const PhysicalJoinStep& step = joins[s];
     os << "join-filter: " << logical.joins[step.logical_index].table << " ON "
        << step.source_key << ", est_sel=" << step.filter_selectivity
-       << ", pass_cycles=" << fmt_rows(step.join_filter.pass.cpu_cycles)
-       << ", saved_probe_cycles="
-       << fmt_rows(step.join_filter.probes.cpu_cycles) << ", "
-       << (step.join_filter.filter ? "filter" : "declined") << "\n";
+       << ", pass_cycles=" << fmt_rows(step.join_filter.pass.cpu_cycles);
+    if (step.role != JoinRole::kChain)
+      os << ", forced\n";  // the pass is the step
+    else
+      os << ", saved_probe_cycles="
+         << fmt_rows(step.join_filter.probes.cpu_cycles) << ", "
+         << (step.join_filter.filter ? "filter" : "declined") << "\n";
   }
   if (dist.active()) {
     os << "shards: " << dist.shard_count << " x " << logical.table

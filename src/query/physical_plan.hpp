@@ -34,6 +34,24 @@ enum class JoinKeyType : std::uint8_t { kInt, kString, kDouble };
 
 [[nodiscard]] std::string join_key_type_name(JoinKeyType t);
 
+/// What a join step does for the plan, decided in compile_plan from which
+/// of its build side's columns later operators read. Only a dense step
+/// probed from the FROM table can leave the chain; its semi-join filter
+/// pass then always runs, because the pass is the step. Both non-chain
+/// roles need unique selected build keys, which the pass checks at run
+/// time: a step whose keys repeat runs as a chain step (and a gather
+/// step's lookup needs every other step out of the chain).
+enum class JoinRole : std::uint8_t {
+  kChain,   ///< Probed per row in the join chain.
+  kFilter,  ///< Nothing reads its side: the pass is the whole step.
+  /// Only an aggregate plan's group keys read its side, and no step is a
+  /// chain step: after the pass, a dense key -> group-value lookup on the
+  /// fact foreign key feeds the base aggregation kernels (a groupjoin).
+  kGather,
+};
+
+[[nodiscard]] std::string join_role_name(JoinRole r);
+
 struct PhysicalJoinStep {
   std::size_t logical_index = 0;  ///< Index into LogicalPlan::joins.
   opt::JoinArm arm = opt::JoinArm::kHashJoin;
@@ -50,11 +68,13 @@ struct PhysicalJoinStep {
   /// Estimated fraction of probe rows whose key some selected build row
   /// carries — what a semi-join filter on this step would keep.
   double filter_selectivity = 1;
-  /// Semi-join filter arm (opt::CostModel::pick_join_filter), priced for
-  /// dense steps probed from the FROM table (see PhysicalPlan::
-  /// filter_order); `join_filter.filter` = the step's bitmap pass runs
-  /// before the chain.
+  /// Semi-join filter arm for dense steps probed from the FROM table (see
+  /// PhysicalPlan::filter_order): priced by opt::CostModel::
+  /// pick_join_filter for chain steps, forced on for filter and gather
+  /// steps; `join_filter.filter` = the step's bitmap pass runs before the
+  /// chain.
   opt::JoinFilterChoice join_filter;
+  JoinRole role = JoinRole::kChain;
 };
 
 /// How ORDER BY (if any) is executed.
@@ -135,7 +155,7 @@ struct PhysicalPlan {
   /// (aggregate output); false = row-id sort over a table column.
   bool sort_on_result = false;
   double est_probe_rows = 0;  ///< Predicted selected FROM-table rows.
-  /// Join steps priced for a semi-join filter (indices into `joins`),
+  /// Join steps with a semi-join filter candidate (indices into `joins`),
   /// most selective first: the order the filtered passes run in, each
   /// testing only the rows the passes before it kept.
   std::vector<std::size_t> filter_order;
@@ -161,10 +181,19 @@ struct PhysicalPlan {
 
   [[nodiscard]] std::size_t side_count() const { return joins.size() + 1; }
 
+  /// True when the plan has joins and none is a chain step: its join runs
+  /// as filter passes (and lookups) over the FROM table's selection.
+  [[nodiscard]] bool chainless() const;
+
   /// Predicted probe rows into each join step (aligned with `joins`):
   /// the cardinality chain, with every filtered step's selectivity
-  /// applied to the steps at or before it in the chain.
+  /// applied to the steps at or before it in the chain. Filter and gather
+  /// steps probe nothing (0).
   [[nodiscard]] std::vector<double> chain_probe_rows() const;
+
+  /// Predicted FROM-table rows every filter pass keeps (the rows a
+  /// chainless plan aggregates or projects).
+  [[nodiscard]] double filtered_rows() const;
 
   /// Multi-line operator tree, sink first (the EXPLAIN format; see
   /// docs/executor_pipeline.md).

@@ -121,22 +121,27 @@ hw::Work estimate_plan_work(const storage::Catalog& catalog,
   for (const JoinSpec& spec : plan.joins)
     scan += estimate_scan_work(cm, catalog.get(spec.table), spec.predicates);
 
-  // Joins: the compiled cardinality chain — probe rows into step i are the
-  // previous step's predicted matches, shortened by the semi-join filters
-  // — plus each filtered step's bitmap pass.
+  // Joins: every filtered step's bitmap pass; the chain steps' builds and
+  // probes along the compiled cardinality chain — probe rows into step i
+  // are the previous step's predicted matches, shortened by the passes —
+  // and each gather step's lookup build. A chainless plan's sink reads the
+  // rows every pass keeps.
   hw::Work join;
   const std::vector<double> probe_rows = phys.chain_probe_rows();
   double rows_out = std::max(0.0, phys.est_probe_rows);
   for (std::size_t t = 0; t < phys.joins.size(); ++t) {
     const PhysicalJoinStep& step = phys.joins[t];
-    join += cm.join_work(step.arm,
-                         static_cast<std::uint64_t>(
-                             std::max(0.0, step.est_build_rows)),
-                         static_cast<std::uint64_t>(probe_rows[t]),
-                         /*bytes_per_tuple=*/8.0);
+    const double build = std::max(0.0, step.est_build_rows);
+    if (step.role == JoinRole::kChain)
+      join += cm.join_work(step.arm, static_cast<std::uint64_t>(build),
+                           static_cast<std::uint64_t>(probe_rows[t]),
+                           /*bytes_per_tuple=*/8.0);
+    else if (step.role == JoinRole::kGather)
+      join += cm.lookup_build_work(build);
     if (step.join_filter.filter) join += step.join_filter.pass;
     rows_out = std::max(0.0, step.est_rows_out);
   }
+  if (phys.chainless()) rows_out = phys.filtered_rows();
   const auto rows_u64 = static_cast<std::uint64_t>(rows_out);
 
   // Sink: aggregation (grouped or plain) or projection materialization.

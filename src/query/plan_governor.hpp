@@ -15,9 +15,10 @@
 //     server): pace at the incremental-efficient P-state;
 //   * otherwise race-to-idle at f_max.
 //
-// The choice is recorded in PhysicalPlan::governor and EXPLAIN, the core
-// grant caps operator fan-out (OpContext::worker_width), the serving tier
-// paces at the granted state, and core::Database bills it there.
+// The choice is recorded in PhysicalPlan::governor and EXPLAIN, the
+// serving tier paces at the granted state, and core::Database bills it
+// there. Parallel operators cut their chunks from their input sizes, not
+// from the grant, so a query's answer does not depend on it.
 //
 // The estimate is closed-loop: OperatorCalibration keeps an EWMA of
 // measured-vs-predicted execution time per operator kind (fed by

@@ -293,9 +293,6 @@ void execute_shared_group(const storage::Catalog& catalog,
     std::vector<std::int64_t> key_scratch;
     ops::OpContext ctx{catalog, *members[i].options, outs[i].stats,
                        key_scratch, {}};
-    if (members[i].phys->governor.enabled)
-      ctx.cores = static_cast<std::size_t>(
-          std::max(1, members[i].phys->governor.cores));
     Stopwatch sw;
     try {
       outs[i].result = ops::execute_pipeline(ctx, *members[i].phys, table,

@@ -339,5 +339,27 @@ TEST(JoinFilter, KeepsExactlyTheRowsWithASelectedBuildMatch) {
   EXPECT_FALSE(filter.contains(60));
 }
 
+TEST(JoinFilter, ReportsWhetherTheSelectedBuildKeysAreUnique) {
+  // Keys 3 and 7 repeat; a selection without the second 3 and the second
+  // 7 is unique. Keys below `live_min` (the -1 of remapped codes) neither
+  // set a bit nor count as repeats.
+  const std::vector<std::int64_t> build = {-1, 3, 5, 7, -1, 3, 9, 7};
+  const JoinKeys keys = JoinKeys::from(std::span<const std::int64_t>(build));
+  BitVector all(build.size());
+  for (std::size_t i = 0; i < build.size(); ++i) all.set(i);
+  EXPECT_FALSE(JoinFilter(keys, all, -1, 11).keys_unique());
+  EXPECT_FALSE(JoinFilter(keys, all, -1, 11, 0).keys_unique());
+  BitVector firsts = all;
+  firsts.reset(5);
+  firsts.reset(7);
+  EXPECT_FALSE(JoinFilter(keys, firsts, -1, 11).keys_unique());  // -1 twice
+  const JoinFilter live(keys, firsts, -1, 11, 0);
+  EXPECT_TRUE(live.keys_unique());
+  EXPECT_FALSE(live.contains(-1));
+  EXPECT_TRUE(live.contains(3));
+  EXPECT_TRUE(live.contains(9));
+  EXPECT_TRUE(JoinFilter(keys, BitVector(build.size()), -1, 11).keys_unique());
+}
+
 }  // namespace
 }  // namespace eidb::exec

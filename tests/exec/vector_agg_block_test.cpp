@@ -263,6 +263,77 @@ INSTANTIATE_TEST_SUITE_P(
     block_path_name);
 
 // ---------------------------------------------------------------------------
+// Lookup keys: a group key read as lut[fk - lut_min] through an int32,
+// int64 or packed foreign key equals a plain key column holding the
+// looked-up values, on every tier, serial and parallel.
+// ---------------------------------------------------------------------------
+
+void expect_same(const GroupedAggs& want, const GroupedAggs& got) {
+  ASSERT_EQ(want.keys, got.keys);
+  ASSERT_EQ(want.counts, got.counts);
+  ASSERT_EQ(want.iout.size(), got.iout.size());
+  for (std::size_t j = 0; j < want.iout.size(); ++j) {
+    ASSERT_EQ(want.iout[j].size(), got.iout[j].size());
+    for (std::size_t g = 0; g < want.iout[j].size(); ++g)
+      expect_eq(want.iout[j][g], got.iout[j][g]);
+    ASSERT_EQ(want.dout[j].size(), got.dout[j].size());
+    for (std::size_t g = 0; g < want.dout[j].size(); ++g)
+      expect_eq(want.dout[j][g], got.dout[j][g]);
+  }
+}
+
+class LookupPath
+    : public ::testing::TestWithParam<std::tuple<unsigned, PackedTier>> {};
+
+TEST_P(LookupPath, MatchesPlainKeysHoldingTheLookedUpValues) {
+  const auto [bits, tier] = GetParam();
+  SKIP_WITHOUT_TIER(tier);
+  sched::ThreadPool pool(3);
+  for (const std::size_t n : kSizes) {
+    const Columns c(n, bits, 17, -5000, 7 * bits + n);
+    // Thirteen groups from -6 to 6 over the foreign-key domain.
+    const std::int64_t lut_min = c.key_min;
+    std::vector<std::int64_t> lut(
+        static_cast<std::size_t>(c.key_max - c.key_min + 1));
+    for (std::size_t k = 0; k < lut.size(); ++k)
+      lut[k] = static_cast<std::int64_t>(k % 13) - 6;
+    std::vector<std::int64_t> looked_up(n);
+    std::vector<std::int32_t> fk32(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      looked_up[i] = lut[static_cast<std::size_t>(c.keys64[i] - lut_min)];
+      fk32[i] = static_cast<std::int32_t>(c.keys64[i]);
+    }
+    const std::vector<AggInput> inputs = c.inputs();
+    const KeyRange range{true, -6, 6, 0};
+    const GroupedAggs want = grouped_multi_aggregate(
+        std::span(looked_up), inputs, c.selection, range);
+    const GroupedAggs want_parallel = parallel_grouped_multi_aggregate(
+        pool, std::span(looked_up), inputs, c.selection, range, 4096);
+    for (const AggInput& fk :
+         {AggInput::from(c.keys()), AggInput::from(std::span(c.keys64)),
+          AggInput::from(std::span(fk32))}) {
+      const LookupKey keys{fk, lut, lut_min};
+      expect_same(want, grouped_multi_aggregate_lookup(
+                            keys, inputs, c.selection, range,
+                            GroupStrategy::kAuto, tier));
+      expect_same(want, grouped_multi_aggregate_lookup(
+                            keys, inputs, c.selection, range,
+                            GroupStrategy::kHash, tier));
+      expect_same(want_parallel,
+                  parallel_grouped_multi_aggregate_lookup(
+                      pool, keys, inputs, c.selection, range, 4096, tier));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Widths, LookupPath,
+    ::testing::Combine(::testing::Values(1u, 12u, 15u, 16u),
+                       ::testing::Values(PackedTier::kScalar,
+                                         PackedTier::kAvx512Vbmi)),
+    block_path_name);
+
+// ---------------------------------------------------------------------------
 // Op sets: requested outputs equal the all-ops run, the rest read 0.
 // ---------------------------------------------------------------------------
 

@@ -813,21 +813,36 @@ TEST(Executor, JoinDramChargesMatchBytesRead) {
       static_cast<double>(customers.column("age").byte_size());  // build agg
   EXPECT_DOUBLE_EQ(stats.work.dram_bytes, want);
 
-  // One representation per column per query: a join key that is ALSO a
-  // gathered aggregate input is read plain everywhere and charged once.
+  // One representation per column per query: in the chain (pinned by the
+  // hash arm), a join key that is ALSO a gathered aggregate input is read
+  // plain everywhere and charged once.
   const auto plan2 = QueryBuilder("sales")
                          .join("customers", "amount", "id")
                          .group_by("region")
                          .aggregate(AggOp::kSum, "amount")
                          .build();
+  ExecOptions hash_opts;
+  hash_opts.join_path = JoinPath::kHash;
   ExecStats stats2;
-  (void)ex.execute(plan2, stats2);
+  (void)ex.execute(plan2, stats2, hash_opts);
   const double want2 =
       static_cast<double>(sales.column("amount").byte_size()) +  // key + agg
       scan_bytes(customers.column("id")) +                       // build key
       static_cast<double>(sales.column("region").byte_size()) +  // group key
       region_dict;                                               // group emit
   EXPECT_DOUBLE_EQ(stats2.work.dram_bytes, want2);
+  // Without a chain (customers only filters), the base kernels read the
+  // key and the input through one packed image, charged once by the pass.
+  const PhysicalPlan groupjoin = compile_plan(cat, plan2);
+  ASSERT_EQ(groupjoin.joins.size(), 1u);
+  ASSERT_EQ(groupjoin.joins[0].role, JoinRole::kFilter);
+  ExecStats stats3;
+  (void)ex.execute(plan2, stats3);
+  const double want3 = scan_bytes(sales.column("amount")) +    // key + agg
+                       scan_bytes(customers.column("id")) +    // build key
+                       scan_bytes(sales.column("region")) +    // group key
+                       region_dict;                            // group emit
+  EXPECT_DOUBLE_EQ(stats3.work.dram_bytes, want3);
 
   // With encodings off, the same query charges the plain widths only, and
   // never less than the packed run.

@@ -141,6 +141,35 @@ inline storage::Catalog make_catalog(std::uint64_t seed) {
   }
   dim2.set_column(0, Column::from_int32("key2", keys2));
   dim2.set_column(1, Column::from_int64("score", scores));
+
+  // udim(ukey, label, ratio, ukey_s): a dimension whose every key column
+  // is unique, so its join steps can leave the chain (filter and gather
+  // roles). `ukey` covers 300..699, overlapping 40 % of u32's 0..999;
+  // `label` is a string attribute; `ratio` is a double attribute and a
+  // double join key (0.25 steps, permuted, covering facts.dk's 40
+  // values); `ukey_s` is a string key holding "birch", "cedar", "elm",
+  // the build-only "hazel" and 396 more build-only values, so facts.tag's
+  // "ash", "fir" and "oak" find no row.
+  Table& udim = cat.add(Table("udim", Schema({{"ukey", TypeId::kInt32},
+                                              {"label", TypeId::kString},
+                                              {"ratio", TypeId::kDouble},
+                                              {"ukey_s", TypeId::kString}})));
+  std::vector<std::int32_t> ukeys;
+  std::vector<std::string> labels, ukey_s;
+  std::vector<double> ratios;
+  const char* label_names[] = {"north", "south", "east", "west"};
+  const char* shared_tags[] = {"birch", "cedar", "elm", "hazel"};
+  for (std::int32_t r = 0; r < 400; ++r) {
+    ukeys.push_back(300 + r);
+    labels.emplace_back(label_names[r % 4]);
+    ratios.push_back(0.25 * static_cast<double>((r * 7) % 400));
+    ukey_s.emplace_back(r < 4 ? std::string(shared_tags[r])
+                              : "u" + std::to_string(r));
+  }
+  udim.set_column(0, Column::from_int32("ukey", ukeys));
+  udim.set_column(1, Column::from_strings("label", labels));
+  udim.set_column(2, Column::from_double("ratio", ratios));
+  udim.set_column(3, Column::from_strings("ukey_s", ukey_s));
   return cat;
 }
 
@@ -179,6 +208,122 @@ inline void expect_identical(const QueryResult& want, const QueryResult& got,
     for (std::size_t c = 0; c < want.column_count(); ++c)
       ASSERT_EQ(want.at(r, c), got.at(r, c))
           << label << " row " << r << " col " << c;
+}
+
+/// Joins against the unique-key dimension, one per join role: filter
+/// steps only (global aggregate, all-filter projection, a string key the
+/// dimension partly lacks), gather steps (a string, double or int lookup
+/// key, alone or beside a FROM column in a composite key, through int,
+/// double and string join keys), empty build selections, and a snowflake
+/// step probed from the dimension, which keeps it in the chain.
+inline std::vector<std::pair<std::string, LogicalPlan>> unique_dim_queries() {
+  std::vector<std::pair<std::string, LogicalPlan>> qs;
+  const auto add = [&](const std::string& name, LogicalPlan plan) {
+    qs.emplace_back(name, std::move(plan));
+  };
+  add("ujoin_filter_global", QueryBuilder("facts")
+                                 .filter_int("neg32", -600, 200)
+                                 .join("udim", "u32", "ukey")
+                                 .join_filter_int("ukey", 320, 680)
+                                 .join("dim2", "u32", "key2")
+                                 .aggregate(AggOp::kCount)
+                                 .aggregate(AggOp::kSum, "wide64")
+                                 .aggregate(AggOp::kMin, "neg32")
+                                 .aggregate(AggOp::kAvg, "d")
+                                 .aggregate(AggOp::kSum, "d")
+                                 .build());
+  add("ujoin_group_label", QueryBuilder("facts")
+                               .filter_int("u32", 0, 900)
+                               .join("udim", "u32", "ukey")
+                               .group_by("udim.label")
+                               .aggregate(AggOp::kCount)
+                               .aggregate(AggOp::kSum, "neg64")
+                               .aggregate(AggOp::kSum, "d")
+                               .aggregate(AggOp::kMax, "skew32")
+                               .build());
+  add("ujoin_group_ratio", QueryBuilder("facts")
+                               .join("udim", "u32", "ukey")
+                               .join_filter_int("ukey", 350, 900)
+                               .group_by("ratio")
+                               .aggregate(AggOp::kCount)
+                               .aggregate(AggOp::kAvg, "d")
+                               .aggregate(AggOp::kMin, "wide64")
+                               .build());
+  add("ujoin_group_composite", QueryBuilder("facts")
+                                   .join("udim", "u32", "ukey")
+                                   .join("dim2", "u32", "key2")
+                                   .group_by("skew32")
+                                   .group_by("udim.label")
+                                   .aggregate(AggOp::kCount)
+                                   .aggregate(AggOp::kSum, "neg32")
+                                   .aggregate(AggOp::kSum, "d")
+                                   .build());
+  add("ujoin_key_in_composite", QueryBuilder("facts")
+                                    .filter_int("u32", 280, 700)
+                                    .join("udim", "u32", "ukey")
+                                    .group_by("udim.label")
+                                    .group_by("u32")
+                                    .aggregate(AggOp::kCount)
+                                    .aggregate(AggOp::kSum, "u32")
+                                    .build());
+  add("ujoin_string_key", QueryBuilder("facts")
+                              .filter_int("u32", 0, 800)
+                              .join("udim", "tag", "ukey_s")
+                              .group_by("tag")
+                              .aggregate(AggOp::kCount)
+                              .aggregate(AggOp::kSum, "wide64")
+                              .build());
+  add("ujoin_string_key_lookup", QueryBuilder("facts")
+                                     .join("udim", "tag", "ukey_s")
+                                     .group_by("udim.ukey")
+                                     .aggregate(AggOp::kCount)
+                                     .aggregate(AggOp::kMax, "neg64")
+                                     .build());
+  add("ujoin_double_key", QueryBuilder("facts")
+                              .filter_int("skew32", 0, 3)
+                              .join("udim", "dk", "ratio")
+                              .group_by("udim.label")
+                              .aggregate(AggOp::kCount)
+                              .aggregate(AggOp::kSum, "neg64")
+                              .aggregate(AggOp::kSum, "d")
+                              .build());
+  add("ujoin_project_topn", QueryBuilder("facts")
+                                .join("udim", "u32", "ukey")
+                                .join_filter_int("ukey", 400, 499)
+                                .select({"u32", "facts.neg64", "tag"})
+                                .order_by("facts.neg64", true)
+                                .limit(15)
+                                .build());
+  add("ujoin_project", QueryBuilder("facts")
+                           .filter_int("skew32", 0, 1)
+                           .join("udim", "dk", "ratio")
+                           .select({"u32", "d"})
+                           .limit(30)
+                           .build());
+  // Empty build selections: no row survives the pass.
+  add("ujoin_empty_lookup", QueryBuilder("facts")
+                                .join("udim", "u32", "ukey")
+                                .join_filter_int("ukey", 5000, 6000)
+                                .group_by("udim.label")
+                                .aggregate(AggOp::kCount)
+                                .aggregate(AggOp::kSum, "wide64")
+                                .build());
+  add("ujoin_empty_global", QueryBuilder("facts")
+                                .join("udim", "u32", "ukey")
+                                .join_filter_int("ukey", 5000, 6000)
+                                .aggregate(AggOp::kCount)
+                                .aggregate(AggOp::kSum, "d")
+                                .aggregate(AggOp::kMin, "neg64")
+                                .build());
+  add("ujoin_snowflake", QueryBuilder("facts")
+                             .join("udim", "u32", "ukey")
+                             .join("dim2", "udim.ukey", "key2")
+                             .group_by("udim.label")
+                             .aggregate(AggOp::kCount)
+                             .aggregate(AggOp::kSum, "dim2.score")
+                             .aggregate(AggOp::kSum, "wide64")
+                             .build());
+  return qs;
 }
 
 /// The query matrix: every supported shape over the distribution columns.
@@ -411,6 +556,7 @@ inline std::vector<std::pair<std::string, LogicalPlan>> query_matrix() {
                        .order_by("neg64", false)
                        .limit(20)
                        .build());
+  for (auto& q : unique_dim_queries()) qs.push_back(std::move(q));
   return qs;
 }
 

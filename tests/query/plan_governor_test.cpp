@@ -105,6 +105,89 @@ LogicalPlan star_plan() {
       .build();
 }
 
+/// The part of `phys`'s work estimate one operator kind contributes: the
+/// estimate with that kind's calibration factor at 2 minus the estimate
+/// without calibration.
+hw::Work kind_work(const Catalog& cat, const PhysicalPlan& phys,
+                   OperatorKind kind) {
+  OperatorCalibration doubled;
+  doubled.observe(kind, /*predicted_s=*/1.0, /*measured_s=*/2.0);
+  ExecOptions calibrated;
+  calibrated.calibration = &doubled;
+  const hw::Work base = estimate_plan_work(cat, phys, ExecOptions{});
+  const hw::Work twice = estimate_plan_work(cat, phys, calibrated);
+  return {twice.cpu_cycles - base.cpu_cycles,
+          twice.dram_bytes - base.dram_bytes, 0};
+}
+
+void expect_work_near(const hw::Work& want, const hw::Work& got,
+                      const std::string& label) {
+  EXPECT_NEAR(got.cpu_cycles, want.cpu_cycles, 1e-6 * want.cpu_cycles + 1e-6)
+      << label;
+  EXPECT_NEAR(got.dram_bytes, want.dram_bytes, 1e-6 * want.dram_bytes + 1e-6)
+      << label;
+}
+
+TEST(PlanGovernor, PricesEveryJoinRole) {
+  // One pass per filter and gather step, probes only for chain steps, a
+  // lookup build per gather step, and a chainless plan's aggregate over
+  // the rows every pass keeps.
+  const Catalog cat = make_catalog(10'000);
+  const opt::CostModel cm = opt::CostModel::defaults();
+  const auto rows = [](double r) { return static_cast<std::uint64_t>(r); };
+
+  const LogicalPlan filter_plan = QueryBuilder("facts")
+                                      .join("dim", "k", "key")
+                                      .join_filter_int("w", 0, 4)
+                                      .aggregate(AggOp::kCount)
+                                      .aggregate(AggOp::kSum, "v")
+                                      .build();
+  const PhysicalPlan filter = compile_plan(cat, filter_plan);
+  ASSERT_EQ(filter.joins.size(), 1u);
+  const PhysicalJoinStep& fstep = filter.joins[0];
+  ASSERT_EQ(fstep.role, JoinRole::kFilter);
+  EXPECT_TRUE(fstep.join_filter.filter);
+  EXPECT_EQ(filter.chain_probe_rows()[0], 0.0);
+  EXPECT_LT(filter.filtered_rows(), filter.est_probe_rows);
+  expect_work_near(fstep.join_filter.pass,
+                   kind_work(cat, filter, OperatorKind::kJoin), "filter/join");
+  expect_work_near(cm.agg_work(rows(filter.filtered_rows()), 8.0),
+                   kind_work(cat, filter, OperatorKind::kAggregate),
+                   "filter/aggregate");
+
+  const PhysicalPlan gather = compile_plan(cat, star_plan());
+  const PhysicalJoinStep& gstep = gather.joins[0];
+  ASSERT_EQ(gstep.role, JoinRole::kGather);
+  hw::Work lookup = gstep.join_filter.pass;
+  lookup += cm.lookup_build_work(gstep.est_build_rows);
+  expect_work_near(lookup, kind_work(cat, gather, OperatorKind::kJoin),
+                   "gather/join");
+  expect_work_near(cm.group_work(rows(gather.filtered_rows()), false, 8.0),
+                   kind_work(cat, gather, OperatorKind::kAggregate),
+                   "gather/aggregate");
+
+  // dim.w as an aggregate input keeps the step in the chain.
+  const LogicalPlan chain_plan = QueryBuilder("facts")
+                                     .filter_int("v", 0, 800)
+                                     .join("dim", "k", "key")
+                                     .group_by("dim.w")
+                                     .aggregate(AggOp::kCount)
+                                     .aggregate(AggOp::kSum, "dim.w")
+                                     .build();
+  const PhysicalPlan chain = compile_plan(cat, chain_plan);
+  const PhysicalJoinStep& cstep = chain.joins[0];
+  ASSERT_EQ(cstep.role, JoinRole::kChain);
+  hw::Work probes = cm.join_work(cstep.arm, rows(cstep.est_build_rows),
+                                 rows(chain.chain_probe_rows()[0]), 8.0);
+  if (cstep.join_filter.filter) probes += cstep.join_filter.pass;
+  EXPECT_GT(chain.chain_probe_rows()[0], 0.0);
+  expect_work_near(probes, kind_work(cat, chain, OperatorKind::kJoin),
+                   "chain/join");
+  expect_work_near(cm.group_work(rows(cstep.est_rows_out), false, 8.0),
+                   kind_work(cat, chain, OperatorKind::kAggregate),
+                   "chain/aggregate");
+}
+
 TEST(PlanGovernor, RaceToIdleWhenDeepSleepAvailable) {
   Catalog cat = make_catalog(10'000);
   const hw::MachineSpec machine = hw::MachineSpec::server();

@@ -289,7 +289,7 @@ TEST(SharedScanParity, SharingArmApprovesAtScaleAndDeclinesTrivially) {
 
 // ---- 4. Fused group vs solo execution, across encodings × pools -------------
 
-std::vector<LogicalPlan> eight_compatible_queries() {
+std::vector<LogicalPlan> compatible_queries() {
   std::vector<LogicalPlan> plans;
   plans.push_back(QueryBuilder("facts").filter_int("u32", 100, 899)
                       .aggregate(AggOp::kCount).build());
@@ -307,6 +307,11 @@ std::vector<LogicalPlan> eight_compatible_queries() {
                       .join("dim", "u32", "key")
                       .aggregate(AggOp::kCount)
                       .aggregate(AggOp::kSum, "weight").build());
+  // No chain: a filter pass and a group-key lookup feed the aggregate.
+  plans.push_back(QueryBuilder("facts").filter_int("u32", 200, 900)
+                      .join("udim", "u32", "ukey")
+                      .group_by("udim.label").aggregate(AggOp::kCount)
+                      .aggregate(AggOp::kSum, "d").build());
   plans.push_back(QueryBuilder("facts").filter_int("u32", 1, 200)
                       .select({"u32", "skew32"})
                       .order_by("skew32", /*ascending=*/false)
@@ -317,7 +322,7 @@ std::vector<LogicalPlan> eight_compatible_queries() {
 }
 
 TEST(SharedScanParity, FusedGroupMatchesSoloAcrossEncodingsAndPools) {
-  const std::vector<LogicalPlan> logical = eight_compatible_queries();
+  const std::vector<LogicalPlan> logical = compatible_queries();
   const std::vector<std::pair<std::string,
                               std::optional<storage::Encoding>>> encodings = {
       {"auto", std::nullopt},

@@ -168,7 +168,71 @@ storage::Catalog make_fuzz_catalog(std::uint64_t seed) {
   }
   v.set_column(0, Column::from_int32("vkey", vkey));
   v.set_column(1, Column::from_int64("z", vz));
+
+  // w(wkey, wl, wdk): a dimension with unique keys — an int key over t.g's
+  // [0, 12) domain with a few keys missing, a string attribute, and a
+  // unique double key over t.dj's domain — so statements joining only w
+  // run their join steps as filters and lookups, with no chain.
+  storage::Table& w = cat.add(storage::Table(
+      "w", storage::Schema({{"wkey", TypeId::kInt32},
+                            {"wl", TypeId::kString},
+                            {"wdk", TypeId::kDouble}})));
+  std::vector<std::int32_t> wkey;
+  std::vector<std::string> wl;
+  std::vector<double> wdk;
+  const char* wls[] = {"x", "yy", "zzz"};
+  for (std::int32_t k = 0; k < 14; ++k) {
+    if (rng.next_bounded(4) == 0) continue;  // a key t.g finds no row for
+    wkey.push_back(k);
+    wl.emplace_back(wls[rng.next_bounded(3)]);
+    wdk.push_back(0.5 * static_cast<double>(13 - k));
+  }
+  w.set_column(0, Column::from_int32("wkey", wkey));
+  w.set_column(1, Column::from_strings("wl", wl));
+  w.set_column(2, Column::from_double("wdk", wdk));
   return cat;
+}
+
+/// Random valid statement joining t to the unique-key dimension w alone,
+/// by its int or its double key: aggregates over t's columns grouped by
+/// t's or w's columns, or a projection with ORDER BY / LIMIT.
+std::string generate_unique_join_sql(Pcg32& rng) {
+  const char* aggs[] = {"COUNT(*)", "SUM(a)", "SUM(b)", "MIN(a)",
+                        "MAX(g)",   "AVG(d)", "SUM(d)", "MAX(b)"};
+  const bool projection = rng.next_bounded(5) == 0;
+  std::string sql = "SELECT ";
+  if (projection) {
+    sql += "a, b, g";
+  } else {
+    const int n = 1 + static_cast<int>(rng.next_bounded(3));
+    for (int i = 0; i < n; ++i)
+      sql += (i > 0 ? ", " : "") +
+             std::string(aggs[rng.next_bounded(std::size(aggs))]);
+  }
+  const char* join_on[] = {"t.g = w.wkey", "t.dj = w.wdk"};
+  sql += std::string(" FROM t JOIN w ON ") + join_on[rng.next_bounded(2)];
+  const int preds = static_cast<int>(rng.next_bounded(3));
+  for (int i = 0; i < preds; ++i) {
+    sql += i == 0 ? " WHERE " : " AND ";
+    switch (rng.next_bounded(3)) {
+      case 0:
+        sql += "a BETWEEN " + std::to_string(rng.next_in_range(-60, 100)) +
+               " AND " + std::to_string(rng.next_in_range(100, 450));
+        break;
+      case 1:
+        sql += "w.wkey <= " + std::to_string(rng.next_in_range(2, 13));
+        break;
+      default:
+        sql += "w.wl >= 'yy'";
+        break;
+    }
+  }
+  if (projection) return sql + " ORDER BY b DESC LIMIT 20";
+  if (rng.next_bounded(3) != 0) {
+    const char* keys[] = {"g", "s", "w.wl", "w.wkey", "w.wdk", "dj"};
+    sql += std::string(" GROUP BY ") + keys[rng.next_bounded(6)];
+  }
+  return sql;
 }
 
 /// Random valid statement over t's (and sometimes u's / v's) columns:
@@ -176,6 +240,7 @@ storage::Catalog make_fuzz_catalog(std::uint64_t seed) {
 /// and build-side keys and aggregates), ORDER BY / LIMIT over both
 /// projections and aggregate output.
 std::string generate_sql(Pcg32& rng) {
+  if (rng.next_bounded(4) == 0) return generate_unique_join_sql(rng);
   const char* aggs[] = {"COUNT(*)", "SUM(a)",   "SUM(b)", "MIN(a)",
                         "MAX(b)",   "AVG(d)",   "MIN(g)", "MAX(g)",
                         "AVG(b)",   "SUM(a + g)"};
@@ -269,6 +334,7 @@ TEST(SqlFuzz, ExecutionParityUnderRandomEncodings) {
   storage::Table& t = cat.get("t");
   storage::Table& u = cat.get("u");
   storage::Table& v = cat.get("v");
+  storage::Table& w = cat.get("w");
   Executor ex(cat);
   Pcg32 rng(0xC0DE);
   const Encoding encodings[] = {Encoding::kPlain, Encoding::kBitPacked,
@@ -280,6 +346,7 @@ TEST(SqlFuzz, ExecutionParityUnderRandomEncodings) {
   sched::ThreadPool* pools[] = {nullptr, &pool2, &pool3, &pool8};
   int oracle_checked = 0;  // aggregate statements compared to the oracle
   int oracle_joins = 0;    // ... of which join at least one table
+  int chainless_joins = 0;  // joins that ran as passes, with no chain
   for (int trial = 0; trial < 300; ++trial) {
     // Toggle every integer column's physical encoding for this iteration
     // (kBitPacked degrades to FOR on negative-domain columns).
@@ -292,6 +359,7 @@ TEST(SqlFuzz, ExecutionParityUnderRandomEncodings) {
     for (const char* col : {"a", "b", "g", "s"}) toggle(t, col);
     for (const char* col : {"key", "w", "c", "sk"}) toggle(u, col);
     for (const char* col : {"vkey", "z"}) toggle(v, col);
+    for (const char* col : {"wkey", "wl"}) toggle(w, col);
     // Repartition the FROM table at a random shard count: the sharded arm
     // below must agree with single-node whatever the row placement.
     const std::size_t shard_counts[] = {1, 2, 4, 8};
@@ -345,6 +413,13 @@ TEST(SqlFuzz, ExecutionParityUnderRandomEncodings) {
     expect_identical(got, "packed");
     EXPECT_LE(packed_stats.work.dram_bytes, plain_stats.work.dram_bytes)
         << sql;
+    if (plan.has_join()) {
+      bool chain = false;
+      for (const OperatorStats& op : packed_stats.operators)
+        for (const char* arm : {"dense-join(", "hash-join(", "radix-join("})
+          chain = chain || op.name.rfind(arm, 0) == 0;
+      chainless_joins += chain ? 0 : 1;
+    }
     // Sharded arm: a statement the single-node paths accept must also run
     // sharded (same pool), bit-identically, at whatever shard count this
     // iteration drew.
@@ -375,6 +450,7 @@ TEST(SqlFuzz, ExecutionParityUnderRandomEncodings) {
   }
   EXPECT_GT(oracle_checked, 200);
   EXPECT_GT(oracle_joins, 60);
+  EXPECT_GT(chainless_joins, 40);
 }
 
 TEST(SqlFuzz, PathologicalInputs) {
