@@ -234,41 +234,31 @@ QueryResult aggregate_rows(
     }
   } else {
     const std::int64_t total = assign_strides(parts);
-    // Synthesize the composite keys into the reusable scratch buffer: one
-    // sequential pass per key column over every row, or — when a part
-    // reads a lookup, which only the selected rows' foreign keys address —
-    // one pass over the selected rows.
+    // Synthesize the composite keys into the reusable scratch buffer at
+    // the selected rows, the only rows the kernels read: one pass per key
+    // part, typed per part (a lookup reads only the rows its foreign keys
+    // address).
     ctx.key_scratch.assign(n_rows, 0);
-    const auto part_at = [](const GroupKeyPart& part, std::size_t i) {
-      if (part.lookup)
-        return part.lut[static_cast<std::size_t>(part.fk.int_at(i) -
-                                                 part.lut_min)];
-      if (part.double_codes) return std::int64_t{part.col->double_codes()[i]};
-      return part.col->type() == TypeId::kInt64
-                 ? part.col->int64_data()[i]
-                 : std::int64_t{part.col->int32_data()[i]};
-    };
-    if (std::any_of(parts.begin(), parts.end(),
-                    [](const GroupKeyPart& p) { return p.lookup; })) {
-      selection.for_each_set([&](std::size_t i) {
-        for (const GroupKeyPart& part : parts)
-          ctx.key_scratch[i] += (part_at(part, i) - part.min) * part.stride;
-      });
-    } else {
-      for (const GroupKeyPart& part : parts) {
-        if (part.double_codes) {
-          const auto data = part.col->double_codes();
-          for (std::size_t i = 0; i < n_rows; ++i)
-            ctx.key_scratch[i] += (data[i] - part.min) * part.stride;
-        } else if (part.col->type() == TypeId::kInt64) {
-          const auto data = part.col->int64_data();
-          for (std::size_t i = 0; i < n_rows; ++i)
-            ctx.key_scratch[i] += (data[i] - part.min) * part.stride;
-        } else {
-          const auto data = part.col->int32_data();
-          for (std::size_t i = 0; i < n_rows; ++i)
-            ctx.key_scratch[i] += (data[i] - part.min) * part.stride;
-        }
+    for (const GroupKeyPart& part : parts) {
+      const auto add = [&](const auto& value_at) {
+        selection.for_each_set([&](std::size_t i) {
+          ctx.key_scratch[i] += (value_at(i) - part.min) * part.stride;
+        });
+      };
+      if (part.lookup) {
+        add([&](std::size_t i) {
+          return part.lut[static_cast<std::size_t>(part.fk.int_at(i) -
+                                                   part.lut_min)];
+        });
+      } else if (part.double_codes) {
+        const auto data = part.col->double_codes();
+        add([&](std::size_t i) { return std::int64_t{data[i]}; });
+      } else if (part.col->type() == TypeId::kInt64) {
+        const auto data = part.col->int64_data();
+        add([&](std::size_t i) { return data[i]; });
+      } else {
+        const auto data = part.col->int32_data();
+        add([&](std::size_t i) { return std::int64_t{data[i]}; });
       }
     }
     const std::span<const std::int64_t> keys(ctx.key_scratch.data(), n_rows);

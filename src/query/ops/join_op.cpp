@@ -248,28 +248,15 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
     st.source_side = st.phys->source_side;
   }
 
-  // ---- Column resolution over all sides: bare names bind to the probe
-  // (FROM) table first, then the build tables in execution order;
-  // "table.column" qualifies explicitly. ----
+  // ---- Column resolution: compile_plan bound each name to its side
+  // (PhysicalPlan::bindings). Side 0 is the table this run probes — a
+  // shard table, in a sharded plan, whatever its name. ----
   const auto resolve = [&](const std::string& name) -> Ref {
-    const auto dot = name.find('.');
-    if (dot != std::string::npos) {
-      const std::string tbl = name.substr(0, dot);
-      const std::string col = name.substr(dot + 1);
-      if (tbl == table.name()) return {&table, &table.column(col), 0};
-      for (std::size_t s = 0; s < n_steps; ++s)
-        if (tbl == steps[s].build_table->name())
-          return {steps[s].build_table, &steps[s].build_table->column(col),
-                  s + 1};
-      throw Error("unknown table in qualified column: " + name);
-    }
-    if (table.schema().has_column(name))
-      return {&table, &table.column(name), 0};
-    for (std::size_t s = 0; s < n_steps; ++s)
-      if (steps[s].build_table->schema().has_column(name))
-        return {steps[s].build_table, &steps[s].build_table->column(name),
-                s + 1};
-    throw Error("unknown column: " + name);
+    const auto it = phys.bindings.find(name);
+    if (it == phys.bindings.end()) throw Error("unknown column: " + name);
+    const ColumnBinding& b = it->second;
+    const Table& t = b.side == 0 ? table : *steps[b.side - 1].build_table;
+    return {&t, &t.column(b.column), b.side};
   };
 
   // ---- Ledger: charge each (table, column) once for the representation
@@ -281,10 +268,11 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
   // the pipeline touches. The chain gathers its aggregate inputs, group
   // keys, projections and projection sort key plain, by row id. A
   // chainless plan reads what the base operators read: aggregate_op's
-  // kernels stream packed inputs and single keys, and only a composite
-  // key's FROM-table columns are plain. The set is fixed before any pass
-  // resolves a key, and a step the passes send back to the chain reads
-  // its columns by the same set. ----
+  // kernels stream packed inputs and a single FROM-table key, a composite
+  // key's FROM-table columns are plain, and a lookup build reads its
+  // dimension group-key column plain (which may be that side's join key).
+  // The set is fixed before any pass resolves a key, and a step the
+  // passes send back to the chain reads its columns by the same set. ----
   const bool chainless = phys.chainless();
   std::set<std::string> plain_required;
   const auto require_plain = [&](const Ref& r) {
@@ -302,7 +290,7 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
       // emit) — they never force a plain read.
       if (r.col->type() == TypeId::kDouble && r.col->has_double_dictionary())
         continue;
-      if (!chainless || (plan.group_by.size() > 1 && r.side == 0))
+      if (!chainless || r.side != 0 || plan.group_by.size() > 1)
         require_plain(r);
     }
   } else {
@@ -443,18 +431,12 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
 
   // ---- Run-time roles. A filter or gather step whose selected build keys
   // repeat runs in the chain (its pass has run, and the selection it left
-  // is still right); a chain step takes every gather step back in, since
-  // the chain's aggregator reads each group key by side row id. ----
+  // is still right); settled as compile_plan settles them, so a chain step
+  // takes every gather step back in. ----
   std::vector<JoinRole> roles(n_steps);
   for (std::size_t s = 0; s < n_steps; ++s)
     roles[s] = steps[s].keys_unique ? phys.joins[s].role : JoinRole::kChain;
-  const bool chain_left =
-      std::find(roles.begin(), roles.end(), JoinRole::kChain) != roles.end();
-  if (chain_left)
-    for (JoinRole& role : roles)
-      if (role == JoinRole::kGather) role = JoinRole::kChain;
-
-  if (!chain_left) {
+  if (!settle_join_roles(roles)) {
     // Every surviving row joins once; a projection without ORDER BY stops
     // at its LIMIT, as the chain's early exit does.
     stats.join_pairs = live_rows;

@@ -286,14 +286,12 @@ double estimate_filter_selectivity(const Column& source, const Column& build,
          std::min(1.0, held / source_codes);
 }
 
-/// Column liveness and join roles. Records, per executed side, whether
-/// group keys read it and whether anything else does — aggregate inputs,
-/// projections, a projection's sort key, snowflake probe keys — then
-/// gives each step its JoinRole. Names resolve as the join operator
-/// resolves them: "table.column" binds its table, a bare name the FROM
-/// table first, then the build sides in execution order. A name that
-/// resolves nowhere leaves every step in the chain, where execution
-/// reports it.
+/// Column binding, liveness and join roles. Binds every name the plan's
+/// operators read (PhysicalPlan::bindings) and records, per executed side,
+/// whether group keys read it and whether anything else does — aggregate
+/// inputs, projections, a projection's sort key, snowflake probe keys —
+/// then gives each step its JoinRole. A name that binds nowhere leaves
+/// every step in the chain, where execution reports it.
 void assign_join_roles(const storage::Catalog& catalog, PhysicalPlan& phys) {
   const LogicalPlan& plan = phys.logical;
   const Table& probe = catalog.get(plan.table);
@@ -301,19 +299,20 @@ void assign_join_roles(const storage::Catalog& catalog, PhysicalPlan& phys) {
   std::vector<const Table*> sides{&probe};  // side s + 1 = step s
   for (const PhysicalJoinStep& step : phys.joins)
     sides.push_back(&catalog.get(plan.joins[step.logical_index].table));
-  const auto side_of = [&](const std::string& name) -> int {
+  const auto bind = [&](const std::string& name) -> const ColumnBinding* {
     const auto dot = name.find('.');
     for (std::size_t side = 0; side <= n; ++side) {
       const Table& t = *sides[side];
       if (dot == std::string::npos) {
-        if (t.schema().has_column(name)) return static_cast<int>(side);
+        if (t.schema().has_column(name))
+          return &(phys.bindings[name] = {side, name});
       } else if (t.name() == name.substr(0, dot)) {
-        return t.schema().has_column(name.substr(dot + 1))
-                   ? static_cast<int>(side)
-                   : -1;
+        const std::string column = name.substr(dot + 1);
+        if (!t.schema().has_column(column)) return nullptr;
+        return &(phys.bindings[name] = {side, column});
       }
     }
-    return -1;
+    return nullptr;
   };
   struct SideReads {
     bool group = false;  ///< A GROUP BY key reads the side.
@@ -322,12 +321,12 @@ void assign_join_roles(const storage::Catalog& catalog, PhysicalPlan& phys) {
   std::vector<SideReads> reads(n + 1);
   bool resolved = true;
   const auto read = [&](const std::string& name, bool group) {
-    const int side = side_of(name);
-    if (side < 0) {
+    const ColumnBinding* b = bind(name);
+    if (b == nullptr) {
       resolved = false;
       return;
     }
-    SideReads& r = reads[static_cast<std::size_t>(side)];
+    SideReads& r = reads[b->side];
     (group ? r.group : r.other) = true;
   };
   if (plan.is_aggregate()) {
@@ -342,23 +341,16 @@ void assign_join_roles(const storage::Catalog& catalog, PhysicalPlan& phys) {
     reads[step.source_side].other = true;
   if (!resolved) return;
 
-  bool chain_left = false;
+  std::vector<JoinRole> roles(n, JoinRole::kChain);
   for (std::size_t s = 0; s < n; ++s) {
-    PhysicalJoinStep& step = phys.joins[s];
+    const PhysicalJoinStep& step = phys.joins[s];
     const SideReads& r = reads[s + 1];
-    if (step.arm != opt::JoinArm::kDenseJoin || step.source_side != 0 ||
-        r.other) {
-      step.role = JoinRole::kChain;
-      chain_left = true;
-    } else {
-      step.role = r.group ? JoinRole::kGather : JoinRole::kFilter;
-    }
+    if (step.arm == opt::JoinArm::kDenseJoin && step.source_side == 0 &&
+        !r.other)
+      roles[s] = r.group ? JoinRole::kGather : JoinRole::kFilter;
   }
-  // A lookup replaces a side only when no chain runs: a chain step's
-  // aggregator reads every group key by side row id.
-  if (chain_left)
-    for (PhysicalJoinStep& step : phys.joins)
-      if (step.role == JoinRole::kGather) step.role = JoinRole::kChain;
+  settle_join_roles(roles);
+  for (std::size_t s = 0; s < n; ++s) phys.joins[s].role = roles[s];
 }
 
 /// The semi-join filter arm. Candidates are the dense steps probed from
@@ -471,6 +463,15 @@ std::string join_role_name(JoinRole r) {
       return "gather";
   }
   return "?";
+}
+
+bool settle_join_roles(std::vector<JoinRole>& roles) {
+  const bool chain_left =
+      std::find(roles.begin(), roles.end(), JoinRole::kChain) != roles.end();
+  if (chain_left)
+    for (JoinRole& role : roles)
+      if (role == JoinRole::kGather) role = JoinRole::kChain;
+  return chain_left;
 }
 
 std::string join_key_type_name(JoinKeyType t) {

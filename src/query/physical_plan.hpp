@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -51,6 +52,21 @@ enum class JoinRole : std::uint8_t {
 };
 
 [[nodiscard]] std::string join_role_name(JoinRole r);
+
+/// Settles a plan's step roles: a gather step's lookup replaces its side
+/// only when no chain runs, since the chain's aggregator reads every group
+/// key by side row id — any chain step takes the gather steps back into
+/// the chain. compile_plan settles the compiled roles, the join operator
+/// the roles its uniqueness checks leave. Returns whether a chain step is
+/// left.
+bool settle_join_roles(std::vector<JoinRole>& roles);
+
+/// A column name bound to the side that supplies it.
+struct ColumnBinding {
+  /// 0 = the FROM table, s > 0 = the build table of executed step s-1.
+  std::size_t side = 0;
+  std::string column;  ///< Bare column name on that side.
+};
 
 struct PhysicalJoinStep {
   std::size_t logical_index = 0;  ///< Index into LogicalPlan::joins.
@@ -149,6 +165,13 @@ struct PhysicalPlan {
   LogicalPlan logical;
   /// Join steps in execution order (empty = no join).
   std::vector<PhysicalJoinStep> joins;
+  /// Every column name a join plan's operators read — aggregate inputs,
+  /// group keys, projections, a projection's sort key — bound once by
+  /// compile_plan: "table.column" binds its table, a bare name the FROM
+  /// table first, then the build sides in execution order. The join roles
+  /// and the join operator both read sides from it. A name that binds
+  /// nowhere is absent; the join operator reports it.
+  std::map<std::string, ColumnBinding> bindings;
   JoinPath join_path = JoinPath::kAuto;
   SortStrategy sort = SortStrategy::kNone;
   /// True when the sort operator runs over materialized result rows

@@ -136,6 +136,40 @@ TEST(DistributedParity, ExplainShowsShardsAndExchange) {
   EXPECT_NE(text.find("exchange:"), std::string::npos) << text;
 }
 
+TEST(DistributedParity, ShardsReadFromQualifiedJoinColumns) {
+  // Shard tables carry their own names ("facts#<n>"); a join plan binds
+  // its column names when it is compiled, so a FROM-qualified aggregate
+  // input reads the shard's column as the single-node run reads facts'.
+  const auto plan = QueryBuilder("facts")
+                        .join("dim2", "u32", "key2")
+                        .group_by("tag")
+                        .aggregate(AggOp::kCount)
+                        .aggregate(AggOp::kSum, "facts.wide64")
+                        .build();
+  for (const std::size_t shards : {2u, 4u}) {
+    Catalog cat = make_catalog(7);
+    cat.get("facts").build_partitions("u32", shards);
+    Executor ex(cat);
+    for (const JoinPath path : {JoinPath::kAuto, JoinPath::kHash}) {
+      ExecOptions single;
+      single.join_path = path;
+      ExecOptions dist = single;
+      dist.shard_count = shards;
+      ASSERT_EQ(compile_plan(cat, plan, dist).dist.mode,
+                DistMode::kPartialMerge);
+      const std::string label = "shards" + std::to_string(shards) +
+                                (path == JoinPath::kHash ? "/hash" : "/auto");
+      ExecStats sstats, dstats;
+      const QueryResult want = ex.execute(plan, sstats, single);
+      QueryResult got;
+      ASSERT_NO_THROW(got = ex.execute(plan, dstats, dist)) << label;
+      expect_identical(want, got, label);
+      EXPECT_EQ(dstats.shards_executed, shards) << label;
+      expect_operator_sums_match(dstats, label);
+    }
+  }
+}
+
 TEST(DistributedParity, StalePartitionLayerRejected) {
   // A compiled plan pins the shard layout; repartitioning between compile
   // and execute must be caught, not silently mis-executed.

@@ -844,6 +844,32 @@ TEST(Executor, JoinDramChargesMatchBytesRead) {
                        region_dict;                            // group emit
   EXPECT_DOUBLE_EQ(stats3.work.dram_bytes, want3);
 
+  // Grouping by the dimension's own join key: the lookup build reads the
+  // key plain, so the pass reads it plain too — one representation,
+  // charged once.
+  const auto plan4 = QueryBuilder("sales")
+                         .join("customers", "amount", "id")
+                         .group_by("customers.id")
+                         .aggregate(AggOp::kCount)
+                         .build();
+  const PhysicalPlan keyed = compile_plan(cat, plan4);
+  ASSERT_EQ(keyed.joins.size(), 1u);
+  ASSERT_EQ(keyed.joins[0].role, JoinRole::kGather);
+  ASSERT_NE(customers.column("id").encoded(), nullptr);
+  ASSERT_LT(scan_bytes(customers.column("id")),
+            static_cast<double>(customers.column("id").byte_size()));
+  ExecStats stats4;
+  const QueryResult r4 = ex.execute(plan4, stats4);
+  EXPECT_EQ(r4.row_count(), 100u);
+  bool gathered = false;
+  for (const OperatorStats& op : stats4.operators)
+    gathered = gathered || op.name == "join-gather(customers)";
+  EXPECT_TRUE(gathered);
+  const double want4 =
+      scan_bytes(sales.column("amount")) +                         // fk
+      static_cast<double>(customers.column("id").byte_size());     // key
+  EXPECT_DOUBLE_EQ(stats4.work.dram_bytes, want4);
+
   // With encodings off, the same query charges the plain widths only, and
   // never less than the packed run.
   ExecOptions plain_opts;
