@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "exec/aggregate.hpp"
+#include "exec/vector_agg.hpp"
 #include "storage/zonemap.hpp"
 #include "util/table_printer.hpp"
 
@@ -59,23 +59,23 @@ void ablation_group_strategy() {
   TablePrinter table({"domain", "dense_ms", "hash_ms", "dense_speedup"});
   constexpr std::size_t kRows = 2'000'000;
   const auto vals = bench::uniform_i64(kRows, 1000, 2);
+  const std::vector<exec::AggInput> inputs = {
+      exec::AggInput::from(std::span<const std::int64_t>(vals))};
   BitVector sel(kRows);
   sel.set_all();
   for (const std::uint32_t domain :
        {16u, 256u, 4096u, 65536u, 262144u, 1u << 20}) {
     const auto keys = bench::uniform_i64(kRows, domain, 3);
-    const double dense_s = bench::time_best(
-        [&] {
-          (void)exec::group_aggregate(keys, vals, sel,
-                                      exec::GroupStrategy::kDenseArray);
-        },
-        0.3);
-    const double hash_s = bench::time_best(
-        [&] {
-          (void)exec::group_aggregate(keys, vals, sel,
-                                      exec::GroupStrategy::kHash);
-        },
-        0.3);
+    const auto run = [&](exec::GroupStrategy strategy) {
+      return bench::time_best(
+          [&] {
+            (void)exec::grouped_multi_aggregate(keys, inputs, sel, {},
+                                                strategy);
+          },
+          0.3);
+    };
+    const double dense_s = run(exec::GroupStrategy::kDenseArray);
+    const double hash_s = run(exec::GroupStrategy::kHash);
     table.add_row({TablePrinter::fmt_int(domain),
                    TablePrinter::fmt(dense_s * 1e3, 4),
                    TablePrinter::fmt(hash_s * 1e3, 4),

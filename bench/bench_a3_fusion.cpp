@@ -13,6 +13,7 @@
 #include "bench_common.hpp"
 #include "exec/fused.hpp"
 #include "exec/scan_kernels.hpp"
+#include "exec/vector_agg.hpp"
 #include "util/table_printer.hpp"
 
 using namespace eidb;
@@ -22,6 +23,8 @@ int main() {
   constexpr std::size_t kRows = 8'000'000;
   const auto keys = bench::uniform_i64(kRows, 100000, 1);
   const auto values = bench::uniform_i64(kRows, 1000, 2);
+  const std::vector<exec::AggInput> inputs = {
+      exec::AggInput::from(std::span<const std::int64_t>(values))};
   const hw::MachineSpec machine = hw::MachineSpec::server();
 
   std::cout << "[A3.a] fused filter+aggregate vs materialize-then-aggregate "
@@ -37,7 +40,7 @@ int main() {
     const double pipe_s = bench::time_best(
         [&] {
           exec::scan_bitmap_best64(keys, 0, hi, sel_bits);
-          (void)exec::aggregate_selected(values, sel_bits);
+          (void)exec::multi_aggregate(inputs, sel_bits);
         },
         0.3);
     // Fused touches keys + matching values; pipeline touches keys + bitmap

@@ -406,11 +406,13 @@ void BM_GroupAggregate(benchmark::State& state) {
   const bool dense = state.range(0) != 0;
   const auto keys = data_i64(1 << 19, dense ? 1024 : 1 << 30);
   const auto vals = data_i64(1 << 19, 1000);
+  const std::vector<exec::AggInput> inputs = {
+      exec::AggInput::from(std::span<const std::int64_t>(vals))};
   BitVector sel(keys.size());
   sel.set_all();
   for (auto _ : state)
-    benchmark::DoNotOptimize(exec::group_aggregate(
-        keys, vals, sel,
+    benchmark::DoNotOptimize(exec::grouped_multi_aggregate(
+        keys, inputs, sel, {},
         dense ? exec::GroupStrategy::kDenseArray : exec::GroupStrategy::kHash));
   state.SetItemsProcessed(state.iterations() * keys.size());
   state.SetLabel(dense ? "dense" : "hash");

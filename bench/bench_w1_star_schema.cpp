@@ -324,10 +324,7 @@ int main(int argc, char** argv) {
       sched::ThreadPool sweep_pool(static_cast<std::size_t>(n));
       core::RunOptions options;
       options.exec.pool = &sweep_pool;
-      options.exec.parallel_agg_min_rows = 1;
-      options.exec.parallel_join_min_rows = 1;
-      options.exec.parallel_sort_min_rows = 1;
-      options.exec.parallel_project_min_rows = 1;
+      options.exec.parallel_min_rows = 1;
       const Measured m = measure(db, q7_sql, options);
       const core::RunResult run = db.run_sql(q7_sql, options);
 

@@ -1,5 +1,6 @@
-// Aggregation kernels: full-column and selection-driven sums/min/max/count,
-// plus grouped aggregation (dense-array and hash strategies).
+// Aggregate result shapes and the group-by strategy shared by the
+// aggregation kernels (exec/vector_agg), the fused filter+aggregate
+// kernels and the cost model.
 //
 // The strategy split mirrors production column stores: when the group-key
 // domain is small (dictionary codes, small int ranges) a dense accumulator
@@ -9,10 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <vector>
-
-#include "util/bitvector.hpp"
 
 namespace eidb::exec {
 
@@ -37,69 +34,14 @@ struct AggResultD {
   }
 };
 
-/// Aggregates all values.
-[[nodiscard]] AggResult aggregate_all(std::span<const std::int64_t> values);
-[[nodiscard]] AggResultD aggregate_all(std::span<const double> values);
-
-/// Aggregates values where the selection bit is set. The int32 overload
-/// consumes raw int32 / dictionary-code columns directly (sums widen to
-/// int64) — no widened copy.
-[[nodiscard]] AggResult aggregate_selected(std::span<const std::int64_t> values,
-                                           const BitVector& selection);
-[[nodiscard]] AggResult aggregate_selected(std::span<const std::int32_t> values,
-                                           const BitVector& selection);
-[[nodiscard]] AggResultD aggregate_selected(std::span<const double> values,
-                                            const BitVector& selection);
-
-/// One output group.
-struct GroupRow {
-  std::int64_t key = 0;
-  AggResult agg;
-};
-
-/// Grouped aggregation: keys[i] groups values[i]; only selected rows
-/// participate (pass an all-set selection for full columns).
-/// `strategy`: 0 = auto, 1 = dense array (requires small key domain),
-/// 2 = hash. Returns rows sorted by key.
+/// Grouped-aggregation strategy: kAuto picks the dense accumulator array
+/// when the key domain fits kDenseDomainLimit and hashes otherwise;
+/// kDenseArray throws on a larger domain; kHash always hashes.
 enum class GroupStrategy : std::uint8_t { kAuto, kDenseArray, kHash };
 
 /// Largest key domain the kAuto strategy resolves to a dense accumulator
 /// array (1M slots); shared by every grouping kernel and mirrored by the
 /// cost model's strategy prediction.
 inline constexpr std::int64_t kDenseDomainLimit = 1 << 20;
-
-[[nodiscard]] std::vector<GroupRow> group_aggregate(
-    std::span<const std::int64_t> keys, std::span<const std::int64_t> values,
-    const BitVector& selection, GroupStrategy strategy = GroupStrategy::kAuto);
-
-/// int32 values (raw int32 / dictionary-code columns): aggregated in place,
-/// sums widen to int64 — no widened int64 copy of the column.
-[[nodiscard]] std::vector<GroupRow> group_aggregate(
-    std::span<const std::int64_t> keys, std::span<const std::int32_t> values,
-    const BitVector& selection, GroupStrategy strategy = GroupStrategy::kAuto);
-
-/// int32 keys (dictionary codes) overload.
-[[nodiscard]] std::vector<GroupRow> group_aggregate32(
-    std::span<const std::int32_t> keys, std::span<const std::int64_t> values,
-    const BitVector& selection, GroupStrategy strategy = GroupStrategy::kAuto);
-
-/// int32 keys AND int32 values.
-[[nodiscard]] std::vector<GroupRow> group_aggregate32(
-    std::span<const std::int32_t> keys, std::span<const std::int32_t> values,
-    const BitVector& selection, GroupStrategy strategy = GroupStrategy::kAuto);
-
-/// Double-valued grouped aggregation.
-struct GroupRowD {
-  std::int64_t key = 0;
-  AggResultD agg;
-};
-
-[[nodiscard]] std::vector<GroupRowD> group_aggregate_d(
-    std::span<const std::int64_t> keys, std::span<const double> values,
-    const BitVector& selection, GroupStrategy strategy = GroupStrategy::kAuto);
-
-[[nodiscard]] std::vector<GroupRowD> group_aggregate32_d(
-    std::span<const std::int32_t> keys, std::span<const double> values,
-    const BitVector& selection, GroupStrategy strategy = GroupStrategy::kAuto);
 
 }  // namespace eidb::exec

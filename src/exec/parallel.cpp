@@ -1,55 +1,28 @@
 #include "exec/parallel.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <map>
-#include <mutex>
 
-#include "exec/hash_table.hpp"
 #include "exec/scan_kernels.hpp"
 #include "util/assert.hpp"
 
 namespace eidb::exec {
-
-namespace {
-
-std::size_t align64(std::size_t n) { return n / 64 * 64; }
-
-/// Runs fn(begin, end, worker_slot) over 64-aligned morsels; `slots` bounds
-/// the number of distinct worker slots (= partial accumulators).
-template <typename Fn>
-void for_each_morsel(sched::ThreadPool& pool, std::size_t rows,
-                     std::size_t morsel_rows, Fn&& fn) {
-  EIDB_EXPECTS(morsel_rows >= 64);
-  const std::size_t grain = std::max<std::size_t>(64, align64(morsel_rows));
-  std::atomic<std::size_t> next_slot{0};
-  // Each submitted chunk claims a dense slot id; chunk count bounds slots.
-  for (std::size_t begin = 0; begin < rows; begin += grain) {
-    const std::size_t end = std::min(begin + grain, rows);
-    pool.submit([&fn, &next_slot, begin, end] {
-      fn(begin, end, next_slot.fetch_add(1));
-    });
-  }
-  pool.wait_idle();
-}
-
-}  // namespace
 
 void parallel_scan_bitmap64(sched::ThreadPool& pool,
                             std::span<const std::int64_t> values,
                             std::int64_t lo, std::int64_t hi, BitVector& out,
                             std::size_t morsel_rows) {
   EIDB_EXPECTS(out.size() >= values.size());
-  for_each_morsel(pool, values.size(), morsel_rows,
-                  [&](std::size_t begin, std::size_t end, std::size_t) {
-                    // Morsels are 64-aligned: each worker owns whole words.
-                    BitVector local(end - begin);
-                    scan_bitmap_best64(values.subspan(begin, end - begin), lo,
-                                       hi, local);
-                    std::copy(local.words(),
-                              local.words() + local.word_count(),
-                              out.words() + begin / 64);
-                  });
+  const std::size_t n = values.size();
+  pool.parallel_for(n, chunk_grain(n, morsel_rows),
+                    [&](std::size_t begin, std::size_t end) {
+                      // Chunks are 64-aligned: each owns whole words.
+                      BitVector local(end - begin);
+                      scan_bitmap_best64(values.subspan(begin, end - begin),
+                                         lo, hi, local);
+                      std::copy(local.words(),
+                                local.words() + local.word_count(),
+                                out.words() + begin / 64);
+                    });
 }
 
 void parallel_scan_bitmap32(sched::ThreadPool& pool,
@@ -57,15 +30,16 @@ void parallel_scan_bitmap32(sched::ThreadPool& pool,
                             std::int32_t lo, std::int32_t hi, BitVector& out,
                             std::size_t morsel_rows) {
   EIDB_EXPECTS(out.size() >= values.size());
-  for_each_morsel(pool, values.size(), morsel_rows,
-                  [&](std::size_t begin, std::size_t end, std::size_t) {
-                    BitVector local(end - begin);
-                    scan_bitmap_best(values.subspan(begin, end - begin), lo,
-                                     hi, local);
-                    std::copy(local.words(),
-                              local.words() + local.word_count(),
-                              out.words() + begin / 64);
-                  });
+  const std::size_t n = values.size();
+  pool.parallel_for(n, chunk_grain(n, morsel_rows),
+                    [&](std::size_t begin, std::size_t end) {
+                      BitVector local(end - begin);
+                      scan_bitmap_best(values.subspan(begin, end - begin), lo,
+                                       hi, local);
+                      std::copy(local.words(),
+                                local.words() + local.word_count(),
+                                out.words() + begin / 64);
+                    });
 }
 
 void parallel_scan_packed_bitmap(sched::ThreadPool& pool,
@@ -74,145 +48,11 @@ void parallel_scan_packed_bitmap(sched::ThreadPool& pool,
                                  std::uint64_t lo, std::uint64_t hi,
                                  BitVector& out, std::size_t morsel_rows) {
   EIDB_EXPECTS(out.size() >= count);
-  for_each_morsel(pool, count, morsel_rows,
-                  [&](std::size_t begin, std::size_t end, std::size_t) {
-                    scan_packed_bitmap_range(packed, bits, begin, end, lo,
-                                             hi, out);
-                  });
-}
-
-AggResult parallel_aggregate(sched::ThreadPool& pool,
-                             std::span<const std::int64_t> values,
-                             const BitVector& selection,
-                             std::size_t morsel_rows) {
-  EIDB_EXPECTS(selection.size() >= values.size());
-  std::mutex merge_mu;
-  AggResult total;
-  bool any = false;
-  for_each_morsel(
-      pool, values.size(), morsel_rows,
-      [&](std::size_t begin, std::size_t end, std::size_t) {
-        AggResult local;
-        local.min = std::numeric_limits<std::int64_t>::max();
-        local.max = std::numeric_limits<std::int64_t>::min();
-        // Walk only this morsel's words of the shared selection.
-        for (std::size_t w = begin / 64; w * 64 < end; ++w) {
-          std::uint64_t bits = selection.words()[w];
-          while (bits != 0) {
-            const auto j =
-                static_cast<std::size_t>(__builtin_ctzll(bits));
-            bits &= bits - 1;
-            const std::size_t i = w * 64 + j;
-            if (i >= end || i < begin) continue;
-            const std::int64_t v = values[i];
-            ++local.count;
-            local.sum += v;
-            local.min = std::min(local.min, v);
-            local.max = std::max(local.max, v);
-          }
-        }
-        if (local.count == 0) return;
-        std::scoped_lock lock(merge_mu);
-        if (!any) {
-          total = local;
-          any = true;
-        } else {
-          total.count += local.count;
-          total.sum += local.sum;
-          total.min = std::min(total.min, local.min);
-          total.max = std::max(total.max, local.max);
-        }
-      });
-  return total;
-}
-
-namespace {
-
-template <typename Key, typename Value>
-std::vector<GroupRow> parallel_group_impl(sched::ThreadPool& pool,
-                                          std::span<const Key> keys,
-                                          std::span<const Value> values,
-                                          const BitVector& selection,
-                                          std::size_t morsel_rows) {
-  EIDB_EXPECTS(keys.size() == values.size());
-  EIDB_EXPECTS(selection.size() >= keys.size());
-
-  std::mutex merge_mu;
-  std::map<std::int64_t, AggResult> merged;
-
-  for_each_morsel(
-      pool, keys.size(), morsel_rows,
-      [&](std::size_t begin, std::size_t end, std::size_t) {
-        // Thread-local table over this morsel.
-        HashTable<AggResult> local((end - begin) / 8 + 16);
-        for (std::size_t w = begin / 64; w * 64 < end; ++w) {
-          std::uint64_t bits = selection.words()[w];
-          while (bits != 0) {
-            const auto j =
-                static_cast<std::size_t>(__builtin_ctzll(bits));
-            bits &= bits - 1;
-            const std::size_t i = w * 64 + j;
-            if (i >= end || i < begin) continue;
-            const std::int64_t v = values[i];
-            AggResult& a = local.get_or_insert(
-                static_cast<std::int64_t>(keys[i]), [&](AggResult& f) {
-                  f.min = v;
-                  f.max = v;
-                });
-            ++a.count;
-            a.sum += v;
-            a.min = std::min(a.min, v);
-            a.max = std::max(a.max, v);
-          }
-        }
-        // Serial merge (the partitioned scheme's tail).
-        std::scoped_lock lock(merge_mu);
-        local.for_each([&](std::int64_t key, const AggResult& a) {
-          auto [it, fresh] = merged.try_emplace(key, a);
-          if (!fresh) {
-            AggResult& m = it->second;
-            m.count += a.count;
-            m.sum += a.sum;
-            m.min = std::min(m.min, a.min);
-            m.max = std::max(m.max, a.max);
-          }
-        });
-      });
-
-  std::vector<GroupRow> rows;
-  rows.reserve(merged.size());
-  for (const auto& [key, agg] : merged) rows.push_back({key, agg});
-  return rows;
-}
-
-}  // namespace
-
-std::vector<GroupRow> parallel_group_aggregate(
-    sched::ThreadPool& pool, std::span<const std::int64_t> keys,
-    std::span<const std::int64_t> values, const BitVector& selection,
-    std::size_t morsel_rows) {
-  return parallel_group_impl(pool, keys, values, selection, morsel_rows);
-}
-
-std::vector<GroupRow> parallel_group_aggregate(
-    sched::ThreadPool& pool, std::span<const std::int64_t> keys,
-    std::span<const std::int32_t> values, const BitVector& selection,
-    std::size_t morsel_rows) {
-  return parallel_group_impl(pool, keys, values, selection, morsel_rows);
-}
-
-std::vector<GroupRow> parallel_group_aggregate32(
-    sched::ThreadPool& pool, std::span<const std::int32_t> keys,
-    std::span<const std::int64_t> values, const BitVector& selection,
-    std::size_t morsel_rows) {
-  return parallel_group_impl(pool, keys, values, selection, morsel_rows);
-}
-
-std::vector<GroupRow> parallel_group_aggregate32(
-    sched::ThreadPool& pool, std::span<const std::int32_t> keys,
-    std::span<const std::int32_t> values, const BitVector& selection,
-    std::size_t morsel_rows) {
-  return parallel_group_impl(pool, keys, values, selection, morsel_rows);
+  pool.parallel_for(count, chunk_grain(count, morsel_rows),
+                    [&](std::size_t begin, std::size_t end) {
+                      scan_packed_bitmap_range(packed, bits, begin, end, lo,
+                                               hi, out);
+                    });
 }
 
 }  // namespace eidb::exec

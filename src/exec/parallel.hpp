@@ -2,20 +2,23 @@
 // number of parallel tasks ... Parallelism has to be considered in an
 // end-to-end manner").
 //
-// Real-thread implementations of the scan/aggregate/group pipeline using
-// the worker pool, built on the *partitioned* synchronization scheme that
-// experiment E4 shows to scale: each worker owns a private accumulator (or
-// hash table); a single merge runs at the end. Morsel boundaries are
-// aligned to 64 tuples so selection-bitmap words are never shared between
-// workers.
+// Every parallel operator fans out through ThreadPool::parallel_for. The
+// calling thread drains its own chunks alongside the pool's workers, and
+// a call waits for, and rethrows from, its own chunks only, never another
+// query's tasks on the shared engine pool. The predicate scans here and
+// the chunk-merged passes (aggregation, join probe and filter passes) cut
+// chunk_grain chunks, each a multiple of 64 rows so selection-bitmap
+// words are never shared between workers; per-chunk partials (the
+// *partitioned* synchronization scheme that experiment E4 shows to
+// scale) merge in chunk order. This header holds the chunk geometry and
+// the parallel predicate scans; the aggregation kernels live in
+// exec/vector_agg.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <span>
-#include <vector>
 
-#include "exec/aggregate.hpp"
 #include "sched/thread_pool.hpp"
 #include "util/bitvector.hpp"
 
@@ -42,7 +45,8 @@ inline constexpr std::size_t kMaxChunks = 16;
       64, (std::max(morsel_rows, per_chunk) + 63) / 64 * 64);
 }
 
-/// Parallel range scan into a selection bitmap (int64 values).
+/// Parallel range scan into a selection bitmap (int64 values). Inputs of
+/// at most one chunk_grain(rows, morsel_rows) run inline on the caller.
 void parallel_scan_bitmap64(sched::ThreadPool& pool,
                             std::span<const std::int64_t> values,
                             std::int64_t lo, std::int64_t hi, BitVector& out,
@@ -55,7 +59,7 @@ void parallel_scan_bitmap32(sched::ThreadPool& pool,
                             std::size_t morsel_rows = kDefaultMorselRows);
 
 /// Parallel range scan over a bit-packed column image (`lo`/`hi` in the
-/// packed, reference-shifted domain): 64-aligned morsels own whole
+/// packed, reference-shifted domain): 64-aligned chunks own whole
 /// selection words, so workers write `out` directly.
 void parallel_scan_packed_bitmap(sched::ThreadPool& pool,
                                  std::span<const std::uint64_t> packed,
@@ -63,37 +67,5 @@ void parallel_scan_packed_bitmap(sched::ThreadPool& pool,
                                  std::uint64_t lo, std::uint64_t hi,
                                  BitVector& out,
                                  std::size_t morsel_rows = kDefaultMorselRows);
-
-/// Parallel aggregation over the selected rows: per-worker partial
-/// accumulators, serial merge (the E4-partitioned scheme).
-[[nodiscard]] AggResult parallel_aggregate(
-    sched::ThreadPool& pool, std::span<const std::int64_t> values,
-    const BitVector& selection,
-    std::size_t morsel_rows = kDefaultMorselRows);
-
-/// Parallel grouped aggregation: thread-local hash tables merged by key.
-/// Returns rows sorted by key (same contract as group_aggregate).
-[[nodiscard]] std::vector<GroupRow> parallel_group_aggregate(
-    sched::ThreadPool& pool, std::span<const std::int64_t> keys,
-    std::span<const std::int64_t> values, const BitVector& selection,
-    std::size_t morsel_rows = kDefaultMorselRows);
-
-/// int32 values (raw int32 / dictionary-code columns): no widened copy,
-/// sums widen into the int64 accumulators.
-[[nodiscard]] std::vector<GroupRow> parallel_group_aggregate(
-    sched::ThreadPool& pool, std::span<const std::int64_t> keys,
-    std::span<const std::int32_t> values, const BitVector& selection,
-    std::size_t morsel_rows = kDefaultMorselRows);
-
-/// int32 keys (dictionary codes), int64 or int32 values.
-[[nodiscard]] std::vector<GroupRow> parallel_group_aggregate32(
-    sched::ThreadPool& pool, std::span<const std::int32_t> keys,
-    std::span<const std::int64_t> values, const BitVector& selection,
-    std::size_t morsel_rows = kDefaultMorselRows);
-
-[[nodiscard]] std::vector<GroupRow> parallel_group_aggregate32(
-    sched::ThreadPool& pool, std::span<const std::int32_t> keys,
-    std::span<const std::int32_t> values, const BitVector& selection,
-    std::size_t morsel_rows = kDefaultMorselRows);
 
 }  // namespace eidb::exec

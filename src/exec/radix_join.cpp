@@ -59,36 +59,18 @@ std::vector<JoinPair> radix_hash_join(std::span<const std::int64_t> build_keys,
                                       const BitVector& build_selection,
                                       std::span<const std::int64_t> probe_keys,
                                       const BitVector& probe_selection,
-                                      unsigned radix_bits,
-                                      sched::ThreadPool* pool) {
+                                      unsigned radix_bits) {
   const RadixPartitions build =
       radix_partition(JoinKeys::from(build_keys), build_selection, radix_bits);
   const RadixPartitions probe =
       radix_partition(JoinKeys::from(probe_keys), probe_selection, radix_bits);
-  const std::size_t n_parts = build.parts.size();
-
-  std::vector<std::vector<JoinPair>> per_part(n_parts);
-  const auto run_partition = [&](std::size_t part) {
-    std::vector<JoinPair>& out = per_part[part];
+  std::vector<JoinPair> out;
+  for (std::size_t part = 0; part < build.parts.size(); ++part)
     (void)join_partition_blocks(
         build.parts[part], probe.parts[part],
         [&out](const std::uint32_t* b, const std::uint32_t* p, std::size_t k) {
           for (std::size_t e = 0; e < k; ++e) out.push_back({b[e], p[e]});
         });
-  };
-  if (pool == nullptr) {
-    for (std::size_t part = 0; part < n_parts; ++part) run_partition(part);
-  } else {
-    for (std::size_t part = 0; part < n_parts; ++part)
-      pool->submit([&run_partition, part] { run_partition(part); });
-    pool->wait_idle();
-  }
-
-  std::size_t total = 0;
-  for (const auto& v : per_part) total += v.size();
-  std::vector<JoinPair> out;
-  out.reserve(total);
-  for (const auto& v : per_part) out.insert(out.end(), v.begin(), v.end());
   std::sort(out.begin(), out.end(), [](const JoinPair& a, const JoinPair& b) {
     if (a.probe_row != b.probe_row) return a.probe_row < b.probe_row;
     return a.build_row < b.build_row;

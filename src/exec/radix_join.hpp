@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "exec/join.hpp"
-#include "sched/thread_pool.hpp"
 
 namespace eidb::exec {
 
@@ -55,6 +54,6 @@ std::uint64_t join_partition_blocks(
 [[nodiscard]] std::vector<JoinPair> radix_hash_join(
     std::span<const std::int64_t> build_keys, const BitVector& build_selection,
     std::span<const std::int64_t> probe_keys, const BitVector& probe_selection,
-    unsigned radix_bits = 6, sched::ThreadPool* pool = nullptr);
+    unsigned radix_bits = 6);
 
 }  // namespace eidb::exec

@@ -4,6 +4,7 @@
 #include <limits>
 #include <mutex>
 
+#include "exec/parallel.hpp"
 #include "exec/scan_kernels.hpp"
 #include "sched/thread_pool.hpp"
 #include "util/assert.hpp"
@@ -53,8 +54,9 @@ std::uint64_t conjunct_word(const SharedConjunct& c, std::size_t base,
 /// fused pass. The first conjunct overwrites the member's selection
 /// words; later conjuncts AND in, skipping words the running selection
 /// already killed (the fused form of the masked-conjunct optimization).
-/// `scratch` (sized to the full row count) hosts packed later-conjunct
-/// evaluations, since the packed kernel writes rather than ANDs.
+/// `scratch` (grown to the longest run of live words, at most a morsel)
+/// hosts packed later-conjunct evaluations, since the packed kernel
+/// writes rather than ANDs.
 std::uint64_t eval_member_morsel(const SharedQuery& q, std::size_t begin,
                                  std::size_t end, std::size_t rows,
                                  BitVector& scratch) {
@@ -71,7 +73,9 @@ std::uint64_t eval_member_morsel(const SharedQuery& q, std::size_t begin,
         evaluated += end - begin;
       } else {
         // Coalesce runs of live words so the range kernel's per-call
-        // setup amortizes; dead words are skipped unevaluated.
+        // setup amortizes; dead words are skipped unevaluated. A run
+        // starts on a 64-row boundary, so its rows' image starts on a
+        // packed word and scans into scratch from bit 0.
         std::size_t w = wb;
         while (w < we) {
           if (sel[w] == 0) {
@@ -80,14 +84,14 @@ std::uint64_t eval_member_morsel(const SharedQuery& q, std::size_t begin,
           }
           const std::size_t run_b = w;
           while (w < we && sel[w] != 0) ++w;
-          const std::size_t row_b = run_b * 64;
-          const std::size_t row_e = std::min(w * 64, rows);
-          if (scratch.size() < rows) scratch.resize(rows);
-          scan_packed_bitmap_range(c.packed, c.packed_bits, row_b, row_e,
-                                   c.ulo, c.uhi, scratch);
+          const std::size_t run_rows = std::min(w * 64, rows) - run_b * 64;
+          if (scratch.size() < run_rows) scratch.resize(run_rows);
+          scan_packed_bitmap_range(c.packed.subspan(run_b * c.packed_bits),
+                                   c.packed_bits, 0, run_rows, c.ulo, c.uhi,
+                                   scratch);
           const std::uint64_t* s = scratch.words();
-          for (std::size_t k = run_b; k < w; ++k) sel[k] &= s[k];
-          evaluated += row_e - row_b;
+          for (std::size_t k = run_b; k < w; ++k) sel[k] &= s[k - run_b];
+          evaluated += run_rows;
         }
       }
     } else {
@@ -108,8 +112,8 @@ std::uint64_t eval_member_morsel(const SharedQuery& q, std::size_t begin,
 }  // namespace
 
 void shared_scan(std::size_t rows, std::span<SharedQuery> queries,
-                 sched::ThreadPool* pool, std::size_t width,
-                 SharedScanStats& stats, std::size_t morsel_rows) {
+                 sched::ThreadPool* pool, SharedScanStats& stats,
+                 std::size_t morsel_rows) {
   stats.evaluated.assign(queries.size(), 0);
   stats.morsels = 0;
   if (rows == 0 || queries.empty()) return;
@@ -118,34 +122,30 @@ void shared_scan(std::size_t rows, std::span<SharedQuery> queries,
     EIDB_EXPECTS(!q.conjuncts.empty());
   }
   morsel_rows = std::max<std::size_t>(64, morsel_rows / 64 * 64);
-  const std::size_t morsels = (rows + morsel_rows - 1) / morsel_rows;
-  stats.morsels = morsels;
 
+  // One chunk walks its rows morsel by morsel, every member per morsel.
   std::mutex fold_mu;
-  const auto run_chunk = [&](std::size_t mb, std::size_t me) {
+  const auto run_chunk = [&](std::size_t chunk_begin, std::size_t chunk_end) {
     BitVector scratch;  // lazily sized; packed later conjuncts only
     std::vector<std::uint64_t> evaluated(queries.size(), 0);
-    for (std::size_t m = mb; m < me; ++m) {
-      const std::size_t begin = m * morsel_rows;
-      const std::size_t end = std::min(rows, begin + morsel_rows);
+    std::uint64_t morsels = 0;
+    for (std::size_t begin = chunk_begin; begin < chunk_end;
+         begin += morsel_rows, ++morsels) {
+      const std::size_t end = std::min(chunk_end, begin + morsel_rows);
       for (std::size_t qi = 0; qi < queries.size(); ++qi)
         evaluated[qi] +=
             eval_member_morsel(queries[qi], begin, end, rows, scratch);
     }
     const std::lock_guard<std::mutex> lock(fold_mu);
+    stats.morsels += morsels;
     for (std::size_t qi = 0; qi < queries.size(); ++qi)
       stats.evaluated[qi] += evaluated[qi];
   };
 
-  const std::size_t pool_width = pool != nullptr ? pool->thread_count() : 1;
-  const std::size_t fan_out =
-      width == 0 ? pool_width : std::min(width, pool_width);
-  if (pool == nullptr || fan_out <= 1 || morsels <= 1) {
-    run_chunk(0, morsels);
-    return;
-  }
-  const std::size_t grain = (morsels + fan_out - 1) / fan_out;
-  pool->parallel_for(morsels, grain, run_chunk);
+  if (pool == nullptr)
+    run_chunk(0, rows);
+  else
+    pool->parallel_for(rows, chunk_grain(rows, morsel_rows), run_chunk);
 }
 
 }  // namespace eidb::exec

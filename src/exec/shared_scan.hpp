@@ -8,9 +8,10 @@
 // walks the table in 64-aligned morsels; within a morsel every member
 // query's conjuncts are evaluated while the column chunk is cache-
 // resident, so the first member's touch is the DRAM read and members
-// 2..N re-read from cache. Morsels fan out over the engine-shared
-// sched::ThreadPool; morsel boundaries are 64-aligned, so no selection
-// word is ever shared between workers.
+// 2..N re-read from cache. The pass fans out over the engine-shared
+// sched::ThreadPool in chunk_grain chunks, as every other operator does;
+// chunk and morsel boundaries are 64-aligned, so no selection word is
+// ever shared between workers.
 //
 // The driver is purely mechanical: callers (query/shared_scan) bind
 // predicates to column representations, decide what is scanned, and own
@@ -60,7 +61,7 @@ struct SharedQuery {
 };
 
 struct SharedScanStats {
-  std::uint64_t morsels = 0;
+  std::uint64_t morsels = 0;  ///< Morsels walked, summed over chunks.
   /// Rows each member actually evaluated, aligned with the query vector:
   /// the first conjunct visits every row; later conjuncts skip 64-row
   /// words the running selection already killed. Feeds per-member cycle
@@ -69,13 +70,14 @@ struct SharedScanStats {
 };
 
 /// Runs the fused pass over `rows` rows for every member of `queries`.
-/// `width` caps the morsel fan-out (0 = the pool's width); pool == nullptr
-/// runs serially. Bit-for-bit: each member's selection equals the AND of
-/// its conjuncts' exact range matches — identical to what the scan-filter
-/// operator's kernels produce for the same bounds.
+/// With a pool, the pass fans out through ThreadPool::parallel_for over
+/// chunk_grain(rows, morsel_rows) chunks; pool == nullptr runs serially.
+/// Each chunk walks its rows in `morsel_rows` morsels. Bit-for-bit: each
+/// member's selection equals the AND of its conjuncts' exact range
+/// matches — identical to what the scan-filter operator's kernels produce
+/// for the same bounds.
 void shared_scan(std::size_t rows, std::span<SharedQuery> queries,
-                 sched::ThreadPool* pool, std::size_t width,
-                 SharedScanStats& stats,
+                 sched::ThreadPool* pool, SharedScanStats& stats,
                  std::size_t morsel_rows = 32 * 1024);
 
 }  // namespace eidb::exec

@@ -17,11 +17,13 @@
 // Every input column is therefore touched exactly once per query — the
 // DRAM-byte ledger (and the joules attributed from it) drops accordingly.
 // Grouped variants share one per-group count across all inputs and accept
-// the key range from the cached storage::ColumnStats, eliminating the
-// per-call key min/max pass of group_aggregate. Parallel variants cut
-// their chunks from the row count and morsel size alone and merge the
-// per-chunk partials in chunk order, so double sums depend neither on
-// thread scheduling nor on the pool width.
+// the key range from the cached storage::ColumnStats, so they skip a key
+// min/max pass when the caller knows the range. Parallel variants fan out
+// through ThreadPool::parallel_for over exec::chunk_grain chunks, cut from
+// the row count and morsel size alone, and merge the per-chunk partials
+// in chunk order, so double sums depend neither on thread scheduling nor
+// on the pool width. These are the engine's only aggregation kernels:
+// queries, the cost model's calibration and the benches all run them.
 #pragma once
 
 #include <cstdint>
@@ -137,15 +139,15 @@ struct AggOut {
 };
 
 /// Aggregates ALL `inputs` in a single pass over the selection bitmap.
-/// Empty selections return zeroed results (min/max = 0), matching
-/// aggregate_selected. `tier` decodes packed inputs: the host's by
-/// default, or kScalar, the reference on any host.
+/// Empty selections return zeroed results (count, sum, min and max all
+/// 0). `tier` decodes packed inputs: the host's by default, or kScalar,
+/// the reference on any host.
 [[nodiscard]] std::vector<AggOut> multi_aggregate(
     std::span<const AggInput> inputs, const BitVector& selection,
     PackedTier tier = packed_tier());
 
-/// Morsel-parallel multi_aggregate: per-chunk partials over 64-aligned
-/// morsels, merged in chunk order (the E4-partitioned scheme).
+/// Morsel-parallel multi_aggregate: per-chunk partials over chunk_grain
+/// chunks, merged in chunk order (the E4-partitioned scheme).
 [[nodiscard]] std::vector<AggOut> parallel_multi_aggregate(
     sched::ThreadPool& pool, std::span<const AggInput> inputs,
     const BitVector& selection, std::size_t morsel_rows = kDefaultMorselRows);
@@ -174,8 +176,9 @@ struct GroupedAggs {
 
 /// Grouped aggregation of ALL `inputs` in one pass: per selected row the
 /// group slot is computed once and every input's accumulator is updated.
-/// Dense-array strategy when the key domain is small, hash otherwise
-/// (same policy as group_aggregate).
+/// `strategy` kAuto takes the dense array when the key domain spans at
+/// most kDenseDomainLimit slots and hashes otherwise; kDenseArray throws
+/// on a larger domain. Groups with no selected row are not emitted.
 [[nodiscard]] GroupedAggs grouped_multi_aggregate(
     std::span<const std::int64_t> keys, std::span<const AggInput> inputs,
     const BitVector& selection, KeyRange range = {},

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "exec/aggregate.hpp"
+#include "exec/vector_agg.hpp"
 #include "util/assert.hpp"
 #include "util/clock.hpp"
 #include "util/rng.hpp"
@@ -345,30 +345,34 @@ CostModel CostModel::calibrate(std::size_t sample_rows) {
     exec::scan_bitmap_scalar(data, 0, 4999, bitmap);
   });
 
-  // Aggregation over a 50%-selective bitmap (the executor's actual path:
-  // word-walking the selection), and dense grouped aggregation.
+  // Aggregation over a 50%-selective bitmap, and dense and hash grouped
+  // aggregation, through the single-pass kernels queries run; the key
+  // range is known, as the executor reads it from the column statistics.
   std::vector<std::int64_t> values64(sample_rows);
   for (std::size_t i = 0; i < sample_rows; ++i) values64[i] = data[i];
+  const std::vector<exec::AggInput> inputs = {
+      exec::AggInput::from(std::span<const std::int64_t>(values64))};
   exec::scan_bitmap_scalar(data, 0, 4999, bitmap);
   // measure_cycles_per_tuple divides by all rows, but only ~50% are
   // selected and the model charges per *selected* tuple: scale by 2.
   costs.agg_per_tuple =
       2.0 * measure_cycles_per_tuple(sample_rows, kRefGhz, [&] {
-        (void)exec::aggregate_selected(values64, bitmap);
+        (void)exec::multi_aggregate(inputs, bitmap);
       });
   std::vector<std::int64_t> keys(sample_rows);
   for (std::size_t i = 0; i < sample_rows; ++i) keys[i] = data[i] & 1023;
   BitVector all(sample_rows);
   all.set_all();
+  const exec::KeyRange range{true, 0, 1023, 1024};
   costs.group_dense_per_tuple =
       measure_cycles_per_tuple(sample_rows, kRefGhz, [&] {
-        (void)exec::group_aggregate(keys, values64, all,
-                                    exec::GroupStrategy::kDenseArray);
+        (void)exec::grouped_multi_aggregate(keys, inputs, all, range,
+                                            exec::GroupStrategy::kDenseArray);
       });
   costs.group_hash_per_tuple =
       measure_cycles_per_tuple(sample_rows, kRefGhz, [&] {
-        (void)exec::group_aggregate(keys, values64, all,
-                                    exec::GroupStrategy::kHash);
+        (void)exec::grouped_multi_aggregate(keys, inputs, all, range,
+                                            exec::GroupStrategy::kHash);
       });
 
   return CostModel(costs);

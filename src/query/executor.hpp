@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "exec/parallel.hpp"
 #include "query/plan.hpp"
 #include "query/result.hpp"
 #include "sched/governor.hpp"
@@ -65,8 +66,8 @@ struct ExecOptions {
   std::size_t zone_block_rows = 4096;
   /// Optional tier manager: cold-column accesses are charged (E6).
   storage::TierManager* tiers = nullptr;
-  /// Optional worker pool: predicate scans and grouped/multi aggregation
-  /// run morsel-parallel across it.
+  /// Optional worker pool: every operator, predicate scans included,
+  /// fans out across it through ThreadPool::parallel_for.
   sched::ThreadPool* pool = nullptr;
   /// Order conjunctive predicates most-selective-first and evaluate later
   /// predicates with masked kernels that skip dead 64-row blocks.
@@ -79,24 +80,17 @@ struct ExecOptions {
   /// gathers, expression evaluation) transparently fall back to plain
   /// either way.
   bool use_encodings = true;
-  /// Minimum selected rows before aggregation goes morsel-parallel on
-  /// `pool` (below this the dispatch overhead dominates).
-  std::size_t parallel_agg_min_rows = 1u << 18;
+  /// Minimum rows an operator's pass covers before it fans out on `pool`
+  /// (selected rows for aggregation, join filter passes and the join
+  /// probe, keys for sort and top-k, emitted rows for projection); below
+  /// it the pass runs serially, as dispatch overhead would dominate. The
+  /// default is the smallest chunk exec::chunk_grain ever cuts.
+  std::size_t parallel_min_rows = exec::kDefaultMorselRows;
   /// Join implementation (see JoinPath).
   JoinPath join_path = JoinPath::kAuto;
   /// Cost model consulted by the physical planner for the join-arm
   /// decision (dense / hash / radix); nullptr uses the library defaults.
   const opt::CostModel* cost_model = nullptr;
-  /// Minimum selected probe rows before the join probe goes
-  /// morsel-parallel on `pool`.
-  std::size_t parallel_join_min_rows = 1u << 18;
-  /// Minimum keys before the sort / top-k kernels go morsel-parallel on
-  /// `pool` (per-chunk sort or heap top-k, then merge — bit-identical to
-  /// the serial order for every thread count).
-  std::size_t parallel_sort_min_rows = 1u << 16;
-  /// Minimum emitted rows before projection materialization and the join
-  /// projection sinks go morsel-parallel on `pool`.
-  std::size_t parallel_project_min_rows = 1u << 16;
   /// Plan governor: when set, compile_plan estimates the query's work via
   /// the cost model and sched::Governor::decide picks its P-state at the
   /// core grant, recording the decision in PhysicalPlan::governor /

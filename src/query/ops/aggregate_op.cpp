@@ -70,7 +70,7 @@ QueryResult aggregate_rows(
   ExecStats& stats = ctx.stats;
   const std::uint64_t selected = selection.count();
   const bool parallel = options.pool != nullptr &&
-                        selected >= options.parallel_agg_min_rows;
+                        selected >= options.parallel_min_rows;
 
   // ---- Resolve AggSpecs to shared inputs: each distinct column (or
   // expression) becomes ONE kernel input, read exactly once, and is

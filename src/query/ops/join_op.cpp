@@ -408,8 +408,7 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
     any_filter = true;
     stats.work.cpu_cycles += kJoinFilterCyclesPerTuple *
                              static_cast<double>(st.build_rows + live_rows);
-    if (options.pool == nullptr ||
-        live_rows < options.parallel_join_min_rows) {
+    if (options.pool == nullptr || live_rows < options.parallel_min_rows) {
       live_rows = filter.apply(st.source_keys, filtered, 0,
                                filtered.word_count());
       continue;
@@ -561,7 +560,7 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
   }
 
   const bool parallel = options.pool != nullptr &&
-                        probe_rows >= options.parallel_join_min_rows;
+                        probe_rows >= options.parallel_min_rows;
   const std::size_t sides = n_chain + 1;
 
   // ==== Aggregate sink: exec::JoinAggregator over multi-side row-id
@@ -912,8 +911,7 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
     std::vector<std::uint32_t> perm;
     const std::vector<std::uint32_t>& key_rows = tuples[tuple_side(key.side)];
     sched::ThreadPool* sort_pool =
-        key_rows.size() >= options.parallel_sort_min_rows ? options.pool
-                                                          : nullptr;
+        key_rows.size() >= options.parallel_min_rows ? options.pool : nullptr;
     const auto gather_keys = [&](auto& keys, const auto& key_at) {
       keys.resize(key_rows.size());
       if (sort_pool != nullptr) {
@@ -957,8 +955,7 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
       if (c.col->type() == TypeId::kString)
         ctx.charge_dict_gather(*c.tbl, *c.col, perm.size());
     }
-    if (options.pool != nullptr &&
-        perm.size() >= options.parallel_project_min_rows) {
+    if (options.pool != nullptr && perm.size() >= options.parallel_min_rows) {
       std::vector<std::vector<storage::Value>> rows(perm.size());
       options.pool->parallel_for(perm.size(), exec::kDefaultMorselRows,
                                  [&](std::size_t begin, std::size_t end) {

@@ -52,7 +52,7 @@ QueryResult run_projection(OpContext& ctx, const PhysicalPlan& phys,
     return row;
   };
   if (ctx.options.pool != nullptr &&
-      order.size() >= ctx.options.parallel_project_min_rows) {
+      order.size() >= ctx.options.parallel_min_rows) {
     // Morsel-parallel gather into position-addressed slots; emit order is
     // fixed by `order`, so the result is identical to the serial loop.
     std::vector<std::vector<storage::Value>> rows(order.size());

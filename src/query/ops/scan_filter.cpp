@@ -17,21 +17,6 @@ using storage::TypeId;
 
 namespace {
 
-/// Integer predicate bounds rewritten into a packed image's reference-
-/// shifted domain. Precondition: [lo, hi] overlaps the column's
-/// [min, max] (prune_with_stats resolved disjoint/covering predicates),
-/// so hi >= reference and the unsigned shift is exact.
-struct PackedBounds {
-  std::uint64_t lo;
-  std::uint64_t hi;
-};
-PackedBounds packed_bounds(const storage::EncodedSegment& seg,
-                           std::int64_t lo, std::int64_t hi) {
-  const auto ref = static_cast<std::uint64_t>(seg.reference);
-  return {lo <= seg.reference ? 0 : static_cast<std::uint64_t>(lo) - ref,
-          static_cast<std::uint64_t>(hi) - ref};
-}
-
 /// Saturates a bound into the int32 kernels' domain.
 std::int32_t clamp32(std::int64_t v) {
   return static_cast<std::int32_t>(
@@ -39,23 +24,20 @@ std::int32_t clamp32(std::int64_t v) {
                                std::numeric_limits<std::int32_t>::max()));
 }
 
-/// Stats-based pre-scan pruning: returns true when the predicate was
-/// fully resolved from [min, max] alone (all rows match, or none do —
-/// `selection` already updated, nothing scanned or charged).
-bool prune_with_stats(const Column& column, const BoundRange& r,
-                      BitVector& selection) {
-  const storage::ColumnStats& s = column.stats();
-  if (s.rows == 0) return false;
-  const bool all = r.is_double ? (r.dlo <= s.dmin && r.dhi >= s.dmax)
-                               : (r.lo <= s.min && r.hi >= s.max);
-  if (all) return true;  // every row matches: selection unchanged, no scan
-  const bool none = r.is_double ? (r.dhi < s.dmin || r.dlo > s.dmax)
-                                : (r.hi < s.min || r.lo > s.max);
-  if (none) {
-    selection.clear_all();
-    return true;
+/// True when the cached statistics alone decided the predicate
+/// (`selection` already updated; nothing to scan or charge).
+bool resolved_by_stats(const Column& column, const BoundRange& r,
+                       BitVector& selection) {
+  switch (prune_with_stats(column, r)) {
+    case Prune::kScan:
+      return false;
+    case Prune::kNone:
+      selection.clear_all();
+      break;
+    case Prune::kAll:
+      break;  // every row matches: selection unchanged
   }
-  return false;
+  return true;
 }
 
 void apply_predicate(OpContext& ctx, const Table& table, const Predicate& p,
@@ -70,7 +52,7 @@ void apply_predicate(OpContext& ctx, const Table& table, const Predicate& p,
   }
   // Cached-statistics pruning: a predicate the [min, max] range already
   // decides never touches the data (zone-map logic at table granularity).
-  if (prune_with_stats(column, r, selection)) return;
+  if (resolved_by_stats(column, r, selection)) return;
 
   const std::size_t n = column.size();
   if (n == 0) return;
@@ -172,7 +154,7 @@ void apply_predicate_masked(OpContext& ctx, const Table& table,
     selection.clear_all();
     return;
   }
-  if (prune_with_stats(column, r, selection)) return;
+  if (resolved_by_stats(column, r, selection)) return;
 
   const bool packed = !r.is_double && use_packed(column, options);
   exec::MaskedScanStats ms;
@@ -272,17 +254,13 @@ bool use_packed(const Column& column, const ExecOptions& options) {
          column.scan_byte_size() <= column.byte_size();
 }
 
-BitVector evaluate_predicates(OpContext& ctx, const Table& table,
-                              const std::vector<Predicate>& preds) {
-  BitVector selection(table.row_count());
-  selection.set_all();
-
-  // Most-selective-first ordering: the first conjunct kills the most rows,
-  // so the masked scans that follow skip the most blocks.
+std::vector<const Predicate*> ordered_predicates(
+    const Table& table, const std::vector<Predicate>& preds,
+    const ExecOptions& options) {
   std::vector<const Predicate*> ordered;
   ordered.reserve(preds.size());
   for (const Predicate& p : preds) ordered.push_back(&p);
-  if (ctx.options.order_predicates && ordered.size() > 1) {
+  if (options.order_predicates && ordered.size() > 1) {
     std::vector<double> sel(ordered.size());
     for (std::size_t i = 0; i < ordered.size(); ++i)
       sel[i] = estimate_predicate_selectivity(
@@ -293,6 +271,36 @@ BitVector evaluate_predicates(OpContext& ctx, const Table& table,
                               sel[static_cast<std::size_t>(b - preds.data())];
                      });
   }
+  return ordered;
+}
+
+Prune prune_with_stats(const Column& column, const BoundRange& r) {
+  const storage::ColumnStats& s = column.stats();
+  if (s.rows == 0) return Prune::kScan;
+  const bool all = r.is_double ? (r.dlo <= s.dmin && r.dhi >= s.dmax)
+                               : (r.lo <= s.min && r.hi >= s.max);
+  if (all) return Prune::kAll;
+  const bool none = r.is_double ? (r.dhi < s.dmin || r.dlo > s.dmax)
+                                : (r.hi < s.min || r.lo > s.max);
+  return none ? Prune::kNone : Prune::kScan;
+}
+
+PackedBounds packed_bounds(const storage::EncodedSegment& seg,
+                           std::int64_t lo, std::int64_t hi) {
+  const auto ref = static_cast<std::uint64_t>(seg.reference);
+  return {lo <= seg.reference ? 0 : static_cast<std::uint64_t>(lo) - ref,
+          static_cast<std::uint64_t>(hi) - ref};
+}
+
+BitVector evaluate_predicates(OpContext& ctx, const Table& table,
+                              const std::vector<Predicate>& preds) {
+  BitVector selection(table.row_count());
+  selection.set_all();
+
+  // Most-selective-first ordering: the first conjunct kills the most rows,
+  // so the masked scans that follow skip the most blocks.
+  const std::vector<const Predicate*> ordered =
+      ordered_predicates(table, preds, ctx.options);
 
   // Masked (selection-aware) evaluation skips dead blocks; the zone-map
   // path keeps per-predicate candidate-range scans.

@@ -40,6 +40,31 @@ struct BoundRange {
 [[nodiscard]] bool use_packed(const storage::Column& column,
                               const ExecOptions& options);
 
+/// `predicates` in evaluation order: most-selective-first by
+/// estimate_predicate_selectivity (stable) when options.order_predicates
+/// is set, declaration order otherwise.
+[[nodiscard]] std::vector<const Predicate*> ordered_predicates(
+    const storage::Table& table, const std::vector<Predicate>& predicates,
+    const ExecOptions& options);
+
+/// Stats-based pre-scan pruning of one bound predicate from the column's
+/// cached [min, max]: kAll (every row matches; nothing scanned or
+/// charged), kNone (no row matches) or kScan (evaluate it).
+enum class Prune : std::uint8_t { kScan, kAll, kNone };
+[[nodiscard]] Prune prune_with_stats(const storage::Column& column,
+                                     const BoundRange& r);
+
+/// Integer predicate bounds rewritten into a packed image's reference-
+/// shifted domain. Precondition: [lo, hi] overlaps the column's
+/// [min, max] (prune_with_stats returned kScan), so hi >= reference and
+/// the unsigned shift is exact.
+struct PackedBounds {
+  std::uint64_t lo;
+  std::uint64_t hi;
+};
+[[nodiscard]] PackedBounds packed_bounds(const storage::EncodedSegment& seg,
+                                         std::int64_t lo, std::int64_t hi);
+
 /// Evaluates the conjunction of `predicates` over `table` into a selection
 /// bitmap, ordering conjuncts most-selective-first and running later ones
 /// through masked kernels (see docs/executor_pipeline.md). Charges each

@@ -48,8 +48,7 @@ std::vector<std::uint32_t> order_row_ids(OpContext& ctx, const Table& table,
   // The parallel kernels order by (key, row id) — a total order — so the
   // result is bit-identical to the serial sort at any thread count.
   sched::ThreadPool* pool =
-      selected >= ctx.options.parallel_sort_min_rows ? ctx.options.pool
-                                                     : nullptr;
+      selected >= ctx.options.parallel_min_rows ? ctx.options.pool : nullptr;
 
   if (key.type() == TypeId::kDouble) {
     ctx.charge_column(table, key, false);

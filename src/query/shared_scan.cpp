@@ -47,22 +47,6 @@ double streamed_bytes(const Column& col, const ExecOptions& options) {
   return static_cast<double>(packed ? col.scan_byte_size() : col.byte_size());
 }
 
-/// Replicates scan_filter's stats-based pruning: kAll (selection
-/// untouched, conjunct dropped), kNone (selection cleared, member done),
-/// kScan (evaluate it).
-enum class Prune : std::uint8_t { kScan, kAll, kNone };
-
-Prune prune_with_stats(const Column& col, const ops::BoundRange& r) {
-  const storage::ColumnStats& s = col.stats();
-  if (s.rows == 0) return Prune::kScan;
-  const bool all = r.is_double ? (r.dlo <= s.dmin && r.dhi >= s.dmax)
-                               : (r.lo <= s.min && r.hi >= s.max);
-  if (all) return Prune::kAll;
-  const bool none = r.is_double ? (r.dhi < s.dmin || r.dlo > s.dmax)
-                                : (r.hi < s.min || r.lo > s.max);
-  return none ? Prune::kNone : Prune::kScan;
-}
-
 /// One member's fused-pass preparation: bound conjuncts, the columns they
 /// stream, and the selection bitmap the pass fills.
 struct MemberPrep {
@@ -83,43 +67,21 @@ MemberPrep prepare_member(const Table& table, const PhysicalPlan& phys,
   prep.selection = BitVector(rows);
   prep.selection.set_all();
 
-  std::vector<const Predicate*> ordered;
-  ordered.reserve(phys.logical.predicates.size());
-  for (const Predicate& p : phys.logical.predicates) ordered.push_back(&p);
-  if (options.order_predicates && ordered.size() > 1) {
-    std::vector<double> sel(ordered.size());
-    const Predicate* base = phys.logical.predicates.data();
-    for (std::size_t i = 0; i < ordered.size(); ++i)
-      sel[i] = ops::estimate_predicate_selectivity(
-          table.column(ordered[i]->column), *ordered[i]);
-    std::stable_sort(ordered.begin(), ordered.end(),
-                     [&](const Predicate* a, const Predicate* b) {
-                       return sel[static_cast<std::size_t>(a - base)] <
-                              sel[static_cast<std::size_t>(b - base)];
-                     });
-  }
-
+  const std::vector<const Predicate*> ordered =
+      ops::ordered_predicates(table, phys.logical.predicates, options);
   for (const Predicate* p : ordered) {
     const Column& col = table.column(p->column);
     const ops::BoundRange r = ops::bind_predicate(col, *p);
-    if (r.empty) {
+    const ops::Prune prune =
+        r.empty ? ops::Prune::kNone : ops::prune_with_stats(col, r);
+    if (prune == ops::Prune::kNone) {
       prep.selection.clear_all();
       prep.conjuncts.clear();
       prep.scanned.clear();
       return prep;
     }
-    switch (prune_with_stats(col, r)) {
-      case Prune::kAll:
-        continue;  // every row matches: nothing scanned or charged
-      case Prune::kNone:
-        prep.selection.clear_all();
-        prep.conjuncts.clear();
-        prep.scanned.clear();
-        return prep;
-      case Prune::kScan:
-        break;
-    }
-    if (col.size() == 0) continue;
+    // kAll: every row matches, nothing scanned or charged.
+    if (prune == ops::Prune::kAll || col.size() == 0) continue;
 
     exec::SharedConjunct c;
     const bool packed = !r.is_double && ops::use_packed(col, options);
@@ -128,14 +90,9 @@ MemberPrep prepare_member(const Table& table, const PhysicalPlan& phys,
       c.kind = exec::SharedConjunct::Kind::kPacked;
       c.packed = seg.words;
       c.packed_bits = seg.bits;
-      // Reference-shift into the image's unsigned domain (same
-      // precondition as scan_filter: pruning resolved disjoint ranges,
-      // so hi >= reference and the shift is exact).
-      const auto ref = static_cast<std::uint64_t>(seg.reference);
-      c.ulo = r.lo <= seg.reference
-                  ? 0
-                  : static_cast<std::uint64_t>(r.lo) - ref;
-      c.uhi = static_cast<std::uint64_t>(r.hi) - ref;
+      const ops::PackedBounds pb = ops::packed_bounds(seg, r.lo, r.hi);
+      c.ulo = pb.lo;
+      c.uhi = pb.hi;
     } else if (r.is_double) {
       c.kind = exec::SharedConjunct::Kind::kDouble;
       c.f64 = col.double_data();
@@ -271,19 +228,10 @@ void execute_shared_group(const storage::Catalog& catalog,
     }
   }
 
-  // Fan-out cap: the widest member core grant (0 = whole pool) — one
-  // query's worth of workers, not one per member; the group occupies a
-  // single dispatch slot.
-  std::size_t width = 0;
-  for (const SharedBatchMember& m : members)
-    if (m.phys->governor.enabled)
-      width = std::max(width, static_cast<std::size_t>(
-                                  std::max(1, m.phys->governor.cores)));
-
   exec::SharedScanStats fstats;
   Stopwatch fused_sw;
   if (!fused.empty())
-    exec::shared_scan(rows, fused, lead_options.pool, width, fstats);
+    exec::shared_scan(rows, fused, lead_options.pool, fstats);
   const double fused_s = fused_sw.elapsed_seconds();
 
   // Phase 2: each member's pipeline over its preset selection (the preset

@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "agg_reference.hpp"
 #include "exec/scan_kernels.hpp"
 #include "util/rng.hpp"
 
@@ -20,7 +21,7 @@ TEST(Fused, FilterAggregateMatchesPipeline) {
 
   BitVector sel(keys.size());
   scan_bitmap_best64(keys, 100, 399, sel);
-  const AggResult pipeline = aggregate_selected(values, sel);
+  const AggResult pipeline = reference_aggregate(values, sel);
 
   EXPECT_EQ(fused.count, pipeline.count);
   EXPECT_EQ(fused.sum, pipeline.sum);

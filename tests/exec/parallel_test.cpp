@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
+#include <stdexcept>
 #include <vector>
 
 #include "exec/scan_kernels.hpp"
+#include "storage/bitpack.hpp"
 #include "util/rng.hpp"
 
 namespace eidb::exec {
@@ -49,77 +53,96 @@ TEST(ParallelScan, UnalignedMorselSizeIsAligned) {
   EXPECT_EQ(parallel, serial);
 }
 
-TEST(ParallelAggregate, MatchesSerial) {
+TEST(ParallelScan, PackedMatchesSerialKernel) {
   sched::ThreadPool pool(4);
-  const auto v = random_i64(500000, 5);
-  BitVector sel(v.size());
-  Pcg32 rng(6);
-  for (std::size_t i = 0; i < sel.size(); ++i)
-    if (rng.next_double() < 0.4) sel.set(i);
-
-  const AggResult serial = aggregate_selected(v, sel);
-  const AggResult parallel = parallel_aggregate(pool, v, sel, 64 * 512);
-  EXPECT_EQ(parallel.count, serial.count);
-  EXPECT_EQ(parallel.sum, serial.sum);
-  EXPECT_EQ(parallel.min, serial.min);
-  EXPECT_EQ(parallel.max, serial.max);
-}
-
-TEST(ParallelAggregate, EmptySelection) {
-  sched::ThreadPool pool(2);
-  const auto v = random_i64(1000, 7);
-  const BitVector sel(v.size());
-  const AggResult r = parallel_aggregate(pool, v, sel);
-  EXPECT_EQ(r.count, 0u);
-}
-
-TEST(ParallelGroupAggregate, MatchesSerial) {
-  sched::ThreadPool pool(4);
-  Pcg32 rng(11);
-  std::vector<std::int64_t> keys(300000), vals(300000);
-  for (auto& k : keys) k = rng.next_bounded(500);
-  for (auto& x : vals) x = rng.next_in_range(-100, 100);
-  BitVector sel(keys.size());
-  for (std::size_t i = 0; i < sel.size(); ++i)
-    if (rng.next_double() < 0.6) sel.set(i);
-
-  const auto serial = group_aggregate(keys, vals, sel);
-  const auto parallel = parallel_group_aggregate(pool, keys, vals, sel);
-  ASSERT_EQ(parallel.size(), serial.size());
-  for (std::size_t g = 0; g < serial.size(); ++g) {
-    EXPECT_EQ(parallel[g].key, serial[g].key);
-    EXPECT_EQ(parallel[g].agg.count, serial[g].agg.count);
-    EXPECT_EQ(parallel[g].agg.sum, serial[g].agg.sum);
-    EXPECT_EQ(parallel[g].agg.min, serial[g].agg.min);
-    EXPECT_EQ(parallel[g].agg.max, serial[g].agg.max);
+  Pcg32 rng(15);
+  for (const unsigned bits : {1u, 7u, 17u, 33u}) {
+    for (const std::size_t n : {std::size_t{0}, std::size_t{64},
+                                std::size_t{1000}, std::size_t{300001}}) {
+      const std::uint64_t mask = (std::uint64_t{1} << bits) - 1;
+      std::vector<std::uint64_t> raw(n);
+      for (auto& x : raw) x = rng.next64() & mask;
+      const std::vector<std::uint64_t> packed = storage::bitpack(raw, bits);
+      const std::uint64_t lo = mask / 4;
+      const std::uint64_t hi = mask / 2;
+      BitVector parallel(n), serial(n);
+      parallel_scan_packed_bitmap(pool, packed, bits, n, lo, hi, parallel,
+                                  64 * 100);
+      scan_packed_bitmap(packed, bits, n, lo, hi, serial);
+      EXPECT_EQ(parallel, serial) << "bits=" << bits << " n=" << n;
+    }
   }
 }
 
-TEST(ParallelGroupAggregate, SingleMorselDegenerate) {
-  sched::ThreadPool pool(4);
-  const std::vector<std::int64_t> keys = {1, 2, 1};
-  const std::vector<std::int64_t> vals = {10, 20, 30};
-  BitVector sel(3);
-  sel.set_all();
-  const auto rows = parallel_group_aggregate(pool, keys, vals, sel);
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0].agg.sum, 40);
+/// The three parallel scans over the same rows, each writing its own
+/// bitmap, with the serial kernels' answers to compare against.
+struct ScanInputs {
+  static constexpr std::size_t n = std::size_t{1} << 18;  // four chunks
+  static constexpr unsigned bits = 17;
+  ScanInputs() : v64(random_i64(n, 21)), v32(v64.begin(), v64.end()) {
+    const std::vector<std::uint64_t> raw(v64.begin(), v64.end());
+    packed = storage::bitpack(raw, bits);
+    want64 = BitVector(n);
+    want32 = BitVector(n);
+    want_packed = BitVector(n);
+    scan_bitmap_best64(v64, 1000, 50000, want64);
+    scan_bitmap_best(v32, 1000, 50000, want32);
+    scan_packed_bitmap(packed, bits, n, 1000, 50000, want_packed);
+  }
+
+  /// Runs scan `which` (0: int64, 1: int32, 2: packed) on `pool`.
+  [[nodiscard]] BitVector run(sched::ThreadPool& pool, int which) const {
+    BitVector out(n);
+    if (which == 0)
+      parallel_scan_bitmap64(pool, v64, 1000, 50000, out);
+    else if (which == 1)
+      parallel_scan_bitmap32(pool, v32, 1000, 50000, out);
+    else
+      parallel_scan_packed_bitmap(pool, packed, bits, n, 1000, 50000, out);
+    return out;
+  }
+  [[nodiscard]] const BitVector& want(int which) const {
+    return which == 0 ? want64 : which == 1 ? want32 : want_packed;
+  }
+
+  std::vector<std::int64_t> v64;
+  std::vector<std::int32_t> v32;
+  std::vector<std::uint64_t> packed;
+  BitVector want64, want32, want_packed;
+};
+
+// A scan drains its own chunks on the calling thread and the free worker;
+// it never waits for another task on the shared pool.
+TEST(ParallelScan, CompletesWhileAnotherTaskHoldsAWorker) {
+  const ScanInputs in;
+  sched::ThreadPool pool(2);
+  for (int which = 0; which < 3; ++which) {
+    std::promise<void> release;
+    std::shared_future<void> gate = release.get_future().share();
+    pool.submit([gate] { gate.wait(); });
+    auto scan = std::async(std::launch::async,
+                           [&in, &pool, which] { return in.run(pool, which); });
+    const bool finished = scan.wait_for(std::chrono::seconds(5)) ==
+                          std::future_status::ready;
+    release.set_value();
+    const BitVector got = scan.get();
+    pool.wait_idle();
+    EXPECT_TRUE(finished) << "scan " << which << " waited for the blocker";
+    EXPECT_EQ(got, in.want(which)) << "scan " << which;
+  }
 }
 
-// Repeated runs are deterministic despite thread scheduling (merge is
-// key-ordered).
-TEST(ParallelGroupAggregate, DeterministicAcrossRuns) {
-  sched::ThreadPool pool(4);
-  const auto keys = random_i64(100000, 13);
-  const auto vals = random_i64(100000, 14);
-  BitVector sel(keys.size());
-  sel.set_all();
-  const auto a = parallel_group_aggregate(pool, keys, vals, sel);
-  const auto b = parallel_group_aggregate(pool, keys, vals, sel);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].key, b[i].key);
-    EXPECT_EQ(a[i].agg.sum, b[i].agg.sum);
+// A scan rethrows only its own chunks' errors: an unrelated task's
+// exception stays with the pool for the next wait_idle().
+TEST(ParallelScan, DoesNotRethrowAnUnrelatedTaskError) {
+  const ScanInputs in;
+  for (int which = 0; which < 3; ++which) {
+    sched::ThreadPool pool(1);
+    pool.submit([] { throw std::runtime_error("unrelated task"); });
+    BitVector got;
+    EXPECT_NO_THROW(got = in.run(pool, which)) << "scan " << which;
+    EXPECT_EQ(got, in.want(which)) << "scan " << which;
+    EXPECT_THROW(pool.wait_idle(), std::runtime_error) << "scan " << which;
   }
 }
 

@@ -52,19 +52,6 @@ TEST(RadixJoin, RespectsSelections) {
               hash_join(build, bsel, probe, psel));
 }
 
-TEST(RadixJoin, ParallelPoolMatchesSerial) {
-  Pcg32 rng(7);
-  std::vector<std::int64_t> build(8000), probe(30000);
-  for (auto& k : build) k = rng.next_bounded(5000);
-  for (auto& k : probe) k = rng.next_bounded(5000);
-  sched::ThreadPool pool(4);
-  const auto serial = radix_hash_join(build, all_set(build.size()), probe,
-                                      all_set(probe.size()), 5, nullptr);
-  const auto parallel = radix_hash_join(build, all_set(build.size()), probe,
-                                        all_set(probe.size()), 5, &pool);
-  expect_same(parallel, serial);
-}
-
 TEST(RadixJoin, SkewedKeysStillCorrect) {
   // 90% of probes hit one hot key: hash-based partitioning keeps it in a
   // single partition, correctness must hold regardless.

@@ -22,6 +22,7 @@
 #include "exec/vector_agg.hpp"
 #include "storage/bitpack.hpp"
 #include "util/rng.hpp"
+#include "agg_reference.hpp"
 #include "guarded_image.hpp"
 
 namespace eidb::exec {
@@ -129,15 +130,8 @@ struct Columns {
   BitVector selection;
 };
 
-template <typename R, typename V>
-void fold_ref(R& r, V v) {
-  r.min = r.count == 0 ? v : std::min(r.min, v);
-  r.max = r.count == 0 ? v : std::max(r.max, v);
-  r.sum += v;
-  ++r.count;
-}
-
-/// The scalar reference: one group per key, rows in row order.
+/// The scalar reference (agg_reference.hpp's fold): one group per key,
+/// rows in row order.
 struct RefGroup {
   AggResult i[3];
   AggResultD d;

@@ -1,7 +1,8 @@
 // Scalar-reference parity for the single-pass vectorized aggregation
 // kernels: every multi_aggregate / grouped_multi_aggregate result must
-// match the one-pass-per-column reference kernels bit-for-bit on integer
-// data and within FP tolerance on doubles (block summation re-associates).
+// match the row-at-a-time reference (agg_reference.hpp) bit-for-bit on
+// integer data and within FP tolerance on doubles (block summation
+// re-associates).
 #include "exec/vector_agg.hpp"
 
 #include <gtest/gtest.h>
@@ -12,8 +13,10 @@
 #include <utility>
 #include <vector>
 
+#include "agg_reference.hpp"
 #include "exec/fused.hpp"
 #include "exec/scan_kernels.hpp"
+#include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace eidb::exec {
@@ -66,10 +69,9 @@ TEST(MultiAggregate, MatchesSingleColumnReference) {
                                         AggInput::from(std::span(t.f64))};
   const auto outs = multi_aggregate(inputs, t.selection);
   ASSERT_EQ(outs.size(), 3u);
-  expect_agg_eq(aggregate_selected(std::span(t.i32), t.selection), outs[0].i);
-  expect_agg_eq(aggregate_selected(std::span(t.i64), t.selection), outs[1].i);
-  expect_agg_near(aggregate_selected(std::span(t.f64), t.selection),
-                  outs[2].d);
+  expect_agg_eq(reference_aggregate(t.i32, t.selection), outs[0].i);
+  expect_agg_eq(reference_aggregate(t.i64, t.selection), outs[1].i);
+  expect_agg_near(reference_aggregate(t.f64, t.selection), outs[2].d);
 }
 
 TEST(MultiAggregate, FullAndEmptySelections) {
@@ -77,14 +79,17 @@ TEST(MultiAggregate, FullAndEmptySelections) {
   t.selection.set_all();  // exercises the branch-free full-word path only
   const std::vector<AggInput> inputs = {AggInput::from(std::span(t.i64))};
   auto outs = multi_aggregate(inputs, t.selection);
-  expect_agg_eq(aggregate_selected(std::span(t.i64), t.selection), outs[0].i);
+  expect_agg_eq(reference_aggregate(t.i64, t.selection), outs[0].i);
 
   t.selection.clear_all();
   outs = multi_aggregate(inputs, t.selection);
   EXPECT_EQ(outs[0].i.count, 0u);
   EXPECT_EQ(outs[0].i.sum, 0);
-  EXPECT_EQ(outs[0].i.min, 0);  // aggregate_selected's empty convention
+  EXPECT_EQ(outs[0].i.min, 0);  // an empty selection reads all zero
   EXPECT_EQ(outs[0].i.max, 0);
+  sched::ThreadPool pool(2);
+  expect_agg_eq(outs[0].i, parallel_multi_aggregate(pool, inputs, t.selection,
+                                                    /*morsel=*/1024)[0].i);
 }
 
 TEST(MultiAggregate, UnalignedTail) {
@@ -92,7 +97,7 @@ TEST(MultiAggregate, UnalignedTail) {
   const TestColumns t = make_columns(1'000 + 17, 0.7, 9);
   const std::vector<AggInput> inputs = {AggInput::from(std::span(t.i32))};
   const auto outs = multi_aggregate(inputs, t.selection);
-  expect_agg_eq(aggregate_selected(std::span(t.i32), t.selection), outs[0].i);
+  expect_agg_eq(reference_aggregate(t.i32, t.selection), outs[0].i);
 }
 
 TEST(MultiAggregate, ParallelMatchesSerial) {
@@ -107,22 +112,49 @@ TEST(MultiAggregate, ParallelMatchesSerial) {
   expect_agg_near(serial[1].d, par[1].d);
 }
 
+TEST(MultiAggregate, SmallExamples) {
+  const std::vector<std::int64_t> ints = {3, -1, 7, 7, 0};
+  const std::vector<double> doubles = {1.5, -0.5, 4.0, 2.0, -3.0};
+  const std::vector<AggInput> inputs = {AggInput::from(std::span(ints)),
+                                        AggInput::from(std::span(doubles))};
+  BitVector sel(ints.size());
+  sel.set_all();
+  auto outs = multi_aggregate(inputs, sel);
+  EXPECT_EQ(outs[0].i.count, 5u);
+  EXPECT_EQ(outs[0].i.sum, 16);
+  EXPECT_EQ(outs[0].i.min, -1);
+  EXPECT_EQ(outs[0].i.max, 7);
+  EXPECT_DOUBLE_EQ(outs[0].i.avg(), 3.2);
+  EXPECT_DOUBLE_EQ(outs[1].d.sum, 4.0);
+  EXPECT_DOUBLE_EQ(outs[1].d.min, -3.0);
+  EXPECT_DOUBLE_EQ(outs[1].d.max, 4.0);
+
+  sel.clear_all();  // rows 1 and 3
+  sel.set(1);
+  sel.set(3);
+  outs = multi_aggregate(inputs, sel);
+  EXPECT_EQ(outs[0].i.count, 2u);
+  EXPECT_EQ(outs[0].i.sum, 6);
+  EXPECT_EQ(outs[0].i.min, -1);
+  EXPECT_EQ(outs[0].i.max, 7);
+  EXPECT_DOUBLE_EQ(outs[1].d.sum, 1.5);
+  EXPECT_DOUBLE_EQ(outs[1].d.avg(), 0.75);
+}
+
 void expect_grouped_matches_reference(const TestColumns& t,
                                       const GroupedAggs& g) {
-  // References: one pass per column via the classic kernels.
-  const auto ref_i64 = group_aggregate(std::span(t.keys64),
-                                       std::span(t.i64), t.selection);
-  const auto ref_i32 = group_aggregate(std::span(t.keys64),
-                                       std::span(t.i32), t.selection);
-  const auto ref_d = group_aggregate_d(std::span(t.keys64),
-                                       std::span(t.f64), t.selection);
+  const auto ref_i64 = reference_group(t.keys64, t.i64, t.selection);
+  const auto ref_i32 = reference_group(t.keys64, t.i32, t.selection);
+  const auto ref_d = reference_group(t.keys64, t.f64, t.selection);
   ASSERT_EQ(g.group_count(), ref_i64.size());
-  for (std::size_t i = 0; i < ref_i64.size(); ++i) {
-    EXPECT_EQ(g.keys[i], ref_i64[i].key);
-    EXPECT_EQ(g.counts[i], ref_i64[i].agg.count);
-    expect_agg_eq(ref_i64[i].agg, g.iout[0][i]);
-    expect_agg_eq(ref_i32[i].agg, g.iout[1][i]);
-    expect_agg_near(ref_d[i].agg, g.dout[2][i]);
+  std::size_t i = 0;
+  for (const auto& [key, want] : ref_i64) {
+    EXPECT_EQ(g.keys[i], key);
+    EXPECT_EQ(g.counts[i], want.count);
+    expect_agg_eq(want, g.iout[0][i]);
+    expect_agg_eq(ref_i32.at(key), g.iout[1][i]);
+    expect_agg_near(ref_d.at(key), g.dout[2][i]);
+    ++i;
   }
 }
 
@@ -225,6 +257,80 @@ TEST(GroupedMultiAggregate, EmptySelectionYieldsNoGroups) {
   EXPECT_EQ(g.group_count(), 0u);
 }
 
+TEST(GroupedMultiAggregate, SmallExampleWithInt32Keys) {
+  const std::vector<std::int32_t> keys = {1, 2, 1, 3, 2, 1};
+  const std::vector<std::int64_t> vals = {10, 20, 30, 40, 50, 60};
+  const std::vector<AggInput> inputs = {AggInput::from(std::span(vals))};
+  BitVector sel(keys.size());
+  sel.set_all();
+  const auto g = grouped_multi_aggregate32(std::span(keys), inputs, sel);
+  ASSERT_EQ(g.group_count(), 3u);
+  EXPECT_EQ(g.keys, (std::vector<std::int64_t>{1, 2, 3}));
+  EXPECT_EQ(g.counts, (std::vector<std::uint64_t>{3, 2, 1}));
+  EXPECT_EQ(g.iout[0][0].sum, 100);
+  EXPECT_EQ(g.iout[0][1].sum, 70);
+  EXPECT_EQ(g.iout[0][2].min, 40);
+  // Far below one chunk: the parallel kernel runs one chunk inline.
+  sched::ThreadPool pool(4);
+  const auto par =
+      parallel_grouped_multi_aggregate32(pool, std::span(keys), inputs, sel);
+  EXPECT_EQ(par.keys, g.keys);
+  EXPECT_EQ(par.counts, g.counts);
+  for (std::size_t i = 0; i < g.group_count(); ++i)
+    expect_agg_eq(g.iout[0][i], par.iout[0][i]);
+}
+
+TEST(GroupedMultiAggregate, NegativeKeysUnderEveryStrategy) {
+  const std::vector<std::int64_t> keys = {-5, -5, 3};
+  const std::vector<std::int64_t> vals = {1, 2, 3};
+  const std::vector<AggInput> inputs = {AggInput::from(std::span(vals))};
+  BitVector sel(keys.size());
+  sel.set_all();
+  for (const GroupStrategy strategy :
+       {GroupStrategy::kAuto, GroupStrategy::kDenseArray,
+        GroupStrategy::kHash}) {
+    const auto g =
+        grouped_multi_aggregate(std::span(keys), inputs, sel, {}, strategy);
+    ASSERT_EQ(g.group_count(), 2u);
+    EXPECT_EQ(g.keys[0], -5);
+    EXPECT_EQ(g.iout[0][0].sum, 3);
+    EXPECT_EQ(g.keys[1], 3);
+    EXPECT_EQ(g.iout[0][1].sum, 3);
+  }
+}
+
+TEST(GroupedMultiAggregate, DenseThrowsOnHugeDomain) {
+  const std::vector<std::int64_t> keys = {0, std::int64_t{1} << 40};
+  const std::vector<std::int64_t> vals = {1, 2};
+  const std::vector<AggInput> inputs = {AggInput::from(std::span(vals))};
+  BitVector sel(keys.size());
+  sel.set_all();
+  EXPECT_THROW((void)grouped_multi_aggregate(std::span(keys), inputs, sel, {},
+                                             GroupStrategy::kDenseArray),
+               Error);
+}
+
+TEST(GroupedMultiAggregate, AutoFallsBackToHashForWideDomains) {
+  // Keys spread over far more than kDenseDomainLimit slots: dense would
+  // throw, auto must hash.
+  Pcg32 rng(9);
+  std::vector<std::int64_t> keys(1000), vals(1000);
+  for (auto& k : keys) k = static_cast<std::int64_t>(rng.next64() >> 8);
+  for (auto& v : vals) v = rng.next_in_range(-50, 50);
+  const std::vector<AggInput> inputs = {AggInput::from(std::span(vals))};
+  BitVector sel(keys.size());
+  sel.set_all();
+  const auto g = grouped_multi_aggregate(std::span(keys), inputs, sel);
+  const auto ref = reference_group(keys, vals, sel);
+  ASSERT_EQ(g.group_count(), ref.size());
+  std::size_t i = 0;
+  for (const auto& [key, want] : ref) {
+    EXPECT_EQ(g.keys[i], key);
+    expect_agg_eq(want, g.iout[0][i]);
+    ++i;
+  }
+}
+
 TEST(GroupedMultiAggregate, ParallelMatchesSerial) {
   const TestColumns t = make_columns(200'000, 0.5, 26, /*key_domain=*/100);
   const auto serial = grouped_multi_aggregate(std::span(t.keys64),
@@ -245,50 +351,6 @@ TEST(GroupedMultiAggregate, ParallelMatchesSerial) {
     expect_agg_eq(serial.iout[1][i], par32.iout[1][i]);
     expect_agg_near(serial.dout[2][i], par.dout[2][i]);
   }
-}
-
-TEST(Int32ValueOverloads, GroupAggregateMatchesWidened) {
-  const TestColumns t = make_columns(5'000, 0.5, 27, /*key_domain=*/20);
-  std::vector<std::int64_t> widened(t.i32.begin(), t.i32.end());
-  const auto want = group_aggregate(std::span(t.keys64), std::span(widened),
-                                    t.selection);
-  const auto got = group_aggregate(std::span(t.keys64), std::span(t.i32),
-                                   t.selection);
-  const auto got32 = group_aggregate32(std::span(t.keys32),
-                                       std::span(t.i32), t.selection);
-  ASSERT_EQ(want.size(), got.size());
-  ASSERT_EQ(want.size(), got32.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(want[i].key, got[i].key);
-    expect_agg_eq(want[i].agg, got[i].agg);
-    expect_agg_eq(want[i].agg, got32[i].agg);
-  }
-}
-
-TEST(Int32ValueOverloads, ParallelGroupAggregateMatchesWidened) {
-  const TestColumns t = make_columns(50'000, 0.4, 28, /*key_domain=*/32);
-  std::vector<std::int64_t> widened(t.i32.begin(), t.i32.end());
-  sched::ThreadPool pool(4);
-  const auto want = parallel_group_aggregate(
-      pool, std::span(t.keys64), std::span(widened), t.selection, 4096);
-  const auto got = parallel_group_aggregate(
-      pool, std::span(t.keys64), std::span(t.i32), t.selection, 4096);
-  const auto got32 = parallel_group_aggregate32(
-      pool, std::span(t.keys32), std::span(t.i32), t.selection, 4096);
-  ASSERT_EQ(want.size(), got.size());
-  ASSERT_EQ(want.size(), got32.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(want[i].key, got[i].key);
-    expect_agg_eq(want[i].agg, got[i].agg);
-    expect_agg_eq(want[i].agg, got32[i].agg);
-  }
-}
-
-TEST(Int32ValueOverloads, AggregateSelectedMatchesWidened) {
-  const TestColumns t = make_columns(5'000, 0.5, 29);
-  std::vector<std::int64_t> widened(t.i32.begin(), t.i32.end());
-  expect_agg_eq(aggregate_selected(std::span(widened), t.selection),
-                aggregate_selected(std::span(t.i32), t.selection));
 }
 
 TEST(MaskedScans, Int32AndDoubleMatchUnmaskedConjunction) {

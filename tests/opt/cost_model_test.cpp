@@ -85,6 +85,10 @@ TEST(CostModel, CalibrationProducesUsableConstants) {
   EXPECT_GT(c.predicated, 0.0);
   EXPECT_GT(c.branch_base, 0.0);
   EXPECT_GT(c.branch_miss_penalty, 0.0);
+  // The aggregation constants time the kernels queries run.
+  EXPECT_GT(c.agg_per_tuple, 0.0);
+  EXPECT_GT(c.group_dense_per_tuple, 0.0);
+  EXPECT_GT(c.group_hash_per_tuple, 0.0);
   // When the ISA exists the SIMD kernel must at least calibrate to a finite
   // positive cost. (Whether it undercuts the scalar kernels depends on the
   // host — AVX-512 downclocking and virtualized CPUs routinely invert the

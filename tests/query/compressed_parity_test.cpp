@@ -59,10 +59,7 @@ void run_matrix(Catalog& cat, const std::string& config,
       // parallel paths merge per-chunk partials in chunk order, never
       // completion order.
       packed_opts.pool = pool;
-      packed_opts.parallel_agg_min_rows = 1;
-      packed_opts.parallel_join_min_rows = 1;
-      packed_opts.parallel_sort_min_rows = 1;
-      packed_opts.parallel_project_min_rows = 1;
+      packed_opts.parallel_min_rows = 1;
     }
     ExecStats plain_stats, packed_stats;
     const QueryResult plain = ex.execute(plan, plain_stats, plain_opts);

@@ -693,7 +693,7 @@ TEST(Executor, JoinParallelProbeMatchesSerial) {
   const QueryResult serial = ex.execute(plan, serial_stats);
   ExecOptions par;
   par.pool = &pool;
-  par.parallel_join_min_rows = 1;  // force the parallel probe
+  par.parallel_min_rows = 1;  // force the parallel probe
   const QueryResult parallel = ex.execute(plan, par_stats, par);
   par.join_path = JoinPath::kRadix;  // and the parallel radix arm
   const QueryResult radix = ex.execute(plan, radix_stats, par);
@@ -976,7 +976,7 @@ TEST(Executor, MultiJoinAgreesAcrossArmsAndParallelism) {
   }
   ExecOptions par;
   par.pool = &pool;
-  par.parallel_join_min_rows = 1;
+  par.parallel_min_rows = 1;
   ExecStats sp;
   const QueryResult parallel = ex.execute(plan, sp, par);
   ASSERT_EQ(parallel.row_count(), want.row_count());

@@ -101,10 +101,7 @@ ExecOptions parallel_options(sched::ThreadPool* pool,
   o.pool = pool;
   o.cost_model = &model;
   o.shard_count = shards;
-  o.parallel_agg_min_rows = 1;
-  o.parallel_join_min_rows = 1;
-  o.parallel_sort_min_rows = 1;
-  o.parallel_project_min_rows = 1;
+  o.parallel_min_rows = 1;
   return o;
 }
 

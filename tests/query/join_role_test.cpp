@@ -44,10 +44,7 @@ ExecOptions options_for(sched::ThreadPool* pool, std::size_t shards,
   o.pool = pool;
   o.shard_count = shards;
   o.join_path = path;
-  o.parallel_agg_min_rows = 1;
-  o.parallel_join_min_rows = 1;
-  o.parallel_sort_min_rows = 1;
-  o.parallel_project_min_rows = 1;
+  o.parallel_min_rows = 1;
   return o;
 }
 

@@ -563,9 +563,10 @@ inline std::vector<std::pair<std::string, LogicalPlan>> query_matrix() {
 // ---------------------------------------------------------------------------
 // The scalar reference oracle for aggregate plans, with or without joins.
 // Selections come from the public predicate API over the plain arrays;
-// matches from plain nested loops over every join in declaration order,
-// with keys compared in the VALUE domain; grouping and aggregation from
-// scalar maps keyed by the group values' text. It shares no aggregation
+// matches, in nested-loop order (tuples in order, each tuple's matching
+// build rows ascending), from a per-join index of the selected build
+// rows by key VALUE, every join in declaration order; grouping and
+// aggregation from scalar maps keyed by the group values' text. It shares no aggregation
 // or join code with the engine and does no planner reordering.
 //
 // Integer inputs accumulate exactly in int64. Double and expression
@@ -634,7 +635,9 @@ inline std::map<std::string, OracleGroup> run_join_oracle(
                                           plan.joins[j].predicates, scratch,
                                           oracle_opts));
 
-  // Nested-loop match tuples, one join at a time in declaration order.
+  // Match tuples, one join at a time in declaration order. Each join
+  // indexes its selected build rows once by key value, rows ascending, so
+  // every tuple extends with its matches in the nested loop's order.
   std::vector<std::vector<std::size_t>> tuples;
   psel.for_each_set([&](std::size_t i) { tuples.push_back({i}); });
   for (std::size_t j = 0; j < plan.joins.size(); ++j) {
@@ -643,22 +646,40 @@ inline std::map<std::string, OracleGroup> run_join_oracle(
     const Column& right = sides[j + 1]->column(spec.right_key);
     // Key equality in the VALUE domain, never dictionary codes: the two
     // sides of a string (or double) join own independent dictionaries,
-    // so equal codes do not mean equal keys.
+    // so equal codes do not mean equal keys. NaN equals nothing.
     const TypeId kt = src_col->type();
+    std::map<std::int64_t, std::vector<std::size_t>> by_int;
+    std::map<double, std::vector<std::size_t>> by_double;
+    std::map<std::string, std::vector<std::size_t>> by_string;
+    bsel[j].for_each_set([&](std::size_t b) {
+      if (kt == TypeId::kString) {
+        by_string[right.value_at(b).as_string()].push_back(b);
+      } else if (kt == TypeId::kDouble) {
+        const double v = right.value_at(b).as_double();
+        if (!std::isnan(v)) by_double[v].push_back(b);
+      } else {
+        by_int[right.int_at(b)].push_back(b);
+      }
+    });
+    const auto matches =
+        [&](std::size_t row) -> const std::vector<std::size_t>* {
+      if (kt == TypeId::kString) {
+        const auto it = by_string.find(src_col->value_at(row).as_string());
+        return it == by_string.end() ? nullptr : &it->second;
+      }
+      if (kt == TypeId::kDouble) {
+        const double v = src_col->value_at(row).as_double();
+        const auto it = std::isnan(v) ? by_double.end() : by_double.find(v);
+        return it == by_double.end() ? nullptr : &it->second;
+      }
+      const auto it = by_int.find(src_col->int_at(row));
+      return it == by_int.end() ? nullptr : &it->second;
+    };
     std::vector<std::vector<std::size_t>> next;
     for (const auto& tup : tuples) {
-      for (std::size_t b = 0; b < right.size(); ++b) {
-        if (!bsel[j].test(b)) continue;
-        bool eq;
-        if (kt == TypeId::kString)
-          eq = src_col->value_at(tup[src_side]).as_string() ==
-               right.value_at(b).as_string();
-        else if (kt == TypeId::kDouble)
-          eq = src_col->value_at(tup[src_side]).as_double() ==
-               right.value_at(b).as_double();
-        else
-          eq = src_col->int_at(tup[src_side]) == right.int_at(b);
-        if (!eq) continue;
+      const std::vector<std::size_t>* rows = matches(tup[src_side]);
+      if (rows == nullptr) continue;
+      for (const std::size_t b : *rows) {
         auto extended = tup;
         extended.push_back(b);
         next.push_back(std::move(extended));

@@ -183,7 +183,7 @@ TEST(PipelineParity, ParallelPoolMatchesSerial) {
   sched::ThreadPool pool(4);
   ExecOptions options;
   options.pool = &pool;
-  options.parallel_agg_min_rows = 1;  // force the parallel path
+  options.parallel_min_rows = 1;  // force the parallel path
   const QueryResult par = ex.execute(plan, par_stats, options);
   expect_results_match(serial, par);
 }

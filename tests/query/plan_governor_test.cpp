@@ -335,10 +335,7 @@ TEST(PlanGovernor, OperatorWorkSumsExactlyUnderEveryThreadCount) {
     ExecOptions options;
     if (threads != 0) {
       options.pool = &pool;
-      options.parallel_agg_min_rows = 1;
-      options.parallel_join_min_rows = 1;
-      options.parallel_sort_min_rows = 1;
-      options.parallel_project_min_rows = 1;
+      options.parallel_min_rows = 1;
     }
     ExecStats stats;
     const QueryResult result = ex.execute(star_plan(), stats, options);

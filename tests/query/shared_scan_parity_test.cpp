@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -34,6 +35,7 @@
 #include "query/plan.hpp"
 #include "query/shared_scan.hpp"
 #include "sched/thread_pool.hpp"
+#include "storage/bitpack.hpp"
 #include "util/bitvector.hpp"
 #include "util/rng.hpp"
 
@@ -127,7 +129,7 @@ TEST(SharedScanParity, FusedDriverMatchesScalarReference) {
     }
 
     exec::SharedScanStats stats;
-    exec::shared_scan(kN, queries, pool ? &*pool : nullptr, width, stats,
+    exec::shared_scan(kN, queries, pool ? &*pool : nullptr, stats,
                       /*morsel_rows=*/1024);
     EXPECT_GT(stats.morsels, 1u);
     ASSERT_EQ(stats.evaluated.size(), spec.size());
@@ -139,6 +141,58 @@ TEST(SharedScanParity, FusedDriverMatchesScalarReference) {
       EXPECT_GE(stats.evaluated[q], kN) << "member " << q;
       EXPECT_LE(stats.evaluated[q], kN * queries[q].conjuncts.size())
           << "member " << q;
+    }
+  }
+}
+
+TEST(SharedScanParity, PackedConjunctsMatchScalarReference) {
+  // Packed first and later conjuncts over two bit-packed images; later
+  // packed conjuncts scan only runs of live words, at odd offsets into
+  // the image and through the partial tail word.
+  constexpr std::size_t kN = 5'003;
+  constexpr unsigned kBitsA = 11, kBitsB = 19;
+  Pcg32 rng(12);
+  std::vector<std::uint64_t> a(kN), b(kN);
+  for (std::size_t i = 0; i < kN; ++i) {
+    a[i] = rng.next_bounded(1u << kBitsA);
+    b[i] = rng.next_bounded(1u << kBitsB);
+  }
+  const std::vector<std::uint64_t> pa = storage::bitpack(a, kBitsA);
+  const std::vector<std::uint64_t> pb = storage::bitpack(b, kBitsB);
+  const auto packed = [](const std::vector<std::uint64_t>& image,
+                         unsigned bits, std::uint64_t lo, std::uint64_t hi) {
+    exec::SharedConjunct c;
+    c.kind = exec::SharedConjunct::Kind::kPacked;
+    c.packed = image;
+    c.packed_bits = bits;
+    c.ulo = lo;
+    c.uhi = hi;
+    return c;
+  };
+  // (a range, b range): a narrow first conjunct leaves short live runs.
+  const std::vector<std::array<std::uint64_t, 4>> spec = {
+      {0, 2047, 1000, 400'000}, {100, 140, 0, 262'143}, {7, 7, 5, 9}};
+  for (const std::size_t width :
+       {std::size_t{0}, std::size_t{2}, std::size_t{8}}) {
+    std::optional<sched::ThreadPool> pool;
+    if (width > 0) pool.emplace(width);
+    std::vector<BitVector> got(spec.size(), BitVector(kN));
+    std::vector<exec::SharedQuery> queries(spec.size());
+    for (std::size_t q = 0; q < spec.size(); ++q) {
+      queries[q].conjuncts = {packed(pa, kBitsA, spec[q][0], spec[q][1]),
+                              packed(pb, kBitsB, spec[q][2], spec[q][3])};
+      queries[q].selection = &got[q];
+    }
+    exec::SharedScanStats stats;
+    exec::shared_scan(kN, queries, pool ? &*pool : nullptr, stats,
+                      /*morsel_rows=*/1024);
+    for (std::size_t q = 0; q < spec.size(); ++q) {
+      BitVector want(kN);
+      for (std::size_t i = 0; i < kN; ++i)
+        if (a[i] >= spec[q][0] && a[i] <= spec[q][1] && b[i] >= spec[q][2] &&
+            b[i] <= spec[q][3])
+          want.set(i);
+      EXPECT_EQ(want, got[q]) << "member " << q << " width " << width;
     }
   }
 }
@@ -340,10 +394,7 @@ TEST(SharedScanParity, FusedGroupMatchesSoloAcrossEncodingsAndPools) {
       ExecOptions opts;
       opts.pool = pool ? &*pool : nullptr;
       // Let small inputs take the parallel paths too.
-      opts.parallel_agg_min_rows = 1;
-      opts.parallel_join_min_rows = 1;
-      opts.parallel_sort_min_rows = 1;
-      opts.parallel_project_min_rows = 1;
+      opts.parallel_min_rows = 1;
       const std::string label = ename + "/pool" + std::to_string(width);
 
       std::vector<PhysicalPlan> plans;

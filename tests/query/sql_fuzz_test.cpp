@@ -381,10 +381,7 @@ TEST(SqlFuzz, ExecutionParityUnderRandomEncodings) {
     ExecOptions packed_opts;
     packed_opts.pool = pools[rng.next_bounded(std::size(pools))];
     if (packed_opts.pool != nullptr) {
-      packed_opts.parallel_agg_min_rows = 1;
-      packed_opts.parallel_join_min_rows = 1;
-      packed_opts.parallel_sort_min_rows = 1;
-      packed_opts.parallel_project_min_rows = 1;
+      packed_opts.parallel_min_rows = 1;
     }
     ExecStats plain_stats, packed_stats;
     QueryResult want, got;
