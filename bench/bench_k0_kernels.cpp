@@ -203,18 +203,25 @@ void BM_PackedRangeScan(benchmark::State& state) {
 BENCHMARK(BM_PackedRangeScan)
     ->ArgsProduct({{3, 4, 6, 12, 15, 17, 25}, {0, 1}});
 
-// The semi-join filter test over all-live selection words: a filter over
-// the whole key domain with a random 64k build keys set. Each iteration
-// first restores the selection (a 128 KiB copy, the same for both tiers).
+// The semi-join filter test over all-live selection words, per width,
+// filter arm and tier. Arg 1 picks the build keys, each keeping half the
+// key domain: 0 its middle half, one run, so the window bound check is
+// the whole test; 1 every other key, so every lane the bound check
+// admits reads the bitmap. Arg 2 is the tier as above. Each iteration
+// first restores the selection (a 128 KiB copy, the same for every case).
 void BM_JoinFilterApply(benchmark::State& state) {
   const auto bits = static_cast<unsigned>(state.range(0));
-  const bool scalar = state.range(1) == 0;
+  const bool one_run = state.range(1) == 0;
+  const bool scalar = state.range(2) == 0;
   const std::size_t n = 1 << 20;
   const auto packed = packed_keys(bits, n);
   const auto keys =
       exec::JoinKeys::from(storage::PackedView{packed, bits, 0, n});
-  const std::int64_t domain = std::int64_t{1} << bits;
-  const auto build = data_i64(1 << 16, static_cast<std::uint32_t>(domain));
+  const std::int32_t domain = std::int32_t{1} << bits;
+  std::vector<std::int32_t> build;
+  for (std::int32_t k = 0; k < domain; ++k)
+    if (one_run ? k >= domain / 4 && k < domain / 4 + domain / 2 : k % 2 == 0)
+      build.push_back(k);
   BitVector build_sel(build.size());
   build_sel.set_all();
   const exec::JoinFilter filter(exec::JoinKeys::from(std::span(build)),
@@ -232,10 +239,11 @@ void BM_JoinFilterApply(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
   state.SetBytesProcessed(state.iterations() * packed.size() *
                           sizeof(std::uint64_t));
-  state.SetLabel(tier_label(state.range(1)));
+  state.SetLabel(std::string(filter.one_run() ? "run " : "holes ") +
+                 tier_label(state.range(2)));
 }
 BENCHMARK(BM_JoinFilterApply)
-    ->ArgsProduct({{3, 4, 6, 12, 15, 17, 25}, {0, 1}});
+    ->ArgsProduct({{3, 4, 6, 12, 15, 17, 25}, {0, 1}, {0, 1}});
 
 // Grouped aggregation over a packed group key and a packed FOR input,
 // SUM only (the serving benchmark's scan_agg shape): arg 0 is the key
@@ -279,7 +287,7 @@ void BM_GroupedAggPacked(benchmark::State& state) {
   state.SetLabel(tier_label(state.range(3)));
 }
 BENCHMARK(BM_GroupedAggPacked)
-    ->ArgsProduct({{4, 12}, {17, 25}, {1, 8, 16, 32, 64}, {0, 1}});
+    ->ArgsProduct({{4, 12}, {17, 25}, {1, 2, 3, 4, 6, 8, 16, 32, 64}, {0, 1}});
 
 // The groupjoin's grouped SUM: the group key is read through a dense
 // lookup (exec::LookupKey) over a packed foreign key — a dimension's five
@@ -325,7 +333,7 @@ void BM_GroupJoinLookup(benchmark::State& state) {
   state.SetLabel(tier_label(state.range(2)));
 }
 BENCHMARK(BM_GroupJoinLookup)
-    ->ArgsProduct({{12, 15}, {1, 5, 8, 16, 64}, {0, 1}});
+    ->ArgsProduct({{12, 15}, {1, 2, 3, 4, 5, 6, 8, 16, 64}, {0, 1}});
 
 // -- codecs ----------------------------------------------------------------------
 

@@ -18,9 +18,11 @@ namespace {
 /// AVX-512 tier of JoinFilter::apply over full selection words
 /// [word_begin, word_end) of packed keys. A key's filter offset is
 /// (v - lo) + base for its packed value v; only v in [lo, lo + span] can
-/// land inside the domain, so that one unsigned compare is the bound
-/// check, and the offsets it admits fit 32-bit lanes. The bound-checked,
-/// live lanes gather their 32-bit filter word; the rest never load.
+/// land inside the filter's set window, so that one unsigned compare is
+/// the bound check, and the offsets it admits fit 32-bit lanes. With a
+/// bitmap (`filter` non-null) the bound-checked, live lanes gather their
+/// 32-bit filter word and the rest never load; without one (a one-run
+/// filter) the bound check is the test.
 EIDB_TARGET_AVX512_VBMI std::uint64_t filter_words_avx512(
     const storage::PackedView& keys, const std::uint64_t* filter,
     std::uint32_t lo, std::uint32_t span, std::uint32_t base,
@@ -40,16 +42,19 @@ EIDB_TARGET_AVX512_VBMI std::uint64_t filter_words_avx512(
     for (unsigned g = 0; g < 4; ++g) {
       const __m512i d =
           _mm512_sub_epi32(unpack.load16(w * 64 + 16 * g), vlo);
-      const __mmask16 in = _mm512_mask_cmple_epu32_mask(
+      __mmask16 hit = _mm512_mask_cmple_epu32_mask(
           static_cast<__mmask16>(live >> (16 * g)), d, vspan);
-      const __m512i off = _mm512_add_epi32(d, vbase);
-      // Zero-masked shifts: see storage::avx512::Unpacker::load16.
-      const __m512i word = _mm512_mask_i32gather_epi32(
-          _mm512_setzero_si512(), in, _mm512_maskz_srli_epi32(in, off, 5),
-          filter, 4);
-      const __mmask16 hit = _mm512_mask_test_epi32_mask(
-          in, _mm512_maskz_srlv_epi32(in, word, _mm512_and_si512(off, v31)),
-          one);
+      if (filter != nullptr) {
+        const __mmask16 in = hit;
+        const __m512i off = _mm512_add_epi32(d, vbase);
+        // Zero-masked shifts: see storage::avx512::Unpacker::load16.
+        const __m512i word = _mm512_mask_i32gather_epi32(
+            _mm512_setzero_si512(), in, _mm512_maskz_srli_epi32(in, off, 5),
+            filter, 4);
+        hit = _mm512_mask_test_epi32_mask(
+            in, _mm512_maskz_srlv_epi32(in, word, _mm512_and_si512(off, v31)),
+            one);
+      }
       keep |= static_cast<std::uint64_t>(hit) << (16 * g);
     }
     words[w] = keep;
@@ -147,20 +152,29 @@ DenseJoinTable build_dense_join_table(const JoinKeys& keys,
 JoinFilter::JoinFilter(const JoinKeys& keys, const BitVector& selection,
                        std::int64_t min_key, std::int64_t domain,
                        std::int64_t live_min)
-    : min_(min_key),
-      bits_(static_cast<std::size_t>(std::max<std::int64_t>(0, domain))) {
+    : bits_(static_cast<std::size_t>(std::max<std::int64_t>(0, domain))) {
   EIDB_EXPECTS(selection.size() == keys.size());
   EIDB_EXPECTS(domain >= 1);
+  std::uint64_t first = bits_.size(), last = 0, live = 0;
   selection.for_each_set([&](std::size_t i) {
     const std::int64_t key = keys.at(i);
     const std::uint64_t off =
-        static_cast<std::uint64_t>(key) - static_cast<std::uint64_t>(min_);
+        static_cast<std::uint64_t>(key) - static_cast<std::uint64_t>(min_key);
     EIDB_EXPECTS(off < bits_.size());
     if (key < live_min) return;
     const auto at = static_cast<std::size_t>(off);
     repeats_ += bits_.test(at) ? 1 : 0;
     bits_.set(at);
+    first = std::min(first, off);
+    last = std::max(last, off);
+    ++live;
   });
+  if (live == 0) return;
+  first_ = first;
+  span_ = last - first + 1;
+  first_key_ =
+      static_cast<std::int64_t>(static_cast<std::uint64_t>(min_key) + first);
+  one_run_ = live - repeats_ == span_;
 }
 
 std::uint64_t JoinFilter::apply(const JoinKeys& probe_keys,
@@ -169,18 +183,18 @@ std::uint64_t JoinFilter::apply(const JoinKeys& probe_keys,
 #if defined(__x86_64__)
   const storage::PackedView* packed = probe_keys.packed();
   if (packed != nullptr && packed->bits >= 1 &&
-      packed->bits <= storage::avx512::kMaxBits &&
+      packed->bits <= storage::avx512::kMaxBits && span_ != 0 &&
       bits_.size() <= (std::size_t{1} << 32) &&
       packed_tier() == PackedTier::kAvx512Vbmi) {
-    // Packed value v is key reference + v, at filter offset bias + v (mod
-    // 2^64): values below `lo` fall under min_ or wrap past the domain,
-    // and `base` is the offset of value lo.
-    const std::uint64_t domain = bits_.size();
+    // Packed value v is key reference + v, at window offset bias + v (mod
+    // 2^64): values below `lo` fall under the window or wrap past it, and
+    // `base` is the window offset of value lo.
+    const std::uint64_t window = span_;
     const std::uint64_t max_value = (std::uint64_t{1} << packed->bits) - 1;
     const std::uint64_t bias = static_cast<std::uint64_t>(packed->reference) -
-                               static_cast<std::uint64_t>(min_);
-    const std::uint64_t lo = bias < domain ? 0 : 0 - bias;
-    const std::uint64_t base = bias < domain ? bias : 0;
+                               static_cast<std::uint64_t>(first_key_);
+    const std::uint64_t lo = bias < window ? 0 : 0 - bias;
+    const std::uint64_t base = bias < window ? bias : 0;
     if (lo <= max_value) {
       EIDB_EXPECTS(selection.size() == probe_keys.size());
       const std::size_t end = std::min(word_end, selection.word_count());
@@ -190,12 +204,13 @@ std::uint64_t JoinFilter::apply(const JoinKeys& probe_keys,
         EIDB_EXPECTS(packed->words.size() >=
                      storage::packed_word_count(full * 64, packed->bits));
         const std::uint64_t hi =
-            std::min(max_value, lo + (domain - 1 - base));
+            std::min(max_value, lo + (window - 1 - base));
         kept = filter_words_avx512(
-            *packed, bits_.words(), static_cast<std::uint32_t>(lo),
+            *packed, one_run_ ? nullptr : bits_.words(),
+            static_cast<std::uint32_t>(lo),
             static_cast<std::uint32_t>(hi - lo),
-            static_cast<std::uint32_t>(base), selection.words(), word_begin,
-            full);
+            static_cast<std::uint32_t>(first_ + base), selection.words(),
+            word_begin, full);
       }
       return kept + apply_scalar(probe_keys, selection,
                                  std::max(word_begin, full), end);

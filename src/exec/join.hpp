@@ -244,6 +244,13 @@ class DenseJoinTable {
 /// survive every filtered dimension (the star-join semi-join reduction).
 /// The bitmap is domain/8 bytes: cache-resident where the dense arm's
 /// 4-byte chain heads are not.
+///
+/// While it sets the bitmap the filter records its lowest and highest set
+/// offsets and its distinct key count. Every test first bound-checks the
+/// key against that [lowest, highest] window; when the set bits form one
+/// run (a date window, a dimension predicate on the key itself, every
+/// code of a small dictionary) the bound check is the whole test and the
+/// bitmap is never read.
 class JoinFilter {
  public:
   /// Selected build keys below `live_min` are left out of the bitmap: no
@@ -260,12 +267,19 @@ class JoinFilter {
   /// the filter answers the whole join step.
   [[nodiscard]] bool keys_unique() const { return repeats_ == 0; }
 
+  /// True when the set bits form one run of consecutive keys (at least
+  /// one): then a key is contained exactly when it lies inside the run.
+  [[nodiscard]] bool one_run() const { return one_run_; }
+
   /// True when some selected build row carries `key`; out-of-domain keys
   /// are never contained.
   [[nodiscard]] bool contains(std::int64_t key) const {
-    const std::uint64_t off =
-        static_cast<std::uint64_t>(key) - static_cast<std::uint64_t>(min_);
-    return off < bits_.size() && bits_.test(static_cast<std::size_t>(off));
+    const std::uint64_t off = static_cast<std::uint64_t>(key) -
+                              static_cast<std::uint64_t>(first_key_);
+    // A one-run filter's answer is the compare alone, with no branch on
+    // it: probe keys fall on either side of a run at random.
+    if (one_run_) return off < span_;
+    return off < span_ && bits_.test(static_cast<std::size_t>(first_ + off));
   }
 
   /// Clears, within selection words [word_begin, word_end), every row
@@ -274,8 +288,9 @@ class JoinFilter {
   /// Thread-safe for concurrent calls over disjoint word ranges.
   /// Full words of packed keys at widths 1..25 run at exec::packed_tier():
   /// on kAvx512Vbmi each 16-key group is decoded in place, biased into the
-  /// filter's key domain, bound-checked and tested with a masked gather.
-  /// Every other word runs apply_scalar.
+  /// filter's set window and bound-checked; a filter with holes then tests
+  /// the admitted lanes with a masked gather of the bitmap, a one-run
+  /// filter keeps them as they are. Every other word runs apply_scalar.
   /// Precondition: selection.size() == probe_keys.size().
   std::uint64_t apply(const JoinKeys& probe_keys, BitVector& selection,
                       std::size_t word_begin, std::size_t word_end) const;
@@ -288,10 +303,16 @@ class JoinFilter {
                              std::size_t word_end) const;
 
  private:
-  std::int64_t min_;
   BitVector bits_;
   /// Selected live build rows whose key an earlier one already set.
   std::uint64_t repeats_ = 0;
+  /// The set window: the lowest set key, its bitmap offset, and the
+  /// offsets from the lowest to the highest set bit (0 when none is set).
+  std::int64_t first_key_ = 0;
+  std::uint64_t first_ = 0;
+  std::uint64_t span_ = 0;
+  /// Every offset inside the window is set.
+  bool one_run_ = false;
 };
 
 /// Probes selection words [word_begin, word_end) against `table` (a

@@ -52,10 +52,12 @@ inline constexpr AggOpSet kAggAllOps = kAggSum | kAggMin | kAggMax;
 /// Live rows a selection word needs to take the block path at `tier`.
 /// Below it, a word's packed columns are read per row; at or above it,
 /// each decodes its whole 64-value block once. Chosen from bench_k0's
-/// BM_GroupedAggPacked density sweep (docs/executor_pipeline.md): the
-/// AVX-512 VBMI decode wins from 8 live rows, the scalar one from 16.
+/// BM_GroupedAggPacked and BM_GroupJoinLookup density sweeps
+/// (docs/executor_pipeline.md): the AVX-512 VBMI decode breaks even with
+/// the per-row path at 3 live rows and wins from 4, the scalar one wins
+/// from 16.
 [[nodiscard]] constexpr unsigned agg_block_min_live(PackedTier tier) {
-  return tier == PackedTier::kAvx512Vbmi ? 8 : 16;
+  return tier == PackedTier::kAvx512Vbmi ? 3 : 16;
 }
 
 /// A typed view of one aggregate input column. int32 (and dictionary-code)

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 #include <span>
 #include <utility>
 #include <vector>
@@ -359,6 +361,139 @@ TEST(JoinFilter, ReportsWhetherTheSelectedBuildKeysAreUnique) {
   EXPECT_TRUE(live.contains(3));
   EXPECT_TRUE(live.contains(9));
   EXPECT_TRUE(JoinFilter(keys, BitVector(build.size()), -1, 11).keys_unique());
+}
+
+/// Holds `filter` (built from `build_keys` over [min_key, min_key +
+/// domain), whose values are `build`) to the nested-loop join: contains()
+/// for every key in and around the domain, and apply() / apply_scalar()
+/// over plain and packed probe keys, full and partial words.
+void expect_filter_matches_nested_loop(const JoinFilter& filter,
+                                       const std::vector<std::int64_t>& build,
+                                       const BitVector& bsel,
+                                       std::int64_t min_key,
+                                       std::int64_t domain,
+                                       std::int64_t live_min) {
+  const auto kept = [&](std::int64_t key) {
+    bool hit = false;
+    bsel.for_each_set([&](std::size_t b) { hit |= build[b] == key; });
+    return hit && key >= live_min;
+  };
+  const std::int64_t lo = min_key - 5;
+  const std::int64_t hi = min_key + domain + 5;
+  for (std::int64_t key = lo; key < hi; ++key)
+    EXPECT_EQ(filter.contains(key), kept(key)) << "key " << key;
+
+  // Probe keys over [lo, hi), the last word partial, one word dead.
+  constexpr std::size_t kProbe = 64 * 6 + 29;
+  Pcg32 rng(static_cast<std::uint64_t>(domain * 131 + min_key + 7));
+  std::vector<std::int64_t> probe(kProbe);
+  std::vector<std::uint64_t> shifted(kProbe);
+  for (std::size_t i = 0; i < kProbe; ++i) {
+    shifted[i] = rng.next_bounded(static_cast<std::uint32_t>(hi - lo));
+    probe[i] = lo + static_cast<std::int64_t>(shifted[i]);
+  }
+  const unsigned bits = static_cast<unsigned>(
+      std::bit_width(static_cast<std::uint64_t>(hi - lo - 1)));
+  const auto packed = storage::bitpack(shifted, bits);
+  BitVector psel(kProbe);
+  for (std::size_t i = 0; i < kProbe; ++i)
+    if (i / 64 != 3 && rng.next_double() < 0.8) psel.set(i);
+  // Remapped codes never carry a key below live_min (-1) on the probe
+  // side, so the oracle joins the live build keys only.
+  std::vector<std::int64_t> live_build = build;
+  for (std::int64_t& k : live_build)
+    if (k < live_min) k = hi;  // matches no probe key
+  BitVector want(kProbe);
+  for (const JoinPair& p :
+       nested_loop_join(live_build, bsel, probe, psel))
+    want.set(p.probe_row);
+
+  const JoinKeys views[] = {
+      JoinKeys::from(std::span<const std::int64_t>(probe)),
+      JoinKeys::from(storage::PackedView{packed, bits, lo, kProbe})};
+  for (std::size_t v = 0; v < std::size(views); ++v) {
+    BitVector got = psel;
+    EXPECT_EQ(filter.apply(views[v], got, 0, got.word_count()), want.count())
+        << "view " << v;
+    EXPECT_EQ(got, want) << "view " << v;
+    BitVector scalar = psel;
+    EXPECT_EQ(filter.apply_scalar(views[v], scalar, 0, scalar.word_count()),
+              want.count())
+        << "view " << v;
+    EXPECT_EQ(scalar, want) << "view " << v;
+  }
+}
+
+TEST(JoinFilter, OneRunAndHolesBothMatchTheNestedLoopJoin) {
+  // Integer keys over [-20, 60): runs at the domain's start, middle and
+  // end, a single key, every key, and a run broken by one hole. Some
+  // keys repeat, and some rows are not selected.
+  struct Case {
+    const char* name;
+    std::vector<std::int64_t> keys;
+    bool one_run;
+    bool unique;
+  };
+  const auto range = [](std::int64_t from, std::int64_t to) {
+    std::vector<std::int64_t> v;
+    for (std::int64_t k = from; k < to; ++k) v.push_back(k);
+    return v;
+  };
+  std::vector<Case> cases = {
+      {"start", range(-20, -4), true, true},
+      {"middle", range(10, 31), true, true},
+      {"end", range(47, 60), true, true},
+      {"single", {7}, true, true},
+      {"every", range(-20, 60), true, true},
+      {"hole", range(10, 31), false, true},
+  };
+  std::erase(cases[5].keys, 17);
+  cases[1].keys.push_back(12);  // a repeat inside the run
+  cases[1].unique = false;
+  cases[4].keys.push_back(-20);  // and one at the domain's start
+  cases[4].unique = false;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    // Rows 0..2 are not selected: counted, their keys would widen or break
+    // most runs.
+    std::vector<std::int64_t> build = {-20, 0, 59};
+    build.insert(build.end(), c.keys.begin(), c.keys.end());
+    BitVector bsel(build.size());
+    for (std::size_t i = 3; i < build.size(); ++i) bsel.set(i);
+    const JoinFilter filter(
+        JoinKeys::from(std::span<const std::int64_t>(build)), bsel, -20, 80);
+    EXPECT_EQ(filter.one_run(), c.one_run);
+    EXPECT_EQ(filter.keys_unique(), c.unique);
+    expect_filter_matches_nested_loop(filter, build, bsel, -20, 80,
+                                      std::numeric_limits<std::int64_t>::min());
+  }
+
+  // Remapped codes over the probe's code domain [-1, 8): build codes 0 and
+  // 4 remap to -1, which is left out (with it the set bits would have a
+  // hole at code 0), so codes 1..5 form one run and their keys are unique.
+  const std::vector<std::int32_t> codes = {0, 1, 2, 3, 4, 5, 6, 0, 4};
+  const std::vector<std::int32_t> remap = {-1, 1, 2, 3, -1, 4, 5};
+  std::vector<std::int64_t> build;
+  for (const std::int32_t c : codes) build.push_back(remap[c]);
+  const BitVector bsel = all_set(codes.size());
+  const JoinFilter live(JoinKeys::remapped(codes, remap), bsel, -1, 9, 0);
+  EXPECT_TRUE(live.one_run());
+  EXPECT_TRUE(live.keys_unique());
+  EXPECT_FALSE(live.contains(-1));
+  expect_filter_matches_nested_loop(live, build, bsel, -1, 9, 0);
+  // Without live_min the -1 is set and repeats, and code 0 is a hole.
+  const JoinFilter all(JoinKeys::remapped(codes, remap), bsel, -1, 9);
+  EXPECT_FALSE(all.one_run());
+  EXPECT_FALSE(all.keys_unique());
+  expect_filter_matches_nested_loop(all, build, bsel, -1, 9,
+                                    std::numeric_limits<std::int64_t>::min());
+  // No selected build row: nothing is contained, every row is cleared.
+  const JoinFilter none(JoinKeys::remapped(codes, remap),
+                        BitVector(codes.size()), -1, 9, 0);
+  EXPECT_FALSE(none.one_run());
+  EXPECT_TRUE(none.keys_unique());
+  expect_filter_matches_nested_loop(none, build, BitVector(codes.size()), -1,
+                                    9, 0);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // SIMD tiers against their scalar references, word for word: the packed
-// range scan and the semi-join filter test (PackedTier::kAvx512Vbmi vs
-// the scalar block decoder), and the AVX2 / AVX-512 int32/int64 bitmap
+// range scan and the semi-join filter test, the latter over one-run
+// filters and filters with holes (PackedTier::kAvx512Vbmi vs the scalar
+// block decoder), and the AVX2 / AVX-512 int32/int64 bitmap
 // scans vs scan_bitmap_scalar(64). A tier the host lacks is skipped by
 // name; DispatcherReportsTheVbmiTier fails if a host that has the ISA
 // runs the packed kernels on the scalar tier.
@@ -120,6 +121,27 @@ INSTANTIATE_TEST_SUITE_P(Widths1To32, PackedRangeScanTier,
 
 class JoinFilterTier : public ::testing::TestWithParam<unsigned> {};
 
+/// A filter over [min_key, min_key + domain) in one of its two arms:
+/// `one_run` selects every key of a run of up to 4096 keys at a random
+/// place in the domain; otherwise half of 4096 random even offsets are
+/// selected, which leaves holes whenever the domain has room for one.
+JoinFilter make_filter(Pcg32& rng, std::int64_t min_key, std::int64_t domain,
+                       bool one_run) {
+  const auto udomain = static_cast<std::uint64_t>(domain);
+  const std::uint64_t run = std::min<std::uint64_t>(udomain, 4096);
+  const std::uint64_t start = rng.next64() % (udomain - run + 1);
+  std::vector<std::int64_t> build(one_run ? run : 4096);
+  BitVector bsel(build.size());
+  for (std::size_t i = 0; i < build.size(); ++i) {
+    const std::uint64_t off =
+        one_run ? start + i : 2 * (rng.next64() % ((udomain + 1) / 2));
+    build[i] = min_key + static_cast<std::int64_t>(off);
+    if (one_run || (rng.next() & 1)) bsel.set(i);
+  }
+  return JoinFilter(JoinKeys::from(std::span<const std::int64_t>(build)), bsel,
+                    min_key, domain);
+}
+
 TEST_P(JoinFilterTier, MatchesScalarWordForWord) {
   SKIP_WITHOUT_VBMI();
   const unsigned bits = GetParam();
@@ -127,6 +149,7 @@ TEST_P(JoinFilterTier, MatchesScalarWordForWord) {
   const auto span_of = [](std::uint64_t width) {
     return static_cast<std::int64_t>(std::min<std::uint64_t>(width, 1 << 20));
   };
+  std::size_t arms[2] = {0, 0};  // one-run filters, filters with holes
   for (const std::size_t n : kSizes) {
     const auto values = random_values(n, bits, 7000 * bits + n);
     const GuardedImage image(storage::bitpack(values, bits));
@@ -153,38 +176,37 @@ TEST_P(JoinFilterTier, MatchesScalarWordForWord) {
           {reference - 2, span_of(mask / 8 + 3)},
       };
       for (const auto& [min_key, domain] : domains) {
-        std::vector<std::int64_t> build(4096);
-        for (auto& k : build)
-          k = min_key + static_cast<std::int64_t>(
-                            rng.next64() % static_cast<std::uint64_t>(domain));
-        BitVector bsel(build.size());
-        for (std::size_t i = 0; i < build.size(); ++i)
-          if (rng.next() & 1) bsel.set(i);
-        const JoinFilter filter(
-            JoinKeys::from(std::span<const std::int64_t>(build)), bsel,
-            min_key, domain);
-        for (std::size_t s = 0; s < std::size(selections); ++s) {
-          BitVector want = selections[s];
-          const std::uint64_t want_kept =
-              filter.apply_scalar(keys, want, 0, want.word_count());
-          BitVector got = selections[s];
-          EXPECT_EQ(filter.apply(keys, got, 0, got.word_count()), want_kept);
-          ASSERT_EQ(got, want) << "bits=" << bits << " n=" << n
-                               << " ref=" << reference << " min=" << min_key
-                               << " sel=" << s;
-          // Disjoint word ranges (the morsel-parallel split) compose;
-          // checked over the random selection words.
-          if (s != 2) continue;
-          BitVector split = selections[s];
-          const std::size_t mid = split.word_count() / 3;
-          EXPECT_EQ(filter.apply(keys, split, 0, mid) +
-                        filter.apply(keys, split, mid, split.word_count()),
-                    want_kept);
-          ASSERT_EQ(split, want) << "bits=" << bits << " n=" << n;
+        for (const bool one_run : {true, false}) {
+          const JoinFilter filter = make_filter(rng, min_key, domain, one_run);
+          ++arms[filter.one_run() ? 0 : 1];
+          for (std::size_t s = 0; s < std::size(selections); ++s) {
+            BitVector want = selections[s];
+            const std::uint64_t want_kept =
+                filter.apply_scalar(keys, want, 0, want.word_count());
+            BitVector got = selections[s];
+            EXPECT_EQ(filter.apply(keys, got, 0, got.word_count()), want_kept);
+            ASSERT_EQ(got, want)
+                << "bits=" << bits << " n=" << n << " ref=" << reference
+                << " min=" << min_key << " one_run=" << filter.one_run()
+                << " sel=" << s;
+            // Disjoint word ranges (the morsel-parallel split) compose;
+            // checked over the random selection words.
+            if (s != 2) continue;
+            BitVector split = selections[s];
+            const std::size_t mid = split.word_count() / 3;
+            EXPECT_EQ(filter.apply(keys, split, 0, mid) +
+                          filter.apply(keys, split, mid, split.word_count()),
+                      want_kept);
+            ASSERT_EQ(split, want) << "bits=" << bits << " n=" << n;
+          }
         }
       }
     }
   }
+  // Every width meets both arms: domains of 3 keys or more have room for
+  // a hole.
+  EXPECT_GT(arms[0], 0u);
+  EXPECT_GT(arms[1], 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths1To32, JoinFilterTier,

@@ -44,19 +44,20 @@ constexpr std::int64_t kRefs[] = {-123456789, 0, std::int64_t{1} << 40};
 // 64k values, one past, and one short of the next block.
 constexpr std::size_t kSizes[] = {65536, 65537, 65536 + 63};
 
-/// Selection whose words cycle through popcounts 0, 1, T - 1 and T for
-/// each tier's threshold T, 64 and a random count, at random bit
+/// Selection whose words cycle through popcounts 0, 1, 2, T - 1 and T
+/// for each tier's threshold T, 64 and a random count, at random bit
 /// positions; bits past `n` are dropped, so the partial last word keeps
 /// what fits.
 BitVector cycling_selection(std::size_t n, std::uint64_t seed) {
   constexpr unsigned simd = agg_block_min_live(PackedTier::kAvx512Vbmi);
   constexpr unsigned scalar = agg_block_min_live(PackedTier::kScalar);
-  const unsigned counts[] = {0,          1,      simd - 1, simd,
-                             scalar - 1, scalar, 64,       65};
+  constexpr unsigned counts[] = {0,        1,          2,      simd - 1,
+                                 simd,     scalar - 1, scalar, 64,
+                                 65};
   Pcg32 rng(seed);
   BitVector sel(n);
   for (std::size_t w = 0; w * 64 < n; ++w) {
-    unsigned want = counts[w % 8];
+    unsigned want = counts[w % std::size(counts)];
     if (want == 65) want = rng.next_bounded(65);
     std::uint64_t bits = want == 64 ? ~std::uint64_t{0} : 0;
     while (static_cast<unsigned>(std::popcount(bits)) < want)

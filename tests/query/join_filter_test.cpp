@@ -51,6 +51,17 @@ std::vector<std::pair<std::string, LogicalPlan>> filter_queries() {
                                          .aggregate(AggOp::kSum, "dim2.score")
                                          .aggregate(AggOp::kMax, "u32")
                                          .build());
+  // Key predicates: dim keeps one run of keys (a range test), dim2's even
+  // keys leave holes (a bitmap test).
+  qs.emplace_back("star_key_run", QueryBuilder("facts")
+                                      .join("dim", "u32", "key")
+                                      .join_filter_int("key", 200, 599)
+                                      .join("dim2", "u32", "key2")
+                                      .join_filter_int("key2", 100, 499)
+                                      .group_by("dim.cat")
+                                      .aggregate(AggOp::kCount)
+                                      .aggregate(AggOp::kSum, "dim2.score")
+                                      .build());
   qs.emplace_back("string_key_missing", QueryBuilder("facts")
                                             .filter_int("u32", 0, 900)
                                             .join("dim", "tag", "skey")

@@ -438,6 +438,16 @@ inline std::vector<std::pair<std::string, LogicalPlan>> query_matrix() {
                               .aggregate(AggOp::kSum, "u32")
                               .aggregate(AggOp::kMin, "neg32")
                               .build());
+  // The weight predicate keeps scattered keys; a predicate on the key
+  // itself keeps one run, which the semi-join filter tests as a range.
+  add("join_group_build_run", QueryBuilder("facts")
+                                  .join("dim", "u32", "key")
+                                  .join_filter_int("key", 120, 479)
+                                  .group_by("dim.cat")
+                                  .aggregate(AggOp::kCount)
+                                  .aggregate(AggOp::kSum, "u32")
+                                  .aggregate(AggOp::kMax, "neg32")
+                                  .build());
   add("join_group_composite", QueryBuilder("facts")
                                   .filter_int("skew32", 0, 3)
                                   .join("dim", "u32", "key")
