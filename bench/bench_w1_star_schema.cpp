@@ -303,9 +303,10 @@ int main(int argc, char** argv) {
 
   // ---- Q7 thread-scaling sweep: morsel parallelism across the whole
   // plan (scan -> chained joins -> grouped agg -> top-k). Each arm runs
-  // the real work-stealing pool at 1/2/4/8 workers with every parallel
-  // threshold forced on, so the full pipeline executes morsel-wise and
-  // the per-operator work deltas stay byte-exact. Wall-clock scaling is
+  // the real work-stealing pool at 1/2/4/8 workers; every pass with at
+  // least one morsel of live rows fans out (exec::pass_chunks), smaller
+  // ones run as one chunk, and the per-operator work deltas stay
+  // byte-exact at every width. Wall-clock scaling is
   // then projected on the 8-core server spec via the contention
   // simulator (this host has one vCPU; DESIGN.md §5 substitution
   // convention), splitting Q7's *measured* per-operator work into its
@@ -324,7 +325,6 @@ int main(int argc, char** argv) {
       sched::ThreadPool sweep_pool(static_cast<std::size_t>(n));
       core::RunOptions options;
       options.exec.pool = &sweep_pool;
-      options.exec.parallel_min_rows = 1;
       const Measured m = measure(db, q7_sql, options);
       const core::RunResult run = db.run_sql(q7_sql, options);
 

@@ -142,10 +142,10 @@ void shared_scan(std::size_t rows, std::span<SharedQuery> queries,
       stats.evaluated[qi] += evaluated[qi];
   };
 
-  if (pool == nullptr)
-    run_chunk(0, rows);
-  else
-    pool->parallel_for(rows, chunk_grain(rows, morsel_rows), run_chunk);
+  pass_chunks(pool, rows, rows, morsel_rows)
+      .run([&](std::size_t, std::size_t begin, std::size_t end) {
+        run_chunk(begin, end);
+      });
 }
 
 }  // namespace eidb::exec

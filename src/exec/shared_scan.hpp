@@ -69,10 +69,11 @@ struct SharedScanStats {
   std::vector<std::uint64_t> evaluated;
 };
 
-/// Runs the fused pass over `rows` rows for every member of `queries`.
-/// With a pool, the pass fans out through ThreadPool::parallel_for over
-/// chunk_grain(rows, morsel_rows) chunks; pool == nullptr runs serially.
-/// Each chunk walks its rows in `morsel_rows` morsels. Bit-for-bit: each
+/// Runs the fused pass over `rows` rows for every member of `queries`,
+/// in the chunks exec::pass_chunks(pool, rows, rows, morsel_rows) cuts:
+/// one on the caller without a pool or below one morsel of rows,
+/// chunk_grain(rows, morsel_rows) chunks on the pool otherwise. Each
+/// chunk walks its rows in `morsel_rows` morsels. Bit-for-bit: each
 /// member's selection equals the AND of its conjuncts' exact range
 /// matches — identical to what the scan-filter operator's kernels produce
 /// for the same bounds.

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <type_traits>
 
 #include "exec/hash_table.hpp"
@@ -15,10 +16,6 @@
 namespace eidb::exec {
 
 namespace {
-
-// Serial dense slots come from the shared kDenseDomainLimit
-// (exec/aggregate.hpp); per-chunk dense accumulators cap lower.
-constexpr std::int64_t kParallelDenseLimit = 1 << 16;
 
 constexpr std::uint64_t kAllLive = ~std::uint64_t{0};
 
@@ -375,14 +372,22 @@ struct PackedKeys {
   [[nodiscard]] static std::int64_t map(std::int64_t v) { return v; }
 };
 
+/// Throws unless `offset` indexes a lookup of `size` entries.
+void check_lookup_offset(std::int64_t offset, std::size_t size) {
+  if (static_cast<std::uint64_t>(offset) >= size)
+    throw Error("groupjoin foreign key outside its lookup's domain");
+}
+
 /// Key accessor of a LookupKey over its foreign-key view `Fk` (an int32 or
-/// int64 span, or PackedKeys).
-template <typename Fk>
+/// int64 span, or PackedKeys); kCheckFk bound-checks every key it maps.
+template <typename Fk, bool kCheckFk>
 struct LookupKeys {
   Fk fk;
   const std::int64_t* lut;
   std::int64_t lut_min;
+  std::size_t lut_size;
   [[nodiscard]] std::int64_t map(std::int64_t v) const {
+    if constexpr (kCheckFk) check_lookup_offset(v - lut_min, lut_size);
     return lut[v - lut_min];
   }
   [[nodiscard]] std::int64_t operator[](std::size_t i) const {
@@ -397,19 +402,20 @@ struct LookupKeys {
 };
 
 /// Calls fn(accessor) with the LookupKeys over `keys.fk`'s kind.
-template <typename Fn>
+template <bool kCheckFk, typename Fn>
 decltype(auto) with_lookup_keys(const LookupKey& keys, Fn&& fn) {
   const std::int64_t* lut = keys.lut.data();
+  const std::size_t size = keys.lut.size();
   switch (keys.fk.kind) {
     case AggInput::Kind::kInt32:
-      return fn(LookupKeys<std::span<const std::int32_t>>{keys.fk.i32, lut,
-                                                          keys.lut_min});
+      return fn(LookupKeys<std::span<const std::int32_t>, kCheckFk>{
+          keys.fk.i32, lut, keys.lut_min, size});
     case AggInput::Kind::kInt64:
-      return fn(LookupKeys<std::span<const std::int64_t>>{keys.fk.i64, lut,
-                                                          keys.lut_min});
+      return fn(LookupKeys<std::span<const std::int64_t>, kCheckFk>{
+          keys.fk.i64, lut, keys.lut_min, size});
     case AggInput::Kind::kPacked:
-      return fn(LookupKeys<PackedKeys>{PackedKeys{keys.fk.packed}, lut,
-                                       keys.lut_min});
+      return fn(LookupKeys<PackedKeys, kCheckFk>{PackedKeys{keys.fk.packed},
+                                                 lut, keys.lut_min, size});
     case AggInput::Kind::kDouble:
       break;
   }
@@ -517,130 +523,50 @@ KeyRange selected_key_range(const Keys& keys, const BitVector& selection) {
   return r;
 }
 
+/// Groups a hash table over selection words [word_begin, word_end)
+/// expects: the cached distinct estimate when the caller has one, else an
+/// eighth of the words' selected rows.
+std::size_t hash_groups(const KeyRange& range, const BitVector& selection,
+                        std::size_t word_begin, std::size_t word_end) {
+  if (range.distinct_hint != 0) return range.distinct_hint;
+  const std::uint64_t* words = selection.words();
+  std::uint64_t live = 0;
+  for (std::size_t w = word_begin; w < word_end; ++w)
+    live += static_cast<std::uint64_t>(__builtin_popcountll(words[w]));
+  return static_cast<std::size_t>(live) / 8 + 16;
+}
+
+/// The grouped kernels' one path: a GroupTable per chunk, each chunk's
+/// rows accumulated through its resolver, chunks 1.. folded into chunk
+/// 0's table in chunk order.
 template <typename Keys>
 GroupedAggs grouped_impl(const Keys& keys, std::span<const AggInput> inputs,
                          const BitVector& selection, KeyRange range,
-                         GroupStrategy strategy, std::size_t word_begin,
-                         std::size_t word_end, PackedTier tier) {
+                         GroupStrategy strategy, PackedTier tier,
+                         sched::ThreadPool* pool, std::size_t morsel_rows) {
+  EIDB_EXPECTS(selection.size() >= keys.size());
+  check_input_sizes(inputs, selection);
+  check_tier(tier);
   if (!range.known) range = selected_key_range(keys, selection);
   if (!range.known) return {};  // empty selection
 
-  // Unsigned width survives hash-like int64 keys whose spread overflows
-  // a signed domain computation (huge widths simply fail the dense test).
-  const std::uint64_t width = static_cast<std::uint64_t>(range.max) -
-                              static_cast<std::uint64_t>(range.min);
-  const bool dense_ok = width < static_cast<std::uint64_t>(kDenseDomainLimit);
-  GroupStrategy chosen = strategy;
-  if (chosen == GroupStrategy::kAuto)
-    chosen = dense_ok ? GroupStrategy::kDenseArray : GroupStrategy::kHash;
-  if (chosen == GroupStrategy::kDenseArray && !dense_ok)
-    throw Error("dense group-by domain too large");
-
-  GroupAccum acc(inputs);
-  std::vector<std::pair<std::int64_t, std::uint32_t>> order;
-
-  if (chosen == GroupStrategy::kDenseArray) {
-    const auto domain = static_cast<std::size_t>(width) + 1;
-    acc.ensure(domain);
-    const std::int64_t kmin = range.min;
-    grouped_acc_range(keys, inputs, selection, word_begin, word_end, tier,
-                      [kmin](std::int64_t key) {
-                        return static_cast<std::uint32_t>(key - kmin);
-                      },
-                      acc);
-    // Slot order == key order for the dense layout.
-    for (std::size_t s = 0; s < domain; ++s)
-      if (acc.counts[s] != 0)
-        order.emplace_back(kmin + static_cast<std::int64_t>(s),
-                           static_cast<std::uint32_t>(s));
-  } else {
-    // Size the table from the cached distinct estimate when the caller
-    // has one; otherwise popcount only this call's word range (the
-    // parallel path invokes grouped_impl once per chunk).
-    std::size_t sized = range.distinct_hint;
-    if (sized == 0) {
-      const std::uint64_t* words = selection.words();
-      std::uint64_t local = 0;
-      for (std::size_t w = word_begin; w < word_end; ++w)
-        local += static_cast<std::uint64_t>(__builtin_popcountll(words[w]));
-      sized = static_cast<std::size_t>(local) / 8 + 16;
-    }
-    HashTable<std::uint32_t> slots(sized);
-    std::uint32_t next = 0;
-    grouped_acc_range(
-        keys, inputs, selection, word_begin, word_end, tier,
-        [&](std::int64_t key) {
-          std::uint32_t& s = slots.get_or_insert(
-              key, [&](std::uint32_t& fresh) { fresh = next++; });
-          acc.ensure(next);
-          return s;
-        },
-        acc);
-    order.reserve(next);
-    slots.for_each([&](std::int64_t key, const std::uint32_t& s) {
-      order.emplace_back(key, s);
-    });
-    std::sort(order.begin(), order.end());
-  }
-  return acc.emit(order);
-}
-
-template <typename Keys>
-GroupedAggs parallel_grouped_impl(sched::ThreadPool& pool, const Keys& keys,
-                                  std::span<const AggInput> inputs,
-                                  const BitVector& selection, KeyRange range,
-                                  std::size_t morsel_rows, PackedTier tier) {
-  EIDB_EXPECTS(selection.size() >= keys.size());
-  check_input_sizes(inputs, selection);
-  if (!range.known) range = selected_key_range(keys, selection);
-  if (!range.known) return {};
-
-  // Per-chunk dense accumulators only for modest domains; everything
-  // larger hashes explicitly — per-chunk dense arrays over a big domain
-  // would pay O(domain) init and emit per chunk.
-  const std::uint64_t width = static_cast<std::uint64_t>(range.max) -
-                              static_cast<std::uint64_t>(range.min);
-  const GroupStrategy strategy =
-      width < static_cast<std::uint64_t>(kParallelDenseLimit)
-          ? GroupStrategy::kDenseArray
-          : GroupStrategy::kHash;
-
-  const std::size_t n = keys.size();
-  // Chunks are cut from the row count alone: the pool width never moves a
-  // chunk boundary, so the result does not depend on it.
-  const std::size_t grain = chunk_grain(n, morsel_rows);
-  const std::size_t total_words = (n + 63) / 64;
-
-  // Morsels are grain-aligned (multiples of 64): whole selection words,
-  // one partial per chunk slot.
-  std::vector<GroupedAggs> parts((n + grain - 1) / grain);
-  pool.parallel_for(n, grain, [&](std::size_t begin, std::size_t end) {
+  const Chunks chunks = pass_chunks(pool, keys.size(), selection, morsel_rows);
+  const bool dense = GroupTable::dense_layout(range, strategy, chunks.count());
+  std::vector<std::optional<GroupTable>> tables(chunks.count());
+  chunks.run([&](std::size_t chunk, std::size_t begin, std::size_t end) {
     const std::size_t wb = begin / 64;
-    const std::size_t we = std::min(total_words, (end + 63) / 64);
-    parts[begin / grain] =
-        grouped_impl(keys, inputs, selection, range, strategy, wb, we, tier);
+    const std::size_t we = (end + 63) / 64;
+    GroupTable& table = tables[chunk].emplace(
+        inputs, range, dense,
+        dense ? 0 : hash_groups(range, selection, wb, we));
+    table.with_resolver([&](const auto& resolve) {
+      grouped_acc_range(keys, inputs, selection, wb, we, tier, resolve,
+                        table.acc);
+    });
   });
-
-  // Merged in chunk order, not completion order: double sums are then the
-  // same on every run.
-  GroupAccum merged(inputs);
-  HashTable<std::uint32_t> slots;
-  std::uint32_t next = 0;
-  for (const GroupedAggs& part : parts) {
-    for (std::size_t g = 0; g < part.group_count(); ++g) {
-      const std::uint32_t s = slots.get_or_insert(
-          part.keys[g], [&](std::uint32_t& f) { f = next++; });
-      merged.ensure(next);
-      merged.merge(s, part, g);
-    }
-  }
-  std::vector<std::pair<std::int64_t, std::uint32_t>> order;
-  order.reserve(next);
-  slots.for_each([&](std::int64_t key, const std::uint32_t& s) {
-    order.emplace_back(key, s);
-  });
-  std::sort(order.begin(), order.end());
-  return merged.emit(order);
+  for (std::size_t c = 1; c < tables.size(); ++c)
+    tables.front()->merge_from(*tables[c]);
+  return tables.front()->emit();
 }
 
 /// Grows the arrays `ops` names to `slots`, new slots at the fold
@@ -657,21 +583,13 @@ void grow(GroupAccum::Arrays<S>& a, AggOpSet ops, std::size_t slots,
   if (ops & kAggMax) grow_one(a.mx, fold_bottom<S>());
 }
 
-/// Folds one (sum, min, max) partial into slot `s`.
-template <typename S>
-void fold_into(GroupAccum::Arrays<S>& a, AggOpSet ops, std::uint32_t s,
-               S sum, S mn, S mx) {
-  if (ops & kAggSum) a.sum[s] += sum;
-  if (ops & kAggMin) a.mn[s] = std::min(a.mn[s], mn);
-  if (ops & kAggMax) a.mx[s] = std::max(a.mx[s], mx);
-}
-
+/// Folds slot `t` of `o` into slot `s` of `a`.
 template <typename S>
 void fold_into(GroupAccum::Arrays<S>& a, AggOpSet ops, std::uint32_t s,
                const GroupAccum::Arrays<S>& o, std::size_t t) {
-  fold_into(a, ops, s, (ops & kAggSum) ? o.sum[t] : S{0},
-            (ops & kAggMin) ? o.mn[t] : S{0},
-            (ops & kAggMax) ? o.mx[t] : S{0});
+  if (ops & kAggSum) a.sum[s] += o.sum[t];
+  if (ops & kAggMin) a.mn[s] = std::min(a.mn[s], o.mn[t]);
+  if (ops & kAggMax) a.mx[s] = std::max(a.mx[s], o.mx[t]);
 }
 
 template <typename R, typename S>
@@ -705,20 +623,6 @@ void GroupAccum::ensure(std::size_t slots) {
       grow(darr[j], shapes_[j].ops, slots, cap);
     else
       grow(iarr[j], shapes_[j].ops, slots, cap);
-  }
-}
-
-void GroupAccum::merge(std::uint32_t s, const GroupedAggs& part,
-                       std::size_t g) {
-  counts[s] += part.counts[g];
-  for (std::size_t j = 0; j < shapes_.size(); ++j) {
-    if (shapes_[j].is_double) {
-      const AggResultD& r = part.dout[j][g];
-      fold_into(darr[j], shapes_[j].ops, s, r.sum, r.min, r.max);
-    } else {
-      const AggResult& r = part.iout[j][g];
-      fold_into(iarr[j], shapes_[j].ops, s, r.sum, r.min, r.max);
-    }
   }
 }
 
@@ -763,92 +667,132 @@ GroupedAggs GroupAccum::emit(
   return out;
 }
 
-std::vector<AggOut> multi_aggregate(std::span<const AggInput> inputs,
-                                    const BitVector& selection,
-                                    PackedTier tier) {
-  check_input_sizes(inputs, selection);
-  check_tier(tier);
-  std::vector<InputAcc> accs(inputs.size());
-  const std::uint64_t count = multi_acc_range(
-      inputs, selection, 0, selection.word_count(), tier, accs);
-  return finalize_multi(inputs, accs, count);
+bool GroupTable::dense_layout(const KeyRange& range, GroupStrategy strategy,
+                              std::size_t chunks) {
+  // Unsigned width survives hash-like int64 keys whose spread overflows
+  // a signed domain computation (huge widths simply fail the dense test).
+  const std::uint64_t width = static_cast<std::uint64_t>(range.max) -
+                              static_cast<std::uint64_t>(range.min);
+  const auto fits = [&](std::int64_t limit) {
+    return range.known && width < static_cast<std::uint64_t>(limit);
+  };
+  switch (strategy) {
+    case GroupStrategy::kDenseArray:
+      if (!fits(kDenseDomainLimit))
+        throw Error("dense group-by domain too large");
+      return true;
+    case GroupStrategy::kHash:
+      return false;
+    case GroupStrategy::kAuto:
+      break;
+  }
+  return fits(chunks > 1 ? kChunkDenseLimit : kDenseDomainLimit);
 }
 
-std::vector<AggOut> parallel_multi_aggregate(sched::ThreadPool& pool,
-                                             std::span<const AggInput> inputs,
-                                             const BitVector& selection,
-                                             std::size_t morsel_rows) {
+GroupTable::GroupTable(std::span<const AggInput> inputs, const KeyRange& range,
+                       bool dense, std::size_t hash_groups)
+    : acc(inputs),
+      dense_(dense),
+      dense_min_(range.min),
+      slots_(dense ? 16 : hash_groups) {
+  if (dense) {
+    EIDB_EXPECTS(range.known);
+    acc.ensure(static_cast<std::size_t>(static_cast<std::uint64_t>(range.max) -
+                                        static_cast<std::uint64_t>(range.min)) +
+               1);
+  }
+}
+
+void GroupTable::merge_from(const GroupTable& other) {
+  EIDB_EXPECTS(dense_ == other.dense_);
+  if (dense_) {
+    // One slot layout (same range): merge elementwise.
+    EIDB_EXPECTS(dense_min_ == other.dense_min_ &&
+                 acc.counts.size() == other.acc.counts.size());
+    for (std::size_t s = 0; s < other.acc.counts.size(); ++s)
+      if (other.acc.counts[s] != 0)
+        acc.merge(static_cast<std::uint32_t>(s), other.acc, s);
+  } else {
+    for (std::size_t s = 0; s < other.keys_.size(); ++s)
+      acc.merge(hash_slot(other.keys_[s]), other.acc, s);
+  }
+}
+
+GroupedAggs GroupTable::emit() const {
+  std::vector<std::pair<std::int64_t, std::uint32_t>> order;
+  if (dense_) {
+    // Slot order is key order.
+    for (std::size_t s = 0; s < acc.counts.size(); ++s)
+      if (acc.counts[s] != 0)
+        order.emplace_back(dense_min_ + static_cast<std::int64_t>(s),
+                           static_cast<std::uint32_t>(s));
+  } else {
+    order.reserve(keys_.size());
+    for (std::size_t s = 0; s < keys_.size(); ++s)
+      order.emplace_back(keys_[s], static_cast<std::uint32_t>(s));
+    std::sort(order.begin(), order.end());
+  }
+  return acc.emit(order);
+}
+
+std::int64_t LookupKey::at(std::size_t i) const {
+  const std::int64_t offset = fk.int_at(i) - lut_min;
+  if (check_fk) check_lookup_offset(offset, lut.size());
+  return lut[static_cast<std::size_t>(offset)];
+}
+
+std::vector<AggOut> multi_aggregate(std::span<const AggInput> inputs,
+                                    const BitVector& selection,
+                                    PackedTier tier, sched::ThreadPool* pool,
+                                    std::size_t morsel_rows) {
   check_input_sizes(inputs, selection);
-  const std::size_t n = selection.size();
-  const std::size_t grain = chunk_grain(n, morsel_rows);
-  const std::size_t total_words = selection.word_count();
-  const PackedTier tier = packed_tier();
-
-  // One partial per chunk slot, merged in chunk order below.
-  const std::size_t chunks = (n + grain - 1) / grain;
-  std::vector<std::vector<InputAcc>> parts(chunks);
-  std::vector<std::uint64_t> part_counts(chunks, 0);
-  pool.parallel_for(n, grain, [&](std::size_t begin, std::size_t end) {
-    const std::size_t chunk = begin / grain;
-    const std::size_t wb = begin / 64;
-    const std::size_t we = std::min(total_words, (end + 63) / 64);
-    parts[chunk].resize(inputs.size());
-    part_counts[chunk] =
-        multi_acc_range(inputs, selection, wb, we, tier, parts[chunk]);
+  check_tier(tier);
+  const Chunks chunks =
+      pass_chunks(pool, selection.size(), selection, morsel_rows);
+  std::vector<std::vector<InputAcc>> accs(
+      chunks.count(), std::vector<InputAcc>(inputs.size()));
+  std::vector<std::uint64_t> counts(chunks.count(), 0);
+  chunks.run([&](std::size_t chunk, std::size_t begin, std::size_t end) {
+    counts[chunk] = multi_acc_range(inputs, selection, begin / 64,
+                                    (end + 63) / 64, tier, accs[chunk]);
   });
-
-  std::vector<InputAcc> accs(inputs.size());
-  std::uint64_t count = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    if (part_counts[c] == 0) continue;
-    count += part_counts[c];
+  // Chunk order, not completion order: double sums are the same on every
+  // run.
+  std::vector<InputAcc>& acc = accs.front();
+  for (std::size_t c = 1; c < accs.size(); ++c) {
+    if (counts[c] == 0) continue;
+    counts.front() += counts[c];
     for (std::size_t j = 0; j < inputs.size(); ++j) {
-      const InputAcc& p = parts[c][j];
-      accs[j].isum += p.isum;
-      accs[j].imin = std::min(accs[j].imin, p.imin);
-      accs[j].imax = std::max(accs[j].imax, p.imax);
-      accs[j].dsum += p.dsum;
-      accs[j].dmin = std::min(accs[j].dmin, p.dmin);
-      accs[j].dmax = std::max(accs[j].dmax, p.dmax);
+      const InputAcc& p = accs[c][j];
+      acc[j].isum += p.isum;
+      acc[j].imin = std::min(acc[j].imin, p.imin);
+      acc[j].imax = std::max(acc[j].imax, p.imax);
+      acc[j].dsum += p.dsum;
+      acc[j].dmin = std::min(acc[j].dmin, p.dmin);
+      acc[j].dmax = std::max(acc[j].dmax, p.dmax);
     }
   }
-  return finalize_multi(inputs, accs, count);
+  return finalize_multi(inputs, acc, counts.front());
 }
 
 GroupedAggs grouped_multi_aggregate(std::span<const std::int64_t> keys,
                                     std::span<const AggInput> inputs,
                                     const BitVector& selection, KeyRange range,
-                                    GroupStrategy strategy) {
-  EIDB_EXPECTS(selection.size() >= keys.size());
-  check_input_sizes(inputs, selection);
-  return grouped_impl(keys, inputs, selection, range, strategy, 0,
-                      (keys.size() + 63) / 64, packed_tier());
+                                    GroupStrategy strategy, PackedTier tier,
+                                    sched::ThreadPool* pool,
+                                    std::size_t morsel_rows) {
+  return grouped_impl(keys, inputs, selection, range, strategy, tier, pool,
+                      morsel_rows);
 }
 
 GroupedAggs grouped_multi_aggregate32(std::span<const std::int32_t> keys,
                                       std::span<const AggInput> inputs,
                                       const BitVector& selection,
-                                      KeyRange range, GroupStrategy strategy) {
-  EIDB_EXPECTS(selection.size() >= keys.size());
-  check_input_sizes(inputs, selection);
-  return grouped_impl(keys, inputs, selection, range, strategy, 0,
-                      (keys.size() + 63) / 64, packed_tier());
-}
-
-GroupedAggs parallel_grouped_multi_aggregate(
-    sched::ThreadPool& pool, std::span<const std::int64_t> keys,
-    std::span<const AggInput> inputs, const BitVector& selection,
-    KeyRange range, std::size_t morsel_rows) {
-  return parallel_grouped_impl(pool, keys, inputs, selection, range,
-                               morsel_rows, packed_tier());
-}
-
-GroupedAggs parallel_grouped_multi_aggregate32(
-    sched::ThreadPool& pool, std::span<const std::int32_t> keys,
-    std::span<const AggInput> inputs, const BitVector& selection,
-    KeyRange range, std::size_t morsel_rows) {
-  return parallel_grouped_impl(pool, keys, inputs, selection, range,
-                               morsel_rows, packed_tier());
+                                      KeyRange range, GroupStrategy strategy,
+                                      PackedTier tier, sched::ThreadPool* pool,
+                                      std::size_t morsel_rows) {
+  return grouped_impl(keys, inputs, selection, range, strategy, tier, pool,
+                      morsel_rows);
 }
 
 GroupedAggs grouped_multi_aggregate_packed(const storage::PackedView& keys,
@@ -856,21 +800,11 @@ GroupedAggs grouped_multi_aggregate_packed(const storage::PackedView& keys,
                                            const BitVector& selection,
                                            KeyRange range,
                                            GroupStrategy strategy,
-                                           PackedTier tier) {
-  EIDB_EXPECTS(selection.size() >= keys.count);
-  check_input_sizes(inputs, selection);
-  check_tier(tier);
+                                           PackedTier tier,
+                                           sched::ThreadPool* pool,
+                                           std::size_t morsel_rows) {
   return grouped_impl(PackedKeys{keys}, inputs, selection, range, strategy,
-                      0, (keys.count + 63) / 64, tier);
-}
-
-GroupedAggs parallel_grouped_multi_aggregate_packed(
-    sched::ThreadPool& pool, const storage::PackedView& keys,
-    std::span<const AggInput> inputs, const BitVector& selection,
-    KeyRange range, std::size_t morsel_rows, PackedTier tier) {
-  check_tier(tier);
-  return parallel_grouped_impl(pool, PackedKeys{keys}, inputs, selection,
-                               range, morsel_rows, tier);
+                      tier, pool, morsel_rows);
 }
 
 GroupedAggs grouped_multi_aggregate_lookup(const LookupKey& keys,
@@ -878,25 +812,15 @@ GroupedAggs grouped_multi_aggregate_lookup(const LookupKey& keys,
                                            const BitVector& selection,
                                            KeyRange range,
                                            GroupStrategy strategy,
-                                           PackedTier tier) {
-  EIDB_EXPECTS(selection.size() >= keys.fk.size());
-  check_input_sizes(inputs, selection);
-  check_tier(tier);
-  return with_lookup_keys(keys, [&](const auto& k) {
-    return grouped_impl(k, inputs, selection, range, strategy, 0,
-                        (k.size() + 63) / 64, tier);
-  });
-}
-
-GroupedAggs parallel_grouped_multi_aggregate_lookup(
-    sched::ThreadPool& pool, const LookupKey& keys,
-    std::span<const AggInput> inputs, const BitVector& selection,
-    KeyRange range, std::size_t morsel_rows, PackedTier tier) {
-  check_tier(tier);
-  return with_lookup_keys(keys, [&](const auto& k) {
-    return parallel_grouped_impl(pool, k, inputs, selection, range,
-                                 morsel_rows, tier);
-  });
+                                           PackedTier tier,
+                                           sched::ThreadPool* pool,
+                                           std::size_t morsel_rows) {
+  const auto run = [&](const auto& k) {
+    return grouped_impl(k, inputs, selection, range, strategy, tier, pool,
+                        morsel_rows);
+  };
+  return keys.check_fk ? with_lookup_keys<true>(keys, run)
+                       : with_lookup_keys<false>(keys, run);
 }
 
 // ---------------------------------------------------------------------------
@@ -919,38 +843,19 @@ std::vector<AggInput> columns_of(
 }  // namespace
 
 JoinAggregator::JoinAggregator(std::vector<Input> inputs)
-    : inputs_(std::move(inputs)), acc_(columns_of(inputs_)) {
-  dense_ = true;  // one implicit slot
-  acc_.ensure(1);
-}
+    : inputs_(std::move(inputs)),
+      table_(columns_of(inputs_), KeyRange{true, 0, 0}, true) {}
 
 JoinAggregator::JoinAggregator(std::vector<Input> inputs,
-                               std::vector<KeyPart> key, KeyRange range)
+                               std::vector<KeyPart> key, KeyRange range,
+                               std::size_t chunks)
     : inputs_(std::move(inputs)),
       key_(std::move(key)),
-      grouped_(true),
-      acc_(columns_of(inputs_)) {
+      table_(columns_of(inputs_), range,
+             GroupTable::dense_layout(range, GroupStrategy::kAuto, chunks)) {
   EIDB_EXPECTS(!key_.empty());
   for (const KeyPart& part : key_)
     EIDB_EXPECTS(part.column.kind != AggInput::Kind::kDouble);
-  const std::uint64_t width = static_cast<std::uint64_t>(range.max) -
-                              static_cast<std::uint64_t>(range.min);
-  dense_ = range.known &&
-           width < static_cast<std::uint64_t>(kDenseDomainLimit);
-  if (dense_) {
-    dense_min_ = range.min;
-    acc_.ensure(static_cast<std::size_t>(width) + 1);
-  }
-}
-
-std::uint32_t JoinAggregator::resolve(std::int64_t key) {
-  if (dense_) return static_cast<std::uint32_t>(key - dense_min_);
-  const std::uint32_t s = slots_.get_or_insert(key, [&](std::uint32_t& f) {
-    f = next_++;
-    slot_keys_.push_back(key);
-  });
-  acc_.ensure(next_);
-  return s;
 }
 
 void JoinAggregator::add_block(const std::uint32_t* build_rows,
@@ -963,74 +868,56 @@ void JoinAggregator::add_block(const std::uint32_t* build_rows,
 void JoinAggregator::add_block(const std::uint32_t* const* side_rows,
                                std::size_t count) {
   pairs_ += count;
-  std::int64_t keys[kGatherBlock];
-  std::uint32_t slot[kGatherBlock];
-  for (std::size_t at = 0; at < count; at += kGatherBlock) {
-    const std::size_t n = std::min(kGatherBlock, count - at);
-    if (!grouped_) {
-      for (std::size_t e = 0; e < n; ++e) slot[e] = 0;
-      acc_.counts[0] += n;
-    } else {
-      // Key column(s) touched once per match: the composite key is
-      // synthesized per block, then every input gathers column-at-a-time.
-      for (std::size_t e = 0; e < n; ++e) keys[e] = 0;
-      for (const KeyPart& part : key_) {
-        const std::uint32_t* rows = side_rows[part.side] + at;
-        for (std::size_t e = 0; e < n; ++e)
-          keys[e] +=
-              (part.column.int_at(rows[e]) - part.offset) * part.stride;
-      }
-      for (std::size_t e = 0; e < n; ++e) slot[e] = resolve(keys[e]);
-      for (std::size_t e = 0; e < n; ++e) ++acc_.counts[slot[e]];
-    }
-    for (std::size_t j = 0; j < inputs_.size(); ++j) {
-      const AggInput& column = inputs_[j].column;
-      const std::uint32_t* rows = side_rows[inputs_[j].side] + at;
-      if (column.is_double()) {
-        const double* data = column.f64.data();
-        fold_slots(column.ops, n, slot,
-                   [&](std::size_t e) { return data[rows[e]]; },
-                   acc_.darr[j]);
+  GroupAccum& acc = table_.acc;
+  table_.with_resolver([&](const auto& resolve) {
+    std::int64_t keys[kGatherBlock];
+    std::uint32_t slot[kGatherBlock];
+    for (std::size_t at = 0; at < count; at += kGatherBlock) {
+      const std::size_t n = std::min(kGatherBlock, count - at);
+      if (key_.empty()) {
+        for (std::size_t e = 0; e < n; ++e) slot[e] = 0;
+        acc.counts[0] += n;
       } else {
-        fold_slots(column.ops, n, slot,
-                   [&](std::size_t e) { return column.int_at(rows[e]); },
-                   acc_.iarr[j]);
+        // Key column(s) touched once per match: the composite key is
+        // synthesized per block, then every input gathers
+        // column-at-a-time.
+        for (std::size_t e = 0; e < n; ++e) keys[e] = 0;
+        for (const KeyPart& part : key_) {
+          const std::uint32_t* rows = side_rows[part.side] + at;
+          for (std::size_t e = 0; e < n; ++e)
+            keys[e] +=
+                (part.column.int_at(rows[e]) - part.offset) * part.stride;
+        }
+        for (std::size_t e = 0; e < n; ++e) slot[e] = resolve(keys[e]);
+        for (std::size_t e = 0; e < n; ++e) ++acc.counts[slot[e]];
+      }
+      for (std::size_t j = 0; j < inputs_.size(); ++j) {
+        const AggInput& column = inputs_[j].column;
+        const std::uint32_t* rows = side_rows[inputs_[j].side] + at;
+        if (column.is_double()) {
+          const double* data = column.f64.data();
+          fold_slots(column.ops, n, slot,
+                     [&](std::size_t e) { return data[rows[e]]; },
+                     acc.darr[j]);
+        } else {
+          fold_slots(column.ops, n, slot,
+                     [&](std::size_t e) { return column.int_at(rows[e]); },
+                     acc.iarr[j]);
+        }
       }
     }
-  }
+  });
 }
 
 void JoinAggregator::merge_from(const JoinAggregator& other) {
   pairs_ += other.pairs_;
-  if (dense_) {
-    // Same slot layout (shared dense_min_): merge elementwise.
-    acc_.ensure(other.acc_.counts.size());
-    for (std::size_t s = 0; s < other.acc_.counts.size(); ++s) {
-      if (other.acc_.counts[s] != 0)
-        acc_.merge(static_cast<std::uint32_t>(s), other.acc_, s);
-    }
-  } else {
-    for (std::size_t s = 0; s < other.next_; ++s)
-      acc_.merge(resolve(other.slot_keys_[s]), other.acc_, s);
-  }
+  table_.merge_from(other.table_);
 }
 
 GroupedAggs JoinAggregator::finish() const {
-  std::vector<std::pair<std::int64_t, std::uint32_t>> order;
-  if (!grouped_) {
-    order.emplace_back(0, 0);
-  } else if (dense_) {
-    for (std::size_t s = 0; s < acc_.counts.size(); ++s)
-      if (acc_.counts[s] != 0)
-        order.emplace_back(dense_min_ + static_cast<std::int64_t>(s),
-                           static_cast<std::uint32_t>(s));
-  } else {
-    order.reserve(next_);
-    for (std::size_t s = 0; s < next_; ++s)
-      order.emplace_back(slot_keys_[s], static_cast<std::uint32_t>(s));
-    std::sort(order.begin(), order.end());
-  }
-  return acc_.emit(order);
+  if (!key_.empty()) return table_.emit();
+  const std::pair<std::int64_t, std::uint32_t> global{0, 0};
+  return table_.acc.emit({&global, 1});
 }
 
 }  // namespace eidb::exec

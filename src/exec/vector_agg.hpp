@@ -18,16 +18,23 @@
 // DRAM-byte ledger (and the joules attributed from it) drops accordingly.
 // Grouped variants share one per-group count across all inputs and accept
 // the key range from the cached storage::ColumnStats, so they skip a key
-// min/max pass when the caller knows the range. Parallel variants fan out
-// through ThreadPool::parallel_for over exec::chunk_grain chunks, cut from
-// the row count and morsel size alone, and merge the per-chunk partials
-// in chunk order, so double sums depend neither on thread scheduling nor
-// on the pool width. These are the engine's only aggregation kernels:
-// queries, the cost model's calibration and the benches all run them.
+// min/max pass when the caller knows the range.
+//
+// Each kernel has one code path and takes an optional sched::ThreadPool:
+// exec::pass_chunks decides the pass's chunks, one on the caller (the
+// whole pass, no merge) or chunk_grain chunks cut from the row count and
+// morsel size alone. Chunk partials — GroupTables for the grouped kernels
+// — fold into chunk 0's slot by slot in chunk order, so double sums
+// depend neither on thread scheduling nor on the pool width. GroupTable
+// is also JoinAggregator's slot state: grouped aggregation has one key →
+// slot table, one dense/hash choice, one merge and one emit. These are
+// the engine's only aggregation kernels: queries, the cost model's
+// calibration and the benches all run them.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "exec/aggregate.hpp"
@@ -143,16 +150,13 @@ struct AggOut {
 /// Aggregates ALL `inputs` in a single pass over the selection bitmap.
 /// Empty selections return zeroed results (count, sum, min and max all
 /// 0). `tier` decodes packed inputs: the host's by default, or kScalar,
-/// the reference on any host.
+/// the reference on any host. With `pool`, the pass runs as
+/// exec::pass_chunks(pool, rows, selected rows, morsel_rows) decides;
+/// chunk partials merge in chunk order (the E4-partitioned scheme).
 [[nodiscard]] std::vector<AggOut> multi_aggregate(
     std::span<const AggInput> inputs, const BitVector& selection,
-    PackedTier tier = packed_tier());
-
-/// Morsel-parallel multi_aggregate: per-chunk partials over chunk_grain
-/// chunks, merged in chunk order (the E4-partitioned scheme).
-[[nodiscard]] std::vector<AggOut> parallel_multi_aggregate(
-    sched::ThreadPool& pool, std::span<const AggInput> inputs,
-    const BitVector& selection, std::size_t morsel_rows = kDefaultMorselRows);
+    PackedTier tier = packed_tier(), sched::ThreadPool* pool = nullptr,
+    std::size_t morsel_rows = kDefaultMorselRows);
 
 /// Known key range (from storage::ColumnStats); `known == false` makes the
 /// kernel derive it from the selected rows (one extra pass over the keys).
@@ -178,62 +182,57 @@ struct GroupedAggs {
 
 /// Grouped aggregation of ALL `inputs` in one pass: per selected row the
 /// group slot is computed once and every input's accumulator is updated.
-/// `strategy` kAuto takes the dense array when the key domain spans at
-/// most kDenseDomainLimit slots and hashes otherwise; kDenseArray throws
-/// on a larger domain. Groups with no selected row are not emitted.
+/// Groups with no selected row are not emitted. `strategy` applies to
+/// each chunk's GroupTable: kAuto takes dense slots when the key range
+/// spans at most kDenseDomainLimit slots in a one-chunk pass, or
+/// kChunkDenseLimit per chunk of a multi-chunk pass, and hashes
+/// otherwise; kDenseArray throws on a range wider than kDenseDomainLimit.
+/// `tier` decodes packed keys and inputs: the host's by default, or
+/// kScalar, the reference on any host. `pool` and `morsel_rows` set the
+/// chunks, as for multi_aggregate.
 [[nodiscard]] GroupedAggs grouped_multi_aggregate(
     std::span<const std::int64_t> keys, std::span<const AggInput> inputs,
     const BitVector& selection, KeyRange range = {},
-    GroupStrategy strategy = GroupStrategy::kAuto);
+    GroupStrategy strategy = GroupStrategy::kAuto,
+    PackedTier tier = packed_tier(), sched::ThreadPool* pool = nullptr,
+    std::size_t morsel_rows = kDefaultMorselRows);
 
 /// int32 / dictionary-code keys, consumed directly (no widened key copy).
 [[nodiscard]] GroupedAggs grouped_multi_aggregate32(
     std::span<const std::int32_t> keys, std::span<const AggInput> inputs,
     const BitVector& selection, KeyRange range = {},
-    GroupStrategy strategy = GroupStrategy::kAuto);
-
-/// Morsel-parallel grouped multi-aggregate: per-chunk dense accumulators
-/// (small domains) or hash tables, merged by key in chunk order. The
-/// chunks (at least `morsel_rows`, at most 16 per call) do not depend on
-/// the pool width, so neither do double sums.
-[[nodiscard]] GroupedAggs parallel_grouped_multi_aggregate(
-    sched::ThreadPool& pool, std::span<const std::int64_t> keys,
-    std::span<const AggInput> inputs, const BitVector& selection,
-    KeyRange range = {}, std::size_t morsel_rows = kDefaultMorselRows);
-
-[[nodiscard]] GroupedAggs parallel_grouped_multi_aggregate32(
-    sched::ThreadPool& pool, std::span<const std::int32_t> keys,
-    std::span<const AggInput> inputs, const BitVector& selection,
-    KeyRange range = {}, std::size_t morsel_rows = kDefaultMorselRows);
+    GroupStrategy strategy = GroupStrategy::kAuto,
+    PackedTier tier = packed_tier(), sched::ThreadPool* pool = nullptr,
+    std::size_t morsel_rows = kDefaultMorselRows);
 
 /// Bit-packed key column (reference + packed value): dense words decode
 /// the key block once, sparse ones read the selected rows, so the key
 /// column's DRAM traffic is its packed image. Output keys are the decoded
-/// values, exactly as the plain-key overloads produce. `tier` decodes the
-/// key and packed inputs: the host's by default, or kScalar, the
-/// reference on any host.
+/// values, exactly as the plain-key overloads produce.
 [[nodiscard]] GroupedAggs grouped_multi_aggregate_packed(
     const storage::PackedView& keys, std::span<const AggInput> inputs,
     const BitVector& selection, KeyRange range = {},
     GroupStrategy strategy = GroupStrategy::kAuto,
-    PackedTier tier = packed_tier());
-
-[[nodiscard]] GroupedAggs parallel_grouped_multi_aggregate_packed(
-    sched::ThreadPool& pool, const storage::PackedView& keys,
-    std::span<const AggInput> inputs, const BitVector& selection,
-    KeyRange range = {}, std::size_t morsel_rows = kDefaultMorselRows,
-    PackedTier tier = packed_tier());
+    PackedTier tier = packed_tier(), sched::ThreadPool* pool = nullptr,
+    std::size_t morsel_rows = kDefaultMorselRows);
 
 /// A group key read through a dense lookup on a foreign key (a
 /// groupjoin): row i's key is lut[fk(i) - lut_min], the group value of
 /// the one dimension row its foreign key joins. `fk` is an int32, int64
 /// or packed view; block words decode its 64-value block once, as packed
-/// keys do. Precondition: every selected row's fk(i) - lut_min indexes
-/// `lut`.
+/// keys do.
 struct LookupKey {
   AggInput fk;
   std::span<const std::int64_t> lut;
   std::int64_t lut_min = 0;
+  /// Bound-check every selected row's fk(i) - lut_min against `lut`, and
+  /// throw eidb::Error for one outside. Set it unless the fk column's
+  /// cached range lies inside the lookup's domain: then no row can fall
+  /// outside, and the kernels read with no per-row check.
+  bool check_fk = false;
+
+  /// Row i's key (per-row readers such as composite-key synthesis).
+  [[nodiscard]] std::int64_t at(std::size_t i) const;
 };
 
 /// Grouped multi-aggregate over a lookup key; output keys are the lookup
@@ -242,18 +241,18 @@ struct LookupKey {
     const LookupKey& keys, std::span<const AggInput> inputs,
     const BitVector& selection, KeyRange range = {},
     GroupStrategy strategy = GroupStrategy::kAuto,
-    PackedTier tier = packed_tier());
+    PackedTier tier = packed_tier(), sched::ThreadPool* pool = nullptr,
+    std::size_t morsel_rows = kDefaultMorselRows);
 
-[[nodiscard]] GroupedAggs parallel_grouped_multi_aggregate_lookup(
-    sched::ThreadPool& pool, const LookupKey& keys,
-    std::span<const AggInput> inputs, const BitVector& selection,
-    KeyRange range = {}, std::size_t morsel_rows = kDefaultMorselRows,
-    PackedTier tier = packed_tier());
+/// Widest key range a GroupTable of a multi-chunk pass gives dense slots
+/// under kAuto (64Ki slots): every chunk's dense table spans the whole
+/// range, so wider ranges hash per chunk instead of paying O(range)
+/// initialization, merge and emit in each of up to kMaxChunks tables.
+inline constexpr std::int64_t kChunkDenseLimit = 1 << 16;
 
-/// Slot-indexed accumulation state shared by the grouped kernels and
-/// JoinAggregator: one count per group and, per input, only the
-/// sum/min/max arrays its op set names (int64 for integer inputs, double
-/// for doubles).
+/// Slot-indexed accumulation state: one count per group and, per input,
+/// only the sum/min/max arrays its op set names (int64 for integer
+/// inputs, double for doubles).
 class GroupAccum {
  public:
   template <typename S>
@@ -265,11 +264,8 @@ class GroupAccum {
 
   /// Grows every array to `slots`, new groups at the fold identities.
   /// Capacity grows geometrically, so one-slot-at-a-time growth (the hash
-  /// strategy) stays amortized O(1).
+  /// layout) stays amortized O(1).
   void ensure(std::size_t slots);
-  /// Folds group `g` of a partial result into slot `s` (the parallel
-  /// merge).
-  void merge(std::uint32_t s, const GroupedAggs& part, std::size_t g);
   /// Folds slot `theirs` of an accumulator over the same inputs into
   /// slot `mine`.
   void merge(std::uint32_t mine, const GroupAccum& other, std::size_t theirs);
@@ -291,6 +287,63 @@ class GroupAccum {
   std::vector<Shape> shapes_;
 };
 
+/// The key → slot table of grouped aggregation, shared by the bitmap
+/// kernels and JoinAggregator: dense slots (slot = key - range.min) or a
+/// hash table holding each slot's key, over one GroupAccum. The layout is
+/// chosen once per table. The chunks of one pass build tables of one
+/// layout and fold into chunk 0's slot by slot, in chunk order.
+class GroupTable {
+ public:
+  /// The layout `strategy` gives a table of a pass cut into `chunks`
+  /// chunks (see grouped_multi_aggregate): true for dense slots. Throws
+  /// for kDenseArray over an unknown range or one wider than
+  /// kDenseDomainLimit.
+  [[nodiscard]] static bool dense_layout(const KeyRange& range,
+                                         GroupStrategy strategy,
+                                         std::size_t chunks);
+
+  /// Dense slots over `range` (known) when `dense`; otherwise a hash
+  /// table pre-sized for `hash_groups` groups.
+  GroupTable(std::span<const AggInput> inputs, const KeyRange& range,
+             bool dense, std::size_t hash_groups = 16);
+
+  /// Calls fn(resolve), resolve(key) giving the key's slot — the dense
+  /// offset or the hash lookup, inserting new keys — so each per-row
+  /// loop compiles once per layout.
+  template <typename Fn>
+  void with_resolver(Fn&& fn) {
+    if (dense_) {
+      const std::int64_t min = dense_min_;
+      fn([min](std::int64_t key) {
+        return static_cast<std::uint32_t>(key - min);
+      });
+    } else {
+      fn([this](std::int64_t key) { return hash_slot(key); });
+    }
+  }
+  /// Folds every group of `other`, a table over the same inputs and
+  /// layout, into this one.
+  void merge_from(const GroupTable& other);
+  /// The groups with a row, sorted by key.
+  [[nodiscard]] GroupedAggs emit() const;
+
+  GroupAccum acc;
+
+ private:
+  std::uint32_t hash_slot(std::int64_t key) {
+    return slots_.get_or_insert(key, [&](std::uint32_t& fresh) {
+      fresh = static_cast<std::uint32_t>(keys_.size());
+      keys_.push_back(key);
+      acc.ensure(keys_.size());
+    });
+  }
+
+  bool dense_ = false;
+  std::int64_t dense_min_ = 0;
+  HashTable<std::uint32_t> slots_;   // hash layout: key → slot
+  std::vector<std::int64_t> keys_;   // hash layout: key of each slot
+};
+
 /// Gather-based aggregation sink for the late-materialized join pipeline
 /// (query::Executor's vectorized join path): matches arrive as blocks of
 /// row-id tuples — one row id per joined *side* — and every value —
@@ -298,9 +351,9 @@ class GroupAccum {
 /// column by row id, so no pair vector and no widened key copy is ever
 /// materialized. Side 0 is the probe (FROM) table; sides 1..k are the
 /// build tables of a (possibly multi-way) join chain in execution order.
-/// Accumulation state (GroupAccum, each input's op set included) and
-/// output shapes are shared with the bitmap kernels: a grouped join
-/// produces exactly the GroupedAggs a base-table GROUP BY would.
+/// Slot state (GroupTable, each input's op set included) and output
+/// shapes are shared with the bitmap kernels: a grouped join produces
+/// exactly the GroupedAggs a base-table GROUP BY would.
 class JoinAggregator {
  public:
   /// One aggregate input, gathered by the row id of its side.
@@ -322,11 +375,13 @@ class JoinAggregator {
   /// Global aggregates: every match lands in one implicit group (key 0);
   /// finish() emits exactly one group even with zero matches.
   explicit JoinAggregator(std::vector<Input> inputs);
-  /// Grouped aggregates: dense slot resolution when `range` is known and
-  /// spans less than kDenseDomainLimit (the bitmap kernels' policy), hash
-  /// resolution otherwise. finish() emits only non-empty groups.
+  /// Grouped aggregates over a GroupTable laid out as the bitmap kernels
+  /// lay theirs under kAuto, for one of `chunks` aggregators of a pass:
+  /// dense slots when `range` is known and spans at most
+  /// kDenseDomainLimit slots (kChunkDenseLimit when chunks > 1), hash
+  /// slots otherwise. finish() emits only non-empty groups.
   JoinAggregator(std::vector<Input> inputs, std::vector<KeyPart> key,
-                 KeyRange range);
+                 KeyRange range, std::size_t chunks = 1);
 
   /// Accumulates one block of single-join matches (any count; consumed in
   /// bounded sub-blocks internally). Side 0 = probe, side 1 = build.
@@ -338,8 +393,8 @@ class JoinAggregator {
   /// KeyPart references).
   void add_block(const std::uint32_t* const* rows, std::size_t count);
 
-  /// Folds a compatible (same-spec) aggregator's partial state into this
-  /// one — the morsel-parallel probe merge.
+  /// Folds a same-spec aggregator's state into this one — the chunk
+  /// merge of a multi-chunk probe.
   void merge_from(const JoinAggregator& other);
 
   [[nodiscard]] std::uint64_t pair_count() const { return pairs_; }
@@ -348,17 +403,9 @@ class JoinAggregator {
   [[nodiscard]] GroupedAggs finish() const;
 
  private:
-  std::uint32_t resolve(std::int64_t key);
-
   std::vector<Input> inputs_;
-  std::vector<KeyPart> key_;
-  bool grouped_ = false;
-  bool dense_ = false;
-  std::int64_t dense_min_ = 0;
-  HashTable<std::uint32_t> slots_;         // hash strategy only
-  std::vector<std::int64_t> slot_keys_;    // hash strategy: key per slot
-  std::uint32_t next_ = 0;
-  GroupAccum acc_;
+  std::vector<KeyPart> key_;  ///< Empty for global aggregates.
+  GroupTable table_;
   std::uint64_t pairs_ = 0;
 };
 

@@ -18,17 +18,17 @@
 //   ops/sort_op       sort / heap top-k (typed key views, result rows)
 //   ops/project_op    late materialization with gather-bounded charging
 //
-// Each operator has one production path; the reference behaviour the
-// parity suites check it against lives in the test oracle
-// (tests/query/parity_matrix.hpp), not in a selectable arm here. See
-// docs/executor_pipeline.md.
+// Each operator has one production path, and each of its passes one code
+// path whose fan-out exec::pass_chunks decides (no serial twin, no
+// threshold knob); the reference behaviour the parity suites check it
+// against lives in the test oracle (tests/query/parity_matrix.hpp), not
+// in a selectable arm here. See docs/executor_pipeline.md.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "exec/parallel.hpp"
 #include "query/plan.hpp"
 #include "query/result.hpp"
 #include "sched/governor.hpp"
@@ -66,8 +66,10 @@ struct ExecOptions {
   std::size_t zone_block_rows = 4096;
   /// Optional tier manager: cold-column accesses are charged (E6).
   storage::TierManager* tiers = nullptr;
-  /// Optional worker pool: every operator, predicate scans included,
-  /// fans out across it through ThreadPool::parallel_for.
+  /// Optional worker pool. Every pass, predicate scans included, takes
+  /// its chunks from exec::pass_chunks: one on the caller without a pool
+  /// or below one morsel (exec::kDefaultMorselRows) of live rows,
+  /// exec::chunk_grain chunks on the pool otherwise.
   sched::ThreadPool* pool = nullptr;
   /// Order conjunctive predicates most-selective-first and evaluate later
   /// predicates with masked kernels that skip dead 64-row blocks.
@@ -80,12 +82,6 @@ struct ExecOptions {
   /// gathers, expression evaluation) transparently fall back to plain
   /// either way.
   bool use_encodings = true;
-  /// Minimum rows an operator's pass covers before it fans out on `pool`
-  /// (selected rows for aggregation, join filter passes and the join
-  /// probe, keys for sort and top-k, emitted rows for projection); below
-  /// it the pass runs serially, as dispatch overhead would dominate. The
-  /// default is the smallest chunk exec::chunk_grain ever cuts.
-  std::size_t parallel_min_rows = exec::kDefaultMorselRows;
   /// Join implementation (see JoinPath).
   JoinPath join_path = JoinPath::kAuto;
   /// Cost model consulted by the physical planner for the join-arm

@@ -69,8 +69,6 @@ QueryResult aggregate_rows(
   const ExecOptions& options = ctx.options;
   ExecStats& stats = ctx.stats;
   const std::uint64_t selected = selection.count();
-  const bool parallel = options.pool != nullptr &&
-                        selected >= options.parallel_min_rows;
 
   // ---- Resolve AggSpecs to shared inputs: each distinct column (or
   // expression) becomes ONE kernel input, read exactly once, and is
@@ -146,9 +144,8 @@ QueryResult aggregate_rows(
     // input; each AggSpec just projects its op out of the shared result.
     std::vector<exec::AggOut> outs;
     if (!inputs.empty())
-      outs = parallel ? exec::parallel_multi_aggregate(*options.pool, inputs,
-                                                       selection)
-                      : exec::multi_aggregate(inputs, selection);
+      outs = exec::multi_aggregate(inputs, selection, exec::packed_tier(),
+                                   options.pool);
     std::vector<std::string> names;
     names.reserve(plan.aggregates.size());
     for (const AggSpec& a : plan.aggregates) names.push_back(agg_column_name(a));
@@ -187,6 +184,13 @@ QueryResult aggregate_rows(
       ctx.charge_column(table, *part.col, consume_packed(*part.col));
   }
 
+  // Every key kind runs one kernel signature; the kernel decides its
+  // chunks from the pool and the selected rows.
+  const auto group = [&](const auto& kernel, const auto& keys,
+                         const exec::KeyRange& range) {
+    return kernel(keys, inputs, selection, range, exec::GroupStrategy::kAuto,
+                  exec::packed_tier(), options.pool, exec::kDefaultMorselRows);
+  };
   exec::GroupedAggs grouped;
   const std::size_t n_rows = table.row_count();
   const bool composite = parts.size() > 1;
@@ -196,42 +200,21 @@ QueryResult aggregate_rows(
     // keys decode their foreign key the same way).
     const GroupKeyPart& part = parts.front();
     const exec::KeyRange range{true, part.min, part.max, part.distinct};
-    if (part.lookup) {
-      const exec::LookupKey keys{part.fk, part.lut, part.lut_min};
-      grouped = parallel
-                    ? exec::parallel_grouped_multi_aggregate_lookup(
-                          *options.pool, keys, inputs, selection, range)
-                    : exec::grouped_multi_aggregate_lookup(keys, inputs,
-                                                           selection, range);
-    } else if (consume_packed(*part.col)) {
-      const storage::PackedView keys = part.col->packed_view();
-      grouped = parallel
-                    ? exec::parallel_grouped_multi_aggregate_packed(
-                          *options.pool, keys, inputs, selection, range)
-                    : exec::grouped_multi_aggregate_packed(keys, inputs,
-                                                           selection, range);
-    } else if (part.double_codes) {
-      const auto keys = part.col->double_codes();
-      grouped = parallel
-                    ? exec::parallel_grouped_multi_aggregate32(
-                          *options.pool, keys, inputs, selection, range)
-                    : exec::grouped_multi_aggregate32(keys, inputs, selection,
-                                                      range);
-    } else if (part.col->type() == TypeId::kInt64) {
-      const auto keys = part.col->int64_data();
-      grouped = parallel
-                    ? exec::parallel_grouped_multi_aggregate(
-                          *options.pool, keys, inputs, selection, range)
-                    : exec::grouped_multi_aggregate(keys, inputs, selection,
-                                                    range);
-    } else {
-      const auto keys = part.col->int32_data();  // int32 or string codes
-      grouped = parallel
-                    ? exec::parallel_grouped_multi_aggregate32(
-                          *options.pool, keys, inputs, selection, range)
-                    : exec::grouped_multi_aggregate32(keys, inputs, selection,
-                                                      range);
-    }
+    if (part.lookup)
+      grouped = group(exec::grouped_multi_aggregate_lookup, part.lookup_key(),
+                      range);
+    else if (consume_packed(*part.col))
+      grouped = group(exec::grouped_multi_aggregate_packed,
+                      part.col->packed_view(), range);
+    else if (part.double_codes)
+      grouped = group(exec::grouped_multi_aggregate32,
+                      part.col->double_codes(), range);
+    else if (part.col->type() == TypeId::kInt64)
+      grouped = group(exec::grouped_multi_aggregate, part.col->int64_data(),
+                      range);
+    else  // int32 or string codes
+      grouped = group(exec::grouped_multi_aggregate32, part.col->int32_data(),
+                      range);
   } else {
     const std::int64_t total = assign_strides(parts);
     // Synthesize the composite keys into the reusable scratch buffer at
@@ -246,10 +229,8 @@ QueryResult aggregate_rows(
         });
       };
       if (part.lookup) {
-        add([&](std::size_t i) {
-          return part.lut[static_cast<std::size_t>(part.fk.int_at(i) -
-                                                   part.lut_min)];
-        });
+        const exec::LookupKey key = part.lookup_key();
+        add([&](std::size_t i) { return key.at(i); });
       } else if (part.double_codes) {
         const auto data = part.col->double_codes();
         add([&](std::size_t i) { return std::int64_t{data[i]}; });
@@ -261,12 +242,10 @@ QueryResult aggregate_rows(
         add([&](std::size_t i) { return std::int64_t{data[i]}; });
       }
     }
-    const std::span<const std::int64_t> keys(ctx.key_scratch.data(), n_rows);
-    const exec::KeyRange range{true, 0, total - 1};
-    grouped = parallel ? exec::parallel_grouped_multi_aggregate(
-                             *options.pool, keys, inputs, selection, range)
-                       : exec::grouped_multi_aggregate(keys, inputs,
-                                                       selection, range);
+    grouped = group(exec::grouped_multi_aggregate,
+                    std::span<const std::int64_t>(ctx.key_scratch.data(),
+                                                  n_rows),
+                    exec::KeyRange{true, 0, total - 1});
   }
   stats.groups = grouped.group_count();
   stats.work.cpu_cycles +=

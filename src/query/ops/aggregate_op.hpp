@@ -39,6 +39,13 @@ struct GroupKeyPart {
   exec::AggInput fk;    ///< The aggregated table's foreign key.
   std::vector<std::int64_t> lut;
   std::int64_t lut_min = 0;
+  /// The fk column's cached range is wider than the lookup's domain, so
+  /// every read is bound-checked (exec::LookupKey::check_fk).
+  bool check_fk = false;
+
+  [[nodiscard]] exec::LookupKey lookup_key() const {
+    return {fk, lut, lut_min, check_fk};
+  }
 };
 
 /// Part over column `c` of `t`, with its range from the cached column

@@ -46,6 +46,8 @@ struct StepExec {
   /// The FROM-table probe key as the aggregate kernels read it (a gather
   /// step's lookup key), in the representation `source_keys` streams.
   exec::AggInput source_view;
+  /// The probe key column `source_keys` and `source_view` read.
+  const Column* source_col = nullptr;
   /// Side of the running match tuple carrying the probe key, counted over
   /// the steps that run in the chain.
   std::size_t source_side = 0;
@@ -208,20 +210,6 @@ struct Ref {
   std::size_t side;
 };
 
-/// 64-aligned chunking of the probe selection for per-chunk ChainDrivers
-/// and filter passes: exec::chunk_grain, cut from the selection's size
-/// alone, so the chunks — and the chunk-ordered merges of double sums —
-/// are the same at every pool width and governor grant, and equal the
-/// grouped aggregate kernels' chunks. Chunk ids address per-chunk result
-/// slots, so downstream merges run in CHUNK order, never completion
-/// order.
-struct MorselChunks {
-  std::size_t grain = 0;
-  std::size_t count = 0;
-  explicit MorselChunks(std::size_t n)
-      : grain(exec::chunk_grain(n)), count((n + grain - 1) / grain) {}
-};
-
 }  // namespace
 
 QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
@@ -330,6 +318,7 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
                                : *steps[st.phys->source_side - 1].build_table;
     const Column& src_col = src_tbl.column(st.phys->source_key);
     const Column& bld_col = st.build_table->column(st.spec->right_key);
+    st.source_col = &src_col;
     switch (st.phys->key_type) {
       case JoinKeyType::kInt:
       case JoinKeyType::kString:
@@ -408,22 +397,15 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
     any_filter = true;
     stats.work.cpu_cycles += kJoinFilterCyclesPerTuple *
                              static_cast<double>(st.build_rows + live_rows);
-    if (options.pool == nullptr || live_rows < options.parallel_min_rows) {
-      live_rows = filter.apply(st.source_keys, filtered, 0,
-                               filtered.word_count());
-      continue;
-    }
-    // Morsel-parallel over 64-aligned word ranges: workers write
-    // disjoint selection words; kept counts land in chunk slots.
-    const MorselChunks chunking(filtered.size());
-    const std::size_t grain_words = chunking.grain / 64;
-    std::vector<std::uint64_t> kept(chunking.count, 0);
-    options.pool->parallel_for(
-        filtered.word_count(), grain_words,
-        [&](std::size_t wb, std::size_t we) {
-          kept[wb / grain_words] =
-              filter.apply(st.source_keys, filtered, wb, we);
-        });
+    // Chunks own disjoint selection words; kept counts land in chunk
+    // slots.
+    const exec::Chunks chunks =
+        exec::pass_chunks(options.pool, filtered.size(), live_rows);
+    std::vector<std::uint64_t> kept(chunks.count(), 0);
+    chunks.run([&](std::size_t chunk, std::size_t begin, std::size_t end) {
+      kept[chunk] =
+          filter.apply(st.source_keys, filtered, begin / 64, (end + 63) / 64);
+    });
     live_rows = std::accumulate(kept.begin(), kept.end(), std::uint64_t{0});
   }
   const BitVector& selection = any_filter ? filtered : probe_selection;
@@ -461,6 +443,18 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
       const StepExec& st = steps[s];
       OperatorScope scope(stats, "join-gather(" + st.spec->table + ")");
       const auto [min_key, domain] = dense_range(st);
+      // The kernels read the lookups with no bound check when every
+      // foreign key lies in [min_key, min_key + domain): remapped codes
+      // always do, an integer key when its cached range does. Otherwise
+      // a selected row outside (a filter keeping a row it should drop)
+      // throws instead of reading past the lookup.
+      const storage::ColumnStats& fk_stats = st.source_col->stats();
+      const bool fk_inside =
+          st.phys->key_type != JoinKeyType::kInt || fk_stats.rows == 0 ||
+          (fk_stats.min >= min_key &&
+           static_cast<std::uint64_t>(fk_stats.max) -
+                   static_cast<std::uint64_t>(min_key) <
+               static_cast<std::uint64_t>(domain));
       for (std::size_t p = 0; p < parts.size(); ++p) {
         if (part_side[p] != s + 1) continue;
         GroupKeyPart& part = parts[p];
@@ -473,6 +467,7 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
         part.fk = st.source_view;
         part.lut_min = min_key;
         part.lut.assign(static_cast<std::size_t>(domain), 0);
+        part.check_fk = !fk_inside;
         // Each entry holds the value (or dictionary code) at the one
         // selected build row with that key. Remapped keys of values the
         // probe lacks all land on the -1 slot, which no fact key reads.
@@ -559,8 +554,13 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
     }
   }
 
-  const bool parallel = options.pool != nullptr &&
-                        probe_rows >= options.parallel_min_rows;
+  // The probe pass's chunks: 64-aligned ranges of the selection, cut from
+  // its size alone, so the chunk-ordered merges of double sums are the
+  // same at every pool width and governor grant, and equal the grouped
+  // aggregate kernels' chunks. Chunk ids address per-chunk result slots,
+  // so every merge below runs in CHUNK order, never completion order.
+  const exec::Chunks chunks =
+      exec::pass_chunks(options.pool, selection.size(), probe_rows);
   const std::size_t sides = n_chain + 1;
 
   // ==== Aggregate sink: exec::JoinAggregator over multi-side row-id
@@ -626,110 +626,62 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
             {key_views[p], key_sides[p], parts[p].min, parts[p].stride});
       range = {true, 0, total - 1};
     }
-    const auto make_agg = [&] {
-      return plan.has_group_by() ? exec::JoinAggregator(inputs, kparts, range)
-                                 : exec::JoinAggregator(inputs);
-    };
-    exec::JoinAggregator master = make_agg();
-    std::vector<std::uint64_t> produced(n_chain, 0);
-
+    // The probe's tasks: the pass's chunks or, for a radix first step,
+    // partition-range tasks (task t owns partitions t, t + n_tasks, ...)
+    // whose count follows the partition count alone. Each task runs a
+    // private chain driver into a private aggregator; tasks 1.. fold into
+    // task 0's in task order, so the merged result depends neither on
+    // completion order nor on the pool width.
+    exec::Chunks tasks = chunks;
+    exec::RadixPartitions bparts;
+    exec::RadixPartitions pparts;
     if (radix_first) {
-      // Radix arm on the first step: partition both sides, join the
-      // partition pairs, feed the chain tail (if any) with each block.
       const StepExec& first = *chain.front();
       const unsigned bits = cm.pick_radix_bits(first.build_rows);
-      const exec::RadixPartitions bparts =
-          exec::radix_partition(first.build_keys, first.build_sel, bits);
-      const exec::RadixPartitions pparts =
-          exec::radix_partition(first.source_keys, selection, bits);
-      const std::size_t n_parts = bparts.parts.size();
+      bparts = exec::radix_partition(first.build_keys, first.build_sel, bits);
+      pparts = exec::radix_partition(first.source_keys, selection, bits);
       stats.work.cpu_cycles +=
           kRadixPartitionCyclesPerTuple *
           static_cast<double>(first.build_rows + probe_rows);
-      const auto run_parts = [&](std::size_t begin, std::size_t stride,
-                                 exec::JoinAggregator& agg,
-                                 std::vector<std::uint64_t>& prod) {
-        ChainDriver driver(chain);
-        const ChainDriver::Sink sink =
-            [&agg](const std::uint32_t* const* rows, std::size_t k) {
-              agg.add_block(rows, k);
-            };
-        for (std::size_t part = begin; part < n_parts; part += stride)
+      tasks = {chunks.pool,
+               chunks.count() == 1
+                   ? 1
+                   : std::min(bparts.parts.size(), exec::kMaxChunks),
+               1};
+    }
+    const std::size_t n_tasks = tasks.count();
+    std::vector<std::optional<exec::JoinAggregator>> aggs(n_tasks);
+    std::vector<std::vector<std::uint64_t>> prods(n_tasks);
+    tasks.run([&](std::size_t task, std::size_t begin, std::size_t end) {
+      exec::JoinAggregator& agg =
+          aggs[task].emplace(plan.has_group_by()
+                                 ? exec::JoinAggregator(inputs, kparts, range,
+                                                        n_tasks)
+                                 : exec::JoinAggregator(inputs));
+      ChainDriver driver(chain);
+      const ChainDriver::Sink sink =
+          [&agg](const std::uint32_t* const* rows, std::size_t k) {
+            agg.add_block(rows, k);
+          };
+      if (radix_first) {
+        // Partition pairs joined, each block fed to the chain tail.
+        for (std::size_t part = task; part < bparts.parts.size();
+             part += n_tasks)
           (void)exec::join_partition_blocks(
               bparts.parts[part], pparts.parts[part],
               [&](const std::uint32_t* b, const std::uint32_t* p,
                   std::size_t k) { driver.feed_first(b, p, k, sink); });
-        for (std::size_t c = 0; c < n_chain; ++c)
-          prod[c] += driver.produced()[c];
-      };
-      if (parallel) {
-        // Partition-range tasks with private aggregators, merged serially
-        // in task order (task t owns partitions t, t + n_tasks, ...). The
-        // task count follows the partition count alone, so the merged
-        // result depends neither on completion order nor on the pool
-        // width.
-        const std::size_t n_tasks = std::min(n_parts, exec::kMaxChunks);
-        std::vector<exec::JoinAggregator> locals;
-        std::vector<std::vector<std::uint64_t>> prods(
-            n_tasks, std::vector<std::uint64_t>(n_chain, 0));
-        locals.reserve(n_tasks);
-        for (std::size_t t = 0; t < n_tasks; ++t) locals.push_back(make_agg());
-        options.pool->parallel_for(
-            n_tasks, 1, [&](std::size_t tb, std::size_t te) {
-              for (std::size_t t = tb; t < te; ++t)
-                run_parts(t, n_tasks, locals[t], prods[t]);
-            });
-        for (std::size_t t = 0; t < n_tasks; ++t) {
-          master.merge_from(locals[t]);
-          for (std::size_t c = 0; c < n_chain; ++c)
-            produced[c] += prods[t][c];
-        }
       } else {
-        run_parts(0, 1, master, produced);
+        (void)driver.run(selection, begin / 64, (end + 63) / 64, sink, 0);
       }
-    } else if (parallel) {
-      // Morsel-parallel probe over 64-aligned ranges of the selection:
-      // per-chunk private aggregators (and chain drivers), stored in
-      // chunk-indexed slots and merged IN CHUNK ORDER afterwards. A
-      // completion-order merge would let thread scheduling regroup float
-      // partials between runs; chunk order makes the merged sums a pure
-      // function of the chunking.
-      const std::size_t total_words = selection.word_count();
-      const MorselChunks chunking(selection.size());
-      std::vector<std::unique_ptr<exec::JoinAggregator>> locals(
-          chunking.count);
-      std::vector<std::vector<std::uint64_t>> prods(
-          chunking.count, std::vector<std::uint64_t>(n_chain, 0));
-      options.pool->parallel_for(
-          selection.size(), chunking.grain,
-          [&](std::size_t begin, std::size_t end) {
-            const std::size_t chunk = begin / chunking.grain;
-            const std::size_t wb = begin / 64;
-            const std::size_t we = std::min(total_words, (end + 63) / 64);
-            auto local = std::make_unique<exec::JoinAggregator>(make_agg());
-            ChainDriver driver(chain);
-            const ChainDriver::Sink sink =
-                [&local](const std::uint32_t* const* rows, std::size_t k) {
-                  local->add_block(rows, k);
-                };
-            (void)driver.run(selection, wb, we, sink, 0);
-            prods[chunk] = driver.produced();
-            locals[chunk] = std::move(local);
-          });
-      for (std::size_t chunk = 0; chunk < chunking.count; ++chunk) {
-        master.merge_from(*locals[chunk]);
-        for (std::size_t c = 0; c < n_chain; ++c)
-          produced[c] += prods[chunk][c];
-      }
-    } else {
-      ChainDriver driver(chain);
-      const ChainDriver::Sink sink =
-          [&master](const std::uint32_t* const* rows, std::size_t k) {
-            master.add_block(rows, k);
-          };
-      (void)driver.run(selection, 0, selection.word_count(), sink, 0);
+      prods[task] = driver.produced();
+    });
+    exec::JoinAggregator& master = *aggs.front();
+    std::vector<std::uint64_t>& produced = prods.front();
+    for (std::size_t task = 1; task < n_tasks; ++task) {
+      master.merge_from(*aggs[task]);
       for (std::size_t c = 0; c < n_chain; ++c)
-        produced[c] = driver.produced()[c];
+        produced[c] += prods[task][c];
     }
 
     const std::uint64_t pairs = master.pair_count();
@@ -763,11 +715,10 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
   // into the result with LIMIT early-exit; with ORDER BY, the match
   // tuples are collected as row ids, the sort key is gathered once per
   // match, and the heap top-k permutation picks the emitted rows — only
-  // those are materialized (and charged). Both sinks go morsel-parallel
-  // over 64-aligned selection chunks when a pool is available: chunks
-  // collect privately and concatenate in chunk order, which reproduces
-  // the serial emit order exactly (an unlimited LIMIT keeps the serial
-  // early-exit path). ====
+  // those are materialized (and charged). Both sinks run over the probe
+  // pass's chunks: later chunks collect privately and append in chunk
+  // order, which reproduces the one-chunk emit order exactly. A LIMIT
+  // without ORDER BY walks in probe order instead and stops at it. ====
   std::vector<std::string> proj = plan.projection;
   struct ProjCol {
     const Column* col;
@@ -782,7 +733,6 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
   }
 
   QueryResult result(proj);
-  ChainDriver driver(chain);
   std::uint64_t pairs = 0;
   const auto charge_probe_cycles =
       [&](const std::vector<std::uint64_t>& step_produced) {
@@ -793,35 +743,25 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
               kJoinProbeCyclesPerTuple *
               static_cast<double>(step_produced[c]);
       };
-  // Drives one private ChainDriver per 64-aligned chunk and hands each
-  // chunk's sink output to `collect(chunk)`; returns total pairs after
-  // accumulating per-step produced counts (charged like the serial walk).
-  const auto run_chunked = [&](const auto& collect) {
-    const std::size_t total_words = selection.word_count();
-    const MorselChunks chunking(selection.size());
-    std::vector<std::vector<std::uint64_t>> prods(
-        chunking.count, std::vector<std::uint64_t>(n_chain, 0));
-    std::vector<std::uint64_t> chunk_pairs(chunking.count, 0);
-    options.pool->parallel_for(
-        selection.size(), chunking.grain,
-        [&](std::size_t begin, std::size_t end) {
-          const std::size_t chunk = begin / chunking.grain;
-          const std::size_t wb = begin / 64;
-          const std::size_t we = std::min(total_words, (end + 63) / 64);
-          ChainDriver local(chain);
-          chunk_pairs[chunk] =
-              local.run(selection, wb, we, collect(chunk), 0);
-          prods[chunk] = local.produced();
-        });
+  // Drives one private ChainDriver per chunk of the probe pass into the
+  // sink `sink_of(chunk)` returns; returns the total pairs after charging
+  // the per-step produced counts.
+  const auto run_chunked = [&](const auto& sink_of) {
+    std::vector<std::vector<std::uint64_t>> prods(chunks.count());
+    std::vector<std::uint64_t> chunk_pairs(chunks.count(), 0);
+    chunks.run([&](std::size_t chunk, std::size_t begin, std::size_t end) {
+      ChainDriver driver(chain);
+      chunk_pairs[chunk] = driver.run(selection, begin / 64, (end + 63) / 64,
+                                      sink_of(chunk), 0);
+      prods[chunk] = driver.produced();
+    });
     std::vector<std::uint64_t> step_produced(n_chain, 0);
-    std::uint64_t total_pairs = 0;
-    for (std::size_t chunk = 0; chunk < chunking.count; ++chunk) {
-      total_pairs += chunk_pairs[chunk];
+    for (std::size_t chunk = 0; chunk < chunks.count(); ++chunk)
       for (std::size_t c = 0; c < n_chain; ++c)
         step_produced[c] += prods[chunk][c];
-    }
     charge_probe_cycles(step_produced);
-    return total_pairs;
+    return std::accumulate(chunk_pairs.begin(), chunk_pairs.end(),
+                           std::uint64_t{0});
   };
 
   if (!plan.order_by.has_value()) {
@@ -833,21 +773,9 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
         row.push_back(c.col->value_at(rows[c.side][e]));
       return row;
     };
-    if (parallel && plan.limit == 0) {
-      const MorselChunks chunking(selection.size());
-      std::vector<std::vector<std::vector<storage::Value>>> chunk_rows(
-          chunking.count);
-      pairs = run_chunked([&](std::size_t chunk) {
-        return ChainDriver::Sink(
-            [&chunk_rows, chunk, &gather_row](
-                const std::uint32_t* const* rows, std::size_t k) {
-              for (std::size_t e = 0; e < k; ++e)
-                chunk_rows[chunk].push_back(gather_row(rows, e));
-            });
-      });
-      for (auto& chunk : chunk_rows)
-        for (auto& row : chunk) result.add_row(std::move(row));
-    } else {
+    if (plan.limit != 0) {
+      // In probe order up to the LIMIT, then the walk stops.
+      ChainDriver driver(chain);
       const ChainDriver::Sink sink = [&](const std::uint32_t* const* rows,
                                          std::size_t k) {
         for (std::size_t e = 0; e < k; ++e)
@@ -856,6 +784,24 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
       pairs = driver.run(selection, 0, selection.word_count(), sink,
                          plan.limit);
       charge_probe_cycles(driver.produced());
+    } else {
+      // Chunk 0 appends in place; later chunks collect privately and
+      // append after it in chunk order — the one-chunk emit order.
+      std::vector<std::vector<std::vector<storage::Value>>> later(
+          chunks.count());
+      pairs = run_chunked([&](std::size_t chunk) {
+        return ChainDriver::Sink(
+            [&, chunk](const std::uint32_t* const* rows, std::size_t k) {
+              for (std::size_t e = 0; e < k; ++e) {
+                if (chunk == 0)
+                  result.add_row(gather_row(rows, e));
+                else
+                  later[chunk].push_back(gather_row(rows, e));
+              }
+            });
+      });
+      for (auto& chunk : later)
+        for (auto& row : chunk) result.add_row(std::move(row));
     }
     for (const ProjCol& c : cols) {
       ctx.charge_gather(*c.tbl, *c.col, static_cast<std::size_t>(pairs));
@@ -867,38 +813,27 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
                              static_cast<double>(pairs) *
                              static_cast<double>(cols.size());
   } else {
-    // Collect the match tuples (row ids only — late materialization).
-    std::vector<std::vector<std::uint32_t>> tuples(sides);
-    if (parallel) {
-      const MorselChunks chunking(selection.size());
-      std::vector<std::vector<std::vector<std::uint32_t>>> chunk_tuples(
-          chunking.count, std::vector<std::vector<std::uint32_t>>(sides));
-      pairs = run_chunked([&](std::size_t chunk) {
-        return ChainDriver::Sink(
-            [&chunk_tuples, chunk, sides](const std::uint32_t* const* rows,
-                                          std::size_t k) {
-              for (std::size_t side = 0; side < sides; ++side)
-                chunk_tuples[chunk][side].insert(
-                    chunk_tuples[chunk][side].end(), rows[side],
-                    rows[side] + k);
-            });
-      });
-      for (std::size_t side = 0; side < sides; ++side) {
-        tuples[side].reserve(static_cast<std::size_t>(pairs));
-        for (const auto& chunk : chunk_tuples)
-          tuples[side].insert(tuples[side].end(), chunk[side].begin(),
-                              chunk[side].end());
-      }
-    } else {
-      const ChainDriver::Sink sink = [&](const std::uint32_t* const* rows,
-                                         std::size_t k) {
-        for (std::size_t side = 0; side < sides; ++side)
-          tuples[side].insert(tuples[side].end(), rows[side],
-                              rows[side] + k);
-      };
-      pairs = driver.run(selection, 0, selection.word_count(), sink, 0);
-      charge_probe_cycles(driver.produced());
-    }
+    // Collect the match tuples (row ids only — late materialization):
+    // chunk 0 into `tuples`, later chunks privately, appended in chunk
+    // order.
+    std::vector<std::vector<std::vector<std::uint32_t>>> chunk_tuples(
+        chunks.count(), std::vector<std::vector<std::uint32_t>>(sides));
+    pairs = run_chunked([&](std::size_t chunk) {
+      return ChainDriver::Sink(
+          [&chunk_tuples, chunk, sides](const std::uint32_t* const* rows,
+                                        std::size_t k) {
+            for (std::size_t side = 0; side < sides; ++side)
+              chunk_tuples[chunk][side].insert(
+                  chunk_tuples[chunk][side].end(), rows[side],
+                  rows[side] + k);
+          });
+    });
+    std::vector<std::vector<std::uint32_t>>& tuples = chunk_tuples.front();
+    for (std::size_t chunk = 1; chunk < chunks.count(); ++chunk)
+      for (std::size_t side = 0; side < sides; ++side)
+        tuples[side].insert(tuples[side].end(),
+                            chunk_tuples[chunk][side].begin(),
+                            chunk_tuples[chunk][side].end());
     join_scope.close();
 
     OperatorScope sort_scope(
@@ -910,20 +845,14 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
     ctx.charge_gather(*key.tbl, *key.col, static_cast<std::size_t>(pairs));
     std::vector<std::uint32_t> perm;
     const std::vector<std::uint32_t>& key_rows = tuples[tuple_side(key.side)];
-    sched::ThreadPool* sort_pool =
-        key_rows.size() >= options.parallel_min_rows ? options.pool : nullptr;
+    const exec::Chunks key_chunks =
+        exec::pass_chunks(options.pool, key_rows.size(), key_rows.size());
     const auto gather_keys = [&](auto& keys, const auto& key_at) {
       keys.resize(key_rows.size());
-      if (sort_pool != nullptr) {
-        sort_pool->parallel_for(key_rows.size(), exec::kDefaultMorselRows,
-                                [&](std::size_t begin, std::size_t end) {
-                                  for (std::size_t i = begin; i < end; ++i)
-                                    keys[i] = key_at(key_rows[i]);
-                                });
-      } else {
-        for (std::size_t i = 0; i < key_rows.size(); ++i)
+      key_chunks.run([&](std::size_t, std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i)
           keys[i] = key_at(key_rows[i]);
-      }
+      });
     };
     if (key.col->type() == TypeId::kDouble) {
       std::vector<double> keys;
@@ -932,9 +861,9 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
       perm = plan.limit != 0
                  ? exec::top_n_permutation_double(keys, plan.limit,
                                                   plan.order_by->ascending,
-                                                  sort_pool)
+                                                  key_chunks.pool)
                  : exec::sort_permutation_double(
-                       keys, plan.order_by->ascending, sort_pool);
+                       keys, plan.order_by->ascending, key_chunks.pool);
     } else {
       std::vector<std::int64_t> keys;
       gather_keys(keys,
@@ -942,9 +871,9 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
       perm = plan.limit != 0
                  ? exec::top_n_permutation(keys, plan.limit,
                                            plan.order_by->ascending,
-                                           sort_pool)
+                                           key_chunks.pool)
                  : exec::sort_permutation(keys, plan.order_by->ascending,
-                                          sort_pool);
+                                          key_chunks.pool);
     }
     if (plan.limit != 0 && perm.size() > plan.limit) perm.resize(plan.limit);
     sort_scope.close();
@@ -955,30 +884,14 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
       if (c.col->type() == TypeId::kString)
         ctx.charge_dict_gather(*c.tbl, *c.col, perm.size());
     }
-    if (options.pool != nullptr && perm.size() >= options.parallel_min_rows) {
-      std::vector<std::vector<storage::Value>> rows(perm.size());
-      options.pool->parallel_for(perm.size(), exec::kDefaultMorselRows,
-                                 [&](std::size_t begin, std::size_t end) {
-                                   for (std::size_t i = begin; i < end; ++i) {
-                                     const std::uint32_t m = perm[i];
-                                     std::vector<storage::Value> row;
-                                     row.reserve(cols.size());
-                                     for (const ProjCol& c : cols)
-                                       row.push_back(c.col->value_at(
-                                           tuples[c.side][m]));
-                                     rows[i] = std::move(row);
-                                   }
-                                 });
-      for (auto& row : rows) result.add_row(std::move(row));
-    } else {
-      for (const std::uint32_t m : perm) {
-        std::vector<storage::Value> row;
-        row.reserve(cols.size());
-        for (const ProjCol& c : cols)
-          row.push_back(c.col->value_at(tuples[c.side][m]));
-        result.add_row(std::move(row));
-      }
-    }
+    append_rows(options.pool, result, perm.size(), [&](std::size_t i) {
+      const std::uint32_t m = perm[i];
+      std::vector<storage::Value> row;
+      row.reserve(cols.size());
+      for (const ProjCol& c : cols)
+        row.push_back(c.col->value_at(tuples[c.side][m]));
+      return row;
+    });
     stats.work.cpu_cycles += kMaterializeCyclesPerValue *
                              static_cast<double>(perm.size()) *
                              static_cast<double>(cols.size());

@@ -1,6 +1,5 @@
 #include "query/ops/project_op.hpp"
 
-#include "exec/parallel.hpp"
 #include "query/ops/sort_op.hpp"
 
 namespace eidb::query::ops {
@@ -51,22 +50,8 @@ QueryResult run_projection(OpContext& ctx, const PhysicalPlan& phys,
       row.push_back(col->value_at(row_idx));
     return row;
   };
-  if (ctx.options.pool != nullptr &&
-      order.size() >= ctx.options.parallel_min_rows) {
-    // Morsel-parallel gather into position-addressed slots; emit order is
-    // fixed by `order`, so the result is identical to the serial loop.
-    std::vector<std::vector<storage::Value>> rows(order.size());
-    ctx.options.pool->parallel_for(
-        order.size(), exec::kDefaultMorselRows,
-        [&](std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i)
-            rows[i] = gather_row(order[i]);
-        });
-    for (auto& row : rows) result.add_row(std::move(row));
-  } else {
-    for (const std::uint32_t row_idx : order)
-      result.add_row(gather_row(row_idx));
-  }
+  append_rows(ctx.options.pool, result, order.size(),
+              [&](std::size_t i) { return gather_row(order[i]); });
   ctx.stats.work.cpu_cycles += kMaterializeCyclesPerValue *
                                static_cast<double>(order.size()) *
                                static_cast<double>(proj.size());

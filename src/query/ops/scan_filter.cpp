@@ -94,11 +94,9 @@ void apply_predicate(OpContext& ctx, const Table& table, const Predicate& p,
       stats.work.cpu_cycles -= kScanCyclesPerTuple * skipped;
       stats.work.dram_bytes -= skipped * packed_bpt;
       stats.dram_bytes_saved -= skipped * (plain_bpt - packed_bpt);
-    } else if (options.pool != nullptr) {
-      exec::parallel_scan_packed_bitmap(*options.pool, seg.words, seg.bits,
-                                        n, pb.lo, pb.hi, match);
     } else {
-      exec::scan_packed_bitmap(seg.words, seg.bits, n, pb.lo, pb.hi, match);
+      exec::parallel_scan_packed_bitmap(options.pool, seg.words, seg.bits, n,
+                                        pb.lo, pb.hi, match);
     }
   } else if (options.use_zone_maps && column.type() != TypeId::kDouble) {
     // Pruned scan: only candidate blocks are touched. The zone map itself
@@ -123,20 +121,12 @@ void apply_predicate(OpContext& ctx, const Table& table, const Predicate& p,
     const double skipped = static_cast<double>(n - touched);
     stats.work.cpu_cycles -= kScanCyclesPerTuple * skipped;
     stats.work.dram_bytes -= skipped * storage::physical_size(column.type());
+  } else if (column.type() == TypeId::kInt64) {
+    exec::parallel_scan_bitmap64(options.pool, column.int64_data(), r.lo, r.hi,
+                                 match);
   } else {
-    if (options.pool != nullptr) {
-      if (column.type() == TypeId::kInt64)
-        exec::parallel_scan_bitmap64(*options.pool, column.int64_data(), r.lo,
-                                     r.hi, match);
-      else
-        exec::parallel_scan_bitmap32(*options.pool, column.int32_data(),
-                                     clamp32(r.lo), clamp32(r.hi), match);
-    } else if (column.type() == TypeId::kInt64) {
-      exec::scan_bitmap_best64(column.int64_data(), r.lo, r.hi, match);
-    } else {
-      exec::scan_bitmap_best(column.int32_data(), clamp32(r.lo),
-                             clamp32(r.hi), match);
-    }
+    exec::parallel_scan_bitmap32(options.pool, column.int32_data(),
+                                 clamp32(r.lo), clamp32(r.hi), match);
   }
   selection &= match;
 }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "exec/parallel.hpp"
 #include "exec/sort.hpp"
 #include "query/ops/scan_filter.hpp"
 #include "util/assert.hpp"
@@ -45,10 +46,11 @@ std::vector<std::uint32_t> order_row_ids(OpContext& ctx, const Table& table,
   const Column& key = table_column(table, order.column);
   const std::uint64_t selected = selection.count();
   ctx.stats.work.cpu_cycles += sort_cycles(selected, limit);
-  // The parallel kernels order by (key, row id) — a total order — so the
-  // result is bit-identical to the serial sort at any thread count.
+  // A pass the fan-out rule keeps in one chunk sorts on the caller; the
+  // pooled kernels order by (key, row id) — a total order — so the result
+  // is the same at any thread count.
   sched::ThreadPool* pool =
-      selected >= ctx.options.parallel_min_rows ? ctx.options.pool : nullptr;
+      exec::pass_chunks(ctx.options.pool, selection.size(), selected).pool;
 
   if (key.type() == TypeId::kDouble) {
     ctx.charge_column(table, key, false);

@@ -27,7 +27,7 @@ TEST(ParallelScan, MatchesSerialKernel64) {
                               std::size_t{1000}, std::size_t{300000}}) {
     const auto v = random_i64(n, 1 + n);
     BitVector parallel(n), serial(n);
-    parallel_scan_bitmap64(pool, v, 1000, 50000, parallel, 64 * 128);
+    parallel_scan_bitmap64(&pool, v, 1000, 50000, parallel, 64 * 128);
     scan_bitmap_best64(v, 1000, 50000, serial);
     EXPECT_EQ(parallel, serial) << "n=" << n;
   }
@@ -39,7 +39,7 @@ TEST(ParallelScan, MatchesSerialKernel32) {
   std::vector<std::int32_t> v(250000);
   for (auto& x : v) x = static_cast<std::int32_t>(rng.next_bounded(1000));
   BitVector parallel(v.size()), serial(v.size());
-  parallel_scan_bitmap32(pool, v, 100, 499, parallel, 64 * 100);
+  parallel_scan_bitmap32(&pool, v, 100, 499, parallel, 64 * 100);
   scan_bitmap_best(v, 100, 499, serial);
   EXPECT_EQ(parallel, serial);
 }
@@ -48,7 +48,7 @@ TEST(ParallelScan, UnalignedMorselSizeIsAligned) {
   sched::ThreadPool pool(2);
   const auto v = random_i64(10000, 3);
   BitVector parallel(v.size()), serial(v.size());
-  parallel_scan_bitmap64(pool, v, 0, 50000, parallel, 100);  // not 64-aligned
+  parallel_scan_bitmap64(&pool, v, 0, 50000, parallel, 100);  // not 64-aligned
   scan_bitmap_best64(v, 0, 50000, serial);
   EXPECT_EQ(parallel, serial);
 }
@@ -66,7 +66,7 @@ TEST(ParallelScan, PackedMatchesSerialKernel) {
       const std::uint64_t lo = mask / 4;
       const std::uint64_t hi = mask / 2;
       BitVector parallel(n), serial(n);
-      parallel_scan_packed_bitmap(pool, packed, bits, n, lo, hi, parallel,
+      parallel_scan_packed_bitmap(&pool, packed, bits, n, lo, hi, parallel,
                                   64 * 100);
       scan_packed_bitmap(packed, bits, n, lo, hi, serial);
       EXPECT_EQ(parallel, serial) << "bits=" << bits << " n=" << n;
@@ -94,11 +94,11 @@ struct ScanInputs {
   [[nodiscard]] BitVector run(sched::ThreadPool& pool, int which) const {
     BitVector out(n);
     if (which == 0)
-      parallel_scan_bitmap64(pool, v64, 1000, 50000, out);
+      parallel_scan_bitmap64(&pool, v64, 1000, 50000, out);
     else if (which == 1)
-      parallel_scan_bitmap32(pool, v32, 1000, 50000, out);
+      parallel_scan_bitmap32(&pool, v32, 1000, 50000, out);
     else
-      parallel_scan_packed_bitmap(pool, packed, bits, n, 1000, 50000, out);
+      parallel_scan_packed_bitmap(&pool, packed, bits, n, 1000, 50000, out);
     return out;
   }
   [[nodiscard]] const BitVector& want(int which) const {

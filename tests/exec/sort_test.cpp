@@ -6,6 +6,7 @@
 #include <span>
 #include <vector>
 
+#include "sched/thread_pool.hpp"
 #include "storage/column.hpp"
 #include "util/rng.hpp"
 
@@ -166,6 +167,65 @@ TEST(Permutation, DoubleVariantAndBounds) {
             (std::vector<std::uint32_t>{0, 2}));
   EXPECT_EQ(top_n_permutation(std::vector<std::int64_t>{}, 5, true).size(),
             0u);
+}
+
+// ---------------------------------------------------------------------------
+// Pooled kernels: per-chunk sorts joined by a merge tree, or per-chunk heaps
+// joined by one candidate sort, return exactly the pool-less order.
+// ---------------------------------------------------------------------------
+
+/// 5,000 rows, 60 % selected, int and double keys from 81 values each, so
+/// most keys tie and only the row-id tie-break orders them.
+struct TiedKeys {
+  static constexpr std::size_t kRows = 5000;
+  TiedKeys() : i64(kRows), f64(kRows), sel(kRows) {
+    Pcg32 rng(2718);
+    for (std::size_t i = 0; i < kRows; ++i) {
+      i64[i] = rng.next_in_range(-40, 40);
+      f64[i] = static_cast<double>(rng.next_in_range(-40, 40)) / 8;
+      if (rng.next_double() < 0.6) sel.set(i);
+    }
+  }
+  std::vector<std::int64_t> i64;
+  std::vector<double> f64;
+  BitVector sel;
+};
+
+TEST(PooledSort, EveryKernelMatchesThePoolLessOrder) {
+  const TiedKeys c;
+  const JoinKeys view = JoinKeys::from(std::span<const std::int64_t>(c.i64));
+  for (const std::size_t width : {std::size_t{2}, std::size_t{8}}) {
+    sched::ThreadPool pool(width);
+    for (const bool asc : {true, false}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "pool of " << width << (asc ? ", asc" : ", desc"));
+      EXPECT_EQ(sort_indices(c.i64, c.sel, asc, &pool),
+                sort_indices(c.i64, c.sel, asc));
+      EXPECT_EQ(sort_indices(view, c.sel, asc, &pool),
+                sort_indices(view, c.sel, asc));
+      EXPECT_EQ(sort_indices_double(c.f64, c.sel, asc, &pool),
+                sort_indices_double(c.f64, c.sel, asc));
+      EXPECT_EQ(sort_permutation(c.i64, asc, &pool),
+                sort_permutation(c.i64, asc));
+      EXPECT_EQ(sort_permutation_double(c.f64, asc, &pool),
+                sort_permutation_double(c.f64, asc));
+      // Bounds inside one chunk, across chunks, and past the input.
+      for (const std::size_t n : {std::size_t{1}, std::size_t{37},
+                                  std::size_t{900}, std::size_t{10'000}}) {
+        SCOPED_TRACE(::testing::Message() << "top " << n);
+        EXPECT_EQ(top_n(c.i64, c.sel, n, asc, &pool),
+                  top_n(c.i64, c.sel, n, asc));
+        EXPECT_EQ(top_n(view, c.sel, n, asc, &pool),
+                  top_n(view, c.sel, n, asc));
+        EXPECT_EQ(top_n_double(c.f64, c.sel, n, asc, &pool),
+                  top_n_double(c.f64, c.sel, n, asc));
+        EXPECT_EQ(top_n_permutation(c.i64, n, asc, &pool),
+                  top_n_permutation(c.i64, n, asc));
+        EXPECT_EQ(top_n_permutation_double(c.f64, n, asc, &pool),
+                  top_n_permutation_double(c.f64, n, asc));
+      }
+    }
+  }
 }
 
 }  // namespace

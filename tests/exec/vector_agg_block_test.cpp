@@ -1,12 +1,12 @@
 // The block path of the aggregation kernels against a per-row scalar
-// reference, on both packed tiers: grouped_multi_aggregate_packed and its
-// morsel-parallel form (dense and hash strategies), the plain-key grouped
+// reference, on both packed tiers: grouped_multi_aggregate_packed in one
+// chunk (dense and hash strategies) and in several, the plain-key grouped
 // kernel over packed inputs, and the global multi_aggregate. Selection
 // words cycle through popcounts 0, 1, 64, random ones, and each tier's
 // block threshold and one below it; images end where an unreadable page
 // begins. Also: every op-set subset against the all-ops run, and double
-// sums from the parallel kernels that repeat bit for bit from run to run
-// and at every pool width.
+// sums from multi-chunk kernel calls that repeat bit for bit from run to
+// run and at every pool width.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -208,11 +208,11 @@ TEST_P(BlockPath, MatchesPerRowReference) {
     expect_matches(ref, grouped_multi_aggregate_packed(
                             c.keys(), inputs, c.selection, c.range(),
                             GroupStrategy::kHash, tier));
-    // Four or five chunks; dense per-chunk arrays up to 16 key bits, hash
-    // above.
-    expect_matches(ref, parallel_grouped_multi_aggregate_packed(
-                            pool, c.keys(), inputs, c.selection, c.range(),
-                            16384, tier));
+    // Eight or nine chunks (about 15k live rows at 8192-row morsels);
+    // dense per-chunk tables up to 16 key bits, hash above.
+    expect_matches(ref, grouped_multi_aggregate_packed(
+                            c.keys(), inputs, c.selection, c.range(),
+                            GroupStrategy::kAuto, tier, &pool, 8192));
     if (tier == packed_tier())  // plain keys run at the host's tier
       expect_matches(ref, grouped_multi_aggregate(
                               std::span(c.keys64), inputs, c.selection,
@@ -302,8 +302,9 @@ TEST_P(LookupPath, MatchesPlainKeysHoldingTheLookedUpValues) {
     const KeyRange range{true, -6, 6, 0};
     const GroupedAggs want = grouped_multi_aggregate(
         std::span(looked_up), inputs, c.selection, range);
-    const GroupedAggs want_parallel = parallel_grouped_multi_aggregate(
-        pool, std::span(looked_up), inputs, c.selection, range, 4096);
+    const GroupedAggs want_parallel = grouped_multi_aggregate(
+        std::span(looked_up), inputs, c.selection, range,
+        GroupStrategy::kAuto, packed_tier(), &pool, 4096);
     for (const AggInput& fk :
          {AggInput::from(c.keys()), AggInput::from(std::span(c.keys64)),
           AggInput::from(std::span(fk32))}) {
@@ -315,8 +316,9 @@ TEST_P(LookupPath, MatchesPlainKeysHoldingTheLookedUpValues) {
                             keys, inputs, c.selection, range,
                             GroupStrategy::kHash, tier));
       expect_same(want_parallel,
-                  parallel_grouped_multi_aggregate_lookup(
-                      pool, keys, inputs, c.selection, range, 4096, tier));
+                  grouped_multi_aggregate_lookup(keys, inputs, c.selection,
+                                                 range, GroupStrategy::kAuto,
+                                                 tier, &pool, 4096));
     }
   }
 }
@@ -370,9 +372,9 @@ TEST_P(OpSets, RequestedOutputsEqualTheAllOpsRun) {
                                        tier),
         grouped_multi_aggregate_packed(c.keys(), inputs, c.selection,
                                        c.range(), GroupStrategy::kHash, tier),
-        parallel_grouped_multi_aggregate_packed(pool, c.keys(), inputs,
-                                                c.selection, c.range(), 4096,
-                                                tier),
+        grouped_multi_aggregate_packed(c.keys(), inputs, c.selection,
+                                       c.range(), GroupStrategy::kAuto, tier,
+                                       &pool, 4096),
         multi_aggregate(inputs, c.selection, tier));
   };
   const auto [dense, hash, par, global] = run_all(kAggAllOps);
@@ -447,10 +449,12 @@ struct SpreadDoubles {
   [[nodiscard]] std::vector<std::uint64_t> sums(
       sched::ThreadPool& pool) const {
     const std::vector<AggInput> inputs = {AggInput::from(std::span(values))};
-    const GroupedAggs g = parallel_grouped_multi_aggregate(
-        pool, std::span(keys), inputs, sel, {}, 4096);
+    const GroupedAggs g =
+        grouped_multi_aggregate(std::span(keys), inputs, sel, {},
+                                GroupStrategy::kAuto, packed_tier(), &pool,
+                                4096);
     const std::vector<AggOut> global =
-        parallel_multi_aggregate(pool, inputs, sel, 4096);
+        multi_aggregate(inputs, sel, packed_tier(), &pool, 4096);
     std::vector<std::uint64_t> out;
     EXPECT_EQ(g.group_count(), 4u);
     for (const AggResultD& r : g.dout[0])

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <map>
 #include <span>
@@ -88,8 +89,9 @@ TEST(MultiAggregate, FullAndEmptySelections) {
   EXPECT_EQ(outs[0].i.min, 0);  // an empty selection reads all zero
   EXPECT_EQ(outs[0].i.max, 0);
   sched::ThreadPool pool(2);
-  expect_agg_eq(outs[0].i, parallel_multi_aggregate(pool, inputs, t.selection,
-                                                    /*morsel=*/1024)[0].i);
+  expect_agg_eq(outs[0].i,
+                multi_aggregate(inputs, t.selection, packed_tier(), &pool,
+                                /*morsel_rows=*/1024)[0].i);
 }
 
 TEST(MultiAggregate, UnalignedTail) {
@@ -101,13 +103,15 @@ TEST(MultiAggregate, UnalignedTail) {
 }
 
 TEST(MultiAggregate, ParallelMatchesSerial) {
+  // 50k live rows at 4096-row morsels: the pooled call cuts 16 chunks,
+  // the pool-less call of the same kernel runs one.
   const TestColumns t = make_columns(100'000, 0.5, 11);
   const std::vector<AggInput> inputs = {AggInput::from(std::span(t.i64)),
                                         AggInput::from(std::span(t.f64))};
   const auto serial = multi_aggregate(inputs, t.selection);
   sched::ThreadPool pool(4);
-  const auto par =
-      parallel_multi_aggregate(pool, inputs, t.selection, /*morsel=*/4096);
+  const auto par = multi_aggregate(inputs, t.selection, packed_tier(), &pool,
+                                   /*morsel_rows=*/4096);
   expect_agg_eq(serial[0].i, par[0].i);
   expect_agg_near(serial[1].d, par[1].d);
 }
@@ -240,10 +244,11 @@ TEST(GroupedMultiAggregate, HashFallbackForOverflowingKeySpread) {
     EXPECT_EQ(g.iout[0][0].sum, 50 * 49);  // 0+2+...+98
     EXPECT_EQ(g.iout[0][1].sum, 50 * 50);  // 1+3+...+99
   }
-  // Parallel variant takes the same unsigned-width decision.
+  // Two chunks take the same unsigned-width decision.
   sched::ThreadPool pool(2);
-  const auto par = parallel_grouped_multi_aggregate(
-      pool, std::span(keys), inputs, sel, KeyRange{true, kLo, kHi, 2}, 64);
+  const auto par = grouped_multi_aggregate(
+      std::span(keys), inputs, sel, KeyRange{true, kLo, kHi, 2},
+      GroupStrategy::kAuto, packed_tier(), &pool, /*morsel_rows=*/64);
   ASSERT_EQ(par.group_count(), 2u);
   EXPECT_EQ(par.counts[0], 50u);
   EXPECT_EQ(par.iout[0][1].sum, 50 * 50);
@@ -270,10 +275,11 @@ TEST(GroupedMultiAggregate, SmallExampleWithInt32Keys) {
   EXPECT_EQ(g.iout[0][0].sum, 100);
   EXPECT_EQ(g.iout[0][1].sum, 70);
   EXPECT_EQ(g.iout[0][2].min, 40);
-  // Far below one chunk: the parallel kernel runs one chunk inline.
+  // Far below one morsel: with a pool the kernel runs one chunk inline.
   sched::ThreadPool pool(4);
-  const auto par =
-      parallel_grouped_multi_aggregate32(pool, std::span(keys), inputs, sel);
+  const auto par = grouped_multi_aggregate32(
+      std::span(keys), inputs, sel, {}, GroupStrategy::kAuto, packed_tier(),
+      &pool);
   EXPECT_EQ(par.keys, g.keys);
   EXPECT_EQ(par.counts, g.counts);
   for (std::size_t i = 0; i < g.group_count(); ++i)
@@ -332,16 +338,18 @@ TEST(GroupedMultiAggregate, AutoFallsBackToHashForWideDomains) {
 }
 
 TEST(GroupedMultiAggregate, ParallelMatchesSerial) {
+  // 100k live rows at 8192-row morsels: the pooled calls cut 16 chunks,
+  // the pool-less call of the same kernel runs one.
   const TestColumns t = make_columns(200'000, 0.5, 26, /*key_domain=*/100);
   const auto serial = grouped_multi_aggregate(std::span(t.keys64),
                                               three_inputs(t), t.selection);
   sched::ThreadPool pool(4);
-  const auto par = parallel_grouped_multi_aggregate(
-      pool, std::span(t.keys64), three_inputs(t), t.selection, {},
-      /*morsel=*/8192);
-  const auto par32 = parallel_grouped_multi_aggregate32(
-      pool, std::span(t.keys32), three_inputs(t), t.selection, {},
-      /*morsel=*/8192);
+  const auto par = grouped_multi_aggregate(
+      std::span(t.keys64), three_inputs(t), t.selection, {},
+      GroupStrategy::kAuto, packed_tier(), &pool, /*morsel_rows=*/8192);
+  const auto par32 = grouped_multi_aggregate32(
+      std::span(t.keys32), three_inputs(t), t.selection, {},
+      GroupStrategy::kAuto, packed_tier(), &pool, /*morsel_rows=*/8192);
   ASSERT_EQ(serial.group_count(), par.group_count());
   ASSERT_EQ(serial.group_count(), par32.group_count());
   for (std::size_t i = 0; i < serial.group_count(); ++i) {
@@ -471,41 +479,100 @@ TEST(JoinAggregator, GroupedMatchesManualAccumulation) {
 }
 
 TEST(JoinAggregator, MergePartialsEqualsSinglePass) {
+  // An int input merges exactly; a double input merges bit for bit as
+  // (sum of part 1) + (sum of part 2), each in match order. Dense slots
+  // (a known range) and hash slots (the range unknown, or wider than the
+  // dense limit) merge alike.
   Pcg32 rng(88);
   std::vector<std::int64_t> keys(300), vals(300);
+  std::vector<double> weights(300);
   for (auto& k : keys) k = rng.next_in_range(-3, 3);
   for (auto& v : vals) v = rng.next_in_range(0, 99);
+  for (auto& w : weights)
+    w = std::ldexp(1 + rng.next_double(),
+                   static_cast<int>(rng.next_bounded(40)) - 20);
   std::vector<std::uint32_t> b(1000), p(1000);
   for (auto& x : b) x = rng.next_bounded(300);
   for (auto& x : p) x = rng.next_bounded(300);
 
-  const KeyRange range{true, -3, 3, 7};
-  const auto make = [&] {
-    return JoinAggregator({{AggInput::from(std::span(vals)), false}},
-                          {{AggInput::from(std::span(keys)), false, 0, 1}},
-                          range);
-  };
-  JoinAggregator whole = make();
-  whole.add_block(b.data(), p.data(), b.size());
+  // Per key: the two parts' double sums, each in match order.
+  std::map<std::int64_t, std::pair<double, double>> part_sums;
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    auto& [first, second] = part_sums[keys[p[i]]];
+    (i < 400 ? first : second) += weights[b[i]];
+  }
 
-  JoinAggregator merged = make();
-  JoinAggregator part1 = make();
-  JoinAggregator part2 = make();
-  part1.add_block(b.data(), p.data(), 400);
-  part2.add_block(b.data() + 400, p.data() + 400, 600);
-  merged.merge_from(part1);
-  merged.merge_from(part2);
+  const KeyRange ranges[] = {
+      {true, -3, 3, 7},                                  // dense
+      {},                                                // hash: unknown
+      {true, -3, kDenseDomainLimit + std::int64_t{8}, 7}};  // hash: wide
+  for (const KeyRange& range : ranges) {
+    SCOPED_TRACE(::testing::Message()
+                 << "range " << range.known << " [" << range.min << ", "
+                 << range.max << "]");
+    const auto make = [&] {
+      return JoinAggregator({{AggInput::from(std::span(vals)), false},
+                             {AggInput::from(std::span(weights)), true}},
+                            {{AggInput::from(std::span(keys)), false, 0, 1}},
+                            range);
+    };
+    JoinAggregator whole = make();
+    whole.add_block(b.data(), p.data(), b.size());
 
-  const GroupedAggs a = whole.finish();
-  const GroupedAggs c = merged.finish();
-  ASSERT_EQ(a.group_count(), c.group_count());
-  EXPECT_EQ(whole.pair_count(), merged.pair_count());
-  for (std::size_t g = 0; g < a.group_count(); ++g) {
-    EXPECT_EQ(a.keys[g], c.keys[g]);
-    EXPECT_EQ(a.counts[g], c.counts[g]);
-    EXPECT_EQ(a.iout[0][g].sum, c.iout[0][g].sum);
-    EXPECT_EQ(a.iout[0][g].min, c.iout[0][g].min);
-    EXPECT_EQ(a.iout[0][g].max, c.iout[0][g].max);
+    JoinAggregator merged = make();
+    JoinAggregator part2 = make();
+    merged.add_block(b.data(), p.data(), 400);
+    part2.add_block(b.data() + 400, p.data() + 400, 600);
+    merged.merge_from(part2);
+
+    const GroupedAggs a = whole.finish();
+    const GroupedAggs c = merged.finish();
+    ASSERT_EQ(a.group_count(), c.group_count());
+    ASSERT_EQ(c.group_count(), part_sums.size());
+    EXPECT_EQ(whole.pair_count(), merged.pair_count());
+    for (std::size_t g = 0; g < a.group_count(); ++g) {
+      EXPECT_EQ(a.keys[g], c.keys[g]);
+      EXPECT_EQ(a.counts[g], c.counts[g]);
+      EXPECT_EQ(a.iout[0][g].sum, c.iout[0][g].sum);
+      EXPECT_EQ(a.iout[0][g].min, c.iout[0][g].min);
+      EXPECT_EQ(a.iout[0][g].max, c.iout[0][g].max);
+      const auto [first, second] = part_sums.at(c.keys[g]);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(c.dout[1][g].sum),
+                std::bit_cast<std::uint64_t>(first + second))
+          << "key " << c.keys[g];
+      EXPECT_EQ(a.dout[1][g].min, c.dout[1][g].min);
+      EXPECT_EQ(a.dout[1][g].max, c.dout[1][g].max);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Lookup keys: a foreign key outside the lookup fails cleanly when checked.
+// ---------------------------------------------------------------------------
+
+TEST(LookupKey, CheckedForeignKeyOutsideTheLookupThrows) {
+  const std::vector<std::int64_t> lut = {10, 20, 30};  // foreign keys 5..7
+  const std::vector<std::int64_t> vals = {1, 2, 3, 4, 5, 6};
+  const std::vector<AggInput> inputs = {AggInput::from(std::span(vals))};
+  for (const std::int32_t outside : {4, 8, -1'000'000}) {
+    SCOPED_TRACE(::testing::Message() << "fk " << outside);
+    const std::vector<std::int32_t> fk = {5, 6, 7, outside, 6, 5};
+    const LookupKey keys{AggInput::from(std::span(fk)), lut, 5, true};
+    BitVector sel(fk.size());
+    sel.set_all();
+    const KeyRange range{true, 10, 30, 3};
+    EXPECT_THROW((void)grouped_multi_aggregate_lookup(keys, inputs, sel, range),
+                 Error);
+    EXPECT_THROW((void)grouped_multi_aggregate_lookup(keys, inputs, sel),
+                 Error);  // the key-range pass reads it too
+    EXPECT_THROW((void)keys.at(3), Error);
+    // Unselected, the row outside is never read.
+    sel.reset(3);
+    const GroupedAggs g =
+        grouped_multi_aggregate_lookup(keys, inputs, sel, range);
+    EXPECT_EQ(g.keys, (std::vector<std::int64_t>{10, 20, 30}));
+    EXPECT_EQ(g.counts, (std::vector<std::uint64_t>{2, 2, 1}));
+    EXPECT_EQ(keys.at(4), 20);
   }
 }
 

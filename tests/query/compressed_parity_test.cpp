@@ -51,16 +51,9 @@ void run_matrix(Catalog& cat, const std::string& config,
     plain_opts.use_encodings = false;
     ExecOptions packed_opts;
     packed_opts.use_encodings = true;
-    if (pool != nullptr) {
-      // Force EVERY morsel-parallel operator — aggregation, join chain,
-      // sort/top-k, projection materialization — onto the pool, so the
-      // packed run exercises the parallel kernels while the plain
-      // baseline stays serial. Results must still be bit-identical: the
-      // parallel paths merge per-chunk partials in chunk order, never
-      // completion order.
-      packed_opts.pool = pool;
-      packed_opts.parallel_min_rows = 1;
-    }
+    // The packed run gets the pool and the plain baseline none; results
+    // must still be bit-identical.
+    packed_opts.pool = pool;
     ExecStats plain_stats, packed_stats;
     const QueryResult plain = ex.execute(plan, plain_stats, plain_opts);
     const QueryResult packed = ex.execute(plan, packed_stats, packed_opts);

@@ -693,9 +693,8 @@ TEST(Executor, JoinParallelProbeMatchesSerial) {
   const QueryResult serial = ex.execute(plan, serial_stats);
   ExecOptions par;
   par.pool = &pool;
-  par.parallel_min_rows = 1;  // force the parallel probe
   const QueryResult parallel = ex.execute(plan, par_stats, par);
-  par.join_path = JoinPath::kRadix;  // and the parallel radix arm
+  par.join_path = JoinPath::kRadix;  // and the radix arm
   const QueryResult radix = ex.execute(plan, radix_stats, par);
   ASSERT_EQ(serial.row_count(), parallel.row_count());
   ASSERT_EQ(serial.row_count(), radix.row_count());
@@ -976,7 +975,6 @@ TEST(Executor, MultiJoinAgreesAcrossArmsAndParallelism) {
   }
   ExecOptions par;
   par.pool = &pool;
-  par.parallel_min_rows = 1;
   ExecStats sp;
   const QueryResult parallel = ex.execute(plan, sp, par);
   ASSERT_EQ(parallel.row_count(), want.row_count());

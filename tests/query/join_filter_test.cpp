@@ -103,8 +103,6 @@ std::vector<std::pair<std::string, LogicalPlan>> filter_queries() {
   return qs;
 }
 
-/// Every parallel threshold at 1, so small tables still take the
-/// morsel-parallel filter, probe and sink paths.
 ExecOptions parallel_options(sched::ThreadPool* pool,
                              const opt::CostModel& model,
                              std::size_t shards) {
@@ -112,7 +110,6 @@ ExecOptions parallel_options(sched::ThreadPool* pool,
   o.pool = pool;
   o.cost_model = &model;
   o.shard_count = shards;
-  o.parallel_min_rows = 1;
   return o;
 }
 

@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "exec/vector_agg.hpp"
 #include "hw/machine.hpp"
 #include "query/executor.hpp"
 #include "query/physical_plan.hpp"
@@ -36,15 +37,14 @@ using parity::run_join_oracle;
 using parity::unique_dim_queries;
 using storage::Catalog;
 
-/// Every parallel threshold at 1, so small tables still take the
-/// morsel-parallel filter, probe, aggregate and sink paths.
+/// Options over `pool`: the parity tables run every pass as one chunk,
+/// spread_catalog's 1M-row facts as 16.
 ExecOptions options_for(sched::ThreadPool* pool, std::size_t shards,
                         JoinPath path = JoinPath::kAuto) {
   ExecOptions o;
   o.pool = pool;
   o.shard_count = shards;
   o.join_path = path;
-  o.parallel_min_rows = 1;
   return o;
 }
 
@@ -408,6 +408,76 @@ TEST(ParallelJoin, DoubleSumsDoNotDependOnThePoolWidth) {
     // The groupjoin and the hash chain cut the same chunks.
     EXPECT_EQ(got["groupjoin"], got["groupjoin-hash"]) << "pool of " << width;
   }
+}
+
+// A chain aggregate whose group key spans more than exec::kChunkDenseLimit
+// slots: one chunk groups on dense slots, each of several chunks hashes,
+// and the chunk tables merge by key in chunk order.
+TEST(ParallelJoin, WideChainAggregateMergesHashedChunks) {
+  using storage::Column;
+  using storage::Schema;
+  using storage::Table;
+  using storage::TypeId;
+  Catalog cat;
+  Table& facts = cat.add(Table(
+      "facts", Schema({{"fk", TypeId::kInt32},
+                       {"g", TypeId::kInt32},
+                       {"v", TypeId::kDouble}})));
+  Pcg32 rng(4242);
+  const std::size_t n = 200'000;  // every row live: four chunks
+  std::vector<std::int32_t> fk(n), g(n);
+  std::vector<double> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    fk[i] = static_cast<std::int32_t>(rng.next_bounded(1000));
+    g[i] = static_cast<std::int32_t>(rng.next_bounded(300'000));
+    const double mantissa = 1 + rng.next_double();
+    v[i] = std::ldexp(rng.next_bounded(2) ? mantissa : -mantissa,
+                      static_cast<int>(rng.next_bounded(60)) - 30);
+  }
+  facts.set_column(0, Column::from_int32("fk", fk));
+  facts.set_column(1, Column::from_int32("g", g));
+  facts.set_column(2, Column::from_double("v", v));
+  Table& dim = cat.add(
+      Table("dim", Schema({{"id", TypeId::kInt32}, {"w", TypeId::kDouble}})));
+  std::vector<std::int32_t> id;
+  std::vector<double> w;
+  for (std::int32_t k = 0; k < 1000; ++k) {
+    id.push_back(k);
+    w.push_back(std::ldexp(1.0 + rng.next_double(),
+                           static_cast<int>(rng.next_bounded(40)) - 20));
+  }
+  dim.set_column(0, Column::from_int32("id", id));
+  dim.set_column(1, Column::from_double("w", w));
+
+  // dim.w keeps the step in the chain.
+  const LogicalPlan plan = QueryBuilder("facts")
+                               .join("dim", "fk", "id")
+                               .group_by("g")
+                               .aggregate(AggOp::kCount)
+                               .aggregate(AggOp::kSum, "v")
+                               .aggregate(AggOp::kSum, "dim.w")
+                               .aggregate(AggOp::kMax, "v")
+                               .build();
+  ASSERT_EQ(compile_plan(cat, plan).joins[0].role, JoinRole::kChain);
+  const std::int64_t domain = facts.column("g").stats().domain();
+  ASSERT_GT(domain, exec::kChunkDenseLimit);
+  ASSERT_LE(domain, exec::kDenseDomainLimit);
+  ASSERT_LT(exec::chunk_grain(n), n / 2);
+
+  Executor ex(cat);
+  const auto oracle = run_join_oracle(ex, cat, plan);
+  ExecStats one_stats;
+  const QueryResult one = ex.execute(plan, one_stats, options_for(nullptr, 0));
+  expect_matches_oracle(one, oracle, plan, "no pool");
+  std::vector<QueryResult> pooled;
+  for (const std::size_t width : {1u, 4u}) {
+    sched::ThreadPool pool(width);
+    ExecStats stats;
+    pooled.push_back(ex.execute(plan, stats, options_for(&pool, 0)));
+    expect_matches_oracle(pooled.back(), oracle, plan,
+                          "pool of " + std::to_string(width));
+  }
+  expect_identical(pooled[0], pooled[1], "pools of 1 and 4");
 }
 
 }  // namespace

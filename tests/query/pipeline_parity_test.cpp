@@ -182,8 +182,7 @@ TEST(PipelineParity, ParallelPoolMatchesSerial) {
   const QueryResult serial = ex.execute(plan, serial_stats);
   sched::ThreadPool pool(4);
   ExecOptions options;
-  options.pool = &pool;
-  options.parallel_min_rows = 1;  // force the parallel path
+  options.pool = &pool;  // 100k live rows: two chunks
   const QueryResult par = ex.execute(plan, par_stats, options);
   expect_results_match(serial, par);
 }

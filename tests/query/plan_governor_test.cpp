@@ -333,10 +333,7 @@ TEST(PlanGovernor, OperatorWorkSumsExactlyUnderEveryThreadCount) {
   for (const std::size_t threads : {0u, 2u, 5u, 8u}) {
     sched::ThreadPool pool(threads == 0 ? 1 : threads);
     ExecOptions options;
-    if (threads != 0) {
-      options.pool = &pool;
-      options.parallel_min_rows = 1;
-    }
+    if (threads != 0) options.pool = &pool;
     ExecStats stats;
     const QueryResult result = ex.execute(star_plan(), stats, options);
     double cycles = 0, bytes = 0;

@@ -393,8 +393,6 @@ TEST(SharedScanParity, FusedGroupMatchesSoloAcrossEncodingsAndPools) {
       if (width > 0) pool.emplace(width);
       ExecOptions opts;
       opts.pool = pool ? &*pool : nullptr;
-      // Let small inputs take the parallel paths too.
-      opts.parallel_min_rows = 1;
       const std::string label = ename + "/pool" + std::to_string(width);
 
       std::vector<PhysicalPlan> plans;

@@ -380,9 +380,6 @@ TEST(SqlFuzz, ExecutionParityUnderRandomEncodings) {
     plain_opts.use_encodings = false;
     ExecOptions packed_opts;
     packed_opts.pool = pools[rng.next_bounded(std::size(pools))];
-    if (packed_opts.pool != nullptr) {
-      packed_opts.parallel_min_rows = 1;
-    }
     ExecStats plain_stats, packed_stats;
     QueryResult want, got;
     bool plain_threw = false, packed_threw = false;
