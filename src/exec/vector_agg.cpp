@@ -202,7 +202,7 @@ void fold(AggOpSet ops, std::size_t k, const Value& value, S& sum, S& mn,
 /// Folds value(e) into slot[e]'s state, e in [0, k).
 template <typename S, typename Value>
 void fold_slots(AggOpSet ops, std::size_t k, const std::uint32_t* slot,
-                const Value& value, GroupAccum::Arrays<S>& a) {
+                const Value& value, GroupTable::Arrays<S>& a) {
   with_ops(ops, [&](auto set) {
     constexpr AggOpSet kOps = decltype(set)::value;
     S* sum = a.sum.data();
@@ -429,7 +429,7 @@ template <typename Keys, typename Resolve>
 void grouped_acc_range(const Keys& keys, std::span<const AggInput> inputs,
                        const BitVector& selection, std::size_t word_begin,
                        std::size_t word_end, PackedTier tier,
-                       Resolve&& resolve, GroupAccum& acc) {
+                       Resolve&& resolve, GroupTable& acc) {
   constexpr bool kPackedKeys = requires(const Keys& k) { k.packed(); };
   const BlockPlan plan =
       plan_blocks(inputs, keys.size(), tier, !kPackedKeys);
@@ -561,7 +561,7 @@ GroupedAggs grouped_impl(const Keys& keys, std::span<const AggInput> inputs,
         dense ? 0 : hash_groups(range, selection, wb, we));
     table.with_resolver([&](const auto& resolve) {
       grouped_acc_range(keys, inputs, selection, wb, we, tier, resolve,
-                        table.acc);
+                        table);
     });
   });
   for (std::size_t c = 1; c < tables.size(); ++c)
@@ -572,7 +572,7 @@ GroupedAggs grouped_impl(const Keys& keys, std::span<const AggInput> inputs,
 /// Grows the arrays `ops` names to `slots`, new slots at the fold
 /// identities.
 template <typename S>
-void grow(GroupAccum::Arrays<S>& a, AggOpSet ops, std::size_t slots,
+void grow(GroupTable::Arrays<S>& a, AggOpSet ops, std::size_t slots,
           std::size_t cap) {
   const auto grow_one = [&](std::vector<S>& v, S identity) {
     v.reserve(cap);
@@ -585,15 +585,15 @@ void grow(GroupAccum::Arrays<S>& a, AggOpSet ops, std::size_t slots,
 
 /// Folds slot `t` of `o` into slot `s` of `a`.
 template <typename S>
-void fold_into(GroupAccum::Arrays<S>& a, AggOpSet ops, std::uint32_t s,
-               const GroupAccum::Arrays<S>& o, std::size_t t) {
+void fold_into(GroupTable::Arrays<S>& a, AggOpSet ops, std::uint32_t s,
+               const GroupTable::Arrays<S>& o, std::size_t t) {
   if (ops & kAggSum) a.sum[s] += o.sum[t];
   if (ops & kAggMin) a.mn[s] = std::min(a.mn[s], o.mn[t]);
   if (ops & kAggMax) a.mx[s] = std::max(a.mx[s], o.mx[t]);
 }
 
 template <typename R, typename S>
-R slot_result(const GroupAccum::Arrays<S>& a, AggOpSet ops, std::uint32_t s,
+R slot_result(const GroupTable::Arrays<S>& a, AggOpSet ops, std::uint32_t s,
               std::uint64_t count) {
   R r;
   r.count = count;
@@ -605,13 +605,46 @@ R slot_result(const GroupAccum::Arrays<S>& a, AggOpSet ops, std::uint32_t s,
 
 }  // namespace
 
-GroupAccum::GroupAccum(std::span<const AggInput> inputs)
-    : iarr(inputs.size()), darr(inputs.size()) {
-  shapes_.reserve(inputs.size());
-  for (const AggInput& in : inputs) shapes_.push_back({in.is_double(), in.ops});
+bool GroupTable::dense_layout(const KeyRange& range, GroupStrategy strategy,
+                              std::size_t chunks) {
+  // Unsigned width survives hash-like int64 keys whose spread overflows
+  // a signed domain computation (huge widths simply fail the dense test).
+  const std::uint64_t width = static_cast<std::uint64_t>(range.max) -
+                              static_cast<std::uint64_t>(range.min);
+  const auto fits = [&](std::int64_t limit) {
+    return range.known && width < static_cast<std::uint64_t>(limit);
+  };
+  switch (strategy) {
+    case GroupStrategy::kDenseArray:
+      if (!fits(kDenseDomainLimit))
+        throw Error("dense group-by domain too large");
+      return true;
+    case GroupStrategy::kHash:
+      return false;
+    case GroupStrategy::kAuto:
+      break;
+  }
+  return fits(chunks > 1 ? kChunkDenseLimit : kDenseDomainLimit);
 }
 
-void GroupAccum::ensure(std::size_t slots) {
+GroupTable::GroupTable(std::span<const AggInput> inputs, const KeyRange& range,
+                       bool dense, std::size_t hash_groups)
+    : iarr(inputs.size()),
+      darr(inputs.size()),
+      dense_(dense),
+      dense_min_(range.min),
+      slots_(dense ? 16 : hash_groups) {
+  shapes_.reserve(inputs.size());
+  for (const AggInput& in : inputs) shapes_.push_back({in.is_double(), in.ops});
+  if (dense) {
+    EIDB_EXPECTS(range.known);
+    ensure(static_cast<std::size_t>(static_cast<std::uint64_t>(range.max) -
+                                    static_cast<std::uint64_t>(range.min)) +
+           1);
+  }
+}
+
+void GroupTable::ensure(std::size_t slots) {
   if (counts.size() >= slots) return;
   const std::size_t cap = counts.capacity() >= slots
                               ? counts.capacity()
@@ -626,19 +659,37 @@ void GroupAccum::ensure(std::size_t slots) {
   }
 }
 
-void GroupAccum::merge(std::uint32_t mine, const GroupAccum& other,
-                       std::size_t theirs) {
-  counts[mine] += other.counts[theirs];
-  for (std::size_t j = 0; j < shapes_.size(); ++j) {
-    if (shapes_[j].is_double)
-      fold_into(darr[j], shapes_[j].ops, mine, other.darr[j], theirs);
-    else
-      fold_into(iarr[j], shapes_[j].ops, mine, other.iarr[j], theirs);
+void GroupTable::merge_from(const GroupTable& other) {
+  EIDB_EXPECTS(dense_ == other.dense_);
+  // Dense tables share one slot layout (same range): slot s merges into
+  // slot s. Hash slots merge into their key's slot here.
+  EIDB_EXPECTS(!dense_ || (dense_min_ == other.dense_min_ &&
+                           counts.size() == other.counts.size()));
+  for (std::size_t s = 0; s < other.counts.size(); ++s) {
+    if (other.counts[s] == 0) continue;
+    const std::uint32_t mine =
+        dense_ ? static_cast<std::uint32_t>(s) : hash_slot(other.keys_[s]);
+    counts[mine] += other.counts[s];
+    for (std::size_t j = 0; j < shapes_.size(); ++j) {
+      if (shapes_[j].is_double)
+        fold_into(darr[j], shapes_[j].ops, mine, other.darr[j], s);
+      else
+        fold_into(iarr[j], shapes_[j].ops, mine, other.iarr[j], s);
+    }
   }
 }
 
-GroupedAggs GroupAccum::emit(
-    std::span<const std::pair<std::int64_t, std::uint32_t>> order) const {
+GroupedAggs GroupTable::emit(bool empty_slots) const {
+  // Slot order is key order for dense slots; hash slots sort by key.
+  std::vector<std::pair<std::int64_t, std::uint32_t>> order;
+  order.reserve(dense_ ? 0 : keys_.size());
+  for (std::size_t s = 0; s < counts.size(); ++s)
+    if (empty_slots || counts[s] != 0)
+      order.emplace_back(dense_ ? dense_min_ + static_cast<std::int64_t>(s)
+                                : keys_[s],
+                         static_cast<std::uint32_t>(s));
+  if (!dense_) std::sort(order.begin(), order.end());
+
   GroupedAggs out;
   const std::size_t g = order.size();
   out.keys.reserve(g);
@@ -665,74 +716,6 @@ GroupedAggs GroupAccum::emit(
     }
   }
   return out;
-}
-
-bool GroupTable::dense_layout(const KeyRange& range, GroupStrategy strategy,
-                              std::size_t chunks) {
-  // Unsigned width survives hash-like int64 keys whose spread overflows
-  // a signed domain computation (huge widths simply fail the dense test).
-  const std::uint64_t width = static_cast<std::uint64_t>(range.max) -
-                              static_cast<std::uint64_t>(range.min);
-  const auto fits = [&](std::int64_t limit) {
-    return range.known && width < static_cast<std::uint64_t>(limit);
-  };
-  switch (strategy) {
-    case GroupStrategy::kDenseArray:
-      if (!fits(kDenseDomainLimit))
-        throw Error("dense group-by domain too large");
-      return true;
-    case GroupStrategy::kHash:
-      return false;
-    case GroupStrategy::kAuto:
-      break;
-  }
-  return fits(chunks > 1 ? kChunkDenseLimit : kDenseDomainLimit);
-}
-
-GroupTable::GroupTable(std::span<const AggInput> inputs, const KeyRange& range,
-                       bool dense, std::size_t hash_groups)
-    : acc(inputs),
-      dense_(dense),
-      dense_min_(range.min),
-      slots_(dense ? 16 : hash_groups) {
-  if (dense) {
-    EIDB_EXPECTS(range.known);
-    acc.ensure(static_cast<std::size_t>(static_cast<std::uint64_t>(range.max) -
-                                        static_cast<std::uint64_t>(range.min)) +
-               1);
-  }
-}
-
-void GroupTable::merge_from(const GroupTable& other) {
-  EIDB_EXPECTS(dense_ == other.dense_);
-  if (dense_) {
-    // One slot layout (same range): merge elementwise.
-    EIDB_EXPECTS(dense_min_ == other.dense_min_ &&
-                 acc.counts.size() == other.acc.counts.size());
-    for (std::size_t s = 0; s < other.acc.counts.size(); ++s)
-      if (other.acc.counts[s] != 0)
-        acc.merge(static_cast<std::uint32_t>(s), other.acc, s);
-  } else {
-    for (std::size_t s = 0; s < other.keys_.size(); ++s)
-      acc.merge(hash_slot(other.keys_[s]), other.acc, s);
-  }
-}
-
-GroupedAggs GroupTable::emit() const {
-  std::vector<std::pair<std::int64_t, std::uint32_t>> order;
-  if (dense_) {
-    // Slot order is key order.
-    for (std::size_t s = 0; s < acc.counts.size(); ++s)
-      if (acc.counts[s] != 0)
-        order.emplace_back(dense_min_ + static_cast<std::int64_t>(s),
-                           static_cast<std::uint32_t>(s));
-  } else {
-    order.reserve(keys_.size());
-    for (std::size_t s = 0; s < keys_.size(); ++s)
-      order.emplace_back(keys_[s], static_cast<std::uint32_t>(s));
-    std::sort(order.begin(), order.end());
-  }
-  return acc.emit(order);
 }
 
 std::int64_t LookupKey::at(std::size_t i) const {
@@ -868,7 +851,6 @@ void JoinAggregator::add_block(const std::uint32_t* build_rows,
 void JoinAggregator::add_block(const std::uint32_t* const* side_rows,
                                std::size_t count) {
   pairs_ += count;
-  GroupAccum& acc = table_.acc;
   table_.with_resolver([&](const auto& resolve) {
     std::int64_t keys[kGatherBlock];
     std::uint32_t slot[kGatherBlock];
@@ -876,7 +858,7 @@ void JoinAggregator::add_block(const std::uint32_t* const* side_rows,
       const std::size_t n = std::min(kGatherBlock, count - at);
       if (key_.empty()) {
         for (std::size_t e = 0; e < n; ++e) slot[e] = 0;
-        acc.counts[0] += n;
+        table_.counts[0] += n;
       } else {
         // Key column(s) touched once per match: the composite key is
         // synthesized per block, then every input gathers
@@ -889,7 +871,7 @@ void JoinAggregator::add_block(const std::uint32_t* const* side_rows,
                 (part.column.int_at(rows[e]) - part.offset) * part.stride;
         }
         for (std::size_t e = 0; e < n; ++e) slot[e] = resolve(keys[e]);
-        for (std::size_t e = 0; e < n; ++e) ++acc.counts[slot[e]];
+        for (std::size_t e = 0; e < n; ++e) ++table_.counts[slot[e]];
       }
       for (std::size_t j = 0; j < inputs_.size(); ++j) {
         const AggInput& column = inputs_[j].column;
@@ -898,11 +880,11 @@ void JoinAggregator::add_block(const std::uint32_t* const* side_rows,
           const double* data = column.f64.data();
           fold_slots(column.ops, n, slot,
                      [&](std::size_t e) { return data[rows[e]]; },
-                     acc.darr[j]);
+                     table_.darr[j]);
         } else {
           fold_slots(column.ops, n, slot,
                      [&](std::size_t e) { return column.int_at(rows[e]); },
-                     acc.iarr[j]);
+                     table_.iarr[j]);
         }
       }
     }
@@ -915,9 +897,7 @@ void JoinAggregator::merge_from(const JoinAggregator& other) {
 }
 
 GroupedAggs JoinAggregator::finish() const {
-  if (!key_.empty()) return table_.emit();
-  const std::pair<std::int64_t, std::uint32_t> global{0, 0};
-  return table_.acc.emit({&global, 1});
+  return table_.emit(/*empty_slots=*/key_.empty());
 }
 
 }  // namespace eidb::exec

@@ -250,50 +250,20 @@ struct LookupKey {
 /// initialization, merge and emit in each of up to kMaxChunks tables.
 inline constexpr std::int64_t kChunkDenseLimit = 1 << 16;
 
-/// Slot-indexed accumulation state: one count per group and, per input,
-/// only the sum/min/max arrays its op set names (int64 for integer
-/// inputs, double for doubles).
-class GroupAccum {
+/// The slot state of grouped aggregation, shared by the bitmap kernels
+/// and JoinAggregator: the key → slot map — dense slots (slot = key -
+/// range.min) or a hash table holding each slot's key — and one count
+/// per slot plus, per input, only the sum/min/max arrays its op set names
+/// (int64 for integer inputs, double for doubles). The layout is chosen
+/// once per table. The chunks of one pass build tables of one layout and
+/// fold into chunk 0's slot by slot, in chunk order.
+class GroupTable {
  public:
   template <typename S>
   struct Arrays {
     std::vector<S> sum, mn, mx;
   };
 
-  explicit GroupAccum(std::span<const AggInput> inputs);
-
-  /// Grows every array to `slots`, new groups at the fold identities.
-  /// Capacity grows geometrically, so one-slot-at-a-time growth (the hash
-  /// layout) stays amortized O(1).
-  void ensure(std::size_t slots);
-  /// Folds slot `theirs` of an accumulator over the same inputs into
-  /// slot `mine`.
-  void merge(std::uint32_t mine, const GroupAccum& other, std::size_t theirs);
-  /// Groups `order[i] = (key, slot)` as GroupedAggs, in `order`'s order;
-  /// a group with count 0 (JoinAggregator's empty global group) reads
-  /// min/max 0.
-  [[nodiscard]] GroupedAggs emit(
-      std::span<const std::pair<std::int64_t, std::uint32_t>> order) const;
-
-  std::vector<std::uint64_t> counts;
-  std::vector<Arrays<std::int64_t>> iarr;  // by input; unused for doubles
-  std::vector<Arrays<double>> darr;        // by input; unused for ints
-
- private:
-  struct Shape {
-    bool is_double = false;
-    AggOpSet ops = kAggAllOps;
-  };
-  std::vector<Shape> shapes_;
-};
-
-/// The key → slot table of grouped aggregation, shared by the bitmap
-/// kernels and JoinAggregator: dense slots (slot = key - range.min) or a
-/// hash table holding each slot's key, over one GroupAccum. The layout is
-/// chosen once per table. The chunks of one pass build tables of one
-/// layout and fold into chunk 0's slot by slot, in chunk order.
-class GroupTable {
- public:
   /// The layout `strategy` gives a table of a pass cut into `chunks`
   /// chunks (see grouped_multi_aggregate): true for dense slots. Throws
   /// for kDenseArray over an unknown range or one wider than
@@ -324,24 +294,38 @@ class GroupTable {
   /// Folds every group of `other`, a table over the same inputs and
   /// layout, into this one.
   void merge_from(const GroupTable& other);
-  /// The groups with a row, sorted by key.
-  [[nodiscard]] GroupedAggs emit() const;
+  /// The groups sorted by key: those with a row, or with `empty_slots`
+  /// every dense slot (JoinAggregator's one global group, emitted even
+  /// with no match; an empty group reads min/max 0).
+  [[nodiscard]] GroupedAggs emit(bool empty_slots = false) const;
 
-  GroupAccum acc;
+  std::vector<std::uint64_t> counts;
+  std::vector<Arrays<std::int64_t>> iarr;  // by input; unused for doubles
+  std::vector<Arrays<double>> darr;        // by input; unused for ints
 
  private:
+  struct Shape {
+    bool is_double = false;
+    AggOpSet ops = kAggAllOps;
+  };
+
+  /// Grows every array to `slots`, new groups at the fold identities.
+  /// Capacity grows geometrically, so one-slot-at-a-time growth (the hash
+  /// layout) stays amortized O(1).
+  void ensure(std::size_t slots);
   std::uint32_t hash_slot(std::int64_t key) {
     return slots_.get_or_insert(key, [&](std::uint32_t& fresh) {
       fresh = static_cast<std::uint32_t>(keys_.size());
       keys_.push_back(key);
-      acc.ensure(keys_.size());
+      ensure(keys_.size());
     });
   }
 
+  std::vector<Shape> shapes_;
   bool dense_ = false;
   std::int64_t dense_min_ = 0;
-  HashTable<std::uint32_t> slots_;   // hash layout: key → slot
-  std::vector<std::int64_t> keys_;   // hash layout: key of each slot
+  HashTable<std::uint32_t> slots_;  // hash layout: key → slot
+  std::vector<std::int64_t> keys_;  // hash layout: key of each slot
 };
 
 /// Gather-based aggregation sink for the late-materialized join pipeline

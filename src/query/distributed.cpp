@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "exec/parallel.hpp"
 #include "net/cluster.hpp"
 #include "net/wire_format.hpp"
 #include "query/ops/exchange_op.hpp"
@@ -327,15 +328,11 @@ QueryResult run_distributed(const storage::Catalog& catalog,
       out.error = e.what();
     }
   };
-  if (options.pool != nullptr && shard_count > 1) {
-    options.pool->parallel_for(shard_count, 1,
-                               [&](std::size_t begin, std::size_t end) {
-                                 for (std::size_t s = begin; s < end; ++s)
-                                   run_shard(s);
-                               });
-  } else {
-    for (std::size_t s = 0; s < shard_count; ++s) run_shard(s);
-  }
+  // One task per shard on the pool; without one, the shards run in turn.
+  exec::Chunks{options.pool, shard_count, 1}.run(
+      [&](std::size_t, std::size_t begin, std::size_t end) {
+        for (std::size_t s = begin; s < end; ++s) run_shard(s);
+      });
   for (std::size_t s = 0; s < shard_count; ++s)
     if (!outs[s].error.empty()) throw Error(outs[s].error);
 
