@@ -19,10 +19,10 @@
 //   ops/project_op    late materialization with gather-bounded charging
 //
 // Each operator has one production path, and each of its passes one code
-// path whose fan-out exec::pass_chunks decides (no serial twin, no
-// threshold knob); the reference behaviour the parity suites check it
-// against lives in the test oracle (tests/query/parity_matrix.hpp), not
-// in a selectable arm here. See docs/executor_pipeline.md.
+// path whose chunks exec::pass_chunks decides; the reference behaviour
+// the parity suites check it against lives in the test oracle
+// (tests/query/parity_matrix.hpp), not in a selectable arm here. See
+// docs/executor_pipeline.md.
 #pragma once
 
 #include <cstdint>

@@ -213,12 +213,12 @@ TEST_P(BlockPath, MatchesPerRowReference) {
     expect_matches(ref, grouped_multi_aggregate_packed(
                             c.keys(), inputs, c.selection, c.range(),
                             GroupStrategy::kAuto, tier, &pool, 8192));
-    if (tier == packed_tier())  // plain keys run at the host's tier
-      expect_matches(ref, grouped_multi_aggregate(
-                              std::span(c.keys64), inputs, c.selection,
-                              c.range(),
-                              width <= 12 ? GroupStrategy::kDenseArray
-                                          : GroupStrategy::kHash));
+    expect_matches(ref, grouped_multi_aggregate(
+                            std::span(c.keys64), inputs, c.selection,
+                            c.range(),
+                            width <= 12 ? GroupStrategy::kDenseArray
+                                        : GroupStrategy::kHash,
+                            tier));
 
     // Global: every group folded into one.
     AggResult want_i[3];

@@ -338,9 +338,10 @@ TEST(SqlFuzz, ExecutionParityUnderRandomEncodings) {
   Pcg32 rng(0xC0DE);
   const Encoding encodings[] = {Encoding::kPlain, Encoding::kBitPacked,
                                 Encoding::kForBitPacked};
-  // Pools of different widths: each iteration randomly picks serial
-  // execution or one of these, with every parallel threshold forced to 1,
-  // so the fuzzer also hunts thread-count-dependent results.
+  // Pools of different widths: each iteration randomly picks no pool or
+  // one of these, so the fuzzer also hunts thread-count-dependent results
+  // (its tables are one chunk per pass; sharded plans still run their
+  // shards on the pool).
   sched::ThreadPool pool2(2), pool3(3), pool8(8);
   sched::ThreadPool* pools[] = {nullptr, &pool2, &pool3, &pool8};
   int oracle_checked = 0;  // aggregate statements compared to the oracle
