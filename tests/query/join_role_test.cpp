@@ -37,8 +37,8 @@ using parity::run_join_oracle;
 using parity::unique_dim_queries;
 using storage::Catalog;
 
-/// Options over `pool`: the parity tables run every pass as one chunk,
-/// spread_catalog's 1M-row facts as 16.
+/// Options over `pool`: passes over the 5,000-row parity tables run as
+/// one chunk, over the larger tables below as several.
 ExecOptions options_for(sched::ThreadPool* pool, std::size_t shards,
                         JoinPath path = JoinPath::kAuto) {
   ExecOptions o;
