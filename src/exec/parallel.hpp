@@ -54,12 +54,15 @@ inline constexpr std::size_t kMaxChunks = 16;
 }
 
 /// The chunks one pass runs as: [0, rows) in `grain`-row pieces, the last
-/// one possibly shorter.
+/// one possibly shorter. A pass over rows takes them from pass_chunks; a
+/// fan-out over independent tasks (radix partitions, shards) is
+/// {pool, tasks, 1}.
 struct Chunks {
   /// Pool the chunks fan out on; nullptr when the pass is one chunk.
   sched::ThreadPool* pool = nullptr;
   std::size_t rows = 0;
-  /// Rows per chunk: a multiple of 64, or `rows` for one chunk.
+  /// Rows per chunk: a multiple of 64 from pass_chunks, or `rows` for one
+  /// chunk.
   std::size_t grain = 0;
 
   [[nodiscard]] std::size_t count() const {
