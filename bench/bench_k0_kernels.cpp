@@ -290,6 +290,39 @@ void BM_GroupedAggPacked(benchmark::State& state) {
 BENCHMARK(BM_GroupedAggPacked)
     ->ArgsProduct({{4, 12}, {17, 25}, {1, 2, 3, 4, 6, 8, 16, 32, 64}, {0, 1}});
 
+// The global kernel's block path: SUM over a 17-bit packed FOR input,
+// ungrouped. Arg 0 is the live rows per selection word (at random
+// positions), arg 1 the tier as above. Items are selected rows; bytes are
+// the packed image streamed.
+void BM_MultiAggregatePacked(benchmark::State& state) {
+  const auto live = static_cast<unsigned>(state.range(0));
+  const exec::PackedTier tier = state.range(1) == 0
+                                    ? exec::PackedTier::kScalar
+                                    : exec::packed_tier();
+  const std::size_t n = 1 << 20;
+  const unsigned in_bits = 17;
+  const auto values = packed_keys(in_bits, n);
+  Pcg32 rng(12);
+  BitVector sel(n);
+  for (std::size_t w = 0; w < sel.word_count(); ++w) {
+    std::uint64_t bits = live == 64 ? ~std::uint64_t{0} : 0;
+    while (static_cast<unsigned>(__builtin_popcountll(bits)) < live)
+      bits |= std::uint64_t{1} << rng.next_bounded(64);
+    sel.words()[w] = bits;
+  }
+  std::vector<exec::AggInput> inputs = {exec::AggInput::from(
+      storage::PackedView{values, in_bits, 1000, n})};
+  inputs[0].ops = exec::kAggSum;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(exec::multi_aggregate(inputs, sel, tier));
+  state.SetItemsProcessed(state.iterations() * (n / 64) * live);
+  state.SetBytesProcessed(state.iterations() * values.size() *
+                          sizeof(std::uint64_t));
+  state.SetLabel(tier_label(state.range(1)));
+}
+BENCHMARK(BM_MultiAggregatePacked)
+    ->ArgsProduct({{1, 2, 3, 4, 8, 16, 64}, {0, 1}});
+
 // The groupjoin's grouped SUM: the group key is read through a dense
 // lookup (exec::LookupKey) over a packed foreign key — a dimension's five
 // group codes indexed by the fact key, as star_join's customer.region is.

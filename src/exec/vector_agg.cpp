@@ -24,26 +24,6 @@ constexpr std::uint64_t kAllLive = ~std::uint64_t{0};
 // selected rows or decodes a packed block.
 // ---------------------------------------------------------------------------
 
-#if defined(__x86_64__)
-/// AVX-512 tier of decode_live: each 16-value group decodes through the
-/// storage core and vpcompressd keeps its live lanes in row order. A
-/// group's 16-lane store starts at k <= 16 * g, so it stays inside
-/// out[0..64).
-EIDB_TARGET_AVX512_VBMI std::size_t decode_live_avx512(
-    const storage::PackedView& pv, std::size_t base, std::uint64_t live,
-    std::uint32_t* out) {
-  const storage::avx512::Unpacker unpack(pv.words.data(), pv.bits);
-  std::size_t k = 0;
-  for (unsigned g = 0; g < 4; ++g) {
-    const auto m = static_cast<__mmask16>(live >> (16 * g));
-    _mm512_storeu_si512(
-        out + k, _mm512_maskz_compress_epi32(m, unpack.load16(base + 16 * g)));
-    k += static_cast<std::size_t>(__builtin_popcount(m));
-  }
-  return k;
-}
-#endif  // __x86_64__
-
 /// Row ids of the rows set in `live` (the word at `base`) into out[],
 /// in row order (count-trailing-zeros walk); returns their count.
 std::size_t live_rows(std::size_t base, std::uint64_t live,
@@ -57,29 +37,14 @@ std::size_t live_rows(std::size_t base, std::uint64_t live,
   return k;
 }
 
-/// The block helper: decodes the 64-value block of `pv` at `base` once and
-/// writes the packed values (reference not added) of the rows set in
-/// `live` to out[], in row order; returns their count. `Raw` is uint32_t
-/// for widths up to 32, uint64_t above. The AVX-512 tier decodes widths
-/// 1..25 with storage::avx512::Unpacker; widths 0 and above 25, and other
-/// CPUs, take the scalar block decoder and a ctz walk.
+/// The scalar block decode: the 64-value block of `pv` at `base` through
+/// storage::bitunpack_block64, then the packed values (reference not
+/// added) of the rows set in `live` to out[], in row order; returns their
+/// count. `Raw` is uint32_t for widths up to 32, uint64_t above.
 template <typename Raw>
-std::size_t decode_live(const storage::PackedView& pv, std::size_t base,
-                        std::uint64_t live, PackedTier tier, Raw* out) {
-  EIDB_EXPECTS(base % 64 == 0 && base + 64 <= pv.count);
-  EIDB_EXPECTS(pv.bits <= 8 * sizeof(Raw));
-#if defined(__x86_64__)
-  if constexpr (std::is_same_v<Raw, std::uint32_t>) {
-    if (tier == PackedTier::kAvx512Vbmi && pv.bits >= 1 &&
-        pv.bits <= storage::avx512::kMaxBits) {
-      // A 64-value block ends on a word boundary: block b spans words
-      // [b * bits, (b + 1) * bits).
-      EIDB_EXPECTS((base / 64 + 1) * pv.bits <= pv.words.size());
-      return decode_live_avx512(pv, base, live, out);
-    }
-  }
-#endif
-  (void)tier;
+std::size_t unpack_live(
+    const storage::PackedView& pv, std::size_t base, std::uint64_t live,
+    Raw* out) {
   alignas(64) std::uint64_t buf[64];
   storage::bitunpack_block64(pv.words, pv.bits, base, buf);
   if (live == kAllLive) {
@@ -94,24 +59,154 @@ std::size_t decode_live(const storage::PackedView& pv, std::size_t base,
   return k;
 }
 
-/// Calls fn(value), where value(e) is the decoded value (reference added)
-/// of the e-th live row of the word at `base`: from one decode_live for a
-/// block word, through value_at at the listed rows idx[] otherwise.
-template <typename Fn>
-void with_live_values(const storage::PackedView& pv, std::size_t base,
-                      std::uint64_t live, bool block, PackedTier tier,
-                      const std::uint32_t* idx, Fn&& fn) {
-  const std::int64_t ref = pv.reference;
-  if (block && pv.bits <= 32) {
+/// A packed column's block decoder at the scalar tier, the reference on
+/// any host.
+class ScalarDecoder {
+ public:
+  explicit ScalarDecoder(const storage::PackedView& pv) : pv_(&pv) {}
+  [[nodiscard]] const storage::PackedView& view() const { return *pv_; }
+  /// unpack_live for widths up to 32.
+  std::size_t decode32(std::size_t base, std::uint64_t live,
+                       std::uint32_t* out) const {
+    return unpack_live(*pv_, base, live, out);
+  }
+
+ private:
+  const storage::PackedView* pv_;
+};
+
+#if defined(__x86_64__)
+/// A packed column's block decoder at the AVX-512 VBMI tier: widths 1..25
+/// keep one storage::avx512::Unpacker, and each 16-value group of a block
+/// decodes through it while vpcompressd keeps the live lanes in row
+/// order; widths 0 and 26..32 decode as ScalarDecoder does. Each member
+/// ends with vzeroupper: the word loop calls its folds out of line, and an
+/// SSE-encoded fold entered with the ZMM state dirty ran several times
+/// slower (k0's BM_MultiAggregatePacked: 3.4 against 0.4 ms). Aligned by
+/// hand: outside the AVX-512 target, alignof(__m512i) reads 16, so the
+/// decoders' std::vector would hand the Unpacker's aligned stores a
+/// 16-byte-aligned object.
+class alignas(64) SimdDecoder {
+ public:
+  EIDB_TARGET_AVX512_VBMI explicit SimdDecoder(const storage::PackedView& pv)
+      : pv_(&pv),
+        simd_(pv.bits >= 1 && pv.bits <= storage::avx512::kMaxBits),
+        // Never loaded at the scalar widths.
+        unpack_(pv.words.data(), simd_ ? pv.bits : 1) {
+    _mm256_zeroupper();
+  }
+  [[nodiscard]] const storage::PackedView& view() const { return *pv_; }
+  /// A group's 16-lane store starts at k <= 16 * g, so it stays inside
+  /// out[0..64).
+  EIDB_TARGET_AVX512_VBMI std::size_t decode32(std::size_t base,
+                                               std::uint64_t live,
+                                               std::uint32_t* out) const {
+    if (!simd_) return unpack_live(*pv_, base, live, out);
+    std::size_t k = 0;
+    #pragma GCC unroll 4
+    for (unsigned g = 0; g < 4; ++g) {
+      const auto m = static_cast<__mmask16>(live >> (16 * g));
+      _mm512_storeu_si512(out + k, _mm512_maskz_compress_epi32(
+                                       m, unpack_.load16(base + 16 * g)));
+      k += static_cast<std::size_t>(__builtin_popcount(m));
+    }
+    _mm256_zeroupper();
+    return k;
+  }
+
+ private:
+  const storage::PackedView* pv_;
+  bool simd_;
+  storage::avx512::Unpacker unpack_;
+};
+#endif  // __x86_64__
+
+/// The tiers a chunk's word loop is instantiated at.
+struct ScalarTier {
+  using Decoder = ScalarDecoder;
+  static constexpr PackedTier kTier = PackedTier::kScalar;
+};
+#if defined(__x86_64__)
+struct SimdTier {
+  using Decoder = SimdDecoder;
+  static constexpr PackedTier kTier = PackedTier::kAvx512Vbmi;
+};
+#endif
+
+/// The block preconditions of `pv` for block words [word_begin,
+/// block_end), checked at the last one: both grow with the word index.
+void expect_blocks(const storage::PackedView& pv, std::size_t word_begin,
+                   std::size_t block_end) {
+  if (word_begin >= block_end) return;
+  EIDB_EXPECTS(block_end * 64 <= pv.count);
+  // A 64-value block ends on a word boundary: block b spans words
+  // [b * bits, (b + 1) * bits).
+  EIDB_EXPECTS(block_end * pv.bits <= pv.words.size());
+}
+
+/// One decoder per input (over an empty image for a plain input), built
+/// at chunk entry.
+template <typename Decoder>
+std::vector<Decoder> input_decoders(std::span<const AggInput> inputs,
+                                    std::size_t word_begin,
+                                    std::size_t block_end) {
+  std::vector<Decoder> decoders;
+  decoders.reserve(inputs.size());
+  for (const AggInput& in : inputs) {
+    if (in.kind == AggInput::Kind::kPacked)
+      expect_blocks(in.packed, word_begin, block_end);
+    decoders.emplace_back(in.packed);
+  }
+  return decoders;
+}
+
+// Value accessors: value(e) of the e-th live row of a word, as the folds
+// read it. Named types, so each fold compiles once per accessor and op set
+// for every kernel and tier.
+
+/// Decoded block lanes, reference added.
+template <typename Raw>
+struct BlockValues {
+  const Raw* raw;
+  std::int64_t ref;
+  std::int64_t operator()(std::size_t e) const {
+    return ref + static_cast<std::int64_t>(raw[e]);
+  }
+};
+
+/// A packed column at the listed rows.
+struct PackedRows {
+  const storage::PackedView* pv;
+  const std::uint32_t* idx;
+  std::int64_t operator()(std::size_t e) const {
+    return pv->value_at(idx[e]);
+  }
+};
+
+/// A plain column at the listed rows, as S.
+template <typename S, typename T>
+struct PlainRows {
+  const T* data;
+  const std::uint32_t* idx;
+  S operator()(std::size_t e) const { return static_cast<S>(data[idx[e]]); }
+};
+
+/// Calls fn(values) over the live lanes of `dec`'s block at `base`: its
+/// tier's decode32 up to width 32, unpack_live into 64-bit lanes above.
+template <typename Decoder, typename Fn>
+[[gnu::always_inline]] inline void with_block_values(const Decoder& dec,
+                                                     std::size_t base,
+                                                     std::uint64_t live,
+                                                     Fn&& fn) {
+  const storage::PackedView& pv = dec.view();
+  if (pv.bits <= 32) {
     alignas(64) std::uint32_t raw[64];
-    decode_live(pv, base, live, tier, raw);
-    fn([&](std::size_t e) { return ref + static_cast<std::int64_t>(raw[e]); });
-  } else if (block) {
-    alignas(64) std::uint64_t raw[64];
-    decode_live(pv, base, live, tier, raw);
-    fn([&](std::size_t e) { return ref + static_cast<std::int64_t>(raw[e]); });
+    dec.decode32(base, live, raw);
+    fn(BlockValues<std::uint32_t>{raw, pv.reference});
   } else {
-    fn([&](std::size_t e) { return pv.value_at(idx[e]); });
+    alignas(64) std::uint64_t raw[64];
+    unpack_live(pv, base, live, raw);
+    fn(BlockValues<std::uint64_t>{raw, pv.reference});
   }
 }
 
@@ -182,8 +277,9 @@ void with_ops(AggOpSet ops, Fn&& fn) {
 
 /// Folds value(0..k) into one running state.
 template <typename S, typename Value>
-void fold(AggOpSet ops, std::size_t k, const Value& value, S& sum, S& mn,
-          S& mx) {
+void fold(AggOpSet ops, std::size_t k,
+                                        const Value& value, S& sum, S& mn,
+                                        S& mx) {
   with_ops(ops, [&](auto set) {
     constexpr AggOpSet kOps = decltype(set)::value;
     S s = sum, lo = mn, hi = mx;
@@ -201,8 +297,10 @@ void fold(AggOpSet ops, std::size_t k, const Value& value, S& sum, S& mn,
 
 /// Folds value(e) into slot[e]'s state, e in [0, k).
 template <typename S, typename Value>
-void fold_slots(AggOpSet ops, std::size_t k, const std::uint32_t* slot,
-                const Value& value, GroupTable::Arrays<S>& a) {
+void fold_slots(AggOpSet ops, std::size_t k,
+                                              const std::uint32_t* slot,
+                                              const Value& value,
+                                              GroupTable::Arrays<S>& a) {
   with_ops(ops, [&](auto set) {
     constexpr AggOpSet kOps = decltype(set)::value;
     S* sum = a.sum.data();
@@ -239,7 +337,8 @@ struct InputAcc {
 /// running sum in row order, as the per-row fold and the join pipeline's
 /// aggregator do, so a global double SUM is the same on every path.
 template <typename T, typename S>
-void acc_word_full(const T* data, AggOpSet ops, S& sum, S& mn, S& mx) {
+void acc_word_full(const T* data, AggOpSet ops,
+                                                 S& sum, S& mn, S& mx) {
   with_ops(ops, [&](auto set) {
     constexpr AggOpSet kOps = decltype(set)::value;
     constexpr bool kInOrder = std::is_floating_point_v<S>;
@@ -260,25 +359,31 @@ void acc_word_full(const T* data, AggOpSet ops, S& sum, S& mn, S& mx) {
 /// One plain input over one word: full words branch-free, partial words
 /// at the listed rows idx[0..k).
 template <typename T, typename S>
-void acc_word_plain(const T* data, std::size_t base, bool full,
-                    const std::uint32_t* idx, std::size_t k, AggOpSet ops,
-                    S& sum, S& mn, S& mx) {
+void acc_word_plain(
+    const T* data, std::size_t base, bool full, const std::uint32_t* idx,
+    std::size_t k, AggOpSet ops, S& sum, S& mn, S& mx) {
   if (full) {
     acc_word_full(data + base, ops, sum, mn, mx);
     return;
   }
-  fold(ops, k, [&](std::size_t e) { return static_cast<S>(data[idx[e]]); },
-       sum, mn, mx);
+  fold(ops, k, PlainRows<S, T>{data, idx}, sum, mn, mx);
 }
 
-/// One pass over selection words [word_begin, word_end) accumulating every
-/// input; returns the number of selected rows seen.
-std::uint64_t multi_acc_range(std::span<const AggInput> inputs,
-                              const BitVector& selection,
-                              std::size_t word_begin, std::size_t word_end,
-                              PackedTier tier, std::vector<InputAcc>& accs) {
+/// The global kernel's word loop over selection words [word_begin,
+/// word_end) at `Tier`, accumulating every input; returns the number of
+/// selected rows seen. Packed inputs decode through decoders built at
+/// chunk entry.
+template <typename Tier>
+[[gnu::always_inline]] inline std::uint64_t multi_acc_words(
+    std::span<const AggInput> inputs, const BitVector& selection,
+    std::size_t word_begin, std::size_t word_end,
+    std::vector<InputAcc>& accs) {
   // Full words of plain inputs read all 64 rows without listing them.
-  const BlockPlan plan = plan_blocks(inputs, selection.size(), tier, false);
+  const BlockPlan plan =
+      plan_blocks(inputs, selection.size(), Tier::kTier, false);
+  const std::vector<typename Tier::Decoder> decoders =
+      input_decoders<typename Tier::Decoder>(
+          inputs, word_begin, std::min(word_end, plan.block_words));
   const std::uint64_t* words = selection.words();
   std::uint64_t count = 0;
   alignas(64) std::uint32_t idx[64];
@@ -308,15 +413,52 @@ std::uint64_t multi_acc_range(std::span<const AggInput> inputs,
                          a.dmin, a.dmax);
           break;
         case AggInput::Kind::kPacked:
-          with_live_values(in.packed, base, bits, block, tier, idx,
-                           [&](const auto& value) {
-                             fold(in.ops, k, value, a.isum, a.imin, a.imax);
-                           });
+          if (block) {
+            with_block_values(decoders[j], base, bits,
+                              [&](const auto& value) {
+                                fold(in.ops, k, value, a.isum, a.imin,
+                                     a.imax);
+                              });
+          } else {
+            fold(in.ops, k, PackedRows{&in.packed, idx}, a.isum, a.imin,
+                 a.imax);
+          }
           break;
       }
     }
   }
   return count;
+}
+
+std::uint64_t multi_acc_scalar(std::span<const AggInput> inputs,
+                               const BitVector& selection,
+                               std::size_t word_begin, std::size_t word_end,
+                               std::vector<InputAcc>& accs) {
+  return multi_acc_words<ScalarTier>(inputs, selection, word_begin, word_end,
+                                     accs);
+}
+
+#if defined(__x86_64__)
+EIDB_TARGET_AVX512_VBMI std::uint64_t multi_acc_avx512(
+    std::span<const AggInput> inputs, const BitVector& selection,
+    std::size_t word_begin, std::size_t word_end,
+    std::vector<InputAcc>& accs) {
+  return multi_acc_words<SimdTier>(inputs, selection, word_begin, word_end,
+                                   accs);
+}
+#endif
+
+/// One chunk of the global kernel, its whole word loop at `tier`.
+std::uint64_t multi_acc_range(std::span<const AggInput> inputs,
+                              const BitVector& selection,
+                              std::size_t word_begin, std::size_t word_end,
+                              PackedTier tier, std::vector<InputAcc>& accs) {
+#if defined(__x86_64__)
+  if (tier == PackedTier::kAvx512Vbmi)
+    return multi_acc_avx512(inputs, selection, word_begin, word_end, accs);
+#endif
+  (void)tier;
+  return multi_acc_scalar(inputs, selection, word_begin, word_end, accs);
 }
 
 std::vector<AggOut> finalize_multi(std::span<const AggInput> inputs,
@@ -422,17 +564,67 @@ decltype(auto) with_lookup_keys(const LookupKey& keys, Fn&& fn) {
   throw Error("lookup foreign key must be an integer view");
 }
 
-/// Core grouped pass, templated over key width. `resolve` maps a key to a
-/// dense slot id (identity-offset for the dense strategy, hash lookup
-/// otherwise). Processes selection words [word_begin, word_end).
-template <typename Keys, typename Resolve>
-void grouped_acc_range(const Keys& keys, std::span<const AggInput> inputs,
-                       const BitVector& selection, std::size_t word_begin,
-                       std::size_t word_end, PackedTier tier,
-                       Resolve&& resolve, GroupTable& acc) {
+/// The packed image a key accessor decodes per block word, or an empty
+/// one for plain keys.
+template <typename Keys>
+const storage::PackedView& key_image(const Keys& keys) {
+  if constexpr (requires { keys.packed(); }) {
+    return keys.packed();
+  } else {
+    static constexpr storage::PackedView kNone{};
+    return kNone;
+  }
+}
+
+/// The one-loop fold of a block word: each live row's slot is resolved
+/// from key(e), counted, and value(e) of the first input folds into it,
+/// in row order. The arrays are indexed through the table on every row:
+/// a hash resolver may grow them.
+template <typename Key, typename Resolve, typename Value>
+void resolve_fold(
+    AggOpSet ops, std::size_t k, const Key& key, const Resolve& resolve,
+    const Value& value, std::uint32_t* slot, GroupTable& acc,
+    GroupTable::Arrays<std::int64_t>& a) {
+  with_ops(ops, [&](auto set) {
+    constexpr AggOpSet kOps = decltype(set)::value;
+    for (std::size_t e = 0; e < k; ++e) {
+      const std::uint32_t g = resolve(key(e));
+      slot[e] = g;
+      ++acc.counts[g];
+      const std::int64_t v = value(e);
+      if constexpr (has(kOps, kAggSum)) a.sum[g] += v;
+      if constexpr (has(kOps, kAggMin)) a.mn[g] = std::min(a.mn[g], v);
+      if constexpr (has(kOps, kAggMax)) a.mx[g] = std::max(a.mx[g], v);
+    }
+  });
+}
+
+/// The grouped kernels' word loop over selection words [word_begin,
+/// word_end) at `Tier`, templated over the key accessor. `resolve` maps a
+/// key to its slot (identity-offset for dense slots, hash lookup
+/// otherwise). The key image and every packed input decode through
+/// decoders built at chunk entry.
+template <typename Tier, typename Keys, typename Resolve>
+[[gnu::always_inline]] inline void grouped_acc_words(
+    const Keys& keys, std::span<const AggInput> inputs,
+    const BitVector& selection, std::size_t word_begin, std::size_t word_end,
+    const Resolve& resolve, GroupTable& acc) {
+  using Decoder = typename Tier::Decoder;
   constexpr bool kPackedKeys = requires(const Keys& k) { k.packed(); };
   const BlockPlan plan =
-      plan_blocks(inputs, keys.size(), tier, !kPackedKeys);
+      plan_blocks(inputs, keys.size(), Tier::kTier, !kPackedKeys);
+  const std::size_t block_end = std::min(word_end, plan.block_words);
+  const storage::PackedView& image = key_image(keys);
+  if constexpr (kPackedKeys) expect_blocks(image, word_begin, block_end);
+  const Decoder key_decoder(image);
+  const std::vector<Decoder> decoders =
+      input_decoders<Decoder>(inputs, word_begin, block_end);
+  // A block word folds the first input in its key loop when that input
+  // keeps state and decodes, with the key image, into 32-bit lanes.
+  const bool fold_first = !inputs.empty() &&
+                          inputs[0].kind == AggInput::Kind::kPacked &&
+                          (inputs[0].ops & kAggAllOps) != 0 &&
+                          inputs[0].packed.bits <= 32 && image.bits <= 32;
   const std::uint64_t* words = selection.words();
   alignas(64) std::uint32_t idx[64];
   alignas(64) std::uint32_t slot[64];
@@ -452,53 +644,110 @@ void grouped_acc_range(const Keys& keys, std::span<const AggInput> inputs,
         ++acc.counts[s];
       }
     };
-    if constexpr (kPackedKeys) {
-      with_live_values(keys.packed(), base, bits, block, tier, idx,
-                       [&](const auto& value) {
-                         resolve_all([&](std::size_t e) {
-                           return keys.map(value(e));
-                         });
-                       });
+    const auto row_key = [&](std::size_t e) {
+      return static_cast<std::int64_t>(keys[idx[e]]);
+    };
+    std::size_t folded = 0;  // inputs the key loop folded
+    if (block && fold_first) {
+      alignas(64) std::uint32_t first[64];
+      decoders[0].decode32(base, bits, first);
+      const BlockValues<std::uint32_t> value{first,
+                                             inputs[0].packed.reference};
+      if constexpr (kPackedKeys) {
+        alignas(64) std::uint32_t raw[64];
+        key_decoder.decode32(base, bits, raw);
+        const std::int64_t ref = image.reference;
+        resolve_fold(
+            inputs[0].ops, k,
+            [&](std::size_t e) {
+              return keys.map(ref + static_cast<std::int64_t>(raw[e]));
+            },
+            resolve, value, slot, acc, acc.iarr[0]);
+      } else {
+        resolve_fold(inputs[0].ops, k, row_key, resolve, value, slot, acc,
+                     acc.iarr[0]);
+      }
+      folded = 1;
+    } else if (block && kPackedKeys) {
+      if constexpr (kPackedKeys) {
+        with_block_values(key_decoder, base, bits, [&](const auto& value) {
+          resolve_all([&](std::size_t e) { return keys.map(value(e)); });
+        });
+      }
     } else {
-      resolve_all([&](std::size_t e) {
-        return static_cast<std::int64_t>(keys[idx[e]]);
-      });
+      resolve_all(row_key);
     }
-    for (std::size_t j = 0; j < inputs.size(); ++j) {
+    for (std::size_t j = folded; j < inputs.size(); ++j) {
       const AggInput& in = inputs[j];
       switch (in.kind) {
-        case AggInput::Kind::kInt32: {
-          const std::int32_t* data = in.i32.data();
+        case AggInput::Kind::kInt32:
           fold_slots(in.ops, k, slot,
-                     [&](std::size_t e) {
-                       return static_cast<std::int64_t>(data[idx[e]]);
-                     },
+                     PlainRows<std::int64_t, std::int32_t>{in.i32.data(), idx},
                      acc.iarr[j]);
           break;
-        }
-        case AggInput::Kind::kInt64: {
-          const std::int64_t* data = in.i64.data();
+        case AggInput::Kind::kInt64:
           fold_slots(in.ops, k, slot,
-                     [&](std::size_t e) { return data[idx[e]]; },
+                     PlainRows<std::int64_t, std::int64_t>{in.i64.data(), idx},
                      acc.iarr[j]);
           break;
-        }
-        case AggInput::Kind::kDouble: {
-          const double* data = in.f64.data();
+        case AggInput::Kind::kDouble:
           fold_slots(in.ops, k, slot,
-                     [&](std::size_t e) { return data[idx[e]]; },
+                     PlainRows<double, double>{in.f64.data(), idx},
                      acc.darr[j]);
           break;
-        }
         case AggInput::Kind::kPacked:
-          with_live_values(in.packed, base, bits, block, tier, idx,
-                           [&](const auto& value) {
-                             fold_slots(in.ops, k, slot, value, acc.iarr[j]);
-                           });
+          if (block) {
+            with_block_values(decoders[j], base, bits,
+                              [&](const auto& value) {
+                                fold_slots(in.ops, k, slot, value,
+                                           acc.iarr[j]);
+                              });
+          } else {
+            fold_slots(in.ops, k, slot, PackedRows{&in.packed, idx},
+                       acc.iarr[j]);
+          }
           break;
       }
     }
   }
+}
+
+template <typename Keys, typename Resolve>
+void grouped_acc_scalar(const Keys& keys, std::span<const AggInput> inputs,
+                        const BitVector& selection, std::size_t word_begin,
+                        std::size_t word_end, const Resolve& resolve,
+                        GroupTable& acc) {
+  grouped_acc_words<ScalarTier>(keys, inputs, selection, word_begin,
+                                word_end, resolve, acc);
+}
+
+#if defined(__x86_64__)
+template <typename Keys, typename Resolve>
+EIDB_TARGET_AVX512_VBMI void grouped_acc_avx512(
+    const Keys& keys, std::span<const AggInput> inputs,
+    const BitVector& selection, std::size_t word_begin, std::size_t word_end,
+    const Resolve& resolve, GroupTable& acc) {
+  grouped_acc_words<SimdTier>(keys, inputs, selection, word_begin, word_end,
+                              resolve, acc);
+}
+#endif
+
+/// One chunk of a grouped kernel, its whole word loop at `tier`.
+template <typename Keys, typename Resolve>
+void grouped_acc_range(const Keys& keys, std::span<const AggInput> inputs,
+                       const BitVector& selection, std::size_t word_begin,
+                       std::size_t word_end, PackedTier tier,
+                       const Resolve& resolve, GroupTable& acc) {
+#if defined(__x86_64__)
+  if (tier == PackedTier::kAvx512Vbmi) {
+    grouped_acc_avx512(keys, inputs, selection, word_begin, word_end, resolve,
+                       acc);
+    return;
+  }
+#endif
+  (void)tier;
+  grouped_acc_scalar(keys, inputs, selection, word_begin, word_end, resolve,
+                     acc);
 }
 
 /// Key min/max over the selected rows (fallback when the caller has no
@@ -551,7 +800,8 @@ GroupedAggs grouped_impl(const Keys& keys, std::span<const AggInput> inputs,
   if (!range.known) return {};  // empty selection
 
   const Chunks chunks = pass_chunks(pool, keys.size(), selection, morsel_rows);
-  const bool dense = GroupTable::dense_layout(range, strategy, chunks.count());
+  const bool dense =
+      GroupTable::dense_layout(range, strategy, chunks.count(), chunks.grain);
   std::vector<std::optional<GroupTable>> tables(chunks.count());
   chunks.run([&](std::size_t chunk, std::size_t begin, std::size_t end) {
     const std::size_t wb = begin / 64;
@@ -606,7 +856,7 @@ R slot_result(const GroupTable::Arrays<S>& a, AggOpSet ops, std::uint32_t s,
 }  // namespace
 
 bool GroupTable::dense_layout(const KeyRange& range, GroupStrategy strategy,
-                              std::size_t chunks) {
+                              std::size_t chunks, std::size_t chunk_rows) {
   // Unsigned width survives hash-like int64 keys whose spread overflows
   // a signed domain computation (huge widths simply fail the dense test).
   const std::uint64_t width = static_cast<std::uint64_t>(range.max) -
@@ -624,7 +874,11 @@ bool GroupTable::dense_layout(const KeyRange& range, GroupStrategy strategy,
     case GroupStrategy::kAuto:
       break;
   }
-  return fits(chunks > 1 ? kChunkDenseLimit : kDenseDomainLimit);
+  if (chunks <= 1) return fits(kDenseDomainLimit);
+  // Every chunk's dense table spans the whole range, so it takes no more
+  // slots than the chunk has rows.
+  return fits(static_cast<std::int64_t>(
+      std::min<std::size_t>(kChunkDenseLimit, chunk_rows)));
 }
 
 GroupTable::GroupTable(std::span<const AggInput> inputs, const KeyRange& range,
@@ -831,11 +1085,12 @@ JoinAggregator::JoinAggregator(std::vector<Input> inputs)
 
 JoinAggregator::JoinAggregator(std::vector<Input> inputs,
                                std::vector<KeyPart> key, KeyRange range,
-                               std::size_t chunks)
+                               std::size_t chunks, std::size_t chunk_rows)
     : inputs_(std::move(inputs)),
       key_(std::move(key)),
       table_(columns_of(inputs_), range,
-             GroupTable::dense_layout(range, GroupStrategy::kAuto, chunks)) {
+             GroupTable::dense_layout(range, GroupStrategy::kAuto, chunks,
+                                      chunk_rows)) {
   EIDB_EXPECTS(!key_.empty());
   for (const KeyPart& part : key_)
     EIDB_EXPECTS(part.column.kind != AggInput::Kind::kDouble);

@@ -5,14 +5,20 @@
 //
 //  * block words (at least agg_block_min_live(tier) live rows, the 64-row
 //    block wholly inside the columns): every packed column the pass reads
-//    (group key and kPacked inputs) decodes its block once at
-//    exec::packed_tier() and keeps only the live lanes, in row order;
+//    (group key, lookup foreign key and kPacked inputs) decodes its block
+//    once and keeps only the live lanes, in row order;
 //  * sparse words list their set bits (count-trailing-zeros) and read
 //    each column at those rows, packed ones through value_at;
 //  * full words of plain inputs to the global kernel run branch-free,
 //    autovectorized loops;
 //  * each input then accumulates column-at-a-time over the word, and only
-//    the state (sum / min / max) its AggOpSet names.
+//    the state (sum / min / max) its AggOpSet names; in a grouped block
+//    word, a packed first input folds in the loop that resolves the slots.
+//
+// Each kernel has one word loop, instantiated per packed tier: a chunk
+// runs wholly at its tier (the AVX-512 VBMI instance inside one
+// target-attributed function), and each packed column's block decoder is
+// built once at chunk entry, not per word.
 //
 // Every input column is therefore touched exactly once per query — the
 // DRAM-byte ledger (and the joules attributed from it) drops accordingly.
@@ -59,12 +65,12 @@ inline constexpr AggOpSet kAggAllOps = kAggSum | kAggMin | kAggMax;
 /// Live rows a selection word needs to take the block path at `tier`.
 /// Below it, a word's packed columns are read per row; at or above it,
 /// each decodes its whole 64-value block once. Chosen from bench_k0's
-/// BM_GroupedAggPacked and BM_GroupJoinLookup density sweeps
-/// (docs/executor_pipeline.md): the AVX-512 VBMI decode breaks even with
-/// the per-row path at 3 live rows and wins from 4, the scalar one wins
-/// from 16.
+/// BM_GroupedAggPacked, BM_GroupJoinLookup and BM_MultiAggregatePacked
+/// density sweeps (docs/executor_pipeline.md): with its decoders built
+/// once per chunk, the AVX-512 VBMI block path ties the per-row path at
+/// 1 live row and wins from 2; the scalar one wins from 16.
 [[nodiscard]] constexpr unsigned agg_block_min_live(PackedTier tier) {
-  return tier == PackedTier::kAvx512Vbmi ? 3 : 16;
+  return tier == PackedTier::kAvx512Vbmi ? 2 : 16;
 }
 
 /// A typed view of one aggregate input column. int32 (and dictionary-code)
@@ -184,9 +190,10 @@ struct GroupedAggs {
 /// group slot is computed once and every input's accumulator is updated.
 /// Groups with no selected row are not emitted. `strategy` applies to
 /// each chunk's GroupTable: kAuto takes dense slots when the key range
-/// spans at most kDenseDomainLimit slots in a one-chunk pass, or
-/// kChunkDenseLimit per chunk of a multi-chunk pass, and hashes
-/// otherwise; kDenseArray throws on a range wider than kDenseDomainLimit.
+/// spans at most kDenseDomainLimit slots in a one-chunk pass, or at most
+/// kChunkDenseLimit slots and a chunk's rows (chunk_grain) in a
+/// multi-chunk pass, and hashes otherwise; kDenseArray throws on a range
+/// wider than kDenseDomainLimit.
 /// `tier` decodes packed keys and inputs: the host's by default, or
 /// kScalar, the reference on any host. `pool` and `morsel_rows` set the
 /// chunks, as for multi_aggregate.
@@ -245,9 +252,10 @@ struct LookupKey {
     std::size_t morsel_rows = kDefaultMorselRows);
 
 /// Widest key range a GroupTable of a multi-chunk pass gives dense slots
-/// under kAuto (64Ki slots): every chunk's dense table spans the whole
-/// range, so wider ranges hash per chunk instead of paying O(range)
-/// initialization, merge and emit in each of up to kMaxChunks tables.
+/// under kAuto (64Ki slots, and never more slots than the chunk has rows):
+/// every chunk's dense table spans the whole range, so wider ranges hash
+/// per chunk instead of paying O(range) initialization, merge and emit in
+/// each of up to kMaxChunks tables.
 inline constexpr std::int64_t kChunkDenseLimit = 1 << 16;
 
 /// The slot state of grouped aggregation, shared by the bitmap kernels
@@ -265,12 +273,13 @@ class GroupTable {
   };
 
   /// The layout `strategy` gives a table of a pass cut into `chunks`
-  /// chunks (see grouped_multi_aggregate): true for dense slots. Throws
-  /// for kDenseArray over an unknown range or one wider than
-  /// kDenseDomainLimit.
+  /// chunks of `chunk_rows` rows (see grouped_multi_aggregate): true for
+  /// dense slots. Throws for kDenseArray over an unknown range or one
+  /// wider than kDenseDomainLimit.
   [[nodiscard]] static bool dense_layout(const KeyRange& range,
                                          GroupStrategy strategy,
-                                         std::size_t chunks);
+                                         std::size_t chunks,
+                                         std::size_t chunk_rows);
 
   /// Dense slots over `range` (known) when `dense`; otherwise a hash
   /// table pre-sized for `hash_groups` groups.
@@ -360,12 +369,14 @@ class JoinAggregator {
   /// finish() emits exactly one group even with zero matches.
   explicit JoinAggregator(std::vector<Input> inputs);
   /// Grouped aggregates over a GroupTable laid out as the bitmap kernels
-  /// lay theirs under kAuto, for one of `chunks` aggregators of a pass:
-  /// dense slots when `range` is known and spans at most
-  /// kDenseDomainLimit slots (kChunkDenseLimit when chunks > 1), hash
-  /// slots otherwise. finish() emits only non-empty groups.
+  /// lay theirs under kAuto, for one of `chunks` aggregators of a pass cut
+  /// into `chunk_rows`-row chunks: dense slots when `range` is known and
+  /// spans at most kDenseDomainLimit slots (when chunks > 1, at most
+  /// kChunkDenseLimit and chunk_rows), hash slots otherwise. finish()
+  /// emits only non-empty groups.
   JoinAggregator(std::vector<Input> inputs, std::vector<KeyPart> key,
-                 KeyRange range, std::size_t chunks = 1);
+                 KeyRange range, std::size_t chunks = 1,
+                 std::size_t chunk_rows = 0);
 
   /// Accumulates one block of single-join matches (any count; consumed in
   /// bounded sub-blocks internally). Side 0 = probe, side 1 = build.

@@ -656,7 +656,7 @@ QueryResult run_join(OpContext& ctx, const PhysicalPlan& phys,
       exec::JoinAggregator& agg =
           aggs[task].emplace(plan.has_group_by()
                                  ? exec::JoinAggregator(inputs, kparts, range,
-                                                        n_tasks)
+                                                        n_tasks, chunks.grain)
                                  : exec::JoinAggregator(inputs));
       ChainDriver driver(chain);
       const ChainDriver::Sink sink =

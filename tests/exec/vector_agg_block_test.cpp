@@ -1,10 +1,11 @@
 // The block path of the aggregation kernels against a per-row scalar
 // reference, on both packed tiers: grouped_multi_aggregate_packed in one
 // chunk (dense and hash strategies) and in several, the plain-key grouped
-// kernel over packed inputs, and the global multi_aggregate. Selection
-// words cycle through popcounts 0, 1, 64, random ones, and each tier's
-// block threshold and one below it; images end where an unreadable page
-// begins. Also: every op-set subset against the all-ops run, and double
+// kernel over packed inputs, and the global multi_aggregate. Two packed
+// inputs of different widths ride beside the key, so a block word decodes
+// three images. Selection words cycle through popcounts 0, 1, 64, random
+// ones, and each tier's block threshold and one below it; images end
+// where an unreadable page begins. Also: every op-set subset against the all-ops run, and double
 // sums from multi-chunk kernel calls that repeat bit for bit from run to
 // run and at every pool width.
 #include <gtest/gtest.h>
@@ -68,7 +69,8 @@ BitVector cycling_selection(std::size_t n, std::uint64_t seed) {
   return sel;
 }
 
-/// One packed group key, one packed FOR input and three plain inputs.
+/// One packed group key, two packed FOR inputs of different widths and
+/// references (the first input and the fourth), and three plain inputs.
 /// Keys come from a pool of 256 random values of the full width, so wide
 /// keys exercise every bit of the decode with few groups. Doubles are
 /// multiples of 1/4 in a small range, so their sums are exact in any
@@ -76,8 +78,9 @@ BitVector cycling_selection(std::size_t n, std::uint64_t seed) {
 struct Columns {
   Columns(std::size_t rows, unsigned key_width, unsigned in_width,
           std::int64_t ref, std::uint64_t seed)
-      : n(rows), key_bits(key_width), in_bits(in_width), key_ref(ref),
-        in_ref(-ref) {
+      : n(rows), key_bits(key_width), in_bits(in_width),
+        in2_bits((in_width + 13) % 45), key_ref(ref), in_ref(-ref),
+        in2_ref(ref / 2 - 3) {
     Pcg32 rng(seed);
     std::uint64_t pool[256];
     key_min = std::numeric_limits<std::int64_t>::max();
@@ -91,6 +94,7 @@ struct Columns {
     for (std::size_t i = 0; i < n; ++i) {
       key_raw.push_back(pool[rng.next_bounded(256)]);
       in_raw.push_back(rng.next64() & width_mask(in_bits));
+      in2_raw.push_back(rng.next64() & width_mask(in2_bits));
       i32.push_back(static_cast<std::int32_t>(rng.next_in_range(-500, 500)));
       i64.push_back(rng.next_in_range(-100000, 100000));
       f64.push_back(static_cast<double>(rng.next_in_range(-400, 400)) / 4);
@@ -98,6 +102,8 @@ struct Columns {
     }
     key_image = std::make_unique<GuardedImage>(storage::bitpack(key_raw, key_bits));
     in_image = std::make_unique<GuardedImage>(storage::bitpack(in_raw, in_bits));
+    in2_image =
+        std::make_unique<GuardedImage>(storage::bitpack(in2_raw, in2_bits));
     selection = cycling_selection(n, seed + 1);
   }
 
@@ -106,9 +112,11 @@ struct Columns {
   }
   [[nodiscard]] std::vector<AggInput> inputs(AggOpSet ops = kAggAllOps) const {
     std::vector<AggInput> in = {
-        AggInput::from(std::span(i32)), AggInput::from(std::span(i64)),
         AggInput::from(storage::PackedView{in_image->words(), in_bits, in_ref,
                                            n}),
+        AggInput::from(std::span(i32)), AggInput::from(std::span(i64)),
+        AggInput::from(storage::PackedView{in2_image->words(), in2_bits,
+                                           in2_ref, n}),
         AggInput::from(std::span(f64))};
     for (AggInput& x : in) x.ops = ops;
     return in;
@@ -117,24 +125,30 @@ struct Columns {
   [[nodiscard]] std::int64_t packed_in(std::size_t i) const {
     return in_ref + static_cast<std::int64_t>(in_raw[i]);
   }
+  [[nodiscard]] std::int64_t packed_in2(std::size_t i) const {
+    return in2_ref + static_cast<std::int64_t>(in2_raw[i]);
+  }
 
   std::size_t n;
-  unsigned key_bits, in_bits;
-  std::int64_t key_ref, in_ref;
+  unsigned key_bits, in_bits, in2_bits;
+  std::int64_t key_ref, in_ref, in2_ref;
   std::int64_t key_min, key_max;  // over the key pool
-  std::vector<std::uint64_t> key_raw, in_raw;
+  std::vector<std::uint64_t> key_raw, in_raw, in2_raw;
   std::vector<std::int32_t> i32;
   std::vector<std::int64_t> i64;
   std::vector<double> f64;
   std::vector<std::int64_t> keys64;
-  std::unique_ptr<GuardedImage> key_image, in_image;
+  std::unique_ptr<GuardedImage> key_image, in_image, in2_image;
   BitVector selection;
 };
 
 /// The scalar reference (agg_reference.hpp's fold): one group per key,
-/// rows in row order.
+/// rows in row order; i[] holds the integer inputs in input order.
+constexpr std::size_t kInts = 4;
+constexpr std::size_t kDoubleInput = 4;
+
 struct RefGroup {
-  AggResult i[3];
+  AggResult i[kInts];
   AggResultD d;
 };
 
@@ -143,9 +157,10 @@ std::map<std::int64_t, RefGroup> reference(const Columns& c) {
   for (std::size_t i = 0; i < c.n; ++i) {
     if (!c.selection.test(i)) continue;
     RefGroup& g = ref[c.keys64[i]];
-    fold_ref(g.i[0], static_cast<std::int64_t>(c.i32[i]));
-    fold_ref(g.i[1], c.i64[i]);
-    fold_ref(g.i[2], c.packed_in(i));
+    fold_ref(g.i[0], c.packed_in(i));
+    fold_ref(g.i[1], static_cast<std::int64_t>(c.i32[i]));
+    fold_ref(g.i[2], c.i64[i]);
+    fold_ref(g.i[3], c.packed_in2(i));
     fold_ref(g.d, c.f64[i]);
   }
   return ref;
@@ -172,8 +187,9 @@ void expect_matches(const std::map<std::int64_t, RefGroup>& ref,
   for (const auto& [key, want] : ref) {
     ASSERT_EQ(g.keys[at], key);
     EXPECT_EQ(g.counts[at], want.i[0].count);
-    for (std::size_t j = 0; j < 3; ++j) expect_eq(want.i[j], g.iout[j][at]);
-    expect_eq(want.d, g.dout[3][at]);
+    for (std::size_t j = 0; j < kInts; ++j)
+      expect_eq(want.i[j], g.iout[j][at]);
+    expect_eq(want.d, g.dout[kDoubleInput][at]);
     ++at;
   }
 }
@@ -186,10 +202,11 @@ TEST_P(BlockPath, MatchesPerRowReference) {
   SKIP_WITHOUT_TIER(tier);
   // Key widths 0..33 against input widths 33..0, then key widths 34..64
   // against input widths 14..44 (wider inputs would overflow the int64
-  // sums). Width 0 and widths above 25 are the SIMD tier's scalar
-  // fallback; above 32 the block decode keeps 64-bit values. Each size
-  // meets a different reference per width, so the sweep covers every
-  // (size, reference) pair.
+  // sums); the second packed input is 13 bits wider, mod 45. Width 0 and
+  // widths above 25 are the SIMD tier's scalar fallback; above 32 the
+  // block decode keeps 64-bit values. Each size meets a different
+  // reference per width, so the sweep covers every (size, reference)
+  // pair.
   const unsigned in_width = width <= 33 ? 33 - width : width - 20;
   sched::ThreadPool pool(2);
   for (std::size_t s = 0; s < 3; ++s) {
@@ -197,6 +214,7 @@ TEST_P(BlockPath, MatchesPerRowReference) {
                     100 * width + s);
     SCOPED_TRACE(::testing::Message()
                  << "key bits " << width << ", input bits " << in_width
+                 << " and " << c.in2_bits
                  << ", rows " << c.n << ", reference " << c.key_ref);
     const auto ref = reference(c);
     const auto inputs = c.inputs();
@@ -209,7 +227,8 @@ TEST_P(BlockPath, MatchesPerRowReference) {
                             c.keys(), inputs, c.selection, c.range(),
                             GroupStrategy::kHash, tier));
     // Eight or nine chunks (about 15k live rows at 8192-row morsels);
-    // dense per-chunk tables up to 16 key bits, hash above.
+    // dense per-chunk tables while the key range spans at most a chunk's
+    // 8192 rows (up to 13 key bits), hash above.
     expect_matches(ref, grouped_multi_aggregate_packed(
                             c.keys(), inputs, c.selection, c.range(),
                             GroupStrategy::kAuto, tier, &pool, 8192));
@@ -221,10 +240,10 @@ TEST_P(BlockPath, MatchesPerRowReference) {
                             tier));
 
     // Global: every group folded into one.
-    AggResult want_i[3];
+    AggResult want_i[kInts];
     AggResultD want_d;
     for (const auto& [key, g] : ref) {
-      for (std::size_t j = 0; j < 3; ++j) {
+      for (std::size_t j = 0; j < kInts; ++j) {
         if (g.i[j].count == 0) continue;
         want_i[j].min = want_i[j].count ? std::min(want_i[j].min, g.i[j].min)
                                         : g.i[j].min;
@@ -239,8 +258,8 @@ TEST_P(BlockPath, MatchesPerRowReference) {
       want_d.count += g.d.count;
     }
     const auto outs = multi_aggregate(inputs, c.selection, tier);
-    for (std::size_t j = 0; j < 3; ++j) expect_eq(want_i[j], outs[j].i);
-    expect_eq(want_d, outs[3].d);
+    for (std::size_t j = 0; j < kInts; ++j) expect_eq(want_i[j], outs[j].i);
+    expect_eq(want_d, outs[kDoubleInput].d);
   }
 }
 
@@ -384,8 +403,9 @@ TEST_P(OpSets, RequestedOutputsEqualTheAllOpsRun) {
     expect_subset(dense, d, ops);
     expect_subset(hash, h, ops);
     expect_subset(par, p, ops);
-    for (std::size_t j = 0; j < 3; ++j) expect_subset(global[j].i, g[j].i, ops);
-    expect_subset(global[3].d, g[3].d, ops);
+    for (std::size_t j = 0; j < kInts; ++j)
+      expect_subset(global[j].i, g[j].i, ops);
+    expect_subset(global[kDoubleInput].d, g[kDoubleInput].d, ops);
   }
 }
 

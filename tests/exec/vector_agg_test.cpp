@@ -576,5 +576,87 @@ TEST(LookupKey, CheckedForeignKeyOutsideTheLookupThrows) {
   }
 }
 
+TEST(LookupKey, CheckedPackedForeignKeyThrowsInBlockAndSparseWords) {
+  // Foreign keys 5..7 over a 5-bit image with reference -8 (values -8..23),
+  // 4.5 selection words: words 0 and 2 are block words at every tier,
+  // word 1 keeps 2 live rows (a sparse word), the partial last word reads
+  // per row.
+  const std::vector<std::int64_t> lut = {10, 20, 30};
+  constexpr std::size_t n = 4 * 64 + 32;
+  constexpr unsigned kBits = 5;
+  constexpr std::int64_t kRef = -8;
+  std::vector<std::int64_t> vals(n);
+  std::vector<std::uint64_t> sums(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    vals[i] = static_cast<std::int64_t>(i);
+    sums[i] = i % 9;
+  }
+  const std::vector<std::uint64_t> sum_image = storage::bitpack(sums, 4);
+  const AggInput packed_sums =
+      AggInput::from(storage::PackedView{sum_image, 4, 0, n});
+  // The packed input first (a block word folds it in the key loop), then
+  // last.
+  const std::vector<AggInput> orders[] = {
+      {packed_sums, AggInput::from(std::span(vals))},
+      {AggInput::from(std::span(vals)), packed_sums}};
+  BitVector sel(n);
+  for (std::size_t i = 0; i < n; ++i)
+    if (i < 64 || (i >= 128 && i < 192) || i >= 256) sel.set(i);
+  sel.set(64 + 5);
+  sel.set(64 + 40);
+  const KeyRange range{true, 10, 30, 3};
+  const auto expect_groups = [&](const GroupedAggs& g, const BitVector& live,
+                                 std::size_t sum_input) {
+    std::map<std::int64_t, std::pair<std::uint64_t, std::int64_t>> want;
+    live.for_each_set([&](std::size_t i) {
+      auto& [count, sum] = want[lut[i % 3]];
+      ++count;
+      sum += static_cast<std::int64_t>(sums[i]);
+    });
+    ASSERT_EQ(g.group_count(), want.size());
+    std::size_t at = 0;
+    for (const auto& [key, count_sum] : want) {
+      EXPECT_EQ(g.keys[at], key);
+      EXPECT_EQ(g.counts[at], count_sum.first);
+      EXPECT_EQ(g.iout[sum_input][at].sum, count_sum.second);
+      ++at;
+    }
+  };
+  for (const std::size_t row : {std::size_t{17}, std::size_t{64 + 40},
+                                std::size_t{150}}) {
+    for (const std::int64_t outside : {4, 8, -8, 23}) {
+      std::vector<std::uint64_t> fk(n);
+      for (std::size_t i = 0; i < n; ++i)
+        fk[i] = static_cast<std::uint64_t>(5 + static_cast<std::int64_t>(i % 3) -
+                                           kRef);
+      fk[row] = static_cast<std::uint64_t>(outside - kRef);
+      const std::vector<std::uint64_t> image = storage::bitpack(fk, kBits);
+      const LookupKey keys{
+          AggInput::from(storage::PackedView{image, kBits, kRef, n}), lut, 5,
+          true};
+      BitVector without = sel;
+      without.reset(row);
+      for (const PackedTier tier : {PackedTier::kScalar, packed_tier()}) {
+        for (std::size_t order = 0; order < 2; ++order) {
+          SCOPED_TRACE(::testing::Message()
+                       << packed_tier_name(tier) << ", input order " << order
+                       << ", row " << row << ", fk " << outside);
+          const std::vector<AggInput>& inputs = orders[order];
+          for (const GroupStrategy strategy :
+               {GroupStrategy::kAuto, GroupStrategy::kHash})
+            EXPECT_THROW((void)grouped_multi_aggregate_lookup(
+                             keys, inputs, sel, range, strategy, tier),
+                         Error);
+          // Unselected, the key outside is never read.
+          expect_groups(grouped_multi_aggregate_lookup(
+                            keys, inputs, without, range,
+                            GroupStrategy::kAuto, tier),
+                        without, order == 0 ? 0 : 1);
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace eidb::exec
