@@ -1,10 +1,11 @@
 // K0 — google-benchmark micro suite backing the experiment harnesses:
-// scan kernels, bit packing, codecs, hash table, group-by (plain and over
-// packed columns), join, LZ.
+// scan kernels, the conjunct pass, bit packing, codecs, hash table,
+// group-by (plain and over packed columns), join, LZ.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "exec/join.hpp"
 #include "exec/radix_join.hpp"
 #include "exec/scan_kernels.hpp"
+#include "exec/shared_scan.hpp"
 #include "exec/vector_agg.hpp"
 #include "sched/thread_pool.hpp"
 #include "storage/bitpack.hpp"
@@ -488,6 +490,65 @@ void BM_GroupAggregateChunked(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kRows);
 }
 BENCHMARK(BM_GroupAggregateChunked)->Arg(16)->Arg(4096)->Arg(65536);
+
+// -- conjunct pass ---------------------------------------------------------------
+
+/// The one-member conjunct pass a solo scan runs (exec/shared_scan) over
+/// 4M rows of values in [0, 100000). Arg 0: conjuncts (1, or 2 with the
+/// second keeping 50 %); arg 1: 0 packed 17-bit images, 1 plain int64
+/// arrays; arg 2: the first conjunct's kept share in percent; arg 3: 0
+/// without a pool, 4 on a 4-worker pool. Items are rows.
+void BM_ConjunctPass(benchmark::State& state) {
+  constexpr std::size_t kRows = std::size_t{4} << 20;
+  constexpr unsigned kBits = 17;
+  struct PassColumn {
+    std::vector<std::int64_t> plain;
+    std::vector<std::uint64_t> packed;
+  };
+  static const std::vector<PassColumn> columns = [] {
+    std::vector<PassColumn> cols(2);
+    Pcg32 rng(23);
+    for (PassColumn& c : cols) {
+      c.plain.resize(kRows);
+      for (auto& v : c.plain) v = rng.next_bounded(100000);
+      c.packed = storage::bitpack(
+          std::vector<std::uint64_t>(c.plain.begin(), c.plain.end()), kBits);
+    }
+    return cols;
+  }();
+  const auto conjunct = [&](const PassColumn& col, std::int64_t hi) {
+    exec::SharedConjunct c;
+    if (state.range(1) == 0) {
+      c.kind = exec::SharedConjunct::Kind::kPacked;
+      c.packed = col.packed;
+      c.packed_bits = kBits;
+      c.uhi = static_cast<std::uint64_t>(hi);
+    } else {
+      c.kind = exec::SharedConjunct::Kind::kInt64;
+      c.i64 = col.plain;
+      c.hi = hi;
+    }
+    return c;
+  };
+  BitVector sel(kRows);
+  exec::SharedQuery solo{{conjunct(columns[0], state.range(2) * 1000 - 1)},
+                         &sel};
+  if (state.range(0) == 2)
+    solo.conjuncts.push_back(conjunct(columns[1], 49999));
+  std::optional<sched::ThreadPool> pool;
+  if (state.range(3) > 0)
+    pool.emplace(static_cast<std::size_t>(state.range(3)));
+  exec::SharedScanStats stats;
+  for (auto _ : state) {
+    exec::shared_scan(kRows, {&solo, 1}, pool ? &*pool : nullptr, stats);
+    benchmark::DoNotOptimize(sel.words());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kRows);
+}
+BENCHMARK(BM_ConjunctPass)
+    ->ArgsProduct({{1, 2}, {0, 1}, {1, 30}, {0, 4}})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_HashJoin(benchmark::State& state) {
   const auto build = data_i64(1 << 16, 1 << 16);

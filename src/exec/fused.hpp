@@ -1,19 +1,19 @@
-// Fused and short-circuit kernels (paper §IV.B, citing Neumann [14]).
+// Fused filter+aggregate kernels (paper §IV.B, citing Neumann [14]).
 //
 // "Recent developments focus on efficient code generation as an alternative
 // to build a data-flow graph based on pre-compiled plan operators." The
 // measurable core of compiled plans is *fusion*: one pass that filters and
 // aggregates keeps tuples in registers, where operator-at-a-time execution
 // materializes a selection bitmap and re-reads the data. These kernels are
-// the hand-fused equivalents the A3 ablation compares against the
-// materializing pipeline.
+// the hand-fused equivalents the A3 ablation and k0 compare against the
+// materializing pipeline. Short-circuit evaluation of later conjuncts lives
+// in the conjunct pass (exec/shared_scan).
 #pragma once
 
 #include <cstdint>
 #include <span>
 
 #include "exec/aggregate.hpp"
-#include "util/bitvector.hpp"
 
 namespace eidb::exec {
 
@@ -26,54 +26,5 @@ namespace eidb::exec {
 /// Same-column special case: filter and aggregate the same values.
 [[nodiscard]] AggResult fused_filter_aggregate_self(
     std::span<const std::int64_t> values, std::int64_t lo, std::int64_t hi);
-
-/// Masked (short-circuit) conjunctive scan: evaluates the predicate only
-/// where `selection` still has candidates, skipping fully dead 64-tuple
-/// words — the win grows as earlier predicates get more selective.
-/// Updates `selection` in place (logical AND).
-void scan_bitmap_masked64(std::span<const std::int64_t> values,
-                          std::int64_t lo, std::int64_t hi,
-                          BitVector& selection);
-
-/// Statistics from the last masked scan (words skipped vs. visited) — for
-/// tests and the A3 ablation. Returned by the _counted variant.
-struct MaskedScanStats {
-  std::uint64_t words_total = 0;
-  std::uint64_t words_skipped = 0;
-};
-
-void scan_bitmap_masked64_counted(std::span<const std::int64_t> values,
-                                  std::int64_t lo, std::int64_t hi,
-                                  BitVector& selection,
-                                  MaskedScanStats& stats);
-
-/// int32 / dictionary-code masked conjunctive scan.
-void scan_bitmap_masked32(std::span<const std::int32_t> values,
-                          std::int32_t lo, std::int32_t hi,
-                          BitVector& selection);
-
-void scan_bitmap_masked32_counted(std::span<const std::int32_t> values,
-                                  std::int32_t lo, std::int32_t hi,
-                                  BitVector& selection,
-                                  MaskedScanStats& stats);
-
-/// Double masked conjunctive scan.
-void scan_bitmap_masked_double(std::span<const double> values, double lo,
-                               double hi, BitVector& selection);
-
-void scan_bitmap_masked_double_counted(std::span<const double> values,
-                                       double lo, double hi,
-                                       BitVector& selection,
-                                       MaskedScanStats& stats);
-
-/// Masked conjunctive scan over a bit-packed column image: dead 64-row
-/// selection words are skipped without unpacking anything; live words
-/// unpack one 64-value block and AND the range match into `selection`.
-/// `lo`/`hi` are in the packed (reference-shifted) domain.
-void scan_packed_bitmap_masked_counted(std::span<const std::uint64_t> packed,
-                                       unsigned bits, std::size_t count,
-                                       std::uint64_t lo, std::uint64_t hi,
-                                       BitVector& selection,
-                                       MaskedScanStats& stats);
 
 }  // namespace eidb::exec

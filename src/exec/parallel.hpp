@@ -2,7 +2,7 @@
 // number of parallel tasks ... Parallelism has to be considered in an
 // end-to-end manner").
 //
-// Every pass — predicate scans, aggregation, join filter, probe and
+// Every pass — the conjunct pass, aggregation, join filter, probe and
 // projection passes, sort-key gathers and materialization — has one code
 // path and takes its fan-out from one rule, pass_chunks: a pass over
 // `rows` rows with `live` selected rows runs as ONE chunk on the calling
@@ -17,14 +17,13 @@
 // experiment E4 shows to scale) fold into chunk 0's in chunk order. The
 // rule has no knob, and a pass without a pool stays one chunk: cut
 // inline, its chunks would only add merges (docs/executor_pipeline.md,
-// "Morsel scheduling across the plan"). This header holds the rule, the
-// chunk loop and the predicate scans; the aggregation kernels live in
-// exec/vector_agg.
+// "Morsel scheduling across the plan"). This header holds the rule and
+// the chunk loop; the predicate scans run as the conjunct pass
+// (exec/shared_scan) and the aggregation kernels live in exec/vector_agg.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <span>
 
 #include "sched/thread_pool.hpp"
 #include "util/bitvector.hpp"
@@ -108,28 +107,5 @@ struct Chunks {
   return pass_chunks(pool, rows, pool == nullptr ? 0 : selection.count(),
                      morsel_rows);
 }
-
-/// Range scan into a selection bitmap (int64 values) over the chunks of
-/// pass_chunks(pool, rows, rows): one chunk is scan_bitmap_best64 itself.
-void parallel_scan_bitmap64(sched::ThreadPool* pool,
-                            std::span<const std::int64_t> values,
-                            std::int64_t lo, std::int64_t hi, BitVector& out,
-                            std::size_t morsel_rows = kDefaultMorselRows);
-
-/// Chunked range scan (int32).
-void parallel_scan_bitmap32(sched::ThreadPool* pool,
-                            std::span<const std::int32_t> values,
-                            std::int32_t lo, std::int32_t hi, BitVector& out,
-                            std::size_t morsel_rows = kDefaultMorselRows);
-
-/// Chunked range scan over a bit-packed column image (`lo`/`hi` in the
-/// packed, reference-shifted domain): 64-aligned chunks own whole
-/// selection words, so workers write `out` directly.
-void parallel_scan_packed_bitmap(sched::ThreadPool* pool,
-                                 std::span<const std::uint64_t> packed,
-                                 unsigned bits, std::size_t count,
-                                 std::uint64_t lo, std::uint64_t hi,
-                                 BitVector& out,
-                                 std::size_t morsel_rows = kDefaultMorselRows);
 
 }  // namespace eidb::exec

@@ -12,7 +12,8 @@
 // arms, sort strategy — see query/physical_plan.hpp) and the per-operator
 // translation units under src/query/ops/ execute it:
 //
-//   ops/scan_filter   predicate binding, pruning, masked conjuncts
+//   ops/scan_filter   predicate binding and pruning; a solo scan is a
+//                     one-member conjunct pass (exec/shared_scan)
 //   ops/join_op       multi-way chained joins, dense/hash/radix arms
 //   ops/aggregate_op  single-pass vectorized aggregation
 //   ops/sort_op       sort / heap top-k (typed key views, result rows)
@@ -71,9 +72,6 @@ struct ExecOptions {
   /// or below one morsel (exec::kDefaultMorselRows) of live rows,
   /// exec::chunk_grain chunks on the pool otherwise.
   sched::ThreadPool* pool = nullptr;
-  /// Order conjunctive predicates most-selective-first and evaluate later
-  /// predicates with masked kernels that skip dead 64-row blocks.
-  bool order_predicates = true;
   /// Consume bit-packed column images where one exists (predicate scans,
   /// aggregation, join-key probing, and sort keys): predicates are
   /// rewritten into the packed domain and the DRAM ledger is charged the

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "exec/fused.hpp"
-#include "exec/parallel.hpp"
 #include "exec/scan_kernels.hpp"
 #include "storage/zonemap.hpp"
 #include "util/assert.hpp"
@@ -14,186 +12,20 @@ namespace eidb::query::ops {
 using storage::Column;
 using storage::Table;
 using storage::TypeId;
+using Kind = exec::SharedConjunct::Kind;
 
 namespace {
 
-/// Saturates a bound into the int32 kernels' domain.
-std::int32_t clamp32(std::int64_t v) {
-  return static_cast<std::int32_t>(
-      std::clamp<std::int64_t>(v, std::numeric_limits<std::int32_t>::min(),
-                               std::numeric_limits<std::int32_t>::max()));
-}
-
-/// True when the cached statistics alone decided the predicate
-/// (`selection` already updated; nothing to scan or charge).
-bool resolved_by_stats(const Column& column, const BoundRange& r,
-                       BitVector& selection) {
-  switch (prune_with_stats(column, r)) {
-    case Prune::kScan:
-      return false;
-    case Prune::kNone:
-      selection.clear_all();
-      break;
-    case Prune::kAll:
-      break;  // every row matches: selection unchanged
-  }
-  return true;
-}
-
-void apply_predicate(OpContext& ctx, const Table& table, const Predicate& p,
-                     BitVector& selection) {
-  const ExecOptions& options = ctx.options;
-  ExecStats& stats = ctx.stats;
-  const Column& column = table.column(p.column);
-  const BoundRange r = bind_predicate(column, p);
-  if (r.empty) {
-    selection.clear_all();
-    return;
-  }
-  // Cached-statistics pruning: a predicate the [min, max] range already
-  // decides never touches the data (zone-map logic at table granularity).
-  if (resolved_by_stats(column, r, selection)) return;
-
-  const std::size_t n = column.size();
-  if (n == 0) return;
-  stats.tuples_scanned += n;
-  stats.work.cpu_cycles += kScanCyclesPerTuple * static_cast<double>(n);
-  const bool packed = !r.is_double && use_packed(column, options);
-  ctx.charge_scan(table, column, packed);
-
-  BitVector match(n);
-  if (r.is_double) {
-    exec::scan_bitmap_double(column.double_data(), r.dlo, r.dhi, match);
-  } else if (packed) {
-    const storage::EncodedSegment& seg = *column.encoded();
-    const auto pb = packed_bounds(seg, r.lo, r.hi);
-    if (options.use_zone_maps) {
-      // Zone-map pruning composes with the packed image: candidate ranges
-      // are widened to 64-value blocks and run through the block scan
-      // kernel. Widening is sound — a row outside every candidate range
-      // cannot match the predicate (its block's [min, max] excludes it),
-      // so the extra evaluated rows contribute no bits — and overlapping
-      // widened ranges rewrite identical words. Only the visited fraction
-      // of the *packed* bytes stays charged.
-      const storage::ZoneMap& zm = table.zone_map(
-          table.schema().index_of(p.column), options.zone_block_rows);
-      const auto ranges = zm.candidate_ranges(r.lo, r.hi, n);
-      std::size_t touched = 0;
-      for (const auto& range : ranges) {
-        touched += range.end - range.begin;
-        const std::size_t b = range.begin & ~std::size_t{63};
-        const std::size_t e = std::min(n, (range.end + 63) & ~std::size_t{63});
-        exec::scan_packed_bitmap_range(seg.words, seg.bits, b, e, pb.lo,
-                                       pb.hi, match);
-      }
-      const double skipped = static_cast<double>(n - touched);
-      const double packed_bpt =
-          static_cast<double>(seg.byte_size()) / static_cast<double>(n);
-      const double plain_bpt =
-          static_cast<double>(storage::physical_size(column.type()));
-      stats.work.cpu_cycles -= kScanCyclesPerTuple * skipped;
-      stats.work.dram_bytes -= skipped * packed_bpt;
-      stats.dram_bytes_saved -= skipped * (plain_bpt - packed_bpt);
-    } else {
-      exec::parallel_scan_packed_bitmap(options.pool, seg.words, seg.bits, n,
-                                        pb.lo, pb.hi, match);
-    }
-  } else if (options.use_zone_maps && column.type() != TypeId::kDouble) {
-    // Pruned scan: only candidate blocks are touched. The zone map itself
-    // is built once per (table, column) and cached. Work is re-estimated
-    // to the touched fraction.
-    const storage::ZoneMap& zm = table.zone_map(
-        table.schema().index_of(p.column), options.zone_block_rows);
-    const auto ranges = zm.candidate_ranges(r.lo, r.hi, n);
-    std::size_t touched = 0;
-    const auto scan_range = [&](auto data) {
-      for (const auto& range : ranges) {
-        touched += range.end - range.begin;
-        for (std::size_t i = range.begin; i < range.end; ++i)
-          if (data[i] >= r.lo && data[i] <= r.hi) match.set(i);
-      }
-    };
-    if (column.type() == TypeId::kInt64)
-      scan_range(column.int64_data());
-    else
-      scan_range(column.int32_data());
-    // Credit back the untouched bytes/cycles of the full-scan estimate.
-    const double skipped = static_cast<double>(n - touched);
-    stats.work.cpu_cycles -= kScanCyclesPerTuple * skipped;
-    stats.work.dram_bytes -= skipped * storage::physical_size(column.type());
-  } else if (column.type() == TypeId::kInt64) {
-    exec::parallel_scan_bitmap64(options.pool, column.int64_data(), r.lo, r.hi,
-                                 match);
-  } else {
-    exec::parallel_scan_bitmap32(options.pool, column.int32_data(),
-                                 clamp32(r.lo), clamp32(r.hi), match);
-  }
-  selection &= match;
-}
-
-/// Selection-aware variant for the second and later conjuncts: evaluates
-/// only 64-row blocks that still have candidates and charges only the
-/// visited fraction.
-void apply_predicate_masked(OpContext& ctx, const Table& table,
-                            const Predicate& p, BitVector& selection) {
-  const ExecOptions& options = ctx.options;
-  ExecStats& stats = ctx.stats;
-  const Column& column = table.column(p.column);
-  const BoundRange r = bind_predicate(column, p);
-  if (r.empty) {
-    selection.clear_all();
-    return;
-  }
-  if (resolved_by_stats(column, r, selection)) return;
-
-  const bool packed = !r.is_double && use_packed(column, options);
-  exec::MaskedScanStats ms;
-  if (packed) {
-    const storage::EncodedSegment& seg = *column.encoded();
-    const auto pb = packed_bounds(seg, r.lo, r.hi);
-    exec::scan_packed_bitmap_masked_counted(seg.words, seg.bits,
-                                            column.size(), pb.lo, pb.hi,
-                                            selection, ms);
-  } else {
-    switch (column.type()) {
-      case TypeId::kInt64:
-        exec::scan_bitmap_masked64_counted(column.int64_data(), r.lo, r.hi,
-                                           selection, ms);
-        break;
-      case TypeId::kInt32:
-      case TypeId::kString:
-        exec::scan_bitmap_masked32_counted(column.int32_data(), clamp32(r.lo),
-                                           clamp32(r.hi), selection, ms);
-        break;
-      case TypeId::kDouble:
-        exec::scan_bitmap_masked_double_counted(column.double_data(), r.dlo,
-                                                r.dhi, selection, ms);
-        break;
-    }
-  }
-  // Charge only what was visited: dead 64-row blocks cost neither cycles
-  // nor DRAM traffic — this is where ordering predicates most-selective-
-  // first saves joules. Packed reads charge the packed bytes per tuple.
-  const std::size_t visited = std::min(
-      column.size(),
-      static_cast<std::size_t>(ms.words_total - ms.words_skipped) * 64);
-  const double plain_bpt =
-      static_cast<double>(storage::physical_size(column.type()));
-  double bytes_per_tuple = plain_bpt;
-  if (packed && column.size() > 0) {
-    bytes_per_tuple = static_cast<double>(column.scan_byte_size()) /
-                      static_cast<double>(column.size());
-    ++stats.packed_column_reads;
-    stats.dram_bytes_saved +=
-        static_cast<double>(visited) * (plain_bpt - bytes_per_tuple);
-  }
-  stats.tuples_scanned += visited;
-  stats.work.cpu_cycles += kScanCyclesPerTuple * static_cast<double>(visited);
-  stats.work.dram_bytes += static_cast<double>(visited) * bytes_per_tuple;
-  ctx.charge_tier(table, column);
-}
-
-}  // namespace
+/// A predicate's bounds bound to a column's type (string bounds become
+/// dictionary-code ranges).
+struct BoundRange {
+  std::int64_t lo = 0;
+  std::int64_t hi = 0;
+  bool empty = false;
+  bool is_double = false;
+  double dlo = 0;
+  double dhi = 0;
+};
 
 BoundRange bind_predicate(const Column& column, const Predicate& p) {
   BoundRange r;
@@ -225,6 +57,172 @@ BoundRange bind_predicate(const Column& column, const Predicate& p) {
   throw Error("invalid column type");
 }
 
+/// Stats-based pre-scan pruning of one bound predicate from the column's
+/// cached [min, max]: kAll (every row matches; nothing scanned or
+/// charged), kNone (no row matches) or kScan (evaluate it).
+enum class Prune : std::uint8_t { kScan, kAll, kNone };
+
+Prune prune_with_stats(const Column& column, const BoundRange& r) {
+  const storage::ColumnStats& s = column.stats();
+  if (s.rows == 0) return Prune::kScan;
+  const bool all = r.is_double ? (r.dlo <= s.dmin && r.dhi >= s.dmax)
+                               : (r.lo <= s.min && r.hi >= s.max);
+  if (all) return Prune::kAll;
+  const bool none = r.is_double ? (r.dhi < s.dmin || r.dlo > s.dmax)
+                                : (r.hi < s.min || r.lo > s.max);
+  return none ? Prune::kNone : Prune::kScan;
+}
+
+/// Saturates a bound into the int32 kernels' domain.
+std::int32_t clamp32(std::int64_t v) {
+  return static_cast<std::int32_t>(
+      std::clamp<std::int64_t>(v, std::numeric_limits<std::int32_t>::min(),
+                               std::numeric_limits<std::int32_t>::max()));
+}
+
+/// One predicate bound to the representation the scan streams: a
+/// conjunct when `prune` is kScan, decided without a scan otherwise (an
+/// empty column is kAll: there is nothing to evaluate).
+struct BoundConjunct {
+  Prune prune = Prune::kScan;
+  BoundRange range;
+  exec::SharedConjunct conjunct;
+  bool packed = false;
+};
+
+BoundConjunct bind_conjunct(const Column& col, const Predicate& p,
+                            const ExecOptions& options) {
+  BoundConjunct b;
+  b.range = bind_predicate(col, p);
+  const BoundRange& r = b.range;
+  b.prune = r.empty ? Prune::kNone : prune_with_stats(col, r);
+  if (b.prune == Prune::kScan && col.size() == 0) b.prune = Prune::kAll;
+  if (b.prune != Prune::kScan) return b;
+
+  exec::SharedConjunct& c = b.conjunct;
+  b.packed = !r.is_double && use_packed(col, options);
+  if (b.packed) {
+    // The bounds overlap the column's [min, max] (kScan), so hi >=
+    // reference and the unsigned shift into the packed domain is exact.
+    const storage::EncodedSegment& seg = *col.encoded();
+    const auto ref = static_cast<std::uint64_t>(seg.reference);
+    c.kind = Kind::kPacked;
+    c.packed = seg.words;
+    c.packed_bits = seg.bits;
+    c.ulo = r.lo <= seg.reference ? 0 : static_cast<std::uint64_t>(r.lo) - ref;
+    c.uhi = static_cast<std::uint64_t>(r.hi) - ref;
+  } else if (r.is_double) {
+    c.kind = Kind::kDouble;
+    c.f64 = col.double_data();
+    c.dlo = r.dlo;
+    c.dhi = r.dhi;
+  } else if (col.type() == TypeId::kInt64) {
+    c.kind = Kind::kInt64;
+    c.i64 = col.int64_data();
+    c.lo = r.lo;
+    c.hi = r.hi;
+  } else {
+    // kInt32 and kString both stream the int32 array (codes for strings;
+    // bind_predicate already produced the code range).
+    c.kind = Kind::kInt32;
+    c.i32 = col.int32_data();
+    c.lo = clamp32(r.lo);
+    c.hi = clamp32(r.hi);
+  }
+  return b;
+}
+
+/// `predicates` in evaluation order: most-selective-first by
+/// estimate_predicate_selectivity (stable), so the first conjunct kills
+/// the most rows and later ones skip the most words.
+std::vector<const Predicate*> ordered_predicates(
+    const Table& table, const std::vector<Predicate>& preds) {
+  std::vector<const Predicate*> ordered;
+  ordered.reserve(preds.size());
+  for (const Predicate& p : preds) ordered.push_back(&p);
+  if (ordered.size() > 1) {
+    std::vector<double> sel(ordered.size());
+    for (std::size_t i = 0; i < ordered.size(); ++i)
+      sel[i] = estimate_predicate_selectivity(
+          table.column(ordered[i]->column), *ordered[i]);
+    std::stable_sort(ordered.begin(), ordered.end(),
+                     [&](const Predicate* a, const Predicate* b) {
+                       return sel[static_cast<std::size_t>(a - preds.data())] <
+                              sel[static_cast<std::size_t>(b - preds.data())];
+                     });
+  }
+  return ordered;
+}
+
+/// The zone-map arm (E1): one predicate scans only the candidate blocks of
+/// its column's zone map and ANDs its match into `selection`. It is
+/// charged a full read, then credited back the untouched blocks' bytes
+/// and cycles. Candidate ranges over a packed image widen to 64-value
+/// blocks for the block kernel — sound, because a row outside every
+/// candidate range cannot match (its block's [min, max] excludes it), and
+/// overlapping widened ranges rewrite identical words. A double
+/// predicate, which zone maps do not cover, runs as a one-member pass.
+void apply_zoned(OpContext& ctx, const Table& table, const Predicate& p,
+                 BitVector& selection) {
+  const ExecOptions& options = ctx.options;
+  ExecStats& stats = ctx.stats;
+  const Column& column = table.column(p.column);
+  const BoundConjunct b = bind_conjunct(column, p, options);
+  if (b.prune == Prune::kNone) selection.clear_all();
+  if (b.prune != Prune::kScan) return;
+
+  const std::size_t n = column.size();
+  stats.tuples_scanned += n;
+  stats.work.cpu_cycles += kScanCyclesPerTuple * static_cast<double>(n);
+  ctx.charge_scan(table, column, b.packed);
+
+  const exec::SharedConjunct& c = b.conjunct;
+  BitVector match(n);
+  if (c.kind == Kind::kDouble) {
+    exec::SharedQuery q{{c}, &match};
+    exec::SharedScanStats pass;
+    exec::shared_scan(n, {&q, 1}, options.pool, pass);
+    selection &= match;
+    return;
+  }
+  const storage::ZoneMap& zm = table.zone_map(
+      table.schema().index_of(p.column), options.zone_block_rows);
+  const auto ranges = zm.candidate_ranges(b.range.lo, b.range.hi, n);
+  std::size_t touched = 0;
+  for (const auto& range : ranges) {
+    touched += range.end - range.begin;
+    if (c.kind == Kind::kPacked) {
+      const std::size_t rb = range.begin & ~std::size_t{63};
+      const std::size_t re = std::min(n, (range.end + 63) & ~std::size_t{63});
+      exec::scan_packed_bitmap_range(c.packed, c.packed_bits, rb, re, c.ulo,
+                                     c.uhi, match);
+      continue;
+    }
+    const auto scan_range = [&](auto values) {
+      for (std::size_t i = range.begin; i < range.end; ++i)
+        if (values[i] >= b.range.lo && values[i] <= b.range.hi) match.set(i);
+    };
+    if (c.kind == Kind::kInt64)
+      scan_range(c.i64);
+    else
+      scan_range(c.i32);
+  }
+  // Credit back the untouched bytes and cycles of the full-scan charge;
+  // a packed read credits its packed bytes per tuple.
+  const double skipped = static_cast<double>(n - touched);
+  const double plain_bpt =
+      static_cast<double>(storage::physical_size(column.type()));
+  const double bpt = b.packed ? static_cast<double>(column.scan_byte_size()) /
+                                    static_cast<double>(n)
+                              : plain_bpt;
+  stats.work.cpu_cycles -= kScanCyclesPerTuple * skipped;
+  stats.work.dram_bytes -= skipped * bpt;
+  if (b.packed) stats.dram_bytes_saved -= skipped * (plain_bpt - bpt);
+  selection &= match;
+}
+
+}  // namespace
+
 double estimate_predicate_selectivity(const Column& column,
                                       const Predicate& p) {
   const BoundRange r = bind_predicate(column, p);
@@ -244,65 +242,64 @@ bool use_packed(const Column& column, const ExecOptions& options) {
          column.scan_byte_size() <= column.byte_size();
 }
 
-std::vector<const Predicate*> ordered_predicates(
-    const Table& table, const std::vector<Predicate>& preds,
-    const ExecOptions& options) {
-  std::vector<const Predicate*> ordered;
-  ordered.reserve(preds.size());
-  for (const Predicate& p : preds) ordered.push_back(&p);
-  if (options.order_predicates && ordered.size() > 1) {
-    std::vector<double> sel(ordered.size());
-    for (std::size_t i = 0; i < ordered.size(); ++i)
-      sel[i] = estimate_predicate_selectivity(
-          table.column(ordered[i]->column), *ordered[i]);
-    std::stable_sort(ordered.begin(), ordered.end(),
-                     [&](const Predicate* a, const Predicate* b) {
-                       return sel[static_cast<std::size_t>(a - preds.data())] <
-                              sel[static_cast<std::size_t>(b - preds.data())];
-                     });
+Conjunction bind_conjunction(const Table& table,
+                             const std::vector<Predicate>& preds,
+                             const ExecOptions& options) {
+  Conjunction conj;
+  for (const Predicate* p : ordered_predicates(table, preds)) {
+    const Column& col = table.column(p->column);
+    BoundConjunct b = bind_conjunct(col, *p, options);
+    if (b.prune == Prune::kNone) return Conjunction{true, {}, {}};
+    if (b.prune == Prune::kAll) continue;
+    conj.conjuncts.push_back(b.conjunct);
+    conj.scanned.emplace_back(&col, b.packed);
   }
-  return ordered;
-}
-
-Prune prune_with_stats(const Column& column, const BoundRange& r) {
-  const storage::ColumnStats& s = column.stats();
-  if (s.rows == 0) return Prune::kScan;
-  const bool all = r.is_double ? (r.dlo <= s.dmin && r.dhi >= s.dmax)
-                               : (r.lo <= s.min && r.hi >= s.max);
-  if (all) return Prune::kAll;
-  const bool none = r.is_double ? (r.dhi < s.dmin || r.dlo > s.dmax)
-                                : (r.hi < s.min || r.lo > s.max);
-  return none ? Prune::kNone : Prune::kScan;
-}
-
-PackedBounds packed_bounds(const storage::EncodedSegment& seg,
-                           std::int64_t lo, std::int64_t hi) {
-  const auto ref = static_cast<std::uint64_t>(seg.reference);
-  return {lo <= seg.reference ? 0 : static_cast<std::uint64_t>(lo) - ref,
-          static_cast<std::uint64_t>(hi) - ref};
+  return conj;
 }
 
 BitVector evaluate_predicates(OpContext& ctx, const Table& table,
                               const std::vector<Predicate>& preds) {
   BitVector selection(table.row_count());
   selection.set_all();
+  if (ctx.options.use_zone_maps) {
+    for (const Predicate* p : ordered_predicates(table, preds))
+      apply_zoned(ctx, table, *p, selection);
+    return selection;
+  }
 
-  // Most-selective-first ordering: the first conjunct kills the most rows,
-  // so the masked scans that follow skip the most blocks.
-  const std::vector<const Predicate*> ordered =
-      ordered_predicates(table, preds, ctx.options);
+  Conjunction conj = bind_conjunction(table, preds, ctx.options);
+  if (conj.none) selection.clear_all();
+  if (conj.conjuncts.empty()) return selection;
+  exec::SharedQuery solo{std::move(conj.conjuncts), &selection};
+  exec::SharedScanStats pass;
+  exec::shared_scan(selection.size(), {&solo, 1}, ctx.options.pool, pass);
 
-  // Masked (selection-aware) evaluation skips dead blocks; the zone-map
-  // path keeps per-predicate candidate-range scans.
-  const bool can_mask =
-      ctx.options.order_predicates && !ctx.options.use_zone_maps;
-  bool first = true;
-  for (const Predicate* p : ordered) {
-    if (first || !can_mask)
-      apply_predicate(ctx, table, *p, selection);
-    else
-      apply_predicate_masked(ctx, table, *p, selection);
-    first = false;
+  // The first conjunct is one full read of its column. A later conjunct
+  // is charged the rows it evaluated at its bytes per tuple: dead 64-row
+  // words cost neither cycles nor DRAM traffic, which is where ordering
+  // predicates most-selective-first saves joules.
+  ExecStats& stats = ctx.stats;
+  for (std::size_t k = 0; k < conj.scanned.size(); ++k) {
+    const auto [column, packed] = conj.scanned[k];
+    const std::uint64_t rows = pass.evaluated[0][k];
+    stats.tuples_scanned += rows;
+    stats.work.cpu_cycles += kScanCyclesPerTuple * static_cast<double>(rows);
+    if (k == 0) {
+      ctx.charge_scan(table, *column, packed);
+      continue;
+    }
+    const double plain_bpt =
+        static_cast<double>(storage::physical_size(column->type()));
+    double bytes_per_tuple = plain_bpt;
+    if (packed) {
+      bytes_per_tuple = static_cast<double>(column->scan_byte_size()) /
+                        static_cast<double>(column->size());
+      ++stats.packed_column_reads;
+      stats.dram_bytes_saved +=
+          static_cast<double>(rows) * (plain_bpt - bytes_per_tuple);
+    }
+    stats.work.dram_bytes += static_cast<double>(rows) * bytes_per_tuple;
+    ctx.charge_tier(table, *column);
   }
   return selection;
 }

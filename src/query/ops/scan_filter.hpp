@@ -1,33 +1,25 @@
 // Scan + filter operator: predicate binding, statistics-based pruning and
 // ordering, and selection-bitmap evaluation over plain, packed and
-// zone-mapped columns. Extracted from the executor monolith; shared by
-// the probe-side scan, every join step's build-side scan, and the
+// zone-mapped columns. Shared by the probe-side scan, every join step's
+// build-side scan, the fused multi-query scan (query/shared_scan) and the
 // physical planner's selectivity estimates.
+//
+// bind_conjunction is the one place predicates become conjuncts. Without
+// zone maps a scan is a one-member call of the conjunct pass
+// (exec/shared_scan), the same pass a fused group runs; with zone maps
+// each predicate scans only its column's candidate blocks (E1).
 #pragma once
 
-#include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "exec/shared_scan.hpp"
 #include "query/ops/op_context.hpp"
 #include "query/plan.hpp"
 #include "storage/table.hpp"
 #include "util/bitvector.hpp"
 
 namespace eidb::query::ops {
-
-/// A predicate's bounds bound to a column's type (string bounds become
-/// dictionary-code ranges).
-struct BoundRange {
-  std::int64_t lo = 0;
-  std::int64_t hi = 0;
-  bool empty = false;
-  bool is_double = false;
-  double dlo = 0;
-  double dhi = 0;
-};
-
-[[nodiscard]] BoundRange bind_predicate(const storage::Column& column,
-                                        const Predicate& p);
 
 /// Estimated selectivity of `p` from the cached column statistics
 /// (uniform-value assumption) — orders conjuncts and feeds the physical
@@ -40,35 +32,31 @@ struct BoundRange {
 [[nodiscard]] bool use_packed(const storage::Column& column,
                               const ExecOptions& options);
 
-/// `predicates` in evaluation order: most-selective-first by
-/// estimate_predicate_selectivity (stable) when options.order_predicates
-/// is set, declaration order otherwise.
-[[nodiscard]] std::vector<const Predicate*> ordered_predicates(
+/// One scan's predicates bound for the conjunct pass.
+struct Conjunction {
+  /// True when bounds or cached statistics proved that no row matches:
+  /// no conjunct remains and nothing is scanned.
+  bool none = false;
+  /// Conjuncts to evaluate, most-selective-first by
+  /// estimate_predicate_selectivity (stable); a predicate the statistics
+  /// prove true on every row is dropped unscanned.
+  std::vector<exec::SharedConjunct> conjuncts;
+  /// Per conjunct: the column it reads and whether it streams the packed
+  /// image — what the ledger charges.
+  std::vector<std::pair<const storage::Column*, bool>> scanned;
+};
+
+/// Orders, binds and stats-prunes `predicates` over `table` into
+/// conjuncts: string bounds become dictionary-code ranges, packed bounds
+/// are reference-shifted, int32 bounds are clamped. Throws eidb::Error on
+/// a string column with non-string bounds.
+[[nodiscard]] Conjunction bind_conjunction(
     const storage::Table& table, const std::vector<Predicate>& predicates,
     const ExecOptions& options);
 
-/// Stats-based pre-scan pruning of one bound predicate from the column's
-/// cached [min, max]: kAll (every row matches; nothing scanned or
-/// charged), kNone (no row matches) or kScan (evaluate it).
-enum class Prune : std::uint8_t { kScan, kAll, kNone };
-[[nodiscard]] Prune prune_with_stats(const storage::Column& column,
-                                     const BoundRange& r);
-
-/// Integer predicate bounds rewritten into a packed image's reference-
-/// shifted domain. Precondition: [lo, hi] overlaps the column's
-/// [min, max] (prune_with_stats returned kScan), so hi >= reference and
-/// the unsigned shift is exact.
-struct PackedBounds {
-  std::uint64_t lo;
-  std::uint64_t hi;
-};
-[[nodiscard]] PackedBounds packed_bounds(const storage::EncodedSegment& seg,
-                                         std::int64_t lo, std::int64_t hi);
-
 /// Evaluates the conjunction of `predicates` over `table` into a selection
-/// bitmap, ordering conjuncts most-selective-first and running later ones
-/// through masked kernels (see docs/executor_pipeline.md). Charges each
-/// scan pass to the DRAM ledger via `ctx`.
+/// bitmap (see docs/executor_pipeline.md, "Selection-aware predicate
+/// evaluation") and charges the scan to the DRAM ledger via `ctx`.
 [[nodiscard]] BitVector evaluate_predicates(
     OpContext& ctx, const storage::Table& table,
     const std::vector<Predicate>& predicates);

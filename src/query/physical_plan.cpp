@@ -492,7 +492,6 @@ PhysicalPlan compile_plan(const storage::Catalog& catalog,
   validate_join_plan(plan);
   PhysicalPlan phys;
   phys.logical = plan;
-  phys.join_path = options.join_path;
 
   const Table& probe = catalog.get(plan.table);
   phys.est_probe_rows = estimate_selected_rows(probe, plan.predicates);

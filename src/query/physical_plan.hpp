@@ -172,7 +172,6 @@ struct PhysicalPlan {
   /// and the join operator both read sides from it. A name that binds
   /// nowhere is absent; the join operator reports it.
   std::map<std::string, ColumnBinding> bindings;
-  JoinPath join_path = JoinPath::kAuto;
   SortStrategy sort = SortStrategy::kNone;
   /// True when the sort operator runs over materialized result rows
   /// (aggregate output); false = row-id sort over a table column.

@@ -47,75 +47,13 @@ double streamed_bytes(const Column& col, const ExecOptions& options) {
   return static_cast<double>(packed ? col.scan_byte_size() : col.byte_size());
 }
 
-/// One member's fused-pass preparation: bound conjuncts, the columns they
-/// stream, and the selection bitmap the pass fills.
+/// One member's fused-pass preparation: its bound conjunction and the
+/// selection bitmap the pass fills.
 struct MemberPrep {
   BitVector selection;
-  std::vector<exec::SharedConjunct> conjuncts;
-  /// (column, packed) per conjunct, for the group's single scan charge.
-  std::vector<std::pair<const Column*, bool>> scanned;
+  ops::Conjunction conj;
   std::size_t fused_index = SIZE_MAX;  ///< Index into the fused query set.
 };
-
-/// Binds and prunes one member's predicates into fused-pass conjuncts,
-/// ordered most-selective-first like evaluate_predicates. On a resolved
-/// empty result the selection is cleared and no conjunct remains.
-MemberPrep prepare_member(const Table& table, const PhysicalPlan& phys,
-                          const ExecOptions& options) {
-  MemberPrep prep;
-  const std::size_t rows = table.row_count();
-  prep.selection = BitVector(rows);
-  prep.selection.set_all();
-
-  const std::vector<const Predicate*> ordered =
-      ops::ordered_predicates(table, phys.logical.predicates, options);
-  for (const Predicate* p : ordered) {
-    const Column& col = table.column(p->column);
-    const ops::BoundRange r = ops::bind_predicate(col, *p);
-    const ops::Prune prune =
-        r.empty ? ops::Prune::kNone : ops::prune_with_stats(col, r);
-    if (prune == ops::Prune::kNone) {
-      prep.selection.clear_all();
-      prep.conjuncts.clear();
-      prep.scanned.clear();
-      return prep;
-    }
-    // kAll: every row matches, nothing scanned or charged.
-    if (prune == ops::Prune::kAll || col.size() == 0) continue;
-
-    exec::SharedConjunct c;
-    const bool packed = !r.is_double && ops::use_packed(col, options);
-    if (packed) {
-      const storage::EncodedSegment& seg = *col.encoded();
-      c.kind = exec::SharedConjunct::Kind::kPacked;
-      c.packed = seg.words;
-      c.packed_bits = seg.bits;
-      const ops::PackedBounds pb = ops::packed_bounds(seg, r.lo, r.hi);
-      c.ulo = pb.lo;
-      c.uhi = pb.hi;
-    } else if (r.is_double) {
-      c.kind = exec::SharedConjunct::Kind::kDouble;
-      c.f64 = col.double_data();
-      c.dlo = r.dlo;
-      c.dhi = r.dhi;
-    } else if (col.type() == TypeId::kInt64) {
-      c.kind = exec::SharedConjunct::Kind::kInt64;
-      c.i64 = col.int64_data();
-      c.lo = r.lo;
-      c.hi = r.hi;
-    } else {
-      // kInt32 and kString both stream the int32 array (codes for
-      // strings; bind_predicate already produced the code range).
-      c.kind = exec::SharedConjunct::Kind::kInt32;
-      c.i32 = col.int32_data();
-      c.lo = r.lo;
-      c.hi = r.hi;
-    }
-    prep.conjuncts.push_back(c);
-    prep.scanned.emplace_back(&col, packed);
-  }
-  return prep;
-}
 
 }  // namespace
 
@@ -220,10 +158,14 @@ void execute_shared_group(const storage::Catalog& catalog,
   std::vector<exec::SharedQuery> fused;
   std::vector<std::size_t> fused_members;  // fused index -> member index
   for (std::size_t i = 0; i < members.size(); ++i) {
-    preps[i] = prepare_member(table, *members[i].phys, *members[i].options);
-    if (!preps[i].conjuncts.empty()) {
-      preps[i].fused_index = fused.size();
-      fused.push_back({preps[i].conjuncts, &preps[i].selection});
+    MemberPrep& prep = preps[i];
+    prep.conj = ops::bind_conjunction(
+        table, members[i].phys->logical.predicates, *members[i].options);
+    prep.selection = BitVector(rows);
+    if (!prep.conj.none) prep.selection.set_all();
+    if (!prep.conj.conjuncts.empty()) {
+      prep.fused_index = fused.size();
+      fused.push_back({prep.conj.conjuncts, &prep.selection});
       fused_members.push_back(i);
     }
   }
@@ -260,7 +202,7 @@ void execute_shared_group(const storage::Catalog& catalog,
   {
     std::vector<std::string> charged;
     for (const std::size_t i : fused_members) {
-      for (const auto& [col, packed] : preps[i].scanned) {
+      for (const auto& [col, packed] : preps[i].conj.scanned) {
         if (std::find(charged.begin(), charged.end(), col->name()) !=
             charged.end())
           continue;
@@ -310,16 +252,14 @@ void execute_shared_group(const storage::Catalog& catalog,
     seconds_assigned += sec_share;
 
     ExecStats& st = outs[i].stats;
-    const std::uint64_t evaluated =
-        fstats.evaluated.empty() ? 0
-                                 : fstats.evaluated[preps[i].fused_index];
+    const std::uint64_t evaluated = fstats.member_rows(preps[i].fused_index);
     const double cycles =
         ops::kScanCyclesPerTuple * static_cast<double>(evaluated);
     st.work.dram_bytes += bytes_share;
     st.work.cpu_cycles += cycles;
     st.dram_bytes_saved += saved_share;
     st.tuples_scanned += evaluated;
-    for (const auto& [col, packed] : preps[i].scanned)
+    for (const auto& [col, packed] : preps[i].conj.scanned)
       if (packed) ++st.packed_column_reads;
     st.elapsed_s += sec_share;
     // Fold the share into the scan operator's attribution entry so the

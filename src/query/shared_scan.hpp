@@ -7,8 +7,8 @@
 // pass over the shared table (exec::shared_scan) producing every member's
 // selection bitmap, then runs each member's existing pipeline over its
 // bitmap as a preset — bit-identical to independent execution by
-// construction, because the fused pass evaluates exactly the same bound
-// ranges the scan-filter kernels would.
+// construction: each member is bound by ops::bind_conjunction and
+// evaluated by the same pass a solo scan runs with one member.
 //
 // Ledger discipline: the fused pass streams each distinct predicate
 // column ONCE, so the group charges that column's bytes once — not once

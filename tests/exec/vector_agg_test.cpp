@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "agg_reference.hpp"
-#include "exec/fused.hpp"
 #include "exec/scan_kernels.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -359,48 +358,6 @@ TEST(GroupedMultiAggregate, ParallelMatchesSerial) {
     expect_agg_eq(serial.iout[1][i], par32.iout[1][i]);
     expect_agg_near(serial.dout[2][i], par.dout[2][i]);
   }
-}
-
-TEST(MaskedScans, Int32AndDoubleMatchUnmaskedConjunction) {
-  const TestColumns t = make_columns(10'000, 1.0, 30);
-  const std::size_t n = t.i32.size();
-
-  // Reference: two independent bitmap scans ANDed.
-  BitVector a(n), b(n);
-  scan_bitmap_scalar(std::span(t.i32), -100, 250, a);
-  scan_bitmap_double(std::span(t.f64), -2.5, 6.0, b);
-  BitVector want = a;
-  want &= b;
-
-  // Masked: first scan, then conjuncts evaluated only on live words.
-  BitVector got(n);
-  scan_bitmap_scalar(std::span(t.i32), -100, 250, got);
-  MaskedScanStats stats;
-  scan_bitmap_masked_double_counted(std::span(t.f64), -2.5, 6.0, got, stats);
-  EXPECT_EQ(want, got);
-  EXPECT_GT(stats.words_total, 0u);
-
-  // And the int32 masked kernel against the 64-bit one.
-  std::vector<std::int64_t> wide(t.i32.begin(), t.i32.end());
-  BitVector m32(n), m64(n);
-  scan_bitmap_scalar(std::span(t.i32), -300, 300, m32);
-  scan_bitmap_scalar(std::span(t.i32), -300, 300, m64);
-  scan_bitmap_masked32(std::span(t.i32), -100, 250, m32);
-  scan_bitmap_masked64(std::span(wide), -100, 250, m64);
-  EXPECT_EQ(m32, m64);
-}
-
-TEST(MaskedScans, SkipsDeadWords) {
-  const std::size_t n = 64 * 100;
-  std::vector<std::int32_t> values(n, 5);
-  BitVector selection(n);
-  // Only word 3 has candidates.
-  for (std::size_t i = 64 * 3; i < 64 * 4; ++i) selection.set(i);
-  MaskedScanStats stats;
-  scan_bitmap_masked32_counted(std::span(values), 0, 10, selection, stats);
-  EXPECT_EQ(stats.words_total, 100u);
-  EXPECT_EQ(stats.words_skipped, 99u);
-  EXPECT_EQ(selection.count(), 64u);
 }
 
 // ---------------------------------------------------------------------------

@@ -660,7 +660,7 @@ TEST(Executor, JoinArmsAgreeWithOracle) {
                         .aggregate(AggOp::kSum, "amount")
                         .aggregate(AggOp::kAvg, "price")
                         .build();
-  const auto groups = parity::run_join_oracle(ex, cat, plan);
+  const auto groups = parity::run_join_oracle(cat, plan);
   std::vector<QueryResult> results;
   for (const JoinPath path :
        {JoinPath::kAuto, JoinPath::kDense, JoinPath::kHash, JoinPath::kRadix}) {

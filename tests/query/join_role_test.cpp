@@ -249,7 +249,7 @@ TEST(JoinRoleParity, RepeatedBuildKeysSendTheStepBackToTheChain) {
   for (const Case& c : cases) {
     const PhysicalPlan phys = compile_plan(cat, c.plan);
     EXPECT_EQ(roles_of(phys).at("dim"), c.compiled) << c.name;
-    const auto groups = run_join_oracle(ex, cat, c.plan);
+    const auto groups = run_join_oracle(cat, c.plan);
     for (sched::ThreadPool* p : {static_cast<sched::ThreadPool*>(nullptr),
                                  &pool}) {
       const std::string label = c.name + (p ? "/pool" : "/serial");
@@ -465,7 +465,7 @@ TEST(ParallelJoin, WideChainAggregateMergesHashedChunks) {
   ASSERT_LT(exec::chunk_grain(n), n / 2);
 
   Executor ex(cat);
-  const auto oracle = run_join_oracle(ex, cat, plan);
+  const auto oracle = run_join_oracle(cat, plan);
   ExecStats one_stats;
   const QueryResult one = ex.execute(plan, one_stats, options_for(nullptr, 0));
   expect_matches_oracle(one, oracle, plan, "no pool");

@@ -572,12 +572,13 @@ inline std::vector<std::pair<std::string, LogicalPlan>> query_matrix() {
 
 // ---------------------------------------------------------------------------
 // The scalar reference oracle for aggregate plans, with or without joins.
-// Selections come from the public predicate API over the plain arrays;
-// matches, in nested-loop order (tuples in order, each tuple's matching
-// build rows ascending), from a per-join index of the selected build
+// Selections come from a row-at-a-time predicate loop; matches, in
+// nested-loop order (tuples in order, each tuple's matching build rows
+// ascending), from a per-join index of the selected build
 // rows by key VALUE, every join in declaration order; grouping and
-// aggregation from scalar maps keyed by the group values' text. It shares no aggregation
-// or join code with the engine and does no planner reordering.
+// aggregation from scalar maps keyed by the group values' text. It shares
+// no predicate, aggregation or join code with the engine and does no
+// planner reordering.
 //
 // Integer inputs accumulate exactly in int64. Double and expression
 // inputs accumulate in nested-loop order, so a double SUM or AVG is
@@ -605,9 +606,38 @@ struct OracleGroup {
   std::vector<OracleAcc> aggs;
 };
 
+/// Row-at-a-time selection of `t` under the conjunction `preds`: a row is
+/// selected iff each predicate's inclusive [lo, hi] holds its value
+/// (strings compare as strings, not as dictionary codes; NaN matches
+/// nothing).
+inline BitVector oracle_selection(const storage::Table& t,
+                                  const std::vector<Predicate>& preds) {
+  using storage::TypeId;
+  BitVector sel(t.row_count());
+  for (std::size_t i = 0; i < t.row_count(); ++i) {
+    bool hit = true;
+    for (std::size_t k = 0; hit && k < preds.size(); ++k) {
+      const Predicate& p = preds[k];
+      const storage::Column& c = t.column(p.column);
+      if (c.type() == TypeId::kString) {
+        const std::string& v = c.dictionary().at(c.int32_data()[i]);
+        hit = p.lo.as_string() <= v && v <= p.hi.as_string();
+      } else if (c.type() == TypeId::kDouble) {
+        const double v = c.double_data()[i];
+        hit = v >= p.lo.as_double() && v <= p.hi.as_double();
+      } else {
+        const std::int64_t v = c.int_at(i);
+        hit = v >= p.lo.as_int() && v <= p.hi.as_int();
+      }
+    }
+    if (hit) sel.set(i);
+  }
+  return sel;
+}
+
 /// Runs the oracle for an aggregate plan (zero or more joins).
 inline std::map<std::string, OracleGroup> run_join_oracle(
-    Executor& ex, const storage::Catalog& cat, const LogicalPlan& plan) {
+    const storage::Catalog& cat, const LogicalPlan& plan) {
   using storage::Column;
   using storage::Table;
   using storage::TypeId;
@@ -633,17 +663,10 @@ inline std::map<std::string, OracleGroup> run_join_oracle(
     throw Error("oracle: unknown column " + n);
   };
 
-  // Selections through the public predicate API (encodings off).
-  ExecStats scratch;
-  ExecOptions oracle_opts;
-  oracle_opts.use_encodings = false;
-  const BitVector psel =
-      ex.evaluate_predicates(facts, plan.predicates, scratch, oracle_opts);
+  const BitVector psel = oracle_selection(facts, plan.predicates);
   std::vector<BitVector> bsel;
   for (std::size_t j = 0; j < plan.joins.size(); ++j)
-    bsel.push_back(ex.evaluate_predicates(*sides[j + 1],
-                                          plan.joins[j].predicates, scratch,
-                                          oracle_opts));
+    bsel.push_back(oracle_selection(*sides[j + 1], plan.joins[j].predicates));
 
   // Match tuples, one join at a time in declaration order. Each join
   // indexes its selected build rows once by key value, rows ascending, so

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "query/executor.hpp"
+#include "query/ops/scan_filter.hpp"
 #include "sched/thread_pool.hpp"
 #include "util/rng.hpp"
 
@@ -81,7 +82,7 @@ void expect_parity(const Catalog& cat, const LogicalPlan& plan) {
   Executor ex(cat);
   ExecStats stats;
   const QueryResult got = ex.execute(plan, stats);
-  parity::expect_matches_oracle(got, parity::run_join_oracle(ex, cat, plan),
+  parity::expect_matches_oracle(got, parity::run_join_oracle(cat, plan),
                                 plan, plan.table);
 }
 
@@ -187,7 +188,20 @@ TEST(PipelineParity, ParallelPoolMatchesSerial) {
   expect_results_match(serial, par);
 }
 
-TEST(PipelineParity, OrderedMaskedPredicatesMatchUnordered) {
+/// Scan-ledger bound: one full read of each predicate column, at the
+/// representation the scan streams under default options.
+double full_predicate_reads(const Table& t, const LogicalPlan& plan) {
+  double bytes = 0;
+  for (const Predicate& p : plan.predicates) {
+    const Column& c = t.column(p.column);
+    bytes += static_cast<double>(ops::use_packed(c, ExecOptions{})
+                                     ? c.scan_byte_size()
+                                     : c.byte_size());
+  }
+  return bytes;
+}
+
+TEST(PipelineParity, OrderedMaskedPredicatesMatchOracle) {
   const Catalog cat = make_catalog();
   const auto plan = QueryBuilder("facts")
                         .filter_int("v64", -9'000, 9'000)   // wide
@@ -197,16 +211,75 @@ TEST(PipelineParity, OrderedMaskedPredicatesMatchUnordered) {
                         .aggregate(AggOp::kCount)
                         .aggregate(AggOp::kSum, "v64")
                         .build();
+  expect_parity(cat, plan);
+  // Later predicates read only the words still live: at most one full
+  // read per predicate column.
+  const Table& t = cat.get("facts");
   Executor ex(cat);
-  ExecStats ordered_stats, unordered_stats;
-  ExecOptions unordered;
-  unordered.order_predicates = false;
-  const QueryResult want = ex.execute(plan, unordered_stats, unordered);
-  const QueryResult got = ex.execute(plan, ordered_stats);
-  expect_results_match(want, got);
-  // Masked later predicates touch at most what full rescans would.
-  EXPECT_LE(ordered_stats.tuples_scanned, unordered_stats.tuples_scanned);
-  EXPECT_LE(ordered_stats.work.dram_bytes, unordered_stats.work.dram_bytes);
+  ExecStats stats;
+  (void)ex.evaluate_predicates(t, plan.predicates, stats, {});
+  EXPECT_LE(stats.tuples_scanned, t.row_count() * plan.predicates.size());
+  EXPECT_LE(stats.work.dram_bytes, full_predicate_reads(t, plan));
+}
+
+// A solo scan of three conjuncts of different kinds (packed, plain int32,
+// double) over four pass chunks: the answer is the oracle's, and the
+// scan's ledger does not depend on the pool.
+TEST(PipelineParity, ThreeConjunctSoloScanIsPoolInvariant) {
+  constexpr std::size_t kN = 200'000;  // four 64K-row chunks on a pool
+  Catalog cat;
+  Table& t = cat.add(Table("facts3", Schema({{"p32", TypeId::kInt32},
+                                             {"w32", TypeId::kInt32},
+                                             {"d", TypeId::kDouble},
+                                             {"v64", TypeId::kInt64}})));
+  Pcg32 rng(404);
+  std::vector<std::int32_t> p32, w32;
+  std::vector<double> d;
+  std::vector<std::int64_t> v64;
+  for (std::size_t i = 0; i < kN; ++i) {
+    p32.push_back(static_cast<std::int32_t>(rng.next_in_range(0, 999)));
+    w32.push_back(
+        static_cast<std::int32_t>(rng.next_in_range(-1'000'000, 1'000'000)));
+    d.push_back(rng.next_double() * 100);
+    v64.push_back(rng.next_in_range(-50, 50));
+  }
+  Column plain = Column::from_int32("w32", w32);
+  plain.set_encoding(storage::Encoding::kPlain);
+  t.set_column(0, Column::from_int32("p32", p32));
+  t.set_column(1, std::move(plain));
+  t.set_column(2, Column::from_double("d", d));
+  t.set_column(3, Column::from_int64("v64", v64));
+  ASSERT_NE(t.column("p32").encoded(), nullptr);
+  ASSERT_EQ(t.column("w32").encoded(), nullptr);
+
+  // The packed conjunct runs first and keeps ~0.5 % of the rows, so the
+  // later two skip most words.
+  const auto plan = QueryBuilder("facts3")
+                        .filter_int("p32", 100, 104)
+                        .filter_int("w32", -600'000, 400'000)
+                        .filter_double("d", 10.0, 60.0)
+                        .aggregate(AggOp::kCount)
+                        .aggregate(AggOp::kSum, "v64")
+                        .build();
+  Executor ex(cat);
+  ExecStats serial;
+  const QueryResult want = ex.execute(plan, serial);
+  parity::expect_matches_oracle(want, parity::run_join_oracle(cat, plan),
+                                plan, "serial");
+  EXPECT_EQ(serial.packed_column_reads, 2u);  // the scan and SUM's input
+  EXPECT_LT(serial.tuples_scanned, 2 * kN);
+
+  for (const std::size_t width : {1, 2, 4, 8}) {
+    sched::ThreadPool pool(width);
+    ExecOptions options;
+    options.pool = &pool;
+    ExecStats s;
+    expect_results_match(want, ex.execute(plan, s, options));
+    EXPECT_EQ(s.tuples_scanned, serial.tuples_scanned) << width;
+    EXPECT_EQ(s.work.dram_bytes, serial.work.dram_bytes) << width;
+    EXPECT_EQ(s.dram_bytes_saved, serial.dram_bytes_saved) << width;
+    EXPECT_EQ(s.packed_column_reads, serial.packed_column_reads) << width;
+  }
 }
 
 TEST(SinglePassAccounting, EachInputColumnChargedExactlyOnce) {

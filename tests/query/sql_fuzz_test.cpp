@@ -442,7 +442,7 @@ TEST(SqlFuzz, ExecutionParityUnderRandomEncodings) {
     // keys, ORDER BY and LIMIT — must match the scalar oracle.
     if (plan.is_aggregate()) {
       parity::expect_matches_oracle(
-          want, parity::run_join_oracle(ex, cat, plan), plan, sql);
+          want, parity::run_join_oracle(cat, plan), plan, sql);
       ++oracle_checked;
       if (plan.has_join()) ++oracle_joins;
     }
