@@ -134,7 +134,8 @@ int main(int argc, char** argv) {
 
     const double packed_s = bench::time_best(
         [&] {
-          exec::scan_packed_bitmap(packed, bits, kRows, plo, phi, sel);
+          exec::scan_packed_bitmap_range(packed, bits, 0, kRows, plo, phi,
+                                         sel);
         },
         0.4);
 

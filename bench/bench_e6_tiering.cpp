@@ -28,10 +28,8 @@ int main() {
   // In-DRAM scan cost of one month (memory-bound).
   const double hot_scan_s =
       static_cast<double>(kBytesPerMonth) / (machine.dram_bandwidth_gbs * 1e9);
-  const double hot_scan_j =
-      machine.package_power_w(machine.dvfs.fastest(), 1) * hot_scan_s +
-      static_cast<double>(kBytesPerMonth) * machine.dram_energy_nj_per_byte *
-          1e-9;
+  const double hot_scan_j = machine.energy_j(
+      {0, static_cast<double>(kBytesPerMonth)}, machine.dvfs.fastest());
 
   TablePrinter table({"dram_budget_%", "hot_months", "cold_hit_%",
                       "mean_latency_ms", "p_cold_latency_ms", "energy_J",

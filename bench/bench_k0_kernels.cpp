@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "exec/scan_kernels.hpp"
 #include "exec/shared_scan.hpp"
 #include "exec/vector_agg.hpp"
+#include "opt/cost_model.hpp"
 #include "sched/thread_pool.hpp"
 #include "storage/bitpack.hpp"
 #include "storage/int_codec.hpp"
@@ -95,8 +97,8 @@ void BM_ScanPacked(benchmark::State& state) {
   const auto packed = storage::bitpack(values, bits);
   BitVector out(values.size());
   for (auto _ : state) {
-    exec::scan_packed_bitmap(packed, bits, values.size(), mask / 4, mask / 2,
-                             out);
+    exec::scan_packed_bitmap_range(packed, bits, 0, values.size(), mask / 4,
+                                   mask / 2, out);
     benchmark::DoNotOptimize(out.words());
   }
   state.SetItemsProcessed(state.iterations() * values.size());
@@ -550,31 +552,91 @@ BENCHMARK(BM_ConjunctPass)
     ->ArgsProduct({{1, 2}, {0, 1}, {1, 30}, {0, 4}})
     ->Unit(benchmark::kMillisecond);
 
-void BM_HashJoin(benchmark::State& state) {
-  const auto build = data_i64(1 << 16, 1 << 16);
-  const auto probe = data_i64(1 << 18, 1 << 16);
-  BitVector bsel(build.size()), psel(probe.size());
-  bsel.set_all();
-  psel.set_all();
-  for (auto _ : state)
-    benchmark::DoNotOptimize(exec::hash_join(build, bsel, probe, psel));
-  state.SetItemsProcessed(state.iterations() * probe.size());
+// -- join arms ---------------------------------------------------------------
+// The hash and radix arms' production primitives, serial, over one
+// build-size sweep: 64Ki to 4Mi unique sparse build keys (no dense
+// domain) and 4Mi probes that each match one build row.
+// CostModel::pick_join_arm takes the radix arm once a build exceeds
+// join_cache_build_entries (64Ki rows of int64 keys by default).
+
+constexpr std::size_t kJoinProbeRows = std::size_t{1} << 22;
+
+struct JoinSides {
+  std::vector<std::int64_t> build, probe;
+  BitVector bsel, psel;
+};
+
+/// `build_rows` unique keys spread over the int64 range, and probe keys
+/// drawn from them.
+JoinSides join_sides(std::size_t build_rows) {
+  JoinSides s;
+  s.build.resize(build_rows);
+  for (std::size_t i = 0; i < build_rows; ++i)  // odd multiplier: a bijection
+    s.build[i] = static_cast<std::int64_t>(i * 0x9E3779B97F4A7C15ull);
+  Pcg32 rng(7);
+  s.probe.resize(kJoinProbeRows);
+  for (auto& k : s.probe)
+    k = s.build[rng.next_bounded(static_cast<std::uint32_t>(build_rows))];
+  s.bsel = BitVector(build_rows);
+  s.bsel.set_all();
+  s.psel = BitVector(kJoinProbeRows);
+  s.psel.set_all();
+  return s;
 }
-BENCHMARK(BM_HashJoin);
+
+void BM_HashJoin(benchmark::State& state) {
+  const JoinSides s = join_sides(static_cast<std::size_t>(state.range(0)));
+  const auto bk = exec::JoinKeys::from(std::span<const std::int64_t>(s.build));
+  const auto pk = exec::JoinKeys::from(std::span<const std::int64_t>(s.probe));
+  for (auto _ : state) {
+    const exec::JoinHashTable table = exec::build_join_table(bk, s.bsel);
+    std::uint64_t last = 0;
+    benchmark::DoNotOptimize(exec::probe_join_blocks(
+        table, pk, s.psel, 0, s.psel.word_count(),
+        [&](const std::uint32_t* b, const std::uint32_t*, std::size_t k) {
+          last += b[k - 1];
+        }));
+    benchmark::DoNotOptimize(last);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          (s.build.size() + s.probe.size()));
+}
+BENCHMARK(BM_HashJoin)
+    ->RangeMultiplier(4)
+    ->Range(1 << 16, 1 << 22)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_RadixJoin(benchmark::State& state) {
-  const auto bits = static_cast<unsigned>(state.range(0));
-  const auto build = data_i64(1 << 18, 1 << 18);  // cache-busting build
-  const auto probe = data_i64(1 << 19, 1 << 18);
-  BitVector bsel(build.size()), psel(probe.size());
-  bsel.set_all();
-  psel.set_all();
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        exec::radix_hash_join(build, bsel, probe, psel, bits));
-  state.SetItemsProcessed(state.iterations() * probe.size());
+  const JoinSides s = join_sides(static_cast<std::size_t>(state.range(0)));
+  const auto bk = exec::JoinKeys::from(std::span<const std::int64_t>(s.build));
+  const auto pk = exec::JoinKeys::from(std::span<const std::int64_t>(s.probe));
+  // The partition count a query's radix step would take.
+  const unsigned bits =
+      opt::CostModel::defaults().pick_radix_bits(s.build.size());
+  for (auto _ : state) {
+    const exec::RadixPartitions bparts =
+        exec::radix_partition(bk, s.bsel, bits);
+    const exec::RadixPartitions pparts =
+        exec::radix_partition(pk, s.psel, bits);
+    std::uint64_t pairs = 0;
+    std::uint64_t last = 0;
+    for (std::size_t part = 0; part < bparts.parts.size(); ++part)
+      pairs += exec::join_partition_blocks(
+          bparts.parts[part], pparts.parts[part],
+          [&](const std::uint32_t* b, const std::uint32_t*, std::size_t k) {
+            last += b[k - 1];
+          });
+    benchmark::DoNotOptimize(pairs);
+    benchmark::DoNotOptimize(last);
+  }
+  state.counters["radix_bits"] = bits;
+  state.SetItemsProcessed(state.iterations() *
+                          (s.build.size() + s.probe.size()));
 }
-BENCHMARK(BM_RadixJoin)->Arg(1)->Arg(4)->Arg(8);
+BENCHMARK(BM_RadixJoin)
+    ->RangeMultiplier(4)
+    ->Range(1 << 16, 1 << 22)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_FusedFilterAggregate(benchmark::State& state) {
   const auto keys = data_i64(1 << 20, 100000);

@@ -236,11 +236,12 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  // ---- Join arms: the cost model's pick (kAuto) against each pinned
-  // arm, all on the vectorized block pipeline with the pool. Same
-  // statements, same answers. The pinned twin of auto's pick runs the
-  // same plan, so its gap to auto is the run-to-run noise; another arm
-  // beating auto by more than that is a cost-model miss. ----
+  // ---- Join arms: the cost model's pick (auto) against each arm pinned
+  // through the model's own KernelCosts, all on the vectorized block
+  // pipeline with the pool. Same statements, same answers. The pinned twin
+  // of auto's pick runs the same plan, so its gap to auto is the
+  // run-to-run noise; another arm beating auto by more than that is a
+  // cost-model miss. ----
   const struct {
     const char* id;
     const char* sql;
@@ -250,13 +251,29 @@ int main(int argc, char** argv) {
        "SELECT SUM(revenue), COUNT(*) FROM lineorder JOIN customer ON "
        "lineorder.custkey = customer.custkey"},
   };
+  // The customer keys are dense, so the dense arm is the defaults' pick.
+  // Hash and radix take no dense domain; hash a cache budget no build
+  // reaches, radix one of kCustomers / 16 rows, under which
+  // pick_radix_bits keeps the default model's 4 bits for every build.
+  const auto pinned = [&](opt::JoinArm arm) {
+    opt::KernelCosts costs = db.cost_model().costs();
+    if (arm != opt::JoinArm::kDenseJoin) costs.dense_join_max_domain = 0;
+    if (arm == opt::JoinArm::kHashJoin)
+      costs.join_cache_build_entries = std::uint64_t{1} << 40;
+    if (arm == opt::JoinArm::kRadixJoin)
+      costs.join_cache_build_entries = std::uint64_t{kCustomers} >> 4;
+    return opt::CostModel(costs);
+  };
+  const opt::CostModel dense = pinned(opt::JoinArm::kDenseJoin);
+  const opt::CostModel hash = pinned(opt::JoinArm::kHashJoin);
+  const opt::CostModel radix = pinned(opt::JoinArm::kRadixJoin);
   const struct {
     const char* name;
-    query::JoinPath path;
-  } join_arms[] = {{"auto", query::JoinPath::kAuto},
-                   {"dense", query::JoinPath::kDense},
-                   {"hash", query::JoinPath::kHash},
-                   {"radix", query::JoinPath::kRadix}};
+    const opt::CostModel* model;
+    opt::JoinArm arm;
+  } join_arms[] = {{"dense", &dense, opt::JoinArm::kDenseJoin},
+                   {"hash", &hash, opt::JoinArm::kHashJoin},
+                   {"radix", &radix, opt::JoinArm::kRadixJoin}};
   std::cout << "\njoin arm comparison (best of 3; vs_auto = arm / auto):\n";
   TablePrinter arms({"query", "arm", "time_ms", "attributed_J",
                      "vs_auto_time", "vs_auto_J"});
@@ -264,25 +281,36 @@ int main(int argc, char** argv) {
     core::RunOptions auto_opts;
     auto_opts.exec.pool = &pool;
     auto_opts.exec.cost_model = &db.cost_model();
-    const query::PhysicalPlan phys = query::compile_plan(
-        db.catalog(), query::parse_sql(jc.sql), auto_opts.exec);
-    const std::string picked = opt::join_arm_name(phys.joins.front().arm);
-    Measured base;
-    for (const auto& arm : join_arms) {
-      core::RunOptions options = auto_opts;
-      options.exec.join_path = arm.path;
-      const Measured m = measure(db, jc.sql, options);
-      if (arm.path == query::JoinPath::kAuto) base = m;
-      const std::string label =
-          arm.path == query::JoinPath::kAuto ? "auto (" + picked + ")"
-                                             : std::string(arm.name);
+    const query::LogicalPlan plan = query::parse_sql(jc.sql);
+    const std::string picked = opt::join_arm_name(
+        query::compile_plan(db.catalog(), plan, auto_opts.exec)
+            .joins.front()
+            .arm);
+    const Measured base = measure(db, jc.sql, auto_opts);
+    const auto add = [&](const std::string& name, const std::string& label,
+                         const Measured& m) {
       arms.add_row({jc.id, label, TablePrinter::fmt(m.wall_s * 1e3, 4),
                     TablePrinter::fmt(m.attributed_j, 4),
                     TablePrinter::fmt(m.wall_s / base.wall_s, 2),
                     TablePrinter::fmt(m.attributed_j / base.attributed_j, 2)});
-      const std::string prefix = std::string(jc.id) + "_" + arm.name;
+      const std::string prefix = std::string(jc.id) + "_" + name;
       json.add(prefix + "_ms", m.wall_s * 1e3);
       json.add(prefix + "_attributed_J", m.attributed_j);
+    };
+    add("auto", "auto (" + picked + ")", base);
+    for (const auto& arm : join_arms) {
+      core::RunOptions options = auto_opts;
+      options.exec.cost_model = arm.model;
+      const opt::JoinArm ran =
+          query::compile_plan(db.catalog(), plan, options.exec)
+              .joins.front()
+              .arm;
+      if (ran != arm.arm) {
+        std::cerr << jc.id << ": the " << arm.name << " pin compiled to "
+                  << opt::join_arm_name(ran) << "\n";
+        return 1;
+      }
+      add(arm.name, arm.name, measure(db, jc.sql, options));
     }
   }
   arms.print(std::cout);

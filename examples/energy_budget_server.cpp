@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/database.hpp"
-#include "opt/energy_optimizer.hpp"
 #include "sched/scheduler.hpp"
 #include "util/rng.hpp"
 #include "util/table_printer.hpp"
@@ -80,24 +79,30 @@ int main() {
   // Accounting policy decides the frontier's shape: on a dedicated server
   // (full package billed) static power dominates and racing wins almost
   // always ("fastest is greenest", [12]); on a shared server only busy
-  // power is attributable and slowing down genuinely saves joules.
-  const std::vector<opt::PlanCandidate> compute_plans = {
-      {"hash-heavy-agg", {40e9, 2e9}}};  // hashing dominates, CPU-bound
-  for (const auto accounting :
-       {opt::Accounting::kFullPackage, opt::Accounting::kIncremental}) {
-    opt::EnergyOptimizer optimizer(db.machine(), accounting);
+  // power is attributable and slowing down genuinely saves joules. Each
+  // point is one of the governor's frontier runs at 1..cores cores.
+  const hw::Work hash_heavy_agg{40e9, 2e9};  // hashing dominates, CPU-bound
+  for (const bool shared : {false, true}) {
+    std::vector<sched::GovernorDecision> points;
+    for (int cores = 1; cores <= db.machine().cores; ++cores) {
+      for (sched::GovernorDecision d :
+           db.governor().frontier(hash_heavy_agg, cores)) {
+        if (shared)
+          d.energy_j = db.machine().incremental_busy_energy_j(
+              hash_heavy_agg, d.state, cores * d.busy_s);
+        points.push_back(d);
+      }
+    }
     TablePrinter frontier_table({"time_s", "energy_J", "freq_GHz", "cores"});
-    for (const auto& p :
-         opt::EnergyOptimizer::pareto(optimizer.enumerate(compute_plans))) {
-      frontier_table.add_row({TablePrinter::fmt(p.time_s, 4),
-                              TablePrinter::fmt(p.energy_j, 4),
-                              TablePrinter::fmt(p.state.freq_ghz, 3),
-                              TablePrinter::fmt_int(p.cores)});
+    for (const std::size_t i : sched::pareto(points)) {
+      frontier_table.add_row({TablePrinter::fmt(points[i].busy_s, 4),
+                              TablePrinter::fmt(points[i].energy_j, 4),
+                              TablePrinter::fmt(points[i].state.freq_ghz, 3),
+                              TablePrinter::fmt_int(points[i].cores)});
     }
     std::cout << "Pareto frontier, "
-              << (accounting == opt::Accounting::kFullPackage
-                      ? "dedicated server (full package billed)"
-                      : "shared server (incremental busy power)")
+              << (shared ? "shared server (incremental busy power)"
+                         : "dedicated server (full package billed)")
               << ":\n";
     frontier_table.print(std::cout);
     std::cout << "\n";

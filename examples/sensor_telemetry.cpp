@@ -64,7 +64,7 @@ int main() {
   const auto hi = static_cast<std::uint64_t>(22'000 - min_v);
   BitVector hits(temps.size());
   Stopwatch sw;
-  exec::scan_packed_bitmap(packed, bits, temps.size(), lo, hi, hits);
+  exec::scan_packed_bitmap_range(packed, bits, 0, temps.size(), lo, hi, hits);
   const double packed_s = sw.elapsed_seconds();
 
   BitVector hits_raw(temps.size());

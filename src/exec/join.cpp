@@ -84,52 +84,6 @@ void insert_descending(JoinTable& table, const JoinKeys& keys,
 
 }  // namespace
 
-std::vector<JoinPair> hash_join(std::span<const std::int64_t> build_keys,
-                                const BitVector& build_selection,
-                                std::span<const std::int64_t> probe_keys,
-                                const BitVector& probe_selection) {
-  // Selections are per-row bitmaps over the key columns: a larger
-  // selection would let for_each_set index past the key span.
-  EIDB_EXPECTS(build_selection.size() == build_keys.size());
-  EIDB_EXPECTS(probe_selection.size() == probe_keys.size());
-
-  JoinHashTable table(build_selection.count());
-  build_selection.for_each_set([&](std::size_t i) {
-    table.insert(build_keys[i], static_cast<std::uint32_t>(i));
-  });
-
-  std::vector<JoinPair> out;
-  probe_selection.for_each_set([&](std::size_t i) {
-    table.probe(probe_keys[i], [&](std::uint32_t build_row) {
-      out.push_back({build_row, static_cast<std::uint32_t>(i)});
-    });
-  });
-  // Chain order is LIFO; normalize to ascending build row per probe row so
-  // output order is deterministic and comparable with the oracle.
-  std::sort(out.begin(), out.end(), [](const JoinPair& a, const JoinPair& b) {
-    if (a.probe_row != b.probe_row) return a.probe_row < b.probe_row;
-    return a.build_row < b.build_row;
-  });
-  return out;
-}
-
-std::vector<JoinPair> nested_loop_join(
-    std::span<const std::int64_t> build_keys, const BitVector& build_selection,
-    std::span<const std::int64_t> probe_keys,
-    const BitVector& probe_selection) {
-  EIDB_EXPECTS(build_selection.size() == build_keys.size());
-  EIDB_EXPECTS(probe_selection.size() == probe_keys.size());
-  std::vector<JoinPair> out;
-  probe_selection.for_each_set([&](std::size_t p) {
-    build_selection.for_each_set([&](std::size_t b) {
-      if (build_keys[b] == probe_keys[p])
-        out.push_back(
-            {static_cast<std::uint32_t>(b), static_cast<std::uint32_t>(p)});
-    });
-  });
-  return out;
-}
-
 JoinHashTable build_join_table(const JoinKeys& keys,
                                const BitVector& selection) {
   EIDB_EXPECTS(selection.size() == keys.size());

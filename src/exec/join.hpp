@@ -1,18 +1,13 @@
-// Hash equi-join over integer key columns.
+// Hash equi-join over integer key columns, block at a time.
 //
-// Two generations of API live here:
-//
-//  * The pair-materializing functions (`hash_join`, `nested_loop_join`)
-//    return every match as a `JoinPair` vector. `nested_loop_join` is the
-//    test oracle; `hash_join` remains as a test reference and a kernel
-//    benchmark baseline.
-//  * The block-at-a-time pipeline (`JoinKeys`, `build_join_table`,
-//    `probe_join_blocks`) never materializes the pair set: matches are
-//    streamed to a sink in bounded blocks (late materialization), keys are
-//    consumed through a typed view that reads int32/int64/dictionary-code
-//    spans or bit-packed column images in place — no widened int64 copy —
-//    and the probe range is addressable in 64-row selection words so the
-//    executor can drive it morsel-parallel.
+// The pipeline (`JoinKeys`, `build_join_table`, `probe_join_blocks`) never
+// materializes the pair set: matches are streamed to a sink in bounded
+// blocks (late materialization), keys are consumed through a typed view
+// that reads int32/int64/dictionary-code spans or bit-packed column images
+// in place — no widened int64 copy — and the probe range is addressable in
+// 64-row selection words so the executor can drive it morsel-parallel.
+// The nested-loop reference the tests check it against lives in
+// tests/exec/join_reference.hpp.
 #pragma once
 
 #include <cstdint>
@@ -27,31 +22,6 @@
 #include "util/bitvector.hpp"
 
 namespace eidb::exec {
-
-/// One matched pair: row index on the build side, row index on the probe
-/// side.
-struct JoinPair {
-  std::uint32_t build_row;
-  std::uint32_t probe_row;
-};
-
-/// Inner hash join: builds on `build_keys` rows selected by
-/// `build_selection`, probes with `probe_keys` rows selected by
-/// `probe_selection`. Pairs are emitted in probe order.
-/// Precondition: each selection's size equals its key span's size.
-[[nodiscard]] std::vector<JoinPair> hash_join(
-    std::span<const std::int64_t> build_keys, const BitVector& build_selection,
-    std::span<const std::int64_t> probe_keys, const BitVector& probe_selection);
-
-/// Reference nested-loop join (test oracle; O(n*m)).
-/// Precondition: each selection's size equals its key span's size.
-[[nodiscard]] std::vector<JoinPair> nested_loop_join(
-    std::span<const std::int64_t> build_keys, const BitVector& build_selection,
-    std::span<const std::int64_t> probe_keys, const BitVector& probe_selection);
-
-// ---------------------------------------------------------------------------
-// Block-at-a-time join pipeline.
-// ---------------------------------------------------------------------------
 
 /// Typed, possibly bit-packed view of an integer join-key column. The
 /// executor hands both sides to the kernels through this view, so packed

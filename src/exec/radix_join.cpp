@@ -1,7 +1,5 @@
 #include "exec/radix_join.hpp"
 
-#include <algorithm>
-
 #include "exec/hash_table.hpp"
 #include "util/assert.hpp"
 
@@ -53,29 +51,6 @@ std::uint64_t join_partition_blocks(
   }
   flush();
   return pairs;
-}
-
-std::vector<JoinPair> radix_hash_join(std::span<const std::int64_t> build_keys,
-                                      const BitVector& build_selection,
-                                      std::span<const std::int64_t> probe_keys,
-                                      const BitVector& probe_selection,
-                                      unsigned radix_bits) {
-  const RadixPartitions build =
-      radix_partition(JoinKeys::from(build_keys), build_selection, radix_bits);
-  const RadixPartitions probe =
-      radix_partition(JoinKeys::from(probe_keys), probe_selection, radix_bits);
-  std::vector<JoinPair> out;
-  for (std::size_t part = 0; part < build.parts.size(); ++part)
-    (void)join_partition_blocks(
-        build.parts[part], probe.parts[part],
-        [&out](const std::uint32_t* b, const std::uint32_t* p, std::size_t k) {
-          for (std::size_t e = 0; e < k; ++e) out.push_back({b[e], p[e]});
-        });
-  std::sort(out.begin(), out.end(), [](const JoinPair& a, const JoinPair& b) {
-    if (a.probe_row != b.probe_row) return a.probe_row < b.probe_row;
-    return a.build_row < b.build_row;
-  });
-  return out;
 }
 
 }  // namespace eidb::exec

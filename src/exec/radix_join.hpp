@@ -6,18 +6,14 @@
 // also the natural parallel decomposition — each pair is a morsel). This
 // implements a single-pass radix partition + per-partition join.
 //
-// Two entry points:
-//  * `radix_partition` + `join_partition_blocks` — the composable
-//    primitives the executor's vectorized join path drives: partitions
-//    are built once per side, then each partition pair streams its
-//    matches block-at-a-time into a sink (late materialization, no pair
-//    vector), serially or as independent worker-pool tasks.
-//  * `radix_hash_join` — the pair-materializing wrapper (kernel bench and
-//    differential tests), built on the same primitives.
+// `radix_partition` + `join_partition_blocks` are the composable
+// primitives the executor's vectorized join path drives: partitions are
+// built once per side, then each partition pair streams its matches
+// block-at-a-time into a sink (late materialization, no pair vector),
+// serially or as independent worker-pool tasks.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -46,14 +42,5 @@ std::uint64_t join_partition_blocks(
     const std::vector<std::pair<std::int64_t, std::uint32_t>>& build,
     const std::vector<std::pair<std::int64_t, std::uint32_t>>& probe,
     const JoinBlockSink& sink);
-
-/// Inner equi-join, radix-partitioned into 2^bits partitions.
-/// Results match hash_join up to ordering; output is normalized to
-/// (probe_row, build_row) ascending like hash_join.
-/// Precondition: each selection's size equals its key span's size.
-[[nodiscard]] std::vector<JoinPair> radix_hash_join(
-    std::span<const std::int64_t> build_keys, const BitVector& build_selection,
-    std::span<const std::int64_t> probe_keys, const BitVector& probe_selection,
-    unsigned radix_bits = 6);
 
 }  // namespace eidb::exec

@@ -414,12 +414,6 @@ void scan_packed_bitmap_range_scalar(std::span<const std::uint64_t> packed,
                     PackedTier::kScalar);
 }
 
-void scan_packed_bitmap(std::span<const std::uint64_t> packed, unsigned bits,
-                        std::size_t count, std::uint64_t lo, std::uint64_t hi,
-                        BitVector& out) {
-  scan_packed_bitmap_range(packed, bits, 0, count, lo, hi, out);
-}
-
 // -- dispatch --------------------------------------------------------------------
 
 void scan_bitmap_best(std::span<const std::int32_t> values, std::int32_t lo,
@@ -430,16 +424,6 @@ void scan_bitmap_best(std::span<const std::int32_t> values, std::int32_t lo,
 void scan_bitmap_best64(std::span<const std::int64_t> values, std::int64_t lo,
                         std::int64_t hi, BitVector& out) {
   scan_bitmap_avx512_64(values, lo, hi, out);
-}
-
-ScanVariant choose_variant(double sel) {
-  // SIMD always wins for bitmap production when available.
-  if (cpu_has_avx512()) return ScanVariant::kAvx512;
-  if (cpu_has_avx2()) return ScanVariant::kAvx2;
-  // Scalar machines: branching is cheaper when the branch predicts well
-  // (selectivity near the extremes; Ross's crossover).
-  return (sel < 0.08 || sel > 0.92) ? ScanVariant::kBranching
-                                    : ScanVariant::kPredicated;
 }
 
 }  // namespace eidb::exec

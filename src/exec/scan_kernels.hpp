@@ -99,19 +99,14 @@ void scan_bitmap_double(std::span<const double> values, double lo, double hi,
 
 // -- Packed (compressed) scan --------------------------------------------------
 
-/// Scans a bit-packed column (values packed at `bits`, `count` values,
-/// FOR-shifted domain) for lo <= v <= hi without materializing the column.
+/// Scans values [value_begin, value_end) of a bit-packed column (values
+/// packed at `bits`, FOR-shifted domain) for lo <= v <= hi without
+/// materializing the column. Writes only the selection words covering
+/// that range, so 64-aligned chunks can be scanned by independent
+/// workers; `value_begin` must be a multiple of 64. Runs at packed_tier().
 /// Experiment E5: memory traffic shrinks with bits, so narrow widths scan
 /// faster *and* cheaper than the 64-bit raw column once the scan is
 /// memory-bound.
-void scan_packed_bitmap(std::span<const std::uint64_t> packed, unsigned bits,
-                        std::size_t count, std::uint64_t lo, std::uint64_t hi,
-                        BitVector& out);
-
-/// Range variant over values [value_begin, value_end): writes only the
-/// selection words covering that range, so 64-aligned chunks can be
-/// scanned by independent workers. `value_begin` must be a multiple of 64.
-/// Runs at packed_tier().
 void scan_packed_bitmap_range(std::span<const std::uint64_t> packed,
                               unsigned bits, std::size_t value_begin,
                               std::size_t value_end, std::uint64_t lo,
@@ -131,10 +126,5 @@ void scan_bitmap_best(std::span<const std::int32_t> values, std::int32_t lo,
                       std::int32_t hi, BitVector& out);
 void scan_bitmap_best64(std::span<const std::int64_t> values, std::int64_t lo,
                         std::int64_t hi, BitVector& out);
-
-/// The adaptive choice for an index-producing selection at estimated
-/// selectivity `sel` (kAuto resolution). Exposed so the optimizer and tests
-/// can inspect the decision.
-[[nodiscard]] ScanVariant choose_variant(double sel);
 
 }  // namespace eidb::exec

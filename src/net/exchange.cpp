@@ -18,14 +18,6 @@ ExchangeResult wire_part(double raw_bytes, double wire_bytes,
   return r;
 }
 
-double cpu_energy(const hw::MachineSpec& machine, const hw::DvfsState& state,
-                  double busy_s, double dram_bytes) {
-  // One core busy; bill incremental (above-idle) power plus DRAM traffic —
-  // the package is on regardless of whether we compress.
-  return (state.active_power_w - machine.core_idle_power_w) * busy_s +
-         dram_bytes * machine.dram_energy_nj_per_byte * 1e-9;
-}
-
 }  // namespace
 
 ExchangeResult evaluate_exchange_modeled(std::span<const std::int64_t> payload,
@@ -46,8 +38,8 @@ ExchangeResult evaluate_exchange_modeled(std::span<const std::int64_t> payload,
   r.encode_s = each_s;
   r.decode_s = each_s;
   const double dram_bytes = r.raw_bytes + r.wire_bytes;
-  r.cpu_energy_j = cpu_energy(machine, state, r.encode_s + r.decode_s,
-                              2 * dram_bytes);
+  r.cpu_energy_j = machine.incremental_busy_energy_j(
+      {0, 2 * dram_bytes}, state, r.encode_s + r.decode_s);
   return r;
 }
 
@@ -70,8 +62,8 @@ ExchangeResult evaluate_exchange_measured(
   r.encode_s = encode_s;
   r.decode_s = decode_s;
   const double dram_bytes = r.raw_bytes + r.wire_bytes;
-  r.cpu_energy_j =
-      cpu_energy(machine, state, encode_s + decode_s, 2 * dram_bytes);
+  r.cpu_energy_j = machine.incremental_busy_energy_j(
+      {0, 2 * dram_bytes}, state, encode_s + decode_s);
   return r;
 }
 
@@ -96,8 +88,8 @@ std::vector<std::int64_t> exchange_payload(std::span<const std::int64_t> payload
   result.encode_s = encode_s;
   result.decode_s = decode_s;
   const double dram_bytes = result.raw_bytes + result.wire_bytes;
-  result.cpu_energy_j =
-      cpu_energy(machine, state, encode_s + decode_s, 2 * dram_bytes);
+  result.cpu_energy_j = machine.incremental_busy_energy_j(
+      {0, 2 * dram_bytes}, state, encode_s + decode_s);
   return decoded;
 }
 

@@ -26,6 +26,10 @@ struct ExchangeResult {
   double encode_s = 0;
   double decode_s = 0;
   double wire_s = 0;
+  /// One core busy for encode + decode, billed incrementally
+  /// (hw::MachineSpec::incremental_busy_energy_j over the raw and wire
+  /// bytes, read and written on each side): the package is on whether or
+  /// not the link compresses.
   double cpu_energy_j = 0;
   double wire_energy_j = 0;
 

@@ -48,9 +48,8 @@ ExchangeEstimate CompressionAdvisor::estimate(const CodecProfile& profile,
   e.kind = profile.kind;
   e.time_s = cpu_s + link.transfer_time_s(wire_bytes);
   // CPU billed incrementally (package is on regardless); wire billed fully.
-  e.energy_j = (state.active_power_w - machine_.core_idle_power_w) * cpu_s +
-               (raw_bytes + wire_bytes) * machine_.dram_energy_nj_per_byte *
-                   1e-9 +
+  e.energy_j = machine_.incremental_busy_energy_j({0, raw_bytes + wire_bytes},
+                                                  state, cpu_s) +
                link.transfer_energy_j(wire_bytes);
   return e;
 }

@@ -71,16 +71,6 @@ hw::Work CostModel::group_work(std::uint64_t rows, bool dense,
           bytes_per_tuple * static_cast<double>(rows)};
 }
 
-hw::Work CostModel::group_work(std::uint64_t rows,
-                               const storage::ColumnStats& key_stats,
-                               double bytes_per_tuple) const {
-  // Same policy as the exec kernels: dense accumulator arrays when the
-  // key domain fits exec::kDenseDomainLimit, hashing otherwise.
-  const std::int64_t domain = key_stats.domain();
-  const bool dense = domain >= 1 && domain <= exec::kDenseDomainLimit;
-  return group_work(rows, dense, bytes_per_tuple);
-}
-
 hw::Work CostModel::join_work(std::uint64_t build_rows,
                               std::uint64_t probe_rows,
                               double bytes_per_tuple) const {
@@ -168,13 +158,6 @@ JoinFilterChoice CostModel::pick_join_filter(double build_rows,
 
 hw::Work CostModel::lookup_build_work(double build_rows) const {
   return {costs_.join_build_per_tuple * build_rows, 16.0 * build_rows};
-}
-
-hw::Work CostModel::remap_work(std::uint64_t entries) const {
-  const double n = static_cast<double>(entries);
-  // Linear merge over both sorted dictionaries plus one int32 write+read
-  // of the translation table.
-  return {costs_.dict_remap_per_entry * n, 2.0 * 4.0 * n};
 }
 
 unsigned CostModel::pick_radix_bits(std::uint64_t build_rows) const {

@@ -14,7 +14,6 @@
 #include "exec/scan_kernels.hpp"
 #include "hw/accelerator.hpp"
 #include "hw/machine.hpp"
-#include "storage/column.hpp"
 
 namespace eidb::opt {
 
@@ -82,10 +81,6 @@ struct KernelCosts {
   /// Largest build-key value domain the dense direct-address arm will
   /// allocate heads for (4 bytes per domain value).
   std::uint64_t dense_join_max_domain = 1u << 20;
-  /// Cross-dictionary code translation (string/double join keys): cycles
-  /// per build-dictionary entry for the linear merge that produces the
-  /// build-code -> probe-code remap.
-  double dict_remap_per_entry = 3.0;
   /// Shared-scan coordination overhead per fused-group member (cycles):
   /// grouping, per-member selection bookkeeping and the attribution fold.
   /// Keeps the sharing arm from fusing trivially small scans where the
@@ -129,13 +124,6 @@ class CostModel {
 
   /// Work of a grouped aggregation (dense or hash).
   [[nodiscard]] hw::Work group_work(std::uint64_t rows, bool dense,
-                                    double bytes_per_tuple) const;
-
-  /// Grouped-aggregation work predicted from cached key-column statistics:
-  /// the dense/hash strategy choice is derived from the key domain, the
-  /// same policy the exec kernels apply at runtime.
-  [[nodiscard]] hw::Work group_work(std::uint64_t rows,
-                                    const storage::ColumnStats& key_stats,
                                     double bytes_per_tuple) const;
 
   /// Work of a hash join.
@@ -190,11 +178,6 @@ class CostModel {
   /// Work of a gather step's dense key -> group-value lookup: one read of
   /// the group column and one lookup write per selected build row.
   [[nodiscard]] hw::Work lookup_build_work(double build_rows) const;
-
-  /// Work of building a build-code -> probe-code dictionary remap over
-  /// `entries` build-dictionary entries (one linear merge; the output
-  /// int32 table is written once and read per build row).
-  [[nodiscard]] hw::Work remap_work(std::uint64_t entries) const;
 
   /// Partition count (log2) sizing each partition's build side to the
   /// cache budget; clamped to [4, 12].

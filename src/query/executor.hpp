@@ -10,7 +10,10 @@
 // Since the physical-plan refactor the executor is a thin dispatcher: a
 // LogicalPlan is compiled into a query::PhysicalPlan (join order, join
 // arms, sort strategy — see query/physical_plan.hpp) and the per-operator
-// translation units under src/query/ops/ execute it:
+// translation units under src/query/ops/ execute it. Each planner question
+// has one decision-maker: opt::CostModel picks the join arms (a caller
+// pins one only through the model's KernelCosts) and sched::Governor the
+// P-state and cores.
 //
 //   ops/scan_filter   predicate binding and pruning; a solo scan is a
 //                     one-member conjunct pass (exec/shared_scan)
@@ -51,16 +54,6 @@ namespace eidb::query {
 struct PhysicalPlan;
 class OperatorCalibration;
 
-/// Join implementation choice. kAuto is the production path: the
-/// block-at-a-time vectorized pipeline, with the physical arm (dense
-/// direct-address array vs one cache-resident hash table vs
-/// radix-partitioned) picked per join step from the build key's cached
-/// statistics by the cost model; kDense / kHash / kRadix pin that arm
-/// (kDense throws when the key domain is too large to allocate; kRadix
-/// applies to the first executed step of aggregate plans and degrades to
-/// kHash elsewhere).
-enum class JoinPath : std::uint8_t { kAuto, kDense, kHash, kRadix };
-
 struct ExecOptions {
   /// Use per-block zone maps to prune scans (the E1 "better plan" arm).
   bool use_zone_maps = false;
@@ -80,10 +73,11 @@ struct ExecOptions {
   /// gathers, expression evaluation) transparently fall back to plain
   /// either way.
   bool use_encodings = true;
-  /// Join implementation (see JoinPath).
-  JoinPath join_path = JoinPath::kAuto;
-  /// Cost model consulted by the physical planner for the join-arm
-  /// decision (dense / hash / radix); nullptr uses the library defaults.
+  /// Cost model consulted by the physical planner; nullptr uses the
+  /// library defaults. Its pick_join_arm alone picks each join step's arm
+  /// (dense / hash / radix) from the build key's cached statistics: a
+  /// caller pins an arm by handing it opt::KernelCosts under which the
+  /// model picks that arm.
   const opt::CostModel* cost_model = nullptr;
   /// Plan governor: when set, compile_plan estimates the query's work via
   /// the cost model and sched::Governor::decide picks its P-state at the

@@ -645,26 +645,9 @@ PhysicalPlan compile_plan(const storage::Catalog& catalog,
         code_key ? code_domain[j] : static_cast<std::uint64_t>(ks.domain());
     const unsigned key_width =
         code_key || right.type() != TypeId::kInt64 ? 4 : 8;
-    switch (options.join_path) {
-      case JoinPath::kDense:
-        if ((!code_key && ks.rows == 0) || key_domain == 0 ||
-            key_domain > cm.costs().dense_join_max_domain)
-          throw Error("build key domain unsuitable for the dense join arm: " +
-                      right.name());
-        step.arm = opt::JoinArm::kDenseJoin;
-        break;
-      case JoinPath::kHash:
-        step.arm = opt::JoinArm::kHashJoin;
-        break;
-      case JoinPath::kRadix:
-        step.arm = opt::JoinArm::kRadixJoin;
-        break;
-      default:
-        step.arm = cm.pick_join_arm(
-            static_cast<std::uint64_t>(std::max(0.0, est_build[j])),
-            ks.distinct, key_domain, key_width);
-        break;
-    }
+    step.arm = cm.pick_join_arm(
+        static_cast<std::uint64_t>(std::max(0.0, est_build[j])), ks.distinct,
+        key_domain, key_width);
     // The radix arm re-partitions a *selection*; only the first executed
     // step probes one, and only the aggregation sink consumes partition
     // order. Everywhere else it degrades to the cache-resident hash arm.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 
 #include "util/assert.hpp"
 
@@ -37,8 +38,7 @@ GovernorDecision Governor::run_to_completion(const hw::Work& work,
   d.cores = cores;
   const hw::Work per_core{work.cpu_cycles / cores, work.dram_bytes / cores};
   d.busy_s = machine_.exec_time_s(per_core, s, 1.0 / cores);
-  d.energy_j = machine_.package_power_w(s, cores) * d.busy_s +
-               work.dram_bytes * machine_.dram_energy_nj_per_byte * 1e-9;
+  d.energy_j = machine_.energy_j(work, s, cores);
   return d;
 }
 
@@ -136,9 +136,8 @@ hw::DvfsState Governor::incremental_efficient_state(
   hw::DvfsState best = machine_.dvfs.fastest();
   double best_j = std::numeric_limits<double>::infinity();
   for (const hw::DvfsState& s : machine_.dvfs.states()) {
-    const double t = machine_.exec_time_s(work, s);
-    const double j = (s.active_power_w - machine_.core_idle_power_w) * t +
-                     work.dram_bytes * machine_.dram_energy_nj_per_byte * 1e-9;
+    const double j = machine_.incremental_busy_energy_j(
+        work, s, machine_.exec_time_s(work, s));
     if (j < best_j) {
       best_j = j;
       best = s;
@@ -157,6 +156,25 @@ std::vector<GovernorDecision> Governor::frontier(const hw::Work& work,
     points.push_back(d);
   }
   return points;
+}
+
+std::vector<std::size_t> pareto(const std::vector<GovernorDecision>& points) {
+  std::vector<std::size_t> order(points.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    if (points[a].busy_s != points[b].busy_s)
+      return points[a].busy_s < points[b].busy_s;
+    return points[a].energy_j < points[b].energy_j;
+  });
+  std::vector<std::size_t> front;
+  double best_j = std::numeric_limits<double>::infinity();
+  for (const std::size_t i : order) {
+    if (points[i].energy_j < best_j) {
+      front.push_back(i);
+      best_j = points[i].energy_j;
+    }
+  }
+  return front;
 }
 
 }  // namespace eidb::sched

@@ -20,6 +20,7 @@
 // state and bills at it (core::Database settles over the same slowdown()).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -133,7 +134,10 @@ class Governor {
                                                    int cores = 1) const;
 
   /// Full (time, energy) frontier over P-states for `cores` — each point is
-  /// a run-to-completion execution with no idle tail.
+  /// a run-to-completion execution with no idle tail, priced as a
+  /// dedicated server bills it (hw::MachineSpec::energy_j: the whole
+  /// package). A shared server bills the same point its cores' busy
+  /// energy, incremental_busy_energy_j(work, state, cores × busy_s).
   [[nodiscard]] std::vector<GovernorDecision> frontier(const hw::Work& work,
                                                        int cores = 1) const;
 
@@ -153,5 +157,11 @@ class Governor {
   hw::MachineSpec machine_;
   GovernorOptions options_;
 };
+
+/// The Pareto-optimal points of `points` (Fig. 2's frontier: no other
+/// point is both faster and cheaper), as indices into `points` by
+/// ascending busy time. Equal busy times order by energy.
+[[nodiscard]] std::vector<std::size_t> pareto(
+    const std::vector<GovernorDecision>& points);
 
 }  // namespace eidb::sched

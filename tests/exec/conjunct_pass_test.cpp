@@ -76,7 +76,8 @@ struct Columns {
         scan_bitmap_double(f64, c.dlo, c.dhi, out);
         break;
       case Kind::kPacked:
-        scan_packed_bitmap(packed, bits, v64.size(), c.ulo, c.uhi, out);
+        scan_packed_bitmap_range(packed, bits, 0, v64.size(), c.ulo, c.uhi,
+                                 out);
         break;
     }
     return out;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "join_reference.hpp"
+
 #include <algorithm>
 #include <bit>
 #include <limits>
@@ -20,31 +22,59 @@ BitVector all_set(std::size_t n) {
   return b;
 }
 
-std::vector<JoinPair> normalized(std::vector<JoinPair> pairs) {
-  std::sort(pairs.begin(), pairs.end(), [](const JoinPair& a, const JoinPair& b) {
-    if (a.probe_row != b.probe_row) return a.probe_row < b.probe_row;
-    return a.build_row < b.build_row;
-  });
-  return pairs;
+/// Every pair probe_join_blocks streams from `table` over the whole probe,
+/// in emission order.
+std::vector<JoinPair> collect_blocks(const JoinHashTable& table,
+                                     const JoinKeys& probe,
+                                     const BitVector& psel,
+                                     std::uint64_t limit = 0) {
+  std::vector<JoinPair> out;
+  (void)probe_join_blocks(
+      table, probe, psel, 0, psel.word_count(),
+      [&](const std::uint32_t* b, const std::uint32_t* p, std::size_t k) {
+        for (std::size_t e = 0; e < k; ++e) out.push_back({b[e], p[e]});
+      },
+      limit);
+  return out;
+}
+
+/// The hash arm's primitives end to end: build_join_table over the
+/// selected build rows, probe_join_blocks over every probe word.
+std::vector<JoinPair> hash_arm(std::span<const std::int64_t> build,
+                               const BitVector& bsel,
+                               std::span<const std::int64_t> probe,
+                               const BitVector& psel) {
+  return collect_blocks(build_join_table(JoinKeys::from(build), bsel),
+                        JoinKeys::from(probe), psel);
+}
+
+void expect_same(const std::vector<JoinPair>& got,
+                 const std::vector<JoinPair>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].build_row, want[i].build_row) << i;
+    EXPECT_EQ(got[i].probe_row, want[i].probe_row) << i;
+  }
 }
 
 TEST(HashJoin, SimpleMatch) {
   const std::vector<std::int64_t> build = {1, 2, 3};
   const std::vector<std::int64_t> probe = {2, 4, 1};
-  const auto pairs =
-      hash_join(build, all_set(3), probe, all_set(3));
+  const auto pairs = hash_arm(build, all_set(3), probe, all_set(3));
   ASSERT_EQ(pairs.size(), 2u);
   EXPECT_EQ(pairs[0].probe_row, 0u);  // probe[0]=2 matches build[1]
   EXPECT_EQ(pairs[0].build_row, 1u);
   EXPECT_EQ(pairs[1].probe_row, 2u);  // probe[2]=1 matches build[0]
   EXPECT_EQ(pairs[1].build_row, 0u);
+  expect_same(pairs, nested_loop_join(build, all_set(3), probe, all_set(3)));
 }
 
 TEST(HashJoin, DuplicatesProduceCrossProduct) {
   const std::vector<std::int64_t> build = {5, 5};
   const std::vector<std::int64_t> probe = {5, 5, 5};
-  const auto pairs = hash_join(build, all_set(2), probe, all_set(3));
+  const auto pairs = hash_arm(build, all_set(2), probe, all_set(3));
   EXPECT_EQ(pairs.size(), 6u);
+  expect_same(pairs, nested_loop_join(build, all_set(2), probe, all_set(3)));
 }
 
 TEST(HashJoin, SelectionsRestrictBothSides) {
@@ -54,7 +84,7 @@ TEST(HashJoin, SelectionsRestrictBothSides) {
   bsel.set(0);  // only build row 0
   BitVector psel(2);
   psel.set(0);  // only probe row 0
-  const auto pairs = hash_join(build, bsel, probe, psel);
+  const auto pairs = hash_arm(build, bsel, probe, psel);
   ASSERT_EQ(pairs.size(), 1u);
   EXPECT_EQ(pairs[0].build_row, 0u);
   EXPECT_EQ(pairs[0].probe_row, 0u);
@@ -63,14 +93,14 @@ TEST(HashJoin, SelectionsRestrictBothSides) {
 TEST(HashJoin, NoMatches) {
   const std::vector<std::int64_t> build = {1, 2};
   const std::vector<std::int64_t> probe = {3, 4};
-  EXPECT_TRUE(hash_join(build, all_set(2), probe, all_set(2)).empty());
+  EXPECT_TRUE(hash_arm(build, all_set(2), probe, all_set(2)).empty());
 }
 
 TEST(HashJoin, EmptySides) {
   const std::vector<std::int64_t> none;
   const std::vector<std::int64_t> some = {1};
-  EXPECT_TRUE(hash_join(none, BitVector(0), some, all_set(1)).empty());
-  EXPECT_TRUE(hash_join(some, all_set(1), none, BitVector(0)).empty());
+  EXPECT_TRUE(hash_arm(none, BitVector(0), some, all_set(1)).empty());
+  EXPECT_TRUE(hash_arm(some, all_set(1), none, BitVector(0)).empty());
 }
 
 TEST(HashJoin, MatchesNestedLoopOracleRandomized) {
@@ -87,60 +117,36 @@ TEST(HashJoin, MatchesNestedLoopOracleRandomized) {
     for (std::size_t i = 0; i < np; ++i)
       if (rng.next_double() < 0.7) psel.set(i);
 
-    const auto got = normalized(hash_join(build, bsel, probe, psel));
-    const auto want = normalized(nested_loop_join(build, bsel, probe, psel));
-    ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].build_row, want[i].build_row);
-      EXPECT_EQ(got[i].probe_row, want[i].probe_row);
-    }
+    SCOPED_TRACE(trial);
+    expect_same(in_reference_order(hash_arm(build, bsel, probe, psel)),
+                nested_loop_join(build, bsel, probe, psel));
   }
 }
 
 TEST(HashJoin, NegativeKeys) {
   const std::vector<std::int64_t> build = {-7, 0, 7};
   const std::vector<std::int64_t> probe = {-7, 7};
-  const auto pairs = hash_join(build, all_set(3), probe, all_set(2));
+  const auto pairs = hash_arm(build, all_set(3), probe, all_set(2));
   EXPECT_EQ(pairs.size(), 2u);
+  expect_same(pairs, nested_loop_join(build, all_set(3), probe, all_set(2)));
 }
 
 // Regression: the preconditions used to accept a selection *larger* than
-// the key span (`selection.size() >= keys.size()`), which let for_each_set
-// read build_keys[i] out of bounds. They must now demand equal sizes.
+// the key span (`selection.size() >= keys.size()`), which let the build
+// and probe passes read keys out of bounds. They must demand equal sizes.
 TEST(HashJoinDeathTest, OversizedSelectionViolatesPrecondition) {
   const std::vector<std::int64_t> keys = {1, 2, 3};
+  const JoinKeys view = JoinKeys::from(std::span<const std::int64_t>(keys));
   BitVector oversized(8);
   oversized.set_all();  // bits 3..7 would index past keys
-  EXPECT_DEATH((void)hash_join(keys, oversized, keys, all_set(3)),
-               "precondition");
-  EXPECT_DEATH((void)hash_join(keys, all_set(3), keys, oversized),
-               "precondition");
-  EXPECT_DEATH((void)nested_loop_join(keys, oversized, keys, all_set(3)),
-               "precondition");
-  EXPECT_DEATH(
-      (void)build_join_table(JoinKeys::from(std::span<const std::int64_t>(
-                                 keys)),
-                             oversized),
-      "precondition");
+  EXPECT_DEATH((void)build_join_table(view, oversized), "precondition");
+  const JoinHashTable table = build_join_table(view, all_set(3));
+  EXPECT_DEATH((void)collect_blocks(table, view, oversized), "precondition");
 }
 
 // ---------------------------------------------------------------------------
 // Block-at-a-time pipeline.
 // ---------------------------------------------------------------------------
-
-std::vector<JoinPair> collect_blocks(const JoinHashTable& table,
-                                     const JoinKeys& probe,
-                                     const BitVector& psel,
-                                     std::uint64_t limit = 0) {
-  std::vector<JoinPair> out;
-  (void)probe_join_blocks(
-      table, probe, psel, 0, psel.word_count(),
-      [&](const std::uint32_t* b, const std::uint32_t* p, std::size_t k) {
-        for (std::size_t e = 0; e < k; ++e) out.push_back({b[e], p[e]});
-      },
-      limit);
-  return out;
-}
 
 TEST(JoinBlocks, MatchesPairJoinInOracleOrder) {
   Pcg32 rng(33);
@@ -156,20 +162,12 @@ TEST(JoinBlocks, MatchesPairJoinInOracleOrder) {
     for (std::size_t i = 0; i < np; ++i)
       if (rng.next_double() < 0.6) psel.set(i);
 
-    const auto table =
-        build_join_table(JoinKeys::from(std::span<const std::int64_t>(build)),
-                         bsel);
-    const auto got = collect_blocks(
-        table, JoinKeys::from(std::span<const std::int64_t>(probe)), psel);
-    // hash_join's output is sorted (probe asc, build asc); the block
+    // The reference's order is (probe asc, build asc); the block
     // pipeline's reverse-insertion trick must produce the same order
     // WITHOUT a sort.
-    const auto want = hash_join(build, bsel, probe, psel);
-    ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].build_row, want[i].build_row) << i;
-      EXPECT_EQ(got[i].probe_row, want[i].probe_row) << i;
-    }
+    SCOPED_TRACE(trial);
+    expect_same(hash_arm(build, bsel, probe, psel),
+                nested_loop_join(build, bsel, probe, psel));
   }
 }
 

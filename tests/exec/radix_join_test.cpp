@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include "join_reference.hpp"
+
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -26,16 +28,40 @@ void expect_same(const std::vector<JoinPair>& a,
   }
 }
 
-TEST(RadixJoin, MatchesPlainHashJoin) {
+/// The radix arm's primitives end to end: both sides partitioned into
+/// 2^bits partitions, each partition pair joined block by block. Pairs in
+/// the reference's order; `emitted` receives the pair count the blocks
+/// reported.
+std::vector<JoinPair> radix_arm(std::span<const std::int64_t> build,
+                                const BitVector& bsel,
+                                std::span<const std::int64_t> probe,
+                                const BitVector& psel, unsigned bits,
+                                std::uint64_t* emitted = nullptr) {
+  const RadixPartitions bparts =
+      radix_partition(JoinKeys::from(build), bsel, bits);
+  const RadixPartitions pparts =
+      radix_partition(JoinKeys::from(probe), psel, bits);
+  std::vector<JoinPair> out;
+  std::uint64_t pairs = 0;
+  for (std::size_t part = 0; part < bparts.parts.size(); ++part)
+    pairs += join_partition_blocks(
+        bparts.parts[part], pparts.parts[part],
+        [&](const std::uint32_t* b, const std::uint32_t* p, std::size_t k) {
+          for (std::size_t e = 0; e < k; ++e) out.push_back({b[e], p[e]});
+        });
+  if (emitted != nullptr) *emitted = pairs;
+  return in_reference_order(std::move(out));
+}
+
+TEST(RadixJoin, MatchesNestedLoopOracle) {
   Pcg32 rng(5);
   std::vector<std::int64_t> build(5000), probe(20000);
   for (auto& k : build) k = rng.next_bounded(2000);
   for (auto& k : probe) k = rng.next_bounded(2000);
-  const auto want =
-      hash_join(build, all_set(build.size()), probe, all_set(probe.size()));
-  const auto got = radix_hash_join(build, all_set(build.size()), probe,
-                                   all_set(probe.size()), 6);
-  expect_same(got, want);
+  expect_same(radix_arm(build, all_set(build.size()), probe,
+                        all_set(probe.size()), 6),
+              nested_loop_join(build, all_set(build.size()), probe,
+                               all_set(probe.size())));
 }
 
 TEST(RadixJoin, RespectsSelections) {
@@ -48,8 +74,8 @@ TEST(RadixJoin, RespectsSelections) {
     if (rng.next_double() < 0.5) bsel.set(i);
   for (std::size_t i = 0; i < probe.size(); ++i)
     if (rng.next_double() < 0.5) psel.set(i);
-  expect_same(radix_hash_join(build, bsel, probe, psel, 4),
-              hash_join(build, bsel, probe, psel));
+  expect_same(radix_arm(build, bsel, probe, psel, 4),
+              nested_loop_join(build, bsel, probe, psel));
 }
 
 TEST(RadixJoin, SkewedKeysStillCorrect) {
@@ -60,10 +86,10 @@ TEST(RadixJoin, SkewedKeysStillCorrect) {
   std::vector<std::int64_t> probe(10000);
   for (auto& k : probe)
     k = rng.next_double() < 0.9 ? 42 : rng.next_bounded(10);
-  expect_same(radix_hash_join(build, all_set(build.size()), probe,
-                              all_set(probe.size()), 3),
-              hash_join(build, all_set(build.size()), probe,
-                        all_set(probe.size())));
+  expect_same(radix_arm(build, all_set(build.size()), probe,
+                        all_set(probe.size()), 3),
+              nested_loop_join(build, all_set(build.size()), probe,
+                               all_set(probe.size())));
 }
 
 TEST(RadixJoin, RadixBitsSweep) {
@@ -71,11 +97,12 @@ TEST(RadixJoin, RadixBitsSweep) {
   std::vector<std::int64_t> build(2000), probe(2000);
   for (auto& k : build) k = rng.next_bounded(500);
   for (auto& k : probe) k = rng.next_bounded(500);
-  const auto want =
-      hash_join(build, all_set(build.size()), probe, all_set(probe.size()));
+  const auto want = nested_loop_join(build, all_set(build.size()), probe,
+                                     all_set(probe.size()));
   for (const unsigned bits : {1u, 2u, 4u, 8u, 12u}) {
-    expect_same(radix_hash_join(build, all_set(build.size()), probe,
-                                all_set(probe.size()), bits),
+    SCOPED_TRACE(bits);
+    expect_same(radix_arm(build, all_set(build.size()), probe,
+                          all_set(probe.size()), bits),
                 want);
   }
 }
@@ -83,8 +110,8 @@ TEST(RadixJoin, RadixBitsSweep) {
 TEST(RadixJoin, EmptyInputs) {
   const std::vector<std::int64_t> none;
   const std::vector<std::int64_t> some = {1, 2};
-  EXPECT_TRUE(radix_hash_join(none, BitVector(0), some, all_set(2)).empty());
-  EXPECT_TRUE(radix_hash_join(some, all_set(2), none, BitVector(0)).empty());
+  EXPECT_TRUE(radix_arm(none, BitVector(0), some, all_set(2), 6).empty());
+  EXPECT_TRUE(radix_arm(some, all_set(2), none, BitVector(0), 6).empty());
 }
 
 // Regression: the partition pass used to walk the selection without any
@@ -93,8 +120,6 @@ TEST(RadixJoinDeathTest, OversizedSelectionViolatesPrecondition) {
   const std::vector<std::int64_t> keys = {1, 2, 3};
   BitVector oversized(10);
   oversized.set_all();
-  EXPECT_DEATH((void)radix_hash_join(keys, oversized, keys, all_set(3), 4),
-               "precondition");
   EXPECT_DEATH((void)radix_partition(
                    JoinKeys::from(std::span<const std::int64_t>(keys)),
                    oversized, 4),
@@ -102,8 +127,8 @@ TEST(RadixJoinDeathTest, OversizedSelectionViolatesPrecondition) {
 }
 
 TEST(RadixJoin, PartitionBlocksCoverEveryPairExactlyOnce) {
-  // The block primitives (radix_partition + join_partition_blocks) must
-  // produce the same pair multiset as the plain hash join.
+  // Every pair once, and the pair counts join_partition_blocks reports
+  // add up to the pairs its blocks carried.
   Pcg32 rng(11);
   std::vector<std::int64_t> build(3000), probe(9000);
   for (auto& k : build) k = rng.next_bounded(800);
@@ -114,25 +139,10 @@ TEST(RadixJoin, PartitionBlocksCoverEveryPairExactlyOnce) {
   for (std::size_t i = 0; i < probe.size(); ++i)
     if (rng.next_double() < 0.8) psel.set(i);
 
-  const auto bparts = radix_partition(
-      JoinKeys::from(std::span<const std::int64_t>(build)), bsel, 5);
-  const auto pparts = radix_partition(
-      JoinKeys::from(std::span<const std::int64_t>(probe)), psel, 5);
-  std::vector<JoinPair> got;
   std::uint64_t emitted = 0;
-  for (std::size_t part = 0; part < bparts.parts.size(); ++part) {
-    emitted += join_partition_blocks(
-        bparts.parts[part], pparts.parts[part],
-        [&](const std::uint32_t* b, const std::uint32_t* p, std::size_t k) {
-          for (std::size_t e = 0; e < k; ++e) got.push_back({b[e], p[e]});
-        });
-  }
+  const auto got = radix_arm(build, bsel, probe, psel, 5, &emitted);
   EXPECT_EQ(emitted, got.size());
-  std::sort(got.begin(), got.end(), [](const JoinPair& a, const JoinPair& b) {
-    if (a.probe_row != b.probe_row) return a.probe_row < b.probe_row;
-    return a.build_row < b.build_row;
-  });
-  expect_same(got, hash_join(build, bsel, probe, psel));
+  expect_same(got, nested_loop_join(build, bsel, probe, psel));
 }
 
 }  // namespace

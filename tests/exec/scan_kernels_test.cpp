@@ -128,16 +128,6 @@ TEST(ScanKernels, DoubleRange) {
   EXPECT_FALSE(b.test(3));
 }
 
-TEST(ScanKernels, ChooseVariantPrefersSimdWhenAvailable) {
-  const ScanVariant v = choose_variant(0.5);
-  if (cpu_has_avx512()) {
-    EXPECT_EQ(v, ScanVariant::kAvx512);
-  } else if (cpu_has_avx2()) {
-    EXPECT_EQ(v, ScanVariant::kAvx2);
-  } else {
-    EXPECT_EQ(v, ScanVariant::kPredicated);
-  }
-}
 
 // Property sweep: every bitmap kernel matches the reference across sizes
 // (covering SIMD-block and tail paths) and selectivities.
@@ -202,7 +192,7 @@ TEST_P(PackedScanSweep, MatchesUnpackedReference) {
 
   const std::uint64_t lo = mask / 4, hi = mask / 2 + 1;
   BitVector got(kN);
-  scan_packed_bitmap(packed, bits, kN, lo, hi, got);
+  scan_packed_bitmap_range(packed, bits, 0, kN, lo, hi, got);
 
   BitVector ref(kN);
   for (std::size_t i = 0; i < kN; ++i)

@@ -9,6 +9,7 @@
 // link joules land under energy::kWireScope on the Database ledger.
 #include <gtest/gtest.h>
 
+#include "join_arm_pin.hpp"
 #include "parity_matrix.hpp"
 
 #include <string>
@@ -150,15 +151,18 @@ TEST(DistributedParity, ShardsReadFromQualifiedJoinColumns) {
     Catalog cat = make_catalog(7);
     cat.get("facts").build_partitions("u32", shards);
     Executor ex(cat);
-    for (const JoinPath path : {JoinPath::kAuto, JoinPath::kHash}) {
+    for (const opt::JoinArm arm :
+         {opt::JoinArm::kDenseJoin, opt::JoinArm::kHashJoin}) {
+      const opt::CostModel model = parity::pin_join_arm(arm);
       ExecOptions single;
-      single.join_path = path;
+      single.cost_model = &model;
       ExecOptions dist = single;
       dist.shard_count = shards;
-      ASSERT_EQ(compile_plan(cat, plan, dist).dist.mode,
-                DistMode::kPartialMerge);
-      const std::string label = "shards" + std::to_string(shards) +
-                                (path == JoinPath::kHash ? "/hash" : "/auto");
+      const std::string label = "shards" + std::to_string(shards) + "/" +
+                                opt::join_arm_name(arm);
+      const PhysicalPlan phys = compile_plan(cat, plan, dist);
+      ASSERT_EQ(phys.dist.mode, DistMode::kPartialMerge) << label;
+      parity::expect_join_arms(phys, arm, label);
       ExecStats sstats, dstats;
       const QueryResult want = ex.execute(plan, sstats, single);
       QueryResult got;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "join_arm_pin.hpp"
 #include "parity_matrix.hpp"
 
 #include <limits>
@@ -661,21 +662,28 @@ TEST(Executor, JoinArmsAgreeWithOracle) {
                         .aggregate(AggOp::kAvg, "price")
                         .build();
   const auto groups = parity::run_join_oracle(cat, plan);
+  // The cost model's own pick, then each arm pinned through the model.
   std::vector<QueryResult> results;
-  for (const JoinPath path :
-       {JoinPath::kAuto, JoinPath::kDense, JoinPath::kHash, JoinPath::kRadix}) {
-    ExecStats stats;
+  ExecStats auto_stats;
+  results.push_back(ex.execute(plan, auto_stats));
+  parity::expect_matches_oracle(results.back(), groups, plan, "auto");
+  for (const opt::JoinArm arm :
+       {opt::JoinArm::kDenseJoin, opt::JoinArm::kHashJoin,
+        opt::JoinArm::kRadixJoin}) {
+    const opt::CostModel model = parity::pin_join_arm(arm, /*customers=*/100);
     ExecOptions options;
-    options.join_path = path;
+    options.cost_model = &model;
+    const std::string label = opt::join_arm_name(arm);
+    parity::expect_join_arms(compile_plan(cat, plan, options), arm, label);
+    ExecStats stats;
     results.push_back(ex.execute(plan, stats, options));
-    parity::expect_matches_oracle(results.back(), groups, plan,
-                                  "path " + std::to_string(results.size()));
+    parity::expect_matches_oracle(results.back(), groups, plan, label);
   }
   // The arms accumulate in the same probe order: bit-identical to each
   // other, not just within the oracle's double tolerance.
   for (std::size_t i = 1; i < results.size(); ++i)
     for (std::size_t c = 0; c < results[0].column_count(); ++c)
-      EXPECT_EQ(results[i].at(0, c), results[0].at(0, c)) << "path " << i;
+      EXPECT_EQ(results[i].at(0, c), results[0].at(0, c)) << "arm " << i;
 }
 
 TEST(Executor, JoinParallelProbeMatchesSerial) {
@@ -694,7 +702,12 @@ TEST(Executor, JoinParallelProbeMatchesSerial) {
   ExecOptions par;
   par.pool = &pool;
   const QueryResult parallel = ex.execute(plan, par_stats, par);
-  par.join_path = JoinPath::kRadix;  // and the radix arm
+  // And the radix arm.
+  const opt::CostModel radix_model =
+      parity::pin_join_arm(opt::JoinArm::kRadixJoin, /*customers=*/100);
+  par.cost_model = &radix_model;
+  parity::expect_join_arms(compile_plan(cat, plan, par),
+                           opt::JoinArm::kRadixJoin, "radix");
   const QueryResult radix = ex.execute(plan, radix_stats, par);
   ASSERT_EQ(serial.row_count(), parallel.row_count());
   ASSERT_EQ(serial.row_count(), radix.row_count());
@@ -820,8 +833,12 @@ TEST(Executor, JoinDramChargesMatchBytesRead) {
                          .group_by("region")
                          .aggregate(AggOp::kSum, "amount")
                          .build();
+  const opt::CostModel hash_model =
+      parity::pin_join_arm(opt::JoinArm::kHashJoin);
   ExecOptions hash_opts;
-  hash_opts.join_path = JoinPath::kHash;
+  hash_opts.cost_model = &hash_model;
+  parity::expect_join_arms(compile_plan(cat, plan2, hash_opts),
+                           opt::JoinArm::kHashJoin, "hash");
   ExecStats stats2;
   (void)ex.execute(plan2, stats2, hash_opts);
   const double want2 =
@@ -963,15 +980,21 @@ TEST(Executor, MultiJoinAgreesAcrossArmsAndParallelism) {
                         .build();
   ExecStats s0;
   const QueryResult want = ex.execute(plan, s0);
-  for (const JoinPath path : {JoinPath::kHash, JoinPath::kRadix}) {
+  for (const opt::JoinArm arm :
+       {opt::JoinArm::kHashJoin, opt::JoinArm::kRadixJoin}) {
+    // customers and discounts both hold 100 rows.
+    const opt::CostModel model = parity::pin_join_arm(arm, 100);
     ExecOptions options;
-    options.join_path = path;
+    options.cost_model = &model;
+    const std::string label = opt::join_arm_name(arm);
+    parity::expect_join_arms(compile_plan(cat, plan, options), arm, label);
     ExecStats stats;
     const QueryResult got = ex.execute(plan, stats, options);
-    ASSERT_EQ(got.row_count(), want.row_count());
+    ASSERT_EQ(got.row_count(), want.row_count()) << label;
     for (std::size_t g = 0; g < want.row_count(); ++g)
       for (std::size_t c = 0; c < want.column_count(); ++c)
-        EXPECT_EQ(got.at(g, c), want.at(g, c)) << g << "," << c;
+        EXPECT_EQ(got.at(g, c), want.at(g, c)) << label << " " << g << ","
+                                               << c;
   }
   ExecOptions par;
   par.pool = &pool;

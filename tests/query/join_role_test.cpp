@@ -11,6 +11,7 @@
 // whose selected build keys repeat go back to the chain at run time.
 #include <gtest/gtest.h>
 
+#include "join_arm_pin.hpp"
 #include "parity_matrix.hpp"
 
 #include <bit>
@@ -38,14 +39,22 @@ using parity::unique_dim_queries;
 using storage::Catalog;
 
 /// Options over `pool`: passes over the 5,000-row parity tables run as
-/// one chunk, over the larger tables below as several.
+/// one chunk, over the larger tables below as several. `model` pins a
+/// join arm (join_arm_pin.hpp); nullptr leaves the pick to the defaults.
 ExecOptions options_for(sched::ThreadPool* pool, std::size_t shards,
-                        JoinPath path = JoinPath::kAuto) {
+                        const opt::CostModel* model = nullptr) {
   ExecOptions o;
   o.pool = pool;
   o.shard_count = shards;
-  o.join_path = path;
+  o.cost_model = model;
   return o;
+}
+
+/// The pinned hash arm every step of the parity catalogs runs under.
+const opt::CostModel& hash_model() {
+  static const opt::CostModel model =
+      parity::pin_join_arm(opt::JoinArm::kHashJoin);
+  return model;
 }
 
 /// Per-operator deltas sum to the query totals (to the last bits of the
@@ -155,9 +164,10 @@ TEST(JoinRoleParity, CompiledRolesFollowTheDimensionReads) {
         EXPECT_TRUE(step.join_filter.filter) << name;
       }
     // The hash arm keeps every step in the chain.
-    ExecOptions hash;
-    hash.join_path = JoinPath::kHash;
-    for (const PhysicalJoinStep& step : compile_plan(cat, plan, hash).joins)
+    const PhysicalPlan hash =
+        compile_plan(cat, plan, options_for(nullptr, 0, &hash_model()));
+    parity::expect_join_arms(hash, opt::JoinArm::kHashJoin, name);
+    for (const PhysicalJoinStep& step : hash.joins)
       EXPECT_EQ(step.role, JoinRole::kChain) << name;
   }
 }
@@ -176,7 +186,9 @@ TEST(JoinRoleParity, EveryRoleMatchesTheHashChainAtEveryPoolWidthAndShard) {
         const std::string label =
             name + "/" + pool_name + "/shards" + std::to_string(shards);
         const ExecOptions roles = options_for(pool, shards);
-        const ExecOptions chain = options_for(pool, shards, JoinPath::kHash);
+        const ExecOptions chain = options_for(pool, shards, &hash_model());
+        parity::expect_join_arms(compile_plan(cat, plan, chain),
+                                 opt::JoinArm::kHashJoin, label);
         ExecStats role_stats, chain_stats;
         const QueryResult got = ex.execute(plan, role_stats, roles);
         const QueryResult want = ex.execute(plan, chain_stats, chain);
@@ -256,8 +268,10 @@ TEST(JoinRoleParity, RepeatedBuildKeysSendTheStepBackToTheChain) {
       ExecStats stats, hash_stats;
       const QueryResult got = ex.execute(c.plan, stats, options_for(p, 0));
       expect_matches_oracle(got, groups, c.plan, label);
-      const QueryResult hash = ex.execute(
-          c.plan, hash_stats, options_for(p, 0, JoinPath::kHash));
+      const ExecOptions chain = options_for(p, 0, &hash_model());
+      parity::expect_join_arms(compile_plan(cat, c.plan, chain),
+                               opt::JoinArm::kHashJoin, label);
+      const QueryResult hash = ex.execute(c.plan, hash_stats, chain);
       expect_identical(hash, got, label);
       expect_operator_sums_exact(stats, label);
       EXPECT_EQ(ran_chain(stats), !c.groupjoin) << label;
@@ -381,16 +395,26 @@ TEST(ParallelJoin, DoubleSumsDoNotDependOnThePoolWidth) {
   ASSERT_EQ(compile_plan(cat, chain_plan).joins[0].arm,
             opt::JoinArm::kDenseJoin);
   ASSERT_EQ(compile_plan(cat, gather_plan).joins[0].role, JoinRole::kGather);
+  const opt::CostModel dense = parity::pin_join_arm(opt::JoinArm::kDenseJoin);
+  const opt::CostModel radix =
+      parity::pin_join_arm(opt::JoinArm::kRadixJoin, /*dim=*/1000);
   struct Path {
     std::string name;
     const LogicalPlan* plan;
-    JoinPath join_path;
+    const opt::CostModel* model;
+    opt::JoinArm arm;
   };
-  const Path paths[] = {{"dense-chain", &chain_plan, JoinPath::kAuto},
-                        {"hash-chain", &chain_plan, JoinPath::kHash},
-                        {"radix-first", &chain_plan, JoinPath::kRadix},
-                        {"groupjoin", &gather_plan, JoinPath::kAuto},
-                        {"groupjoin-hash", &gather_plan, JoinPath::kHash}};
+  const Path paths[] = {
+      {"dense-chain", &chain_plan, &dense, opt::JoinArm::kDenseJoin},
+      {"hash-chain", &chain_plan, &hash_model(), opt::JoinArm::kHashJoin},
+      {"radix-first", &chain_plan, &radix, opt::JoinArm::kRadixJoin},
+      {"groupjoin", &gather_plan, &dense, opt::JoinArm::kDenseJoin},
+      {"groupjoin-hash", &gather_plan, &hash_model(),
+       opt::JoinArm::kHashJoin}};
+  for (const Path& path : paths)
+    parity::expect_join_arms(
+        compile_plan(cat, *path.plan, options_for(nullptr, 0, path.model)),
+        path.arm, path.name);
   std::map<std::string, std::vector<std::uint64_t>> want;
   for (const std::size_t width : {1u, 2u, 3u, 8u}) {
     sched::ThreadPool pool(width);
@@ -398,7 +422,7 @@ TEST(ParallelJoin, DoubleSumsDoNotDependOnThePoolWidth) {
     for (const Path& path : paths) {
       ExecStats stats;
       const QueryResult r =
-          ex.execute(*path.plan, stats, options_for(&pool, 0, path.join_path));
+          ex.execute(*path.plan, stats, options_for(&pool, 0, path.model));
       got[path.name] = double_bits(r);
       ASSERT_EQ(got[path.name].size(), path.plan == &chain_plan ? 8u : 4u);
       if (want.count(path.name) == 0) want[path.name] = got[path.name];

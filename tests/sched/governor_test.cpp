@@ -160,6 +160,108 @@ TEST(Governor, MultiCoreSpeedsUpAndFitsBudgetDifferently) {
   EXPECT_LT(d8.busy_s, d1.busy_s);
 }
 
+// -- Fig. 2 over the frontier (the F2 bench, energy_budget_server) ----------
+
+/// Frontier runs of `work` at every core count, 1..machine cores. With
+/// `shared`, each run is billed as a shared server bills it: its cores'
+/// incremental busy energy instead of the whole package.
+std::vector<GovernorDecision> runs_at_every_core_count(const Governor& gov,
+                                                       const hw::Work& work,
+                                                       bool shared) {
+  const hw::MachineSpec& m = gov.machine();
+  std::vector<GovernorDecision> runs;
+  for (int cores = 1; cores <= m.cores; ++cores)
+    for (GovernorDecision d : gov.frontier(work, cores)) {
+      if (shared)
+        d.energy_j =
+            m.incremental_busy_energy_j(work, d.state, cores * d.busy_s);
+      runs.push_back(d);
+    }
+  return runs;
+}
+
+/// The frontier runs `pareto` keeps, fastest first.
+std::vector<GovernorDecision> pareto_runs(
+    const std::vector<GovernorDecision>& runs) {
+  std::vector<GovernorDecision> front;
+  for (const std::size_t i : pareto(runs)) front.push_back(runs[i]);
+  return front;
+}
+
+TEST(GovernorPareto, IsMonotoneAndCoversEveryRun) {
+  const Governor gov = server_gov();
+  for (const bool shared : {false, true}) {
+    std::vector<GovernorDecision> runs =
+        runs_at_every_core_count(gov, {8e9, 8e9}, shared);
+    const std::vector<GovernorDecision> more =
+        runs_at_every_core_count(gov, {1e9, 1e9}, shared);
+    runs.insert(runs.end(), more.begin(), more.end());
+    const std::vector<GovernorDecision> front = pareto_runs(runs);
+    ASSERT_GE(front.size(), 2u) << shared;
+    for (std::size_t i = 1; i < front.size(); ++i) {
+      EXPECT_GT(front[i].busy_s, front[i - 1].busy_s) << shared;
+      EXPECT_LT(front[i].energy_j, front[i - 1].energy_j) << shared;
+    }
+    for (const GovernorDecision& run : runs) {
+      const bool covered = std::any_of(
+          front.begin(), front.end(), [&](const GovernorDecision& f) {
+            return f.busy_s <= run.busy_s && f.energy_j <= run.energy_j;
+          });
+      EXPECT_TRUE(covered) << shared;
+    }
+  }
+}
+
+TEST(GovernorFrontier, SharedServerAccountingTradesTimeForJoules) {
+  // Only busy power is billed: a compute-bound query's cheapest run is the
+  // slowest P-state, and every step up the frontier buys time with joules.
+  const Governor gov = server_gov();
+  const hw::Work cpu_bound{40e9, 1e8};
+  const std::vector<GovernorDecision> runs =
+      runs_at_every_core_count(gov, cpu_bound, true);
+  EXPECT_DOUBLE_EQ(min_energy(runs).state.freq_ghz,
+                   gov.machine().dvfs.slowest().freq_ghz);
+  EXPECT_GT(pareto_runs(runs).size(), gov.machine().dvfs.size() / 2);
+}
+
+TEST(GovernorFrontier, DedicatedServerAccountingMakesTheTradeShallower) {
+  // The whole package is billed: static power dominates, so racing beats
+  // stretching ("fastest is greenest") and the frontier has fewer steps.
+  const Governor gov = server_gov();
+  const hw::Work cpu_bound{40e9, 1e8};
+  const std::vector<GovernorDecision> dedicated =
+      runs_at_every_core_count(gov, cpu_bound, false);
+  EXPECT_GT(min_energy(dedicated).state.freq_ghz,
+            gov.machine().dvfs.slowest().freq_ghz);
+  EXPECT_LT(pareto_runs(dedicated).size(),
+            pareto_runs(runs_at_every_core_count(gov, cpu_bound, true)).size());
+}
+
+TEST(GovernorFrontier, MemoryBoundWorkSaturates) {
+  // Neither cores nor clock buy time once DRAM bandwidth binds: the
+  // frontier collapses to (nearly) one response time.
+  const Governor gov = server_gov();
+  const std::vector<GovernorDecision> front =
+      pareto_runs(runs_at_every_core_count(gov, {1e6, 100e9}, false));
+  ASSERT_FALSE(front.empty());
+  EXPECT_NEAR(front.front().busy_s, front.back().busy_s,
+              front.front().busy_s * 0.01);
+}
+
+TEST(GovernorFrontier, MoreCoresBuyTime) {
+  // With joules no object, the fastest run uses every core at f_max.
+  const Governor gov = server_gov();
+  for (const bool shared : {false, true}) {
+    const std::vector<GovernorDecision> runs =
+        runs_at_every_core_count(gov, {1e9, 1e9}, shared);
+    const GovernorDecision& fastest = runs[pareto(runs).front()];
+    EXPECT_EQ(fastest.cores, gov.machine().cores) << shared;
+    EXPECT_DOUBLE_EQ(fastest.state.freq_ghz,
+                     gov.machine().dvfs.fastest().freq_ghz)
+        << shared;
+  }
+}
+
 // -- The one decision entry point (Governor::decide) -------------------------
 
 TEST(GovernorDecide, LatencyRacesAtFmax) {
